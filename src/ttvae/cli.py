@@ -330,31 +330,9 @@ def cmd_eval(args) -> int:
         for label, kinds, mode in pairs:
             if not all(k in vectors.vectors for k in kinds):
                 continue
-            va, vb = (vectors.get(k) for k in kinds)
-            if mode == "upward":
-                taus = {"tensile": float(va.effective_thresholds.get(
-                            "class_a_min_score", 0.0)),
-                        "diameter": float(vb.effective_thresholds.get(
-                            "class_a_min_score", 0.0))}
-                report = evaluation.interaction_grid(
-                    model, va, vb, scales, args.n, seed, taus=taus,
-                    trained_batches=trained)
-            else:
-                level_params = {
-                    "tensile": {
-                        "threshold": float(va.effective_thresholds.get(
-                            "threshold", 0.0)),
-                        "tau": float(va.effective_thresholds.get(
-                            "class_a_min_magnitude", 0.0))},
-                    "diameter": {
-                        "threshold": float(vb.effective_thresholds.get(
-                            "threshold", 0.0)),
-                        "tau": float(vb.effective_thresholds.get(
-                            "class_a_min_magnitude", 0.0))},
-                }
-                report = evaluation.interaction_grid(
-                    model, va, vb, scales, args.n, seed, mode="high",
-                    level_params=level_params, trained_batches=trained)
+            report = evaluation.interaction_grid(
+                model, *(vectors.get(k) for k in kinds), scales, args.n, seed,
+                mode=mode, trained_batches=trained)
             evaluation.write_interaction_csv(
                 out_dir / f"interaction_{label}.csv", report)
             evaluation.write_json(out_dir / f"interaction_{label}.json",

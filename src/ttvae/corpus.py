@@ -256,7 +256,7 @@ def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
     for i, (beat, num, den) in enumerate(regions):
         start = round(beat * 4)
         end = round(regions[i + 1][0] * 4) if i + 1 < len(regions) else total_steps
-        if num * STEPS_PER_BAR % den:
+        if num < 1 or num * STEPS_PER_BAR % den:
             warnings.append(f"meter {num}/{den} not representable on the "
                             f"16th grid; region at step {start} skipped")
             continue
@@ -318,17 +318,16 @@ def song_fragments(score: Score, melody_name: str | None = None,
     key = detect_key(score)
     pair = transpose_pair(pair, transposition_shift(key))
     windows, warnings = segment(pair, score.meters)
-    reference = key_center(0, cfg)
-    fragments = []
-    for bar_offset, window in windows:
-        roll = encode_roll(window)
-        strain, diameter = tension_curves(roll, reference, cfg)
-        fragments.append(Fragment(
-            roll=roll,
-            tensile=strain.values.astype(np.float32),
-            diameter=diameter.values.astype(np.float32),
-            bar_offset=bar_offset,
-        ))
+    if not windows:
+        return [], key, warnings
+    rolls = np.stack([encode_roll(window) for _, window in windows])
+    strain, diameter = tension_curves(rolls, key_center(0, cfg), cfg)
+    fragments = [
+        Fragment(roll=roll, tensile=tensile, diameter=diam, bar_offset=bar_offset)
+        for (bar_offset, _), roll, tensile, diam in zip(
+            windows, rolls, strain.values.astype(np.float32),
+            diameter.values.astype(np.float32))
+    ]
     return fragments, key, warnings
 
 

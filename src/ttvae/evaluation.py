@@ -29,7 +29,6 @@ from .pianoroll import (
     MELODY_ONSET_COL,
     MELODY_PITCH_COLS,
     MELODY_REST_COL,
-    N_STEPS,
 )
 from .spiral import SpiralConfig, key_center
 from .tension import tension_curves
@@ -38,18 +37,6 @@ from .vae.network import DecoderOutput, TensionVae, sample_latent
 DEFAULT_DIRECTION_SCALES = (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0)
 DEFAULT_LEVEL_SCALES = (-6.0, -3.0, 0.0, 3.0, 6.0)
 DECODE_CHUNK = 256
-
-
-@dataclass
-class GeneratedPair:
-    """One sample: rolls before/after the edit plus both curve families."""
-
-    original_roll: np.ndarray
-    modified_roll: np.ndarray
-    predicted_tensile: np.ndarray
-    predicted_diameter: np.ndarray
-    recomputed_tensile: np.ndarray
-    recomputed_diameter: np.ndarray
 
 
 @dataclass
@@ -83,6 +70,7 @@ class SweepReport:
 @dataclass
 class InteractionReport:
     vector_names: tuple[str, str]
+    ratio_kind: str                 # "upward" or "high"
     scales: list[float]
     # rows[vector][scale] -> {"tensile": ratio, "diameter": ratio}
     rows: dict[str, dict[float, dict[str, float]]]
@@ -93,33 +81,24 @@ class InteractionReport:
 
 
 def roll_from_output(out: DecoderOutput) -> np.ndarray:
-    """Harden one example's soft outputs into a valid binary roll.
+    """Harden soft outputs into valid binary rolls, (64, 89) or (n, 64, 89).
 
     Pitch takes the row argmax (ties resolve to the lowest index), onsets
     fire strictly above 0.5, and onsets on rest steps are cleared to keep
     the roll invariants.
     """
-    if out.melody_pitch.ndim != 2:
-        raise InvalidInputError("roll_from_output expects a single example")
-    roll = np.zeros((N_STEPS, pianoroll.N_FEATURES), dtype=np.uint8)
-    melody_cols = out.melody_pitch.argmax(axis=1)
-    bass_cols = out.bass_pitch.argmax(axis=1)
-    roll[np.arange(N_STEPS), melody_cols] = 1
-    roll[np.arange(N_STEPS), BASS_PITCH_START + bass_cols] = 1
-    melody_on = (out.melody_onset > 0.5) & (melody_cols != MELODY_REST_COL)
-    bass_on = (out.bass_onset > 0.5) & (
+    if out.melody_pitch.ndim not in (2, 3):
+        raise InvalidInputError("roll_from_output expects one example or a batch")
+    melody_cols = out.melody_pitch.argmax(axis=-1)
+    bass_cols = out.bass_pitch.argmax(axis=-1)
+    roll = np.zeros(melody_cols.shape + (pianoroll.N_FEATURES,), dtype=np.uint8)
+    np.put_along_axis(roll, melody_cols[..., None], 1, axis=-1)
+    np.put_along_axis(roll, BASS_PITCH_START + bass_cols[..., None], 1, axis=-1)
+    roll[..., MELODY_ONSET_COL] = (out.melody_onset > 0.5) & (
+        melody_cols != MELODY_REST_COL)
+    roll[..., BASS_ONSET_COL] = (out.bass_onset > 0.5) & (
         bass_cols != BASS_REST_COL - BASS_PITCH_START)
-    roll[:, MELODY_ONSET_COL] = melody_on
-    roll[:, BASS_ONSET_COL] = bass_on
     return roll
-
-
-def _rolls_from_batch(out: DecoderOutput) -> np.ndarray:
-    n = out.melody_pitch.shape[0]
-    return np.stack([roll_from_output(DecoderOutput(
-        out.melody_pitch[i], out.melody_onset[i], out.bass_pitch[i],
-        out.bass_onset[i], out.tensile[i], out.diameter[i]))
-        for i in range(n)])
 
 
 def pitch_accuracy(original: np.ndarray, modified: np.ndarray,
@@ -184,37 +163,14 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
                                np.ndarray, np.ndarray]:
     """Decode latents to rolls plus predicted and recomputed curves."""
     reference = key_center(0, spiral_cfg)
-    rolls = []
-    predicted_t = []
-    predicted_d = []
+    parts = []
     for start in range(0, len(z), DECODE_CHUNK):
         out = model.decode(z[start:start + DECODE_CHUNK])
-        rolls.append(_rolls_from_batch(out))
-        predicted_t.append(out.tensile)
-        predicted_d.append(out.diameter)
-    rolls = np.concatenate(rolls)
-    recomputed_t = np.empty((len(rolls), N_STEPS))
-    recomputed_d = np.empty((len(rolls), N_STEPS))
-    for i, roll in enumerate(rolls):
-        strain, diameter = tension_curves(roll, reference, spiral_cfg)
-        recomputed_t[i] = strain.values
-        recomputed_d[i] = diameter.values
-    return (rolls, np.concatenate(predicted_t), np.concatenate(predicted_d),
-            recomputed_t, recomputed_d)
-
-
-def generated_pair(model: TensionVae, z: np.ndarray, vector: AttributeVector,
-                   scale: float,
-                   spiral_cfg: SpiralConfig = SpiralConfig()) -> GeneratedPair:
-    """Materialize one sample's before/after rolls and curve families."""
-    z = np.asarray(z, dtype=model.dtype)[None, :]
-    original = decode_hardened(model, z, spiral_cfg)
-    rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
-        model, apply_vector(z, vector, scale), spiral_cfg)
-    return GeneratedPair(
-        original_roll=original[0][0], modified_roll=rolls[0],
-        predicted_tensile=pred_t[0], predicted_diameter=pred_d[0],
-        recomputed_tensile=rec_t[0], recomputed_diameter=rec_d[0])
+        rolls = roll_from_output(out)
+        strain, diameter = tension_curves(rolls, reference, spiral_cfg)
+        parts.append((rolls, out.tensile, out.diameter,
+                      strain.values, diameter.values))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _measured_curve(vector_name: str) -> str:
@@ -228,6 +184,18 @@ def _pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
                        for o, m in zip(original_rolls, modified_rolls)])
     return (float(accuracy[:, 0].mean()), float(accuracy[:, 1].mean()),
             float(fscore[:, 0].mean()), float(fscore[:, 1].mean()))
+
+
+def _direction_tau(vector: AttributeVector) -> float:
+    """The vector's effective up-class labeling threshold (0 if unrecorded)."""
+    return float(vector.effective_thresholds.get("class_a_min_score", 0.0))
+
+
+def _level_params(vector: AttributeVector) -> tuple[float, float]:
+    """(threshold, tau) of the vector's effective level labeling."""
+    thresholds = vector.effective_thresholds
+    return (float(thresholds.get("threshold", 0.0)),
+            float(thresholds.get("class_a_min_magnitude", 0.0)))
 
 
 def _sweep(model: TensionVae, vector: AttributeVector, scales, n: int,
@@ -270,7 +238,7 @@ def direction_sweep(model: TensionVae, vector: AttributeVector,
     ``tau`` defaults to the vector's effective up-class labeling threshold.
     """
     if tau is None:
-        tau = float(vector.effective_thresholds.get("class_a_min_score", 0.0))
+        tau = _direction_tau(vector)
     return _sweep(model, vector, scales, n, rng_seed,
                   lambda curves: upward_ratio(curves, tau),
                   "upward", {"tau_direction": tau}, spiral_cfg,
@@ -283,11 +251,13 @@ def level_sweep(model: TensionVae, vector: AttributeVector,
                 tau: float | None = None,
                 spiral_cfg: SpiralConfig = SpiralConfig(),
                 trained_batches: int | None = None) -> SweepReport:
-    """High-ratio analogue of :func:`direction_sweep` for level vectors."""
-    if threshold is None:
-        threshold = float(vector.effective_thresholds.get("threshold", 0.0))
-    if tau is None:
-        tau = float(vector.effective_thresholds.get("class_a_min_magnitude", 0.0))
+    """High-ratio analogue of :func:`direction_sweep` for level vectors.
+
+    ``threshold`` and ``tau`` default to the vector's effective labeling.
+    """
+    own_threshold, own_tau = _level_params(vector)
+    threshold = own_threshold if threshold is None else threshold
+    tau = own_tau if tau is None else tau
     return _sweep(model, vector, scales, n, rng_seed,
                   lambda curves: high_ratio(curves, threshold, tau),
                   "high", {"threshold": threshold, "tau_level": tau},
@@ -307,14 +277,20 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
 
     ``mode="upward"`` rates each kind's direction (thresholds in ``taus``);
     ``mode="high"`` rates levels using per-kind ``level_params`` entries of
-    the form {"threshold": c, "tau": t}.  The cross-effect statistic per
-    vector is the mean absolute deviation of the *other* kind's ratio from
-    its unedited baseline.
+    the form {"threshold": c, "tau": t}.  Either mapping defaults to the
+    effective thresholds of the vector that measures each kind.  The
+    cross-effect statistic per vector is the mean absolute deviation of the
+    *other* kind's ratio from its unedited baseline.
     """
     if mode not in ("upward", "high"):
         raise InvalidInputError(f"unknown interaction mode {mode!r}")
-    taus = taus or {}
-    level_params = level_params or {}
+    vectors = (vector_a, vector_b)
+    if taus is None:
+        taus = {_measured_curve(v.name): _direction_tau(v) for v in vectors}
+    if level_params is None:
+        level_params = {_measured_curve(v.name):
+                        dict(zip(("threshold", "tau"), _level_params(v)))
+                        for v in vectors}
     z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
     rows: dict[str, dict[float, dict[str, float]]] = {}
     baselines: dict[str, dict[str, float]] = {}
@@ -334,7 +310,7 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
 
     base = decode_hardened(model, z, spiral_cfg)
     base_ratios = both_ratios(base[3], base[4])
-    for vector in (vector_a, vector_b):
+    for vector in vectors:
         rows[vector.name] = {}
         for scale in scales:
             if scale == 0.0:
@@ -346,7 +322,7 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
         baselines[vector.name] = base_ratios
 
     cross_effect = {}
-    for vector in (vector_a, vector_b):
+    for vector in vectors:
         own = _measured_curve(vector.name)
         other = "diameter" if own == "tensile" else "tensile"
         deviations = [abs(rows[vector.name][float(s)][other]
@@ -354,7 +330,7 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
                       for s in scales if s != 0.0]
         cross_effect[f"{vector.name}_on_{other}"] = float(np.mean(deviations))
     return InteractionReport(
-        vector_names=(vector_a.name, vector_b.name),
+        vector_names=(vector_a.name, vector_b.name), ratio_kind=mode,
         scales=[float(s) for s in scales], rows=rows,
         cross_effect=cross_effect, n=n, rng_seed=rng_seed,
         untrained_model=not trained_batches)
@@ -367,17 +343,10 @@ def pitch_class_histogram(rolls: np.ndarray,
     if not (0 <= lo < hi <= pianoroll.BARS_PER_FRAGMENT):
         raise InvalidInputError(f"bar range {bar_range} outside [0, 4)")
     rolls = np.asarray(rolls)
-    if rolls.ndim == 2:
-        rolls = rolls[None, ...]
-    counts = np.zeros(12, dtype=np.int64)
     steps = slice(lo * pianoroll.STEPS_PER_BAR, hi * pianoroll.STEPS_PER_BAR)
-    for roll in rolls:
-        melody = pianoroll.melody_pitch_classes(roll)[steps]
-        bass = pianoroll.bass_pitch_classes(roll)[steps]
-        for pcs in (melody, bass):
-            sounding = pcs[pcs >= 0]
-            counts += np.bincount(sounding, minlength=12)
-    return counts
+    pcs = np.concatenate((pianoroll.melody_pitch_classes(rolls)[..., steps],
+                          pianoroll.bass_pitch_classes(rolls)[..., steps]), axis=None)
+    return np.bincount(pcs[pcs >= 0], minlength=12).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +397,8 @@ def write_json(path, payload: dict) -> None:
 def write_interaction_csv(path, report: InteractionReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("vector", "scale", "tensile_upward_ratio",
-                         "diameter_upward_ratio"))
+        writer.writerow(("vector", "scale", f"tensile_{report.ratio_kind}_ratio",
+                         f"diameter_{report.ratio_kind}_ratio"))
         for name in report.vector_names:
             for scale in report.scales:
                 cell = report.rows[name][scale]

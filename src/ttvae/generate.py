@@ -157,7 +157,6 @@ def _curve_report(roll: np.ndarray, out, spiral_cfg: SpiralConfig) -> dict:
 class GenerationResult:
     midi_bytes: bytes
     report: dict
-    roll: np.ndarray
 
 
 def generate(model: TensionVae, vectors: VectorsFile,
@@ -181,7 +180,7 @@ def generate(model: TensionVae, vectors: VectorsFile,
         "modified": _curve_report(roll_edited, out_edited, spiral_cfg),
     }
     return GenerationResult(midi_bytes=write_midi(pair_to_score(pair)),
-                            report=report, roll=roll_edited)
+                            report=report)
 
 
 def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
@@ -226,5 +225,4 @@ def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
         "sections": sections_report,
     }
     return GenerationResult(
-        midi_bytes=write_midi(pair_to_score(pair, markers)),
-        report=report, roll=np.zeros(0, dtype=np.uint8))
+        midi_bytes=write_midi(pair_to_score(pair, markers)), report=report)

@@ -52,6 +52,9 @@ class ShapeTemplate:
         object.__setattr__(self, "values", v)
 
 
+RAMP_TEMPLATE = ShapeTemplate("ramp", np.arange(N_STEPS, dtype=float) / (N_STEPS - 1))
+
+
 def triangle_template(peak_step: int = 32) -> ShapeTemplate:
     """Symmetric rise-then-fall template peaking at ``peak_step``."""
     steps = np.arange(N_STEPS, dtype=float)
@@ -94,11 +97,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 def direction_score(curve: np.ndarray) -> float:
     """Correlation with the unit ramp; constant curves score 0 by convention."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != (N_STEPS,):
-        raise InvalidInputError(f"curve must have {N_STEPS} values")
-    ramp = np.arange(N_STEPS, dtype=float) / (N_STEPS - 1)
-    return _pearson(curve, ramp)
+    return shape_score(curve, RAMP_TEMPLATE)
 
 
 def level_score(curve: np.ndarray, threshold: float) -> tuple[int, float]:
@@ -135,14 +134,6 @@ def _top_ids(scored: list[tuple[float, int]], n: int) -> list[int]:
     return [idx for _, idx in ranked[:n]]
 
 
-def _extreme_ids(scored: list[tuple[float, int]], n: int) -> tuple[list[int], list[int]]:
-    """Top-n and bottom-n of one ranked order; disjoint whenever 2n <= len."""
-    ranked = sorted(scored, key=lambda item: (-item[0], item[1]))
-    top = [idx for _, idx in ranked[:n]]
-    bottom = [idx for _, idx in ranked[len(ranked) - n:]]
-    return top, bottom
-
-
 def select_classes(curves: np.ndarray, kind: str,
                    target_n: int = DEFAULT_TARGET_N,
                    threshold: float | None = None,
@@ -150,9 +141,10 @@ def select_classes(curves: np.ndarray, kind: str,
     """Label the extremes of the dataset for one tension property.
 
     Direction/shape kinds take the ``target_n`` highest-scoring fragments as
-    class A and the lowest as class B.  Level kinds split on the threshold
-    sign first (corpus mean by default) and rank by distance from it.  When
-    the population cannot support two classes of ``target_n``, class sizes
+    class A and the lowest as class B; a direction kind is the shape kind of
+    :data:`RAMP_TEMPLATE`.  Level kinds split on the threshold sign first
+    (corpus mean by default) and rank by distance from it.  When the
+    population cannot support two classes of ``target_n``, class sizes
     shrink to half the population (direction/shape) or the side population
     (level), with a warning recorded.
     """
@@ -162,55 +154,48 @@ def select_classes(curves: np.ndarray, kind: str,
     n = len(curves)
     warnings = []
     if kind in DIRECTION_KINDS:
-        scores = [(direction_score(c), i) for i, c in enumerate(curves)]
+        template = RAMP_TEMPLATE
+    if kind in LEVEL_KINDS:
+        c = float(curves.mean()) if threshold is None else float(threshold)
+        magnitude = {}
+        high, low = [], []
+        for i, curve in enumerate(curves):
+            sign, mag = level_score(curve, c)
+            magnitude[i] = mag
+            (high if sign > 0 else low).append((mag, i))
+        per_class = min(target_n, len(high), len(low))
+        if per_class < target_n:
+            warnings.append(
+                f"sides hold {len(high)} high / {len(low)} low fragments; "
+                f"using {per_class} per class")
+        if per_class == 0:
+            raise InvalidInputError(
+                f"cannot form {kind} classes: one side is empty")
+        class_a = _top_ids(high, per_class)
+        class_b = _top_ids(low, per_class)
+        thresholds = {
+            "threshold": c,
+            "class_a_min_magnitude": min(magnitude[i] for i in class_a),
+            "class_b_min_magnitude": min(magnitude[i] for i in class_b),
+        }
+    elif template is not None:
+        scores = [shape_score(c, template) for c in curves]
         per_class = min(target_n, n // 2)
         if target_n > n // 2:
             warnings.append(
                 f"population {n} cannot fill two classes of {target_n}; "
                 f"using {per_class} per class")
-        class_a, class_b = _extreme_ids(scores, per_class)
+        if per_class == 0:
+            raise InvalidInputError(f"cannot form {kind} classes from {n} fragment(s)")
+        # Top and bottom of one ranking: disjoint because 2 * per_class <= n.
+        ranked = _top_ids([(score, i) for i, score in enumerate(scores)], n)
+        class_a, class_b = ranked[:per_class], ranked[n - per_class:]
         thresholds = {
-            "class_a_min_score": min(scores[i][0] for i in class_a),
-            "class_b_max_score": max(scores[i][0] for i in class_b),
+            "class_a_min_score": min(scores[i] for i in class_a),
+            "class_b_max_score": max(scores[i] for i in class_b),
         }
-    elif kind in LEVEL_KINDS or kind.startswith("shape:") or template is not None:
-        if kind in LEVEL_KINDS:
-            c = float(curves.mean()) if threshold is None else float(threshold)
-            magnitude = {}
-            high, low = [], []
-            for i, curve in enumerate(curves):
-                sign, mag = level_score(curve, c)
-                magnitude[i] = mag
-                (high if sign > 0 else low).append((mag, i))
-            per_class = min(target_n, len(high), len(low))
-            if per_class < target_n:
-                warnings.append(
-                    f"sides hold {len(high)} high / {len(low)} low fragments; "
-                    f"using {per_class} per class")
-            if per_class == 0:
-                raise InvalidInputError(
-                    f"cannot form {kind} classes: one side is empty")
-            class_a = _top_ids(high, per_class)
-            class_b = _top_ids(low, per_class)
-            thresholds = {
-                "threshold": c,
-                "class_a_min_magnitude": min(magnitude[i] for i in class_a),
-                "class_b_min_magnitude": min(magnitude[i] for i in class_b),
-            }
-        else:
-            if template is None:
-                raise InvalidInputError("shape selection needs a template")
-            scores = [(shape_score(c, template), i) for i, c in enumerate(curves)]
-            per_class = min(target_n, n // 2)
-            if target_n > n // 2:
-                warnings.append(
-                    f"population {n} cannot fill two classes of {target_n}; "
-                    f"using {per_class} per class")
-            class_a, class_b = _extreme_ids(scores, per_class)
-            thresholds = {
-                "class_a_min_score": min(scores[i][0] for i in class_a),
-                "class_b_max_score": max(scores[i][0] for i in class_b),
-            }
+    elif kind.startswith("shape:"):
+        raise InvalidInputError("shape selection needs a template")
     else:
         raise InvalidInputError(f"unknown labeling kind {kind!r}")
     return ClassSelection(kind=kind, class_a=sorted(class_a),
@@ -306,13 +291,24 @@ def load_vectors(path) -> VectorsFile:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise InvalidInputError(f"cannot read vectors file {path}: {err}") from err
-    vectors = {}
-    for item in payload.get("vectors", []):
-        vectors[item["name"]] = AttributeVector(
-            name=item["name"],
-            values=np.array(item["values"], dtype=np.float64),
-            class_sizes=tuple(item["class_sizes"]),
-            effective_thresholds=item.get("effective_thresholds", {}))
-    return VectorsFile(latent_dim=int(payload["latent_dim"]),
-                       checkpoint_id=payload.get("checkpoint_id", ""),
+    try:
+        latent_dim = int(payload["latent_dim"])
+        vectors = {}
+        for item in payload.get("vectors", []):
+            values = np.array(item["values"], dtype=np.float64)
+            if values.shape != (latent_dim,) or not np.isfinite(values).all():
+                raise ValueError(f"vector {item['name']!r} needs {latent_dim} "
+                                 f"finite values")
+            thresholds = item.get("effective_thresholds", {})
+            if not isinstance(thresholds, dict):
+                raise TypeError("effective_thresholds must be an object")
+            vectors[item["name"]] = AttributeVector(
+                name=item["name"], values=values,
+                class_sizes=tuple(item["class_sizes"]),
+                effective_thresholds=thresholds)
+        checkpoint_id = payload.get("checkpoint_id", "")
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise InvalidInputError(
+            f"malformed vectors file {path}: {type(err).__name__}: {err}") from err
+    return VectorsFile(latent_dim=latent_dim, checkpoint_id=checkpoint_id,
                        vectors=vectors)

@@ -210,11 +210,6 @@ def _parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
         score.tracks.append(track)
 
 
-def parse_midi_file(path) -> Score:
-    with open(path, "rb") as fh:
-        return parse_midi(fh.read())
-
-
 def _encode_varlen(value: int) -> bytes:
     if value < 0:
         raise ValueError("negative delta time")
@@ -282,8 +277,3 @@ def write_midi(score: Score) -> bytes:
     header = b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big") \
         + len(chunks).to_bytes(2, "big") + WRITE_PPQN.to_bytes(2, "big")
     return header + b"".join(chunks)
-
-
-def write_midi_file(path, score: Score) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_midi(score))

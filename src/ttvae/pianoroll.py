@@ -78,21 +78,25 @@ class TrackPair:
 
 
 def validate_roll(roll: np.ndarray) -> None:
-    """Raise :class:`InvalidRollError` unless ``roll`` satisfies all invariants."""
-    if roll.shape != (N_STEPS, N_FEATURES):
+    """Raise :class:`InvalidRollError` unless ``roll`` satisfies all invariants.
+
+    ``roll`` is one (64, 89) roll or a stack (n, 64, 89); every roll of a
+    stack is checked.
+    """
+    if roll.ndim not in (2, 3) or roll.shape[-2:] != (N_STEPS, N_FEATURES):
         raise InvalidRollError(
             f"roll must be {N_STEPS}x{N_FEATURES}, got {roll.shape}")
     if not np.isin(roll, (0, 1)).all():
         raise InvalidRollError("roll entries must be 0 or 1")
-    if not (roll[:, MELODY_PITCH_COLS].sum(axis=1) == 1).all():
+    if not (roll[..., MELODY_PITCH_COLS].sum(axis=-1) == 1).all():
         raise InvalidRollError("each step needs exactly one melody pitch column")
-    if not (roll[:, BASS_PITCH_COLS].sum(axis=1) == 1).all():
+    if not (roll[..., BASS_PITCH_COLS].sum(axis=-1) == 1).all():
         raise InvalidRollError("each step needs exactly one bass pitch column")
-    melody_rest = roll[:, MELODY_REST_COL] == 1
-    if (roll[:, MELODY_ONSET_COL].astype(bool) & melody_rest).any():
+    melody_rest = roll[..., MELODY_REST_COL] == 1
+    if (roll[..., MELODY_ONSET_COL].astype(bool) & melody_rest).any():
         raise InvalidRollError("melody onset flagged on a rest step")
-    bass_rest = roll[:, BASS_REST_COL] == 1
-    if (roll[:, BASS_ONSET_COL].astype(bool) & bass_rest).any():
+    bass_rest = roll[..., BASS_REST_COL] == 1
+    if (roll[..., BASS_ONSET_COL].astype(bool) & bass_rest).any():
         raise InvalidRollError("bass onset flagged on a rest step")
 
 
@@ -162,6 +166,8 @@ def _decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
 def decode_roll(roll: np.ndarray) -> TrackPair:
     """Invert :func:`encode_roll`; bass realized in the C2-rooted octave."""
     validate_roll(roll)
+    if roll.ndim != 2:
+        raise InvalidRollError("decode_roll takes one roll, not a stack")
     melody_cols = roll[:, MELODY_PITCH_COLS].argmax(axis=1)
     bass_cols = roll[:, BASS_PITCH_COLS].argmax(axis=1)
     melody = _decode_track(melody_cols, roll[:, MELODY_ONSET_COL],
@@ -173,12 +179,12 @@ def decode_roll(roll: np.ndarray) -> TrackPair:
 
 
 def melody_pitch_classes(roll: np.ndarray) -> np.ndarray:
-    """Per-step melody pitch class, -1 where the melody rests."""
-    cols = roll[:, MELODY_PITCH_COLS].argmax(axis=1)
+    """Per-step melody pitch class, -1 where the melody rests; shape (..., 64)."""
+    cols = roll[..., MELODY_PITCH_COLS].argmax(axis=-1)
     return np.where(cols == MELODY_REST_COL, -1, (cols + MELODY_LOW) % 12)
 
 
 def bass_pitch_classes(roll: np.ndarray) -> np.ndarray:
-    """Per-step bass pitch class, -1 where the bass rests."""
-    cols = roll[:, BASS_PITCH_COLS].argmax(axis=1)
+    """Per-step bass pitch class, -1 where the bass rests; shape (..., 64)."""
+    cols = roll[..., BASS_PITCH_COLS].argmax(axis=-1)
     return np.where(cols == BASS_REST_COL - BASS_PITCH_START, -1, cols)

@@ -1,4 +1,4 @@
-"""Spiral-array pitch geometry and per-cloud tonal tension measures.
+"""Spiral-array pitch geometry and the one tonal-tension kernel.
 
 Pitch classes sit on a 3-D helix indexed by the line of fifths: one quarter
 turn and a fixed vertical rise per fifth.  Tonal closeness then maps to
@@ -8,6 +8,10 @@ Euclidean closeness, which gives two per-window tension measures:
   (dissonance within the window);
 * tensile strain -- distance between the cloud's weighted centroid (center
   of effect) and the key's center (tension against the tonal context).
+
+:func:`cloud_tension` computes both for any stack of weighted point clouds;
+the :class:`Cloud` functions here and the per-step curves of
+:mod:`ttvae.tension` are thin wrappers around it.
 
 Calibration defaults (radius 1, rise sqrt(2/15), chord/key weights) follow
 the established spiral-array literature and are tunable via
@@ -143,20 +147,48 @@ def _member_points(cloud: Cloud, cfg: SpiralConfig) -> np.ndarray:
                      for p in cloud.members])
 
 
+def _weighted_center(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weight-normalized centroid over the member axis; 0 where no weight."""
+    total = weights.sum(axis=-1)[..., None]
+    return (points * weights[..., None]).sum(axis=-2) / np.where(total > 0, total, 1.0)
+
+
+def cloud_tension(points: np.ndarray, weights: np.ndarray,
+                  key_point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensile strain and cloud diameter of a stack of weighted clouds.
+
+    ``points`` is (..., m, 3) and ``weights`` (..., m) with non-negative
+    entries; a zero weight marks an absent member.  Strain is the distance
+    from the weighted centroid to ``key_point`` (0 where the total weight is
+    0) and diameter the largest pairwise distance among members of positive
+    weight (0 for fewer than two).  Both results have shape (...,).
+    """
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    present = weights > 0
+    strain = np.linalg.norm(_weighted_center(points, weights) - key_point, axis=-1)
+    strain = np.where(present.any(axis=-1), strain, 0.0)
+    pair = np.linalg.norm(points[..., :, None, :] - points[..., None, :, :], axis=-1)
+    pair = np.where(present[..., :, None] & present[..., None, :], pair, 0.0)
+    return strain, pair.max(axis=(-2, -1))
+
+
+def _cloud_tension(cloud: Cloud, key_point: np.ndarray,
+                   cfg: SpiralConfig) -> tuple[float, float]:
+    strain, diameter = cloud_tension(_member_points(cloud, cfg),
+                                     cloud.effective_weights(), key_point)
+    return float(strain), float(diameter)
+
+
 def cloud_diameter(cloud: Cloud, cfg: SpiralConfig = SpiralConfig()) -> float:
     """Largest pairwise distance among the cloud's helix points (0 for singletons)."""
-    pts = _member_points(cloud, cfg)
-    if len(pts) == 1:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    return _cloud_tension(cloud, np.zeros(3), cfg)[1]
 
 
 def center_of_effect(cloud: Cloud, cfg: SpiralConfig = SpiralConfig()) -> SpiralPoint:
     """Weight-normalized centroid of the cloud's helix points."""
-    pts = _member_points(cloud, cfg)
-    w = np.asarray(cloud.effective_weights(), dtype=float)
-    c = (pts * w[:, None]).sum(axis=0) / w.sum()
+    c = _weighted_center(_member_points(cloud, cfg),
+                         np.asarray(cloud.effective_weights(), dtype=float))
     return SpiralPoint(float(c[0]), float(c[1]), float(c[2]))
 
 
@@ -184,5 +216,4 @@ def key_center(tonic_fifth: int, cfg: SpiralConfig = SpiralConfig(),
 def tensile_strain(cloud: Cloud, key: KeyCenter,
                    cfg: SpiralConfig = SpiralConfig()) -> float:
     """Distance between the cloud's center of effect and the key center."""
-    c = center_of_effect(cloud, cfg).to_array()
-    return float(np.linalg.norm(c - key.point.to_array()))
+    return _cloud_tension(cloud, key.point.to_array(), cfg)[0]

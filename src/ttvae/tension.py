@@ -2,10 +2,12 @@
 
 Each of the 64 sixteenth-note steps forms a cloud from the pitch classes
 sounding at that step (melody and bass, sustained notes included, equal
-weights).  Tensile strain and cloud diameter are computed per step -- a step
-where both tracks rest contributes 0 -- and both curves are then smoothed
-with a centered quarter-note moving average so values do not jump from one
-16th note to the next.
+weights).  Tensile strain and cloud diameter come per step from the one
+kernel, :func:`ttvae.spiral.cloud_tension` -- a step where both tracks rest
+contributes 0 -- and both curves are then smoothed with a centered
+quarter-note moving average so values do not jump from one 16th note to the
+next.  Every function here takes one roll (64, 89) or a stack (n, 64, 89)
+and works along the last axis, so a stack costs one call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import pianoroll
 from .errors import InvalidInputError
-from .spiral import KeyCenter, SpiralConfig, pitch_class_positions
+from .spiral import KeyCenter, SpiralConfig, cloud_tension, pitch_class_positions
 
 QUARTER_NOTE_STEPS = 4
 
@@ -29,14 +31,14 @@ class TensionKind(Enum):
 
 @dataclass(frozen=True)
 class TensionCurve:
-    """64 smoothed per-16th-step tension values of one kind."""
+    """Smoothed per-16th-step tension values of one kind, shape (..., 64)."""
 
     kind: TensionKind
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (pianoroll.N_STEPS,):
+        if v.shape[-1:] != (pianoroll.N_STEPS,):
             raise InvalidInputError(
                 f"tension curve must have {pianoroll.N_STEPS} values, got {v.shape}")
         if not np.isfinite(v).all():
@@ -47,60 +49,33 @@ class TensionCurve:
 
 
 def moving_average(values: np.ndarray, window: int = QUARTER_NOTE_STEPS) -> np.ndarray:
-    """Centered moving average with the window truncated at both edges.
+    """Centered moving average along the last axis, window truncated at both edges.
 
-    Index ``i`` averages ``values[i - window//2 : i + (window+1)//2]``
+    Index ``i`` averages ``values[..., i - window//2 : i + (window+1)//2]``
     clipped to the valid range, so a window of 1 is the identity and the
-    output always has the input's length.
+    output always has the input's shape.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
     v = np.asarray(values, dtype=float)
-    n = len(v)
+    n = v.shape[-1]
     lo = np.maximum(np.arange(n) - window // 2, 0)
     hi = np.minimum(np.arange(n) + (window + 1) // 2, n)
-    csum = np.concatenate(([0.0], np.cumsum(v)))
-    return (csum[hi] - csum[lo]) / (hi - lo)
-
-
-def step_tension(roll: np.ndarray, key: KeyCenter,
-                 cfg: SpiralConfig = SpiralConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unsmoothed) per-step tensile strain and cloud diameter."""
-    pianoroll.validate_roll(roll)
-    table = pitch_class_positions(cfg)
-    melody_pc = pianoroll.melody_pitch_classes(roll)
-    bass_pc = pianoroll.bass_pitch_classes(roll)
-
-    melody_pts = table[np.clip(melody_pc, 0, 11)]
-    bass_pts = table[np.clip(bass_pc, 0, 11)]
-    has_melody = melody_pc >= 0
-    has_bass = bass_pc >= 0
-    both = has_melody & has_bass
-    any_note = has_melody | has_bass
-
-    diameter = np.zeros(pianoroll.N_STEPS)
-    pair_dist = np.linalg.norm(melody_pts - bass_pts, axis=1)
-    diameter[both] = pair_dist[both]
-
-    center = np.zeros((pianoroll.N_STEPS, 3))
-    center[both] = 0.5 * (melody_pts[both] + bass_pts[both])
-    only_m = has_melody & ~has_bass
-    only_b = has_bass & ~has_melody
-    center[only_m] = melody_pts[only_m]
-    center[only_b] = bass_pts[only_b]
-
-    strain = np.zeros(pianoroll.N_STEPS)
-    strain[any_note] = np.linalg.norm(
-        center[any_note] - key.point.to_array(), axis=1)
-    return strain, diameter
+    csum = np.concatenate((np.zeros(v.shape[:-1] + (1,)), np.cumsum(v, axis=-1)),
+                          axis=-1)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
 def tension_curves(roll: np.ndarray, key: KeyCenter,
                    cfg: SpiralConfig = SpiralConfig(),
                    window: int = QUARTER_NOTE_STEPS,
                    ) -> tuple[TensionCurve, TensionCurve]:
-    """Smoothed tensile-strain and cloud-diameter curves for one fragment."""
-    strain, diameter = step_tension(roll, key, cfg)
+    """Smoothed tensile-strain and cloud-diameter curves of one roll or a stack."""
+    pianoroll.validate_roll(roll)
+    pcs = np.stack((pianoroll.melody_pitch_classes(roll),
+                    pianoroll.bass_pitch_classes(roll)), axis=-1)
+    strain, diameter = cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
+                                     (pcs >= 0).astype(float), key.point.to_array())
     return (
         TensionCurve(TensionKind.TENSILE_STRAIN, moving_average(strain, window)),
         TensionCurve(TensionKind.CLOUD_DIAMETER, moving_average(diameter, window)),

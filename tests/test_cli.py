@@ -225,6 +225,28 @@ class TestGenerate:
         assert outs[0] == outs[1]
 
 
+class TestMalformedVectors:
+    @pytest.mark.parametrize("damage", [
+        "drop latent_dim", "drop name", "drop class_sizes", "nan value",
+        "short values"])
+    def test_exits_two(self, pipeline, tmp_path, damage, capsys):
+        payload = json.loads(pipeline["vectors"].read_text())
+        item = payload["vectors"][0]
+        if damage.startswith("drop "):
+            key = damage.split()[1]
+            del (payload if key == "latent_dim" else item)[key]
+        elif damage == "nan value":
+            item["values"][0] = float("nan")
+        else:
+            item["values"] = item["values"][:-1]
+        bad = tmp_path / "bad_vectors.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["generate", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(bad), "--rng-seed", "1",
+                     "--out", str(tmp_path / "g.mid")]) == 2
+        assert "malformed vectors file" in capsys.readouterr().err
+
+
 class TestComposeChain:
     def test_two_section_plan(self, pipeline, tmp_path):
         plan = tmp_path / "plan.json"

@@ -6,6 +6,7 @@ import pytest
 from helpers import random_window
 from ttvae.corpus import (
     KK_MAJOR,
+    _bar_grid,
     KK_MINOR,
     Fragment,
     FragmentDataset,
@@ -230,6 +231,12 @@ class TestSegment:
         # bar 8 survive.
         assert [offset for offset, _ in fragments] == [0, 8]
 
+    def test_zero_numerator_meter_skipped(self):
+        warnings = []
+        assert _bar_grid([(0.0, 0, 4)], 64, warnings) == []
+        assert warnings == [
+            "meter 0/4 not representable on the 16th grid; region at step 0 skipped"]
+
     def test_notes_crossing_window_boundary_split(self):
         melody = [NoteEvent(60, 0, 128)]
         bass = [NoteEvent(36, 0, 128)]
@@ -272,6 +279,12 @@ class TestDecodeRoll:
     def test_all_rest(self):
         decoded = decode_roll(encode_roll(TrackPair()))
         assert decoded.melody == [] and decoded.bass == []
+
+    def test_stack_rejected(self):
+        roll = encode_roll(TrackPair())
+        validate_roll(np.stack([roll, roll]))
+        with pytest.raises(InvalidInputError):
+            decode_roll(np.stack([roll, roll]))
 
     def test_legato_split_without_onset(self):
         roll = encode_roll(TrackPair(melody=[NoteEvent(60, 0, 16)],

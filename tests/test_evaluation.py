@@ -6,7 +6,7 @@ import pytest
 from helpers import random_roll
 from ttvae.errors import InvalidInputError
 from ttvae.evaluation import (
-    GeneratedPair,
+    decode_hardened,
     high_ratio,
     interaction_grid,
     pitch_accuracy,
@@ -15,6 +15,7 @@ from ttvae.evaluation import (
     roll_from_output,
     direction_sweep,
     upward_ratio,
+    write_interaction_csv,
     write_ratio_chart_svg,
     write_sweep_csv,
 )
@@ -68,6 +69,14 @@ class TestRollFromOutput:
         validate_roll(hardened)
         assert hardened[:, MELODY_ONSET_COL].sum() == 0
         assert hardened[:, BASS_ONSET_COL].sum() == 0
+
+    def test_batch_matches_each_example(self, rng):
+        rolls = np.stack([random_roll(rng) for _ in range(4)])
+        outs = [soft_output_from_roll(roll) for roll in rolls]
+        out = DecoderOutput(*(np.stack([getattr(o, f) for o in outs]) for f in (
+            "melody_pitch", "melody_onset", "bass_pitch", "bass_onset",
+            "tensile", "diameter")))
+        np.testing.assert_array_equal(roll_from_output(out), rolls)
 
     def test_argmax_tie_takes_lowest_index(self):
         roll = encode_roll(TrackPair())
@@ -284,29 +293,56 @@ class TestInteraction:
             assert 0.0 <= cell["tensile"] <= 1.0
             assert 0.0 <= cell["diameter"] <= 1.0
 
+    @pytest.mark.parametrize("mode, low, high", [
+        ("upward", {"class_a_min_score": -2.0}, {"class_a_min_score": 2.0}),
+        ("high", {"threshold": -1e6, "class_a_min_magnitude": 0.0},
+         {"threshold": 1e6, "class_a_min_magnitude": 0.0}),
+    ])
+    def test_thresholds_default_to_vectors(self, mode, low, high):
+        # Thresholds no curve can miss (tensile) or reach (diameter) show
+        # that each kind is rated with its own vector's thresholds.
+        va = AttributeVector("tensile_strain_x", np.eye(6)[0], (2, 2), low)
+        vb = AttributeVector("cloud_diameter_x", np.eye(6)[1], (2, 2), high)
+        report = interaction_grid(untrained_model(), va, vb,
+                                  scales=(-1.0, 0.0, 1.0), n=5, mode=mode)
+        for name in (va.name, vb.name):
+            for cell in report.rows[name].values():
+                assert cell == {"tensile": 1.0, "diameter": 0.0}
 
-class TestGeneratedPair:
-    def test_fields_hold_curves(self, rng):
-        roll = random_roll(rng)
-        pair = GeneratedPair(
-            original_roll=roll, modified_roll=roll,
-            predicted_tensile=np.zeros(64), predicted_diameter=np.zeros(64),
-            recomputed_tensile=RAMP, recomputed_diameter=RAMP)
-        assert pair.recomputed_tensile.shape == (N_STEPS,)
+    @pytest.mark.parametrize("mode", ["upward", "high"])
+    def test_csv_header_names_ratio_kind(self, mode, tmp_path):
+        report = interaction_grid(untrained_model(),
+                                  unit_vector("tensile_strain_level"),
+                                  unit_vector("cloud_diameter_level"),
+                                  scales=(0.0, 1.0), n=3, mode=mode)
+        assert report.ratio_kind == mode
+        path = tmp_path / "grid.csv"
+        write_interaction_csv(path, report)
+        assert path.read_text().splitlines()[0] == (
+            f"vector,scale,tensile_{mode}_ratio,diameter_{mode}_ratio")
 
-    def test_built_from_model(self, rng):
-        from ttvae.evaluation import generated_pair
-        from ttvae.pianoroll import validate_roll
+
+class TestDecodeHardened:
+    def test_recomputed_curves_come_from_rolls(self, rng):
         from ttvae.spiral import SpiralConfig, key_center
         from ttvae.tension import tension_curves
         model = untrained_model()
-        pair = generated_pair(model, rng.standard_normal(6),
-                              unit_vector("tensile_strain_direction"), 2.0)
-        validate_roll(pair.original_roll)
-        validate_roll(pair.modified_roll)
+        rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
+            model, rng.standard_normal((3, 6)))
+        validate_roll(rolls)
+        assert rolls.shape == (3, N_STEPS, 89)
         # Recomputed curves come from the spiral geometry, not the heads.
-        strain, _ = tension_curves(pair.modified_roll,
-                                   key_center(0, SpiralConfig()))
-        np.testing.assert_allclose(pair.recomputed_tensile, strain.values,
-                                   atol=1e-12)
-        assert not np.allclose(pair.predicted_tensile, pair.recomputed_tensile)
+        for roll, tensile, diameter in zip(rolls, rec_t, rec_d):
+            strain, diam = tension_curves(roll, key_center(0, SpiralConfig()))
+            np.testing.assert_array_equal(tensile, strain.values)
+            np.testing.assert_array_equal(diameter, diam.values)
+        assert not np.allclose(pred_t, rec_t)
+
+    def test_chunks_match_one_call(self, rng, monkeypatch):
+        from ttvae import evaluation
+        model = untrained_model()
+        z = rng.standard_normal((7, 6))
+        whole = decode_hardened(model, z)
+        monkeypatch.setattr(evaluation, "DECODE_CHUNK", 3)
+        for a, b in zip(whole, decode_hardened(model, z)):
+            np.testing.assert_array_equal(a, b)

@@ -9,6 +9,7 @@ from helpers import random_roll
 from ttvae.corpus import Fragment, FragmentDataset
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
+    RAMP_TEMPLATE,
     AttributeVector,
     ShapeTemplate,
     apply_vector,
@@ -148,6 +149,21 @@ class TestSelectClasses:
         perm = rng.permutation(30)
         sel2 = select_classes(curves[perm], "tensile_strain_direction", target_n=8)
         assert {int(perm[i]) for i in sel2.class_a} == set(sel1.class_a)
+
+    def test_direction_is_ramp_shape(self, rng):
+        curves = rng.uniform(0, 2, size=(20, 64))
+        direction = select_classes(curves, "tensile_strain_direction", target_n=5)
+        shape = select_classes(curves, "shape:ramp", target_n=5,
+                               template=RAMP_TEMPLATE)
+        assert (direction.class_a, direction.class_b,
+                direction.effective_thresholds, direction.warnings) \
+            == (shape.class_a, shape.class_b, shape.effective_thresholds,
+                shape.warnings)
+
+    def test_single_fragment_cannot_form_classes(self):
+        with pytest.raises(InvalidInputError):
+            select_classes(ramp_curves(1, 0), "tensile_strain_direction",
+                           target_n=1)
 
     def test_shape_kind_needs_template(self):
         with pytest.raises(InvalidInputError):

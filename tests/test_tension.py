@@ -13,7 +13,18 @@ from ttvae.pianoroll import (
     TrackPair,
     encode_roll,
 )
-from ttvae.spiral import SpiralConfig, key_center, pitch_position, tensile_strain, Cloud, spell
+from ttvae.spiral import (
+    Cloud,
+    SpelledPitch,
+    SpiralConfig,
+    center_of_effect,
+    cloud_diameter,
+    cloud_tension,
+    key_center,
+    pitch_position,
+    spell,
+    tensile_strain,
+)
 from ttvae.tension import TensionCurve, TensionKind, moving_average, tension_curves
 
 CFG = SpiralConfig()
@@ -53,6 +64,13 @@ class TestMovingAverage:
         v = np.full(64, c)
         out = moving_average(v, w)
         np.testing.assert_allclose(out, v, atol=1e-12)
+
+    def test_stack_matches_rows(self, rng):
+        v = rng.uniform(0, 5, size=(3, 5, 64))
+        out = moving_average(v, 4)
+        assert out.shape == v.shape
+        for index in np.ndindex(3, 5):
+            np.testing.assert_array_equal(out[index], moving_average(v[index], 4))
 
     def test_hand_computed_oracle(self, rng):
         v = rng.uniform(0, 5, size=64)
@@ -127,3 +145,59 @@ class TestTensionCurves:
         assert strain.values[8] == pytest.approx(raw / 2)   # window covers 6..9
         assert strain.values[9] == pytest.approx(raw * 3 / 4)  # window covers 7..10
         assert strain.values[20] == 0.0
+
+    def test_stack_equals_per_roll(self, rng):
+        rolls = np.stack([random_roll(rng) for _ in range(40)])
+        strain, diam = tension_curves(rolls, C_MAJOR, CFG)
+        assert strain.values.shape == diam.values.shape == (40, 64)
+        for roll, s_row, d_row in zip(rolls, strain.values, diam.values):
+            one_strain, one_diam = tension_curves(roll, C_MAJOR, CFG)
+            assert np.array_equal(s_row, one_strain.values)
+            assert np.array_equal(d_row, one_diam.values)
+
+    def test_stack_with_one_malformed_roll_rejected(self, rng):
+        rolls = np.stack([random_roll(rng) for _ in range(3)])
+        rolls[2, 5, MELODY_REST_COL] = 1 - rolls[2, 5, MELODY_REST_COL]
+        with pytest.raises(InvalidInputError):
+            tension_curves(rolls, C_MAJOR, CFG)
+
+
+class TestCloudTensionKernel:
+    def test_cloud_wrappers_equal_kernel(self, rng):
+        for _ in range(200):
+            fifths = rng.integers(-12, 13, size=int(rng.integers(1, 7)))
+            weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, len(fifths)))
+            cloud = Cloud(tuple(SpelledPitch(int(k)) for k in fifths), weights)
+            key = key_center(int(rng.integers(-6, 7)), CFG)
+            points = np.array([pitch_position(int(k), CFG).to_array()
+                               for k in fifths])
+            strain, diameter = cloud_tension(points, np.array(weights),
+                                             key.point.to_array())
+            assert tensile_strain(cloud, key, CFG) == strain
+            assert cloud_diameter(cloud, CFG) == diameter
+            center = center_of_effect(cloud, CFG)
+            center = np.array([center.x, center.y, center.z])
+            assert np.linalg.norm(center - key.point.to_array(), axis=-1) == strain
+
+    def test_absent_members_are_ignored(self):
+        points = np.array([pitch_position(k, CFG).to_array() for k in (0, 6, 1)])
+        key = C_MAJOR.point.to_array()
+        strain, diameter = cloud_tension(points, np.array([1.0, 0.0, 1.0]), key)
+        alone, pair = cloud_tension(points[[0, 2]], np.ones(2), key)
+        assert (strain, diameter) == (alone, pair)
+
+    def test_weightless_cloud_is_zero(self):
+        points = np.array([pitch_position(k, CFG).to_array() for k in (0, 6)])
+        strain, diameter = cloud_tension(points, np.zeros(2),
+                                         C_MAJOR.point.to_array())
+        assert (strain, diameter) == (0.0, 0.0)
+
+    def test_stacked_clouds_match_one_at_a_time(self, rng):
+        points = rng.normal(size=(4, 5, 3, 3))
+        weights = rng.integers(0, 3, size=(4, 5, 3)).astype(float)
+        key = C_MAJOR.point.to_array()
+        strain, diameter = cloud_tension(points, weights, key)
+        assert strain.shape == diameter.shape == (4, 5)
+        for index in np.ndindex(4, 5):
+            one = cloud_tension(points[index], weights[index], key)
+            assert (strain[index], diameter[index]) == one
