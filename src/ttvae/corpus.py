@@ -390,19 +390,34 @@ def load_dataset(path) -> FragmentDataset:
     raw = path.read_bytes()
     if raw[:4] != DATASET_MAGIC:
         raise InvalidInputError(f"{path} is not a fragment dataset")
+    offset = 4 + 6
+    if len(raw) < offset:
+        raise InvalidInputError(
+            f"dataset truncated: the header needs {offset} bytes, have {len(raw)}")
     version, count = struct.unpack_from("<HI", raw, 4)
     if version != DATASET_VERSION:
         raise InvalidInputError(f"unsupported dataset version {version}")
-    offset = 4 + 6
     record = _ROLL_BYTES + 2 * _CURVE_BYTES
     if len(raw) != offset + count * record:
         raise InvalidInputError(
             f"dataset truncated: expected {offset + count * record} bytes, "
             f"have {len(raw)}")
     sidecar_path = path.with_name(path.name + ".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    sidecar = {}
+    if sidecar_path.exists():
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+        except (OSError, ValueError) as err:
+            raise InvalidInputError(
+                f"cannot read dataset sidecar {sidecar_path}: {err}") from err
+        if not isinstance(sidecar, dict):
+            raise InvalidInputError(f"dataset sidecar {sidecar_path} is not an object")
     source_ids = sidecar.get("source_ids") or [""] * count
     bar_offsets = sidecar.get("bar_offsets") or [0] * count
+    for name, values in (("source_ids", source_ids), ("bar_offsets", bar_offsets)):
+        if not isinstance(values, list) or len(values) < count:
+            raise InvalidInputError(
+                f"dataset sidecar {name} must list {count} entries")
 
     dataset = FragmentDataset(meta={k: v for k, v in sidecar.items()
                                     if k not in ("source_ids", "bar_offsets")})

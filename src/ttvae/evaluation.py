@@ -101,42 +101,51 @@ def roll_from_output(out: DecoderOutput) -> np.ndarray:
     return roll
 
 
-def pitch_accuracy(original: np.ndarray, modified: np.ndarray,
-                   ) -> tuple[float, float]:
-    """Per-step pitch-column agreement for melody and bass (rest == rest)."""
+def _per_pair(values, original: np.ndarray):
+    """Two per-example arrays, or two floats for a single (64, 89) pair."""
+    if original.ndim == 2:
+        return tuple(float(v) for v in values)
+    return values
+
+
+def pitch_accuracy(original: np.ndarray, modified: np.ndarray):
+    """Per-step pitch-column agreement for melody and bass (rest == rest).
+
+    Takes one (64, 89) pair, giving two floats, or (n, 64, 89) stacks,
+    giving two (n,) arrays of per-example values.
+    """
     if original.shape != modified.shape:
         raise InvalidInputError("rolls must have identical shapes")
-    melody = (original[:, MELODY_PITCH_COLS].argmax(axis=1)
-              == modified[:, MELODY_PITCH_COLS].argmax(axis=1)).mean()
-    bass = (original[:, BASS_PITCH_COLS].argmax(axis=1)
-            == modified[:, BASS_PITCH_COLS].argmax(axis=1)).mean()
-    return float(melody), float(bass)
+    return _per_pair(tuple(
+        (original[..., cols].argmax(axis=-1)
+         == modified[..., cols].argmax(axis=-1)).mean(axis=-1)
+        for cols in (MELODY_PITCH_COLS, BASS_PITCH_COLS)), original)
 
 
-def _onset_fscore(a: np.ndarray, b: np.ndarray) -> float:
-    ref = set(np.flatnonzero(a))
-    est = set(np.flatnonzero(b))
-    if not ref and not est:
-        return 1.0
-    if not ref or not est:
-        return 0.0
-    hits = len(ref & est)
-    precision = hits / len(est)
-    recall = hits / len(ref)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def _onset_fscore(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact-step F-score of the nonzero steps of each row of ``b`` against ``a``."""
+    ref, est = a != 0, b != 0
+    hits = (ref & est).sum(axis=-1)
+    n_ref, n_est = ref.sum(axis=-1), est.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = hits / n_est
+        recall = hits / n_ref
+        score = 2 * precision * recall / (precision + recall)
+    # No hit scores 0, unless both sets are empty.
+    return np.where(hits > 0, score, np.where((n_ref == 0) & (n_est == 0), 1.0, 0.0))
 
 
-def rhythm_fscore(original: np.ndarray, modified: np.ndarray,
-                  ) -> tuple[float, float]:
-    """Exact-step onset F-score, melody and bass; two empty sets score 1."""
+def rhythm_fscore(original: np.ndarray, modified: np.ndarray):
+    """Exact-step onset F-score, melody and bass; two empty sets score 1.
+
+    Takes one (64, 89) pair, giving two floats, or (n, 64, 89) stacks,
+    giving two (n,) arrays of per-example values.
+    """
     if original.shape != modified.shape:
         raise InvalidInputError("rolls must have identical shapes")
-    return (
-        _onset_fscore(original[:, MELODY_ONSET_COL], modified[:, MELODY_ONSET_COL]),
-        _onset_fscore(original[:, BASS_ONSET_COL], modified[:, BASS_ONSET_COL]),
-    )
+    return _per_pair(tuple(
+        _onset_fscore(original[..., col], modified[..., col])
+        for col in (MELODY_ONSET_COL, BASS_ONSET_COL)), original)
 
 
 def upward_ratio(curves: np.ndarray, tau: float) -> float:
@@ -178,12 +187,9 @@ def _measured_curve(vector_name: str) -> str:
 
 
 def _pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
-    accuracy = np.array([pitch_accuracy(o, m)
-                         for o, m in zip(original_rolls, modified_rolls)])
-    fscore = np.array([rhythm_fscore(o, m)
-                       for o, m in zip(original_rolls, modified_rolls)])
-    return (float(accuracy[:, 0].mean()), float(accuracy[:, 1].mean()),
-            float(fscore[:, 0].mean()), float(fscore[:, 1].mean()))
+    per_example = (pitch_accuracy(original_rolls, modified_rolls)
+                   + rhythm_fscore(original_rolls, modified_rolls))
+    return tuple(float(values.mean()) for values in per_example)
 
 
 def _direction_tau(vector: AttributeVector) -> float:

@@ -3,10 +3,28 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import InvalidInputError
+
+_INT_FIELDS = ("latent_dim", "hidden", "gru_layers", "batch_size",
+               "early_stop_patience", "max_epochs", "rng_seed")
+_FLOAT_FIELDS = ("beta_max", "beta_step", "learning_rate")
+
+
+def _finite_float(value) -> float | None:
+    """``value`` as a float if it is a finite real number (not a bool)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+        if math.isfinite(value):
+            return value
+    return None
 
 
 @dataclass(frozen=True)
@@ -31,6 +49,22 @@ class ModelConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in _FLOAT_FIELDS:
+            value = _finite_float(getattr(self, name))
+            if value is None:
+                raise InvalidInputError(f"{name} must be a finite number, "
+                                        f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        split = self.split
+        if not isinstance(split, (list, tuple)) or len(split) != 3 \
+                or any(_finite_float(s) is None for s in split):
+            raise InvalidInputError(f"split must be three numbers, got {split!r}")
+        object.__setattr__(self, "split", tuple(float(s) for s in split))
         if self.latent_dim < 1:
             raise InvalidInputError("latent_dim must be >= 1")
         if self.hidden < 1:
@@ -41,11 +75,11 @@ class ModelConfig:
             raise InvalidInputError("beta_step must be positive")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
-        if len(self.split) != 3 or abs(sum(self.split) - 1.0) > 1e-9 \
-                or any(s < 0 for s in self.split):
+        if self.rng_seed < 0:
+            raise InvalidInputError("rng_seed must be >= 0")
+        if abs(sum(self.split) - 1.0) > 1e-9 or any(s < 0 for s in self.split):
             raise InvalidInputError("split must be three non-negative "
                                     "fractions summing to 1")
-        object.__setattr__(self, "split", tuple(float(s) for s in self.split))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -54,12 +88,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise InvalidInputError("a config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise InvalidInputError(f"unknown config fields: {sorted(unknown)}")
-        if "split" in data:
-            data = dict(data, split=tuple(data["split"]))
         return cls(**data)
 
     @classmethod

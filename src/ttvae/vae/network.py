@@ -2,7 +2,7 @@
 
 Architecture: a stack of GRU layers reads the 64x89 roll; the top layer's
 final hidden state feeds two affine heads (posterior mean and log-variance).
-The latent code is tiled across 64 steps into a second GRU stack whose
+The latent code is repeated across 64 steps into a second GRU stack whose
 per-step states drive six two-layer dense heads: softmax melody/bass pitch,
 logistic melody/bass onsets, and linear tensile-strain/cloud-diameter
 predictions.
@@ -10,8 +10,17 @@ predictions.
 GRU gates follow the classic formulation: update u, reset r, candidate
 c = tanh(W x + U (r * h) + b), new state h' = u * h + (1 - u) * c.  Packed
 weight matrices hold the three gates side by side in (update, reset,
-candidate) order.  Every backward pass here is hand-derived and verified
-against central finite differences (see ``gradcheck``).
+candidate) order, so the update and reset gates take one recurrent matmul
+``h @ U[:, :2h]`` per step (and one ``d @ U[:, :2h].T`` backward).  The
+bias is folded into the input projection once per layer call.  Gate
+buffers, caches and states are time-major ``(steps, batch, .)`` so every
+step works on contiguous slices in place; a layer hands the next one a
+``(batch, steps, .)`` view of its states, and the decoder heads read one
+batch-major copy of the top layer's.  The decoder's repeated latent is a
+stride-0 broadcast, which a GRU layer projects through ``W`` once, and whose
+input gradient it returns summed over the steps, shape ``(batch, 1, .)``.
+Every backward pass here is hand-derived and verified against central
+finite differences (see ``gradcheck``).
 """
 
 from __future__ import annotations
@@ -60,12 +69,12 @@ class DecoderOutput:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in place, as 0.5 * tanh(0.5 * x) + 0.5; returns x."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 def _softmax(logits):
@@ -121,84 +130,117 @@ def _check_finite(array: np.ndarray, context: str) -> None:
         raise NumericFailureError("non-finite activations", context)
 
 
+def _rows(seq: np.ndarray) -> np.ndarray:
+    """(batch, steps, n) -> time-major rows (steps * batch, n).
+
+    A view when ``seq`` is the batch-major view of a time-major array, as
+    the GRU states and input gradients are; a copy otherwise.
+    """
+    batch, steps, width = seq.shape
+    return seq.transpose(1, 0, 2).reshape(steps * batch, width)
+
+
+def _seq(rows: np.ndarray, batch: int) -> np.ndarray:
+    """Time-major rows (steps * batch, n) -> (batch, steps, n) view."""
+    return rows.reshape(-1, batch, rows.shape[-1]).transpose(1, 0, 2)
+
+
 def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
                       b: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run one GRU layer over (batch, steps, input); returns states + cache."""
+    """Run one GRU layer over (batch, steps, input); returns states + cache.
+
+    The states come back as a (batch, steps, hidden) view of a time-major
+    buffer.  An input whose step stride is 0 (one vector repeated over the
+    steps) is projected through ``w`` once.
+    """
     batch, steps, _ = x.shape
     h_dim = u.shape[0]
-    gates_x = (x.reshape(batch * steps, -1) @ w).reshape(batch, steps, 3 * h_dim)
+    two = 2 * h_dim
+    u_gates, u_cand = u[:, :two], u[:, two:]
+    gates = np.empty((steps, batch, 3 * h_dim), dtype=x.dtype)
+    if x.strides[1] == 0:
+        proj = np.broadcast_to(x[:, 0] @ w + b, gates.shape)
+    else:
+        np.matmul(_rows(x), w, out=gates.reshape(steps * batch, -1))
+        gates += b
+        proj = gates
+    reset_h = np.empty((steps, batch, h_dim), dtype=x.dtype)
+    states = np.empty((steps, batch, h_dim), dtype=x.dtype)
     h = np.zeros((batch, h_dim), dtype=x.dtype)
-    cache = {
-        "x": x, "w": w, "u": u,
-        "h_prev": np.empty((batch, steps, h_dim), dtype=x.dtype),
-        "update": np.empty((batch, steps, h_dim), dtype=x.dtype),
-        "reset": np.empty((batch, steps, h_dim), dtype=x.dtype),
-        "cand": np.empty((batch, steps, h_dim), dtype=x.dtype),
-        "reset_h": np.empty((batch, steps, h_dim), dtype=x.dtype),
-    }
-    states = np.empty((batch, steps, h_dim), dtype=x.dtype)
+    rec_gates = np.empty((batch, two), dtype=x.dtype)
+    rec_cand = np.empty((batch, h_dim), dtype=x.dtype)
     for t in range(steps):
-        g = gates_x[:, t]
-        update = _sigmoid(g[:, :h_dim] + h @ u[:, :h_dim] + b[:h_dim])
-        reset = _sigmoid(g[:, h_dim:2 * h_dim] + h @ u[:, h_dim:2 * h_dim]
-                         + b[h_dim:2 * h_dim])
-        reset_h = reset * h
-        cand = np.tanh(g[:, 2 * h_dim:] + reset_h @ u[:, 2 * h_dim:]
-                       + b[2 * h_dim:])
-        cache["h_prev"][:, t] = h
-        cache["update"][:, t] = update
-        cache["reset"][:, t] = reset
-        cache["cand"][:, t] = cand
-        cache["reset_h"][:, t] = reset_h
-        h = update * h + (1.0 - update) * cand
-        states[:, t] = h
-    return states, cache
+        g, p = gates[t], proj[t]
+        np.add(p[:, :two], np.matmul(h, u_gates, out=rec_gates), out=g[:, :two])
+        _sigmoid(g[:, :two])
+        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
+        np.multiply(reset, h, out=reset_h[t])
+        np.add(p[:, two:], np.matmul(reset_h[t], u_cand, out=rec_cand), out=cand)
+        np.tanh(cand, out=cand)
+        h_new = np.multiply(update, h, out=states[t])
+        h_new += (1.0 - update) * cand
+        h = h_new
+    cache = {"x": x, "w": w, "u": u, "gates": gates, "reset_h": reset_h,
+             "states": states}
+    return _seq(states.reshape(steps * batch, h_dim), batch), cache
 
 
-def gru_layer_backward(d_states: np.ndarray, d_last: np.ndarray | None,
+def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
                        cache: dict) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray]:
     """Backpropagate through one GRU layer.
 
-    ``d_states`` carries gradients on every per-step output; ``d_last`` an
-    optional extra gradient on the final state.  Returns (d_input, dw, du, db).
+    ``d_states`` carries gradients on every per-step output (None for
+    none); ``d_last`` an optional extra gradient on the final state.
+    Returns (d_input, dw, du, db); ``d_input`` has one step when the input
+    had step stride 0, and is then the gradient summed over the steps.
     """
     x, w, u = cache["x"], cache["w"], cache["u"]
-    batch, steps, h_dim = cache["h_prev"].shape
-    d_gates = np.empty((batch, steps, 3 * h_dim), dtype=x.dtype)
-    dh = np.zeros((batch, h_dim), dtype=x.dtype) if d_last is None else d_last.copy()
-    u_upd, u_rst, u_cand = u[:, :h_dim], u[:, h_dim:2 * h_dim], u[:, 2 * h_dim:]
+    gates, reset_h, states = cache["gates"], cache["reset_h"], cache["states"]
+    steps, batch, h_dim = states.shape
+    two = 2 * h_dim
+    u_gates_t = np.ascontiguousarray(u[:, :two].T)
+    u_cand_t = np.ascontiguousarray(u[:, two:].T)
+    d_tm = None if d_states is None else d_states.transpose(1, 0, 2)
+    d_gates = np.empty_like(gates)
+    h_zero = np.zeros((batch, h_dim), dtype=x.dtype)
+    dh = h_zero.copy() if d_last is None else d_last.copy()
     for t in range(steps - 1, -1, -1):
-        dh = dh + d_states[:, t]
-        h_prev = cache["h_prev"][:, t]
-        update = cache["update"][:, t]
-        reset = cache["reset"][:, t]
-        cand = cache["cand"][:, t]
+        if d_tm is not None:
+            dh += d_tm[t]
+        h_prev = states[t - 1] if t else h_zero
+        g, d = gates[t], d_gates[t]
+        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
         d_update = dh * (h_prev - cand)
-        d_cand = dh * (1.0 - update)
+        d_pre_cand = np.multiply(dh * (1.0 - update), 1.0 - cand * cand,
+                                 out=d[:, two:])
         dh_prev = dh * update
-        d_pre_cand = d_cand * (1.0 - cand * cand)
-        d_reset_h = d_pre_cand @ u_cand.T
+        d_reset_h = d_pre_cand @ u_cand_t
         d_reset = d_reset_h * h_prev
-        dh_prev = dh_prev + d_reset_h * reset
-        d_pre_update = d_update * update * (1.0 - update)
-        d_pre_reset = d_reset * reset * (1.0 - reset)
-        dh_prev = dh_prev + d_pre_update @ u_upd.T + d_pre_reset @ u_rst.T
-        d_gates[:, t, :h_dim] = d_pre_update
-        d_gates[:, t, h_dim:2 * h_dim] = d_pre_reset
-        d_gates[:, t, 2 * h_dim:] = d_pre_cand
+        dh_prev += d_reset_h * reset
+        d_pre_update = np.multiply(d_update, update, out=d[:, :h_dim])
+        d_pre_update *= 1.0 - update
+        d_pre_reset = np.multiply(d_reset, reset, out=d[:, h_dim:two])
+        d_pre_reset *= 1.0 - reset
+        dh_prev += d[:, :two] @ u_gates_t
         dh = dh_prev
 
-    flat_gates = d_gates.reshape(batch * steps, 3 * h_dim)
-    flat_x = x.reshape(batch * steps, -1)
-    flat_h_prev = cache["h_prev"].reshape(batch * steps, h_dim)
-    flat_reset_h = cache["reset_h"].reshape(batch * steps, h_dim)
-    dw = flat_x.T @ flat_gates
+    rows = steps * batch
+    flat_gates = d_gates.reshape(rows, 3 * h_dim)
     du = np.empty_like(u)
-    du[:, :2 * h_dim] = flat_h_prev.T @ flat_gates[:, :2 * h_dim]
-    du[:, 2 * h_dim:] = flat_reset_h.T @ flat_gates[:, 2 * h_dim:]
-    db = flat_gates.sum(axis=0)
-    d_input = (flat_gates @ w.T).reshape(x.shape)
+    # h_prev at step 0 is zero, so its term drops out of the update/reset sum
+    du[:, :two] = (states[:-1].reshape(rows - batch, h_dim).T
+                   @ flat_gates[batch:, :two])
+    du[:, two:] = reset_h.reshape(rows, h_dim).T @ flat_gates[:, two:]
+    if x.strides[1] == 0:
+        d_proj = d_gates.sum(axis=0)
+        dw = x[:, 0].T @ d_proj
+        db = d_proj.sum(axis=0)
+        d_input = (d_proj @ w.T)[:, None, :]
+    else:
+        dw = _rows(x).T @ flat_gates
+        db = flat_gates.sum(axis=0)
+        d_input = _seq(flat_gates @ w.T, batch)
     return d_input, dw, du, db
 
 
@@ -237,8 +279,7 @@ def encoder_backward(params: dict, cfg: ModelConfig, cache: dict,
     grads["enc.logvar.w"] = h_last.T @ d_logvar
     grads["enc.logvar.b"] = d_logvar.sum(axis=0)
     d_last = d_mu @ params["enc.mu.w"].T + d_logvar @ params["enc.logvar.w"].T
-    batch, steps, h_dim = cache["layers"][-1]["h_prev"].shape
-    d_seq = np.zeros((batch, steps, h_dim), dtype=d_last.dtype)
+    d_seq = None
     for i in range(cfg.gru_layers - 1, -1, -1):
         d_seq, dw, du, db = gru_layer_backward(
             d_seq, d_last if i == cfg.gru_layers - 1 else None,
@@ -257,9 +298,7 @@ def decoder_forward(params: dict, cfg: ModelConfig,
                     z: np.ndarray) -> tuple[DecoderOutput, dict]:
     """Latent batch (batch, latent) -> six heads; cache for backward."""
     batch = z.shape[0]
-    tiled = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
-    tiled = np.ascontiguousarray(tiled)
-    h_seq = tiled
+    h_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
     layer_caches = []
     for i in range(cfg.gru_layers):
         h_seq, cache = gru_layer_forward(
@@ -297,6 +336,7 @@ def decoder_backward(params: dict, cfg: ModelConfig, cache: dict,
                      grads: dict) -> np.ndarray:
     """Head logit gradients -> gradient on z (batch, latent)."""
     flat_h = cache["flat_h"]
+    batch = d_logits["melody_pitch"].shape[0]
     d_flat_h = np.zeros_like(flat_h)
     for name, width, _ in HEAD_SPECS:
         dl = d_logits[name].reshape(flat_h.shape[0], width)
@@ -310,7 +350,6 @@ def decoder_backward(params: dict, cfg: ModelConfig, cache: dict,
         grads[f"dec.head.{name}.l1.b"] = d_hidden.sum(axis=0)
         d_flat_h += d_hidden @ w1.T
 
-    batch = d_logits["melody_pitch"].shape[0]
     d_seq = d_flat_h.reshape(batch, N_STEPS, -1)
     for i in range(cfg.gru_layers - 1, -1, -1):
         d_seq, dw, du, db = gru_layer_backward(d_seq, None, cache["layers"][i])

@@ -130,6 +130,57 @@ class TestTrain:
         assert ckpt.config.rng_seed == 77
 
 
+def _train_exit(dataset, out, config=None):
+    args = ["train", "--dataset", str(dataset), "--out", str(out)]
+    if config is not None:
+        args += ["--config", str(config)]
+    return main(args)
+
+
+class TestMalformedDataset:
+    def test_short_header_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "short.ds"
+        bad.write_bytes(b"TVAE\x01")
+        assert _train_exit(bad, tmp_path / "m") == 2
+        assert "dataset truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        "not json", "not an object", "short source_ids", "short bar_offsets"])
+    def test_bad_sidecar_exits_two(self, pipeline, tmp_path, damage, capsys):
+        dataset = tmp_path / "copy.ds"
+        dataset.write_bytes(pipeline["dataset"].read_bytes())
+        sidecar = json.loads(pipeline["dataset"].with_name(
+            pipeline["dataset"].name + ".json").read_text())
+        if damage == "not json":
+            text = "{\"source_ids\": ["
+        elif damage == "not an object":
+            text = json.dumps([sidecar])
+        else:
+            key = damage.split()[1]
+            sidecar[key] = sidecar[key][:-1]
+            text = json.dumps(sidecar)
+        dataset.with_name(dataset.name + ".json").write_text(text)
+        assert _train_exit(dataset, tmp_path / "m") == 2
+        assert "sidecar" in capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("fields", [
+        {"hidden": "8"}, {"split": 5}, {"hidden": 8.5}, {"batch_size": True},
+        {"learning_rate": "x"}, {"beta_max": float("nan")},
+        {"split": [0.8, "0.1", 0.1]}, {"split": [0.8, 0.2]}, {"rng_seed": -1}],
+        ids=repr)
+    def test_exits_two(self, pipeline, tmp_path, fields):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(TOY_CONFIG, **fields)))
+        assert _train_exit(pipeline["dataset"], tmp_path / "m", config) == 2
+
+    def test_non_object_exits_two(self, pipeline, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]")
+        assert _train_exit(pipeline["dataset"], tmp_path / "m", config) == 2
+
+
 class TestVectors:
     def test_vectors_file_contents(self, pipeline):
         payload = json.loads(pipeline["vectors"].read_text())

@@ -1,9 +1,12 @@
 """Metric unit cases, roll hardening, and sweep/interaction report shapes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import random_roll
+from ttvae import evaluation
 from ttvae.errors import InvalidInputError
 from ttvae.evaluation import (
     decode_hardened,
@@ -14,6 +17,7 @@ from ttvae.evaluation import (
     rhythm_fscore,
     roll_from_output,
     direction_sweep,
+    sweep_summary,
     upward_ratio,
     write_interaction_csv,
     write_ratio_chart_svg,
@@ -145,6 +149,60 @@ class TestRhythmFscore:
         a = roll_with_onsets({0})
         b = roll_with_onsets(set())
         assert rhythm_fscore(a, b)[0] == 0.0
+
+
+def _set_fscore(a, b):
+    ref, est = set(np.flatnonzero(a)), set(np.flatnonzero(b))
+    if not ref and not est:
+        return 1.0
+    if not ref or not est:
+        return 0.0
+    hits = len(ref & est)
+    precision, recall = hits / len(est), hits / len(ref)
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _pair_metrics_one_by_one(original_rolls, modified_rolls):
+    accuracy = np.array([pitch_accuracy(o, m)
+                         for o, m in zip(original_rolls, modified_rolls)])
+    fscore = np.array([rhythm_fscore(o, m)
+                       for o, m in zip(original_rolls, modified_rolls)])
+    return (float(accuracy[:, 0].mean()), float(accuracy[:, 1].mean()),
+            float(fscore[:, 0].mean()), float(fscore[:, 1].mean()))
+
+
+class TestBatchedPairMetrics:
+    def test_stack_equals_per_pair(self, rng):
+        original = np.stack([random_roll(rng) for _ in range(30)]
+                            + [encode_roll(TrackPair())] * 2)
+        modified = original.copy()
+        modified[:10] = np.stack([random_roll(rng) for _ in range(10)])
+        modified[10:20, ::3, MELODY_ONSET_COL] ^= 1
+        modified[20:25, :, BASS_ONSET_COL] = 0
+        modified[-1] = random_roll(rng)
+        accuracy = pitch_accuracy(original, modified)
+        fscore = rhythm_fscore(original, modified)
+        singles = [pitch_accuracy(o, m) + rhythm_fscore(o, m)
+                   for o, m in zip(original, modified)]
+        assert all(isinstance(v, float) for v in singles[0])
+        for column, batched in enumerate(accuracy + fscore):
+            assert batched.shape == (32,)
+            assert np.array_equal(batched, [row[column] for row in singles])
+        for batched, col in zip(fscore, (MELODY_ONSET_COL, BASS_ONSET_COL)):
+            assert np.array_equal(batched, [_set_fscore(o[:, col], m[:, col])
+                                            for o, m in zip(original, modified)])
+
+    def test_sweep_summary_identical_to_per_pair_path(self, monkeypatch):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=8))
+        kwargs = dict(scales=(-4.0, 0.0, 4.0), n=40, rng_seed=5)
+        vector = unit_vector("tensile_strain_direction")
+        batched = json.dumps(sweep_summary(direction_sweep(model, vector, **kwargs)))
+        monkeypatch.setattr(evaluation, "_pair_metrics", _pair_metrics_one_by_one)
+        one_by_one = json.dumps(sweep_summary(direction_sweep(model, vector, **kwargs)))
+        assert batched == one_by_one
 
 
 class TestRatios:

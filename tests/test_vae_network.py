@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_roll
+from helpers import random_roll, reference_gru_backward, reference_gru_forward
 from ttvae.errors import InvalidInputError
+from ttvae.vae import network
 from ttvae.vae import (
     DecoderOutput,
     ModelConfig,
@@ -79,6 +80,90 @@ class TestEncode:
         model.params["enc.logvar.b"][...] = 50.0
         post = model.encode(random_roll(rng))
         assert post.logvar.max() <= 10.0
+
+
+def _gru_stack(rng, layers, in_dim=5, h_dim=6):
+    params = []
+    for i in range(layers):
+        fan_in = in_dim if i == 0 else h_dim
+        params.append((rng.normal(0, 0.6, (fan_in, 3 * h_dim)),
+                       rng.normal(0, 0.6, (h_dim, 3 * h_dim)),
+                       rng.normal(0, 0.3, 3 * h_dim)))
+    return params
+
+
+class TestGruLayer:
+    """The GRU layer against a per-gate reference loop with batch-major caches."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_matches_reference(self, rng, layers, broadcast):
+        batch, steps, in_dim = 3, 7, 5
+        if broadcast:
+            x = np.broadcast_to(rng.standard_normal((batch, 1, in_dim)),
+                                (batch, steps, in_dim))
+            assert x.strides[1] == 0
+        else:
+            x = rng.standard_normal((batch, steps, in_dim))
+        stack = _gru_stack(rng, layers)
+        ours, ref = [], []
+        seq_ours, seq_ref = x, np.ascontiguousarray(x)
+        for w, u, b in stack:
+            seq_ours, cache = network.gru_layer_forward(seq_ours, w, u, b)
+            seq_ref, ref_cache = reference_gru_forward(seq_ref, w, u, b)
+            np.testing.assert_allclose(seq_ours, seq_ref, rtol=1e-5, atol=1e-12)
+            ours.append(cache)
+            ref.append(ref_cache)
+
+        d_top = rng.standard_normal(seq_ref.shape)
+        d_last = rng.standard_normal(seq_ref[:, -1].shape)
+        d_ours, d_ref = d_top, d_top
+        for i in range(layers - 1, -1, -1):
+            last = d_last if i == layers - 1 else None
+            got = network.gru_layer_backward(d_ours, last, ours[i])
+            want = reference_gru_backward(d_ref, last, ref[i])
+            d_ours, d_ref = got[0], want[0]
+            if broadcast and i == 0:
+                assert d_ours.shape == (batch, 1, in_dim)
+                want = (want[0].sum(axis=1, keepdims=True),) + want[1:]
+            for g, r in zip(got, want):
+                assert g.shape == r.shape
+                np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-12)
+
+    def test_decoder_broadcast_equals_tiled_copy(self, rng, monkeypatch):
+        cfg = ModelConfig(latent_dim=4, hidden=8, gru_layers=2, rng_seed=3)
+        params = init_params(cfg, rng, dtype=np.float64)
+        z = rng.standard_normal((3, 4))
+        d_logits = {name: rng.standard_normal((3, 64, width) if width > 1
+                                              else (3, 64))
+                    for name, width, _ in network.HEAD_SPECS}
+
+        def run():
+            out, cache = network.decoder_forward(params, cfg, z)
+            grads = {}
+            dz = network.decoder_backward(params, cfg, cache, d_logits, grads)
+            return out, dz, grads
+
+        out_b, dz_b, grads_b = run()
+        forward = network.gru_layer_forward
+        monkeypatch.setattr(network, "gru_layer_forward", lambda x, w, u, b: forward(
+            np.ascontiguousarray(x), w, u, b))
+        out_t, dz_t, grads_t = run()
+        for field in ("melody_pitch", "melody_onset", "bass_pitch", "bass_onset",
+                      "tensile", "diameter"):
+            np.testing.assert_allclose(getattr(out_b, field), getattr(out_t, field),
+                                       rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(dz_b, dz_t, rtol=1e-10, atol=1e-14)
+        for name in grads_b:
+            np.testing.assert_allclose(grads_b[name], grads_t[name],
+                                       rtol=1e-10, atol=1e-14)
+
+    def test_sigmoid_in_place_and_bounded(self):
+        x = np.array([-800.0, -30.0, -1.0, 0.0, 2.5, 40.0, 800.0])
+        expected = 1.0 / (1.0 + np.exp(-np.clip(x, -700, 700)))
+        out = network._sigmoid(x)
+        assert out is x
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestReparameterize:
