@@ -12,18 +12,21 @@ the highest mean pitch is the melody and the lowest is the bass, with
 optional track-name overrides.  Each chosen track is quantized to the
 16th-note grid and made monophonic by keeping the highest (melody) or
 lowest (bass) sounding note at every step, truncating whatever it covers.
+A song whose melody or bass runs past ``MAX_SONG_BARS`` is skipped.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import InvalidInputError, InvalidSongError, NoKeyError, TtvaeError
 from .midi import MidiNote, MidiTrack, Score, parse_midi
 from .pianoroll import (
@@ -38,6 +41,10 @@ from .spiral import SpiralConfig, key_center
 from .tension import tension_curves
 
 MIN_TRACK_NOTES = 8
+# Songs whose melody or bass runs past this many 4/4 bars are skipped: no real
+# song comes near it, and a corrupt note length must not size the step grid.
+MAX_SONG_BARS = 2048
+MAX_SONG_STEPS = MAX_SONG_BARS * STEPS_PER_BAR
 DATASET_MAGIC = b"TVAE"
 DATASET_VERSION = 1
 _ROLL_BYTES = N_STEPS * N_FEATURES
@@ -48,6 +55,13 @@ KK_MAJOR = np.array([6.35, 2.23, 3.48, 2.33, 4.38, 4.09,
                      2.52, 5.19, 2.39, 3.66, 2.29, 2.88])
 KK_MINOR = np.array([6.33, 2.68, 3.52, 5.38, 2.60, 3.53,
                      2.54, 4.75, 3.98, 2.69, 3.34, 3.17])
+
+# The 24 key profiles (12 major tonics, then 12 minor), each rotated to its
+# tonic and centred, with their norms, for the Pearson correlations.
+_KEY_PROFILES = [p - p.mean() for p in (np.roll(profile, tonic)
+                                         for profile in (KK_MAJOR, KK_MINOR)
+                                         for tonic in range(12))]
+_KEY_PROFILE_NORMS = np.array([np.linalg.norm(p) for p in _KEY_PROFILES])
 
 PITCH_CLASS_NAMES = ("C", "Db", "D", "Eb", "E", "F",
                      "F#", "G", "Ab", "A", "Bb", "B")
@@ -119,24 +133,19 @@ def _skyline(quantized: list[tuple[int, int, int]], keep_high: bool) -> list[Not
     if not quantized:
         return []
     total = max(onset + dur for _, onset, dur in quantized)
-    best: list[tuple | None] = [None] * total
-    for idx, (pitch, onset, dur) in enumerate(quantized):
-        rank = (pitch if keep_high else -pitch, onset, idx)
-        for step in range(onset, onset + dur):
-            if best[step] is None or rank > best[step][:3]:
-                best[step] = (*rank, pitch)
-    notes: list[NoteEvent] = []
-    current = None  # (identity, pitch, start)
-    for step, chosen in enumerate(best):
-        identity = None if chosen is None else chosen[2]
-        if current is not None and identity != current[0]:
-            notes.append(NoteEvent(current[1], current[2], step - current[2]))
-            current = None
-        if chosen is not None and current is None:
-            current = (identity, chosen[3], step)
-    if current is not None:
-        notes.append(NoteEvent(current[1], current[2], total - current[2]))
-    return notes
+    sign = 1 if keep_high else -1
+    ranked = sorted(range(len(quantized)), key=lambda i: (
+        sign * quantized[i][0], quantized[i][1], i))
+    # Paint in rank order, so each step ends up owned by its top-ranked note.
+    owner = np.full(total, -1, dtype=np.intp)
+    for idx in ranked:
+        _, onset, dur = quantized[idx]
+        owner[onset:onset + dur] = idx
+    starts = np.flatnonzero(np.diff(owner, prepend=-2)).tolist()
+    ends = starts[1:] + [total]
+    return [NoteEvent(quantized[idx][0], start, end - start)
+            for idx, start, end in zip(owner[starts].tolist(), starts, ends)
+            if idx >= 0]
 
 
 def _pick_named(score: Score, name: str) -> MidiTrack:
@@ -166,25 +175,26 @@ def extract_tracks(score: Score, melody_name: str | None = None,
             bass_track = candidates[ordered[0]]
     if melody_track is bass_track:
         raise InvalidSongError("melody and bass resolved to the same track")
-    return TrackPair(
-        melody=_skyline(quantize_notes(melody_track.notes), keep_high=True),
-        bass=_skyline(quantize_notes(bass_track.notes), keep_high=False),
-    )
+    melody = quantize_notes(melody_track.notes)
+    bass = quantize_notes(bass_track.notes)
+    extent = max((onset + dur for _, onset, dur in melody + bass), default=0)
+    if extent > MAX_SONG_STEPS:
+        raise InvalidSongError(
+            f"melody and bass run {extent} 16th steps, past the cap of "
+            f"{MAX_SONG_BARS} bars of 4/4")
+    return TrackPair(melody=_skyline(melody, keep_high=True),
+                     bass=_skyline(bass, keep_high=False))
 
 
 def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
     """Pearson correlation of the pc histogram with all 24 key profiles."""
-    scores = np.zeros(24)
     h = histogram - histogram.mean()
     h_norm = np.linalg.norm(h)
     if h_norm == 0:
-        return scores
-    for mode_idx, profile in enumerate((KK_MAJOR, KK_MINOR)):
-        for tonic in range(12):
-            p = np.roll(profile, tonic)
-            p = p - p.mean()
-            scores[mode_idx * 12 + tonic] = h @ p / (h_norm * np.linalg.norm(p))
-    return scores
+        return np.zeros(24)
+    # one dot product per profile: a matrix-vector product rounds differently
+    dots = np.array([h @ p for p in _KEY_PROFILES])
+    return dots / (h_norm * _KEY_PROFILE_NORMS)
 
 
 def detect_key(score: Score) -> Key:
@@ -192,10 +202,11 @@ def detect_key(score: Score) -> Key:
 
     Ties break toward major, then toward the lower tonic pitch class.
     """
-    histogram = np.zeros(12)
-    for track in score.non_drum_tracks():
-        for note in track.notes:
-            histogram[note.pitch % 12] += max(note.duration, 0.0)
+    notes = [n for track in score.non_drum_tracks() for n in track.notes]
+    pcs = np.fromiter((n.pitch % 12 for n in notes), np.intp, len(notes))
+    durations = np.fromiter((max(n.duration, 0.0) for n in notes), np.float64,
+                            len(notes))
+    histogram = np.bincount(pcs, weights=durations, minlength=12)
     if histogram.sum() <= 0:
         raise NoKeyError("score has no sounding notes to detect a key from")
     scores = _profile_correlations(histogram)
@@ -256,6 +267,8 @@ def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
     for i, (beat, num, den) in enumerate(regions):
         start = round(beat * 4)
         end = round(regions[i + 1][0] * 4) if i + 1 < len(regions) else total_steps
+        # songs never run past the cap, so neither need their bars
+        end = min(end, MAX_SONG_STEPS)
         if num < 1 or num * STEPS_PER_BAR % den:
             warnings.append(f"meter {num}/{den} not representable on the "
                             f"16th grid; region at step {start} skipped")
@@ -267,13 +280,21 @@ def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
     return bars
 
 
-def _slice_track(notes: list[NoteEvent], start: int, end: int) -> list[NoteEvent]:
+def _slice_track(notes: list[NoteEvent], ends: list[int], start: int,
+                 end: int) -> list[NoteEvent]:
+    """The notes that overlap steps [start, end), clipped and made relative.
+
+    ``notes`` are sorted and do not overlap, so their ``ends`` are sorted too
+    and the first overlapping note is found by bisection.
+    """
     out = []
-    for n in notes:
-        if n.onset < end and n.end > start:
-            lo = max(n.onset, start)
-            hi = min(n.end, end)
-            out.append(NoteEvent(n.pitch, lo - start, hi - lo))
+    for i in range(bisect_right(ends, start), len(notes)):
+        n = notes[i]
+        if n.onset >= end:
+            break
+        lo = max(n.onset, start)
+        hi = min(ends[i], end)
+        out.append(NoteEvent(n.pitch, lo - start, hi - lo))
     return out
 
 
@@ -285,10 +306,11 @@ def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
     warning; windows where either track is entirely silent are discarded.
     """
     warnings: list[str] = []
-    ends = [n.end for n in pair.melody] + [n.end for n in pair.bass]
-    if not ends:
+    melody_ends = [n.end for n in pair.melody]
+    bass_ends = [n.end for n in pair.bass]
+    if not melody_ends and not bass_ends:
         return [], warnings
-    bars = _bar_grid(meters or [], max(ends), warnings)
+    bars = _bar_grid(meters or [], max(melody_ends + bass_ends), warnings)
     fragments: list[tuple[int, TrackPair]] = []
     for first in range(0, len(bars) - 3, 4):
         window = bars[first:first + 4]
@@ -301,8 +323,8 @@ def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
             warnings.append(f"bars {first}..{first + 3} are not contiguous; skipped")
             continue
         start = window[0][0]
-        melody = _slice_track(pair.melody, start, start + N_STEPS)
-        bass = _slice_track(pair.bass, start, start + N_STEPS)
+        melody = _slice_track(pair.melody, melody_ends, start, start + N_STEPS)
+        bass = _slice_track(pair.bass, bass_ends, start, start + N_STEPS)
         if not melody or not bass:
             continue
         fragments.append((first, TrackPair(melody=melody, bass=bass)))
@@ -367,7 +389,7 @@ def build_dataset(midi_dir, melody_name: str | None = None,
 def save_dataset(dataset: FragmentDataset, path) -> None:
     """Binary fragment file plus a JSON sidecar at ``<path>.json``."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<HI", DATASET_VERSION, len(dataset.fragments)))
         for f in dataset.fragments:
@@ -381,8 +403,8 @@ def save_dataset(dataset: FragmentDataset, path) -> None:
         "skips": dataset.meta.get("skips", []),
         "warnings": dataset.meta.get("warnings", []),
     }
-    path.with_name(path.name + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path.with_name(path.name + ".json")) as fh:
+        fh.write((json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_dataset(path) -> FragmentDataset:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import FragmentDataset
 from .errors import InvalidInputError, MissingFragmentError
 from .pianoroll import N_STEPS
@@ -283,7 +284,8 @@ def save_vectors(path, vectors_file: VectorsFile) -> None:
             for _, v in sorted(vectors_file.vectors.items())
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_vectors(path) -> VectorsFile:

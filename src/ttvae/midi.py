@@ -3,6 +3,9 @@
 Reads note on/off pairs, tempo, time-signature, track-name and marker events
 into a :class:`Score` whose times are expressed in quarter-note beats; all
 other events are skipped.  SMPTE divisions and format 2 files are rejected.
+The reader is one pass over the bytes: each chunk is read by one loop over
+an index into the file, every read checked against the file length, and a
+malformed file raises :class:`MidiParseError` with the offset of the fault.
 The writer is deterministic: identical scores serialize to identical bytes,
 which the generation pipeline relies on for reproducible output.
 """
@@ -57,68 +60,60 @@ class Score:
         return [t for t in self.tracks if not t.is_drum]
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _end_of_file(what: str, pos: int) -> MidiParseError:
+    return MidiParseError(f"unexpected end of file reading {what}", pos)
 
-    def need(self, n: int, what: str) -> None:
-        if self.pos + n > len(self.data):
-            raise MidiParseError(f"unexpected end of file reading {what}", self.pos)
 
-    def bytes(self, n: int, what: str) -> bytes:
-        self.need(n, what)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+def _varlen(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Read a variable-length quantity at ``pos``; returns (value, next pos)."""
+    value = 0
+    for at in range(pos, pos + 4):
+        if at >= len(data):
+            raise _end_of_file(what, at)
+        byte = data[at]
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, at + 1
+    raise MidiParseError(f"variable-length {what} exceeds 4 bytes", pos + 4)
 
-    def u8(self, what: str) -> int:
-        return self.bytes(1, what)[0]
 
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.bytes(2, what), "big")
-
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.bytes(4, what), "big")
-
-    def varlen(self, what: str) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8(what)
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MidiParseError(f"variable-length {what} exceeds 4 bytes", self.pos)
+def _fixed(data: bytes, pos: int, n: int, what: str) -> int:
+    """Read an ``n``-byte big-endian unsigned integer at ``pos``."""
+    if pos + n > len(data):
+        raise _end_of_file(what, pos)
+    return int.from_bytes(data[pos:pos + n], "big")
 
 
 def parse_midi(data: bytes) -> Score:
     """Parse SMF bytes into a :class:`Score` (times in quarter-note beats)."""
-    r = _Reader(data)
-    if r.bytes(4, "header chunk id") != b"MThd":
+    if len(data) < 4:
+        raise _end_of_file("header chunk id", 0)
+    if data[:4] != b"MThd":
         raise MidiParseError("missing MThd header", 0)
-    if r.u32("header length") != 6:
+    if _fixed(data, 4, 4, "header length") != 6:
         raise MidiParseError("MThd length must be 6", 4)
-    fmt = r.u16("format")
+    fmt = _fixed(data, 8, 2, "format")
     if fmt not in (0, 1):
         raise UnsupportedFormatError(f"only SMF formats 0 and 1 are supported, got {fmt}")
-    n_tracks = r.u16("track count")
-    division = r.u16("division")
+    n_tracks = _fixed(data, 10, 2, "track count")
+    division = _fixed(data, 12, 2, "division")
     if division & 0x8000:
         raise UnsupportedFormatError("SMPTE time division is not supported")
     if division == 0:
         raise MidiParseError("time division must be positive", 12)
 
     score = Score()
+    pos = 14
     for _ in range(n_tracks):
-        chunk_start = r.pos
-        if r.bytes(4, "track chunk id") != b"MTrk":
-            raise MidiParseError("expected MTrk chunk", chunk_start)
-        length = r.u32("track length")
-        end = r.pos + length
+        if pos + 4 > len(data):
+            raise _end_of_file("track chunk id", pos)
+        if data[pos:pos + 4] != b"MTrk":
+            raise MidiParseError("expected MTrk chunk", pos)
+        end = pos + 8 + _fixed(data, pos + 4, 4, "track length")
         if end > len(data):
-            raise MidiParseError("track chunk overruns file", chunk_start + 4)
-        _parse_track(r, end, division, score)
-        r.pos = end
+            raise MidiParseError("track chunk overruns file", pos + 4)
+        _parse_track(data, pos + 8, end, division, score)
+        pos = end
 
     score.tempos.sort(key=lambda t: t[0])
     score.meters.sort(key=lambda t: t[0])
@@ -126,23 +121,46 @@ def parse_midi(data: bytes) -> Score:
     return score
 
 
-def _parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
+def _parse_track(data: bytes, pos: int, end: int, division: int,
+                 score: Score) -> None:
+    """Read the events of one MTrk chunk, from ``pos`` up to ``end``.
+
+    Like every read of :func:`parse_midi`, each read here is checked against
+    the length of the file: an event that starts before ``end`` may run past it.
+    """
+    size = len(data)
     track = MidiTrack()
+    notes = track.notes
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    channels: list[int] = []
+    first_channel = None
     tick = 0
     status = None
-    last_tick = 0
 
-    while r.pos < end:
-        tick += r.varlen("delta time")
-        last_tick = tick
-        event_pos = r.pos
-        byte = r.u8("event status")
-        if byte == 0xFF:
-            meta = r.u8("meta type")
-            length = r.varlen("meta length")
-            payload = r.bytes(length, "meta payload")
+    while pos < end:
+        if pos < size and data[pos] < 0x80:
+            tick += data[pos]
+            pos += 1
+        else:
+            delta, pos = _varlen(data, pos, "delta time")
+            tick += delta
+        event_pos = pos
+        if pos >= size:
+            raise _end_of_file("event status", pos)
+        byte = data[pos]
+        pos += 1
+        if byte < 0x80:
+            if status is None:
+                raise MidiParseError("data byte without running status", event_pos)
+            data1 = byte
+        elif byte == 0xFF:
+            if pos >= size:
+                raise _end_of_file("meta type", pos)
+            meta = data[pos]
+            length, pos = _varlen(data, pos + 1, "meta length")
+            if pos + length > size:
+                raise _end_of_file("meta payload", pos)
+            payload = data[pos:pos + length]
+            pos += length
             if meta == _META_END_OF_TRACK:
                 break
             if meta == _META_TEMPO:
@@ -161,51 +179,53 @@ def _parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
             elif meta == _META_MARKER:
                 score.markers.append((tick / division, payload.decode("latin-1")))
             continue
-        if byte in (0xF0, 0xF7):
-            r.bytes(r.varlen("sysex length"), "sysex payload")
+        elif byte == 0xF0 or byte == 0xF7:
+            length, pos = _varlen(data, pos, "sysex length")
+            if pos + length > size:
+                raise _end_of_file("sysex payload", pos)
+            pos += length
             status = None
             continue
-        if byte & 0x80:
-            status = byte
-            data1 = r.u8("event data")
         else:
-            if status is None:
-                raise MidiParseError("data byte without running status", event_pos)
-            data1 = byte
+            status = byte
+            if pos >= size:
+                raise _end_of_file("event data", pos)
+            data1 = data[pos]
+            pos += 1
+            if status >= 0xF0:
+                raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
         kind = status & 0xF0
-        channel = status & 0x0F
-        if kind in (0xC0, 0xD0):
+        if kind == 0xC0 or kind == 0xD0:  # program change, channel pressure
             continue
-        if kind not in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
-        data2 = r.u8("event data")
-        if kind == 0x90 and data2 > 0:
-            open_notes.setdefault((channel, data1), []).append((tick, data2))
-            channels.append(channel)
-        elif kind == 0x80 or (kind == 0x90 and data2 == 0):
-            stack = open_notes.get((channel, data1))
-            if stack:
-                start, velocity = stack.pop(0)
-                track.notes.append(MidiNote(
-                    pitch=data1,
-                    onset=start / division,
-                    duration=(tick - start) / division,
-                    velocity=velocity,
-                ))
+        if pos >= size:
+            raise _end_of_file("event data", pos)
+        data2 = data[pos]
+        pos += 1
+        if kind > 0x90:  # key pressure, controller, pitch bend
+            continue
+        key = (status & 0x0F, data1)
+        stack = open_notes.get(key)
+        if kind == 0x90 and data2:
+            if stack is None:
+                open_notes[key] = [(tick, data2)]
+            else:
+                stack.append((tick, data2))
+            if first_channel is None:
+                first_channel = key[0]
+        elif stack:
+            start, velocity = stack.pop(0)
+            notes.append(MidiNote(data1, start / division,
+                                  (tick - start) / division, velocity))
 
     # Notes never switched off sound until the final event of the track.
-    for (channel, pitch), stack in open_notes.items():
+    for (_, pitch), stack in open_notes.items():
         for start, velocity in stack:
-            track.notes.append(MidiNote(
-                pitch=pitch,
-                onset=start / division,
-                duration=(last_tick - start) / division,
-                velocity=velocity,
-            ))
+            notes.append(MidiNote(pitch, start / division,
+                                  (tick - start) / division, velocity))
 
     track.notes.sort(key=lambda n: (n.onset, n.pitch))
-    if channels:
-        track.channel = channels[0]
+    if first_channel is not None:
+        track.channel = first_channel
     if track.notes or track.name:
         score.tracks.append(track)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import CheckpointError
 from .config import ModelConfig
 
@@ -58,7 +59,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig,
         "blob_sha256": digest,
     }
     encoded = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(encoded).to_bytes(4, "little"))
         fh.write(encoded)

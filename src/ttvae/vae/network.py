@@ -186,14 +186,16 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
 
 
 def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
-                       cache: dict) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
+                       cache: dict, input_grad: bool = True,
+                       ) -> tuple[np.ndarray | None, np.ndarray,
+                                  np.ndarray, np.ndarray]:
     """Backpropagate through one GRU layer.
 
     ``d_states`` carries gradients on every per-step output (None for
     none); ``d_last`` an optional extra gradient on the final state.
     Returns (d_input, dw, du, db); ``d_input`` has one step when the input
-    had step stride 0, and is then the gradient summed over the steps.
+    had step stride 0, and is then the gradient summed over the steps.  It
+    is None when ``input_grad`` is false, for a caller with no use for it.
     """
     x, w, u = cache["x"], cache["w"], cache["u"]
     gates, reset_h, states = cache["gates"], cache["reset_h"], cache["states"]
@@ -236,11 +238,11 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
         d_proj = d_gates.sum(axis=0)
         dw = x[:, 0].T @ d_proj
         db = d_proj.sum(axis=0)
-        d_input = (d_proj @ w.T)[:, None, :]
+        d_input = (d_proj @ w.T)[:, None, :] if input_grad else None
     else:
         dw = _rows(x).T @ flat_gates
         db = flat_gates.sum(axis=0)
-        d_input = _seq(flat_gates @ w.T, batch)
+        d_input = _seq(flat_gates @ w.T, batch) if input_grad else None
     return d_input, dw, du, db
 
 
@@ -281,9 +283,10 @@ def encoder_backward(params: dict, cfg: ModelConfig, cache: dict,
     d_last = d_mu @ params["enc.mu.w"].T + d_logvar @ params["enc.logvar.w"].T
     d_seq = None
     for i in range(cfg.gru_layers - 1, -1, -1):
+        # the roll input of layer 0 takes no gradient
         d_seq, dw, du, db = gru_layer_backward(
             d_seq, d_last if i == cfg.gru_layers - 1 else None,
-            cache["layers"][i])
+            cache["layers"][i], input_grad=i > 0)
         grads[f"enc.gru{i}.w"] = dw
         grads[f"enc.gru{i}.u"] = du
         grads[f"enc.gru{i}.b"] = db

@@ -4,6 +4,18 @@ import math
 
 import numpy as np
 
+from ttvae.corpus import KK_MAJOR, KK_MINOR
+from ttvae.errors import MidiParseError, UnsupportedFormatError
+from ttvae.midi import (
+    _META_END_OF_TRACK,
+    _META_MARKER,
+    _META_TEMPO,
+    _META_TIME_SIGNATURE,
+    _META_TRACK_NAME,
+    MidiNote,
+    MidiTrack,
+    Score,
+)
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_START,
@@ -168,3 +180,220 @@ def reference_gru_backward(d_states, d_last, cache):
     du[:, 2 * h_dim:] = flat_reset_h.T @ flat_gates[:, 2 * h_dim:]
     d_input = (flat_gates @ w.T).reshape(x.shape)
     return d_input, flat_x.T @ flat_gates, du, flat_gates.sum(axis=0)
+
+
+# --------------------------------------------------------- reference MIDI reader
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def need(self, n: int, what: str) -> None:
+        if self.pos + n > len(self.data):
+            raise MidiParseError(f"unexpected end of file reading {what}", self.pos)
+
+    def bytes(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self, what: str) -> int:
+        return self.bytes(1, what)[0]
+
+    def u16(self, what: str) -> int:
+        return int.from_bytes(self.bytes(2, what), "big")
+
+    def u32(self, what: str) -> int:
+        return int.from_bytes(self.bytes(4, what), "big")
+
+    def varlen(self, what: str) -> int:
+        value = 0
+        for _ in range(4):
+            b = self.u8(what)
+            value = (value << 7) | (b & 0x7F)
+            if not b & 0x80:
+                return value
+        raise MidiParseError(f"variable-length {what} exceeds 4 bytes", self.pos)
+
+
+def reference_parse_midi(data: bytes) -> Score:
+    """The byte-at-a-time reader that ``midi.parse_midi`` replaced, kept as
+    its oracle: same scores, same errors."""
+    r = _Reader(data)
+    if r.bytes(4, "header chunk id") != b"MThd":
+        raise MidiParseError("missing MThd header", 0)
+    if r.u32("header length") != 6:
+        raise MidiParseError("MThd length must be 6", 4)
+    fmt = r.u16("format")
+    if fmt not in (0, 1):
+        raise UnsupportedFormatError(f"only SMF formats 0 and 1 are supported, got {fmt}")
+    n_tracks = r.u16("track count")
+    division = r.u16("division")
+    if division & 0x8000:
+        raise UnsupportedFormatError("SMPTE time division is not supported")
+    if division == 0:
+        raise MidiParseError("time division must be positive", 12)
+
+    score = Score()
+    for _ in range(n_tracks):
+        chunk_start = r.pos
+        if r.bytes(4, "track chunk id") != b"MTrk":
+            raise MidiParseError("expected MTrk chunk", chunk_start)
+        length = r.u32("track length")
+        end = r.pos + length
+        if end > len(data):
+            raise MidiParseError("track chunk overruns file", chunk_start + 4)
+        _reference_parse_track(r, end, division, score)
+        r.pos = end
+
+    score.tempos.sort(key=lambda t: t[0])
+    score.meters.sort(key=lambda t: t[0])
+    score.markers.sort(key=lambda t: t[0])
+    return score
+
+
+def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
+    track = MidiTrack()
+    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    channels: list[int] = []
+    tick = 0
+    status = None
+    last_tick = 0
+
+    while r.pos < end:
+        tick += r.varlen("delta time")
+        last_tick = tick
+        event_pos = r.pos
+        byte = r.u8("event status")
+        if byte == 0xFF:
+            meta = r.u8("meta type")
+            length = r.varlen("meta length")
+            payload = r.bytes(length, "meta payload")
+            if meta == _META_END_OF_TRACK:
+                break
+            if meta == _META_TEMPO:
+                if length != 3:
+                    raise MidiParseError("tempo meta must carry 3 bytes", event_pos)
+                us_per_quarter = int.from_bytes(payload, "big")
+                if us_per_quarter == 0:
+                    raise MidiParseError("tempo of 0 microseconds", event_pos)
+                score.tempos.append((tick / division, 60e6 / us_per_quarter))
+            elif meta == _META_TIME_SIGNATURE:
+                if length < 2:
+                    raise MidiParseError("time signature meta too short", event_pos)
+                score.meters.append((tick / division, payload[0], 1 << payload[1]))
+            elif meta == _META_TRACK_NAME and not track.name:
+                track.name = payload.decode("latin-1")
+            elif meta == _META_MARKER:
+                score.markers.append((tick / division, payload.decode("latin-1")))
+            continue
+        if byte in (0xF0, 0xF7):
+            r.bytes(r.varlen("sysex length"), "sysex payload")
+            status = None
+            continue
+        if byte & 0x80:
+            status = byte
+            data1 = r.u8("event data")
+        else:
+            if status is None:
+                raise MidiParseError("data byte without running status", event_pos)
+            data1 = byte
+        kind = status & 0xF0
+        channel = status & 0x0F
+        if kind in (0xC0, 0xD0):
+            continue
+        if kind not in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
+            raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
+        data2 = r.u8("event data")
+        if kind == 0x90 and data2 > 0:
+            open_notes.setdefault((channel, data1), []).append((tick, data2))
+            channels.append(channel)
+        elif kind == 0x80 or (kind == 0x90 and data2 == 0):
+            stack = open_notes.get((channel, data1))
+            if stack:
+                start, velocity = stack.pop(0)
+                track.notes.append(MidiNote(
+                    pitch=data1,
+                    onset=start / division,
+                    duration=(tick - start) / division,
+                    velocity=velocity,
+                ))
+
+    # Notes never switched off sound until the final event of the track.
+    for (channel, pitch), stack in open_notes.items():
+        for start, velocity in stack:
+            track.notes.append(MidiNote(
+                pitch=pitch,
+                onset=start / division,
+                duration=(last_tick - start) / division,
+                velocity=velocity,
+            ))
+
+    track.notes.sort(key=lambda n: (n.onset, n.pitch))
+    if channels:
+        track.channel = channels[0]
+    if track.notes or track.name:
+        score.tracks.append(track)
+
+
+# ------------------------------------------------------- reference corpus loops
+
+def reference_skyline(quantized, keep_high):
+    """Per-step skyline: compares note ranks at every step it covers."""
+    if not quantized:
+        return []
+    total = max(onset + dur for _, onset, dur in quantized)
+    best = [None] * total
+    for idx, (pitch, onset, dur) in enumerate(quantized):
+        rank = (pitch if keep_high else -pitch, onset, idx)
+        for step in range(onset, onset + dur):
+            if best[step] is None or rank > best[step][:3]:
+                best[step] = (*rank, pitch)
+    notes = []
+    current = None  # (identity, pitch, start)
+    for step, chosen in enumerate(best):
+        identity = None if chosen is None else chosen[2]
+        if current is not None and identity != current[0]:
+            notes.append(NoteEvent(current[1], current[2], step - current[2]))
+            current = None
+        if chosen is not None and current is None:
+            current = (identity, chosen[3], step)
+    if current is not None:
+        notes.append(NoteEvent(current[1], current[2], total - current[2]))
+    return notes
+
+
+def reference_key_scores(score):
+    """(histogram, scores): the pitch-class histogram from a per-note loop and
+    its Krumhansl-Schmuckler correlations with 24 freshly rolled profiles;
+    scores is None when no note sounds."""
+    histogram = np.zeros(12)
+    for track in score.non_drum_tracks():
+        for note in track.notes:
+            histogram[note.pitch % 12] += max(note.duration, 0.0)
+    if histogram.sum() <= 0:
+        return histogram, None
+    scores = np.zeros(24)
+    h = histogram - histogram.mean()
+    h_norm = np.linalg.norm(h)
+    if h_norm == 0:
+        return histogram, scores
+    for mode_idx, profile in enumerate((KK_MAJOR, KK_MINOR)):
+        for tonic in range(12):
+            p = np.roll(profile, tonic)
+            p = p - p.mean()
+            scores[mode_idx * 12 + tonic] = h @ p / (h_norm * np.linalg.norm(p))
+    return histogram, scores
+
+
+def reference_slice_track(notes, start, end):
+    """Whole-song scan for the notes overlapping steps [start, end)."""
+    out = []
+    for n in notes:
+        if n.onset < end and n.end > start:
+            lo = max(n.onset, start)
+            hi = min(n.end, end)
+            out.append(NoteEvent(n.pitch, lo - start, hi - lo))
+    return out

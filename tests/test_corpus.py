@@ -1,12 +1,24 @@
 """Corpus pipeline: extraction, key handling, segmentation, dataset I/O."""
 
+import time
+
 import numpy as np
 import pytest
 
-from helpers import random_window
+from helpers import (
+    random_window,
+    reference_key_scores,
+    reference_skyline,
+    reference_slice_track,
+)
 from ttvae.corpus import (
     KK_MAJOR,
+    MAX_SONG_BARS,
+    MAX_SONG_STEPS,
     _bar_grid,
+    _profile_correlations,
+    _skyline,
+    _slice_track,
     KK_MINOR,
     Fragment,
     FragmentDataset,
@@ -413,3 +425,111 @@ class TestSongFragments:
         for f in fragments:
             validate_roll(f.roll)
             assert np.isfinite(f.tensile).all()
+
+
+def random_quantized(rng, n):
+    """(pitch, onset, duration) triples crowded onto a few pitches and
+    onsets, so that equal pitches, equal onsets and re-struck notes abound."""
+    return [(int(rng.integers(60, 64)), int(rng.integers(0, 24)),
+             int(rng.integers(1, 12))) for _ in range(n)]
+
+
+def random_score(rng):
+    tracks = []
+    for channel in (0, 1, 9):
+        notes = [MidiNote(int(rng.integers(0, 128)), float(rng.integers(0, 64)) / 4,
+                          float(rng.integers(-2, 16)) / 4)
+                 for _ in range(int(rng.integers(0, 30)))]
+        tracks.append(MidiTrack(channel=channel, notes=notes))
+    return Score(tracks=tracks)
+
+
+class TestLoopReferences:
+    """The note-level corpus loops against the per-step and per-song loops
+    they replaced."""
+
+    @pytest.mark.parametrize("keep_high", [True, False])
+    def test_skyline_equals_per_step_loop(self, rng, keep_high):
+        for n in [0, 1, 2, 3] + [int(k) for k in rng.integers(4, 40, 300)]:
+            quantized = random_quantized(rng, n)
+            assert _skyline(quantized, keep_high) \
+                == reference_skyline(quantized, keep_high)
+
+    def test_skyline_restrike_truncates_and_resumes(self):
+        quantized = [(60, 0, 8), (60, 2, 2), (67, 3, 1), (55, 0, 12)]
+        assert _skyline(quantized, keep_high=True) == [
+            NoteEvent(60, 0, 2), NoteEvent(60, 2, 1), NoteEvent(67, 3, 1),
+            NoteEvent(60, 4, 4), NoteEvent(55, 8, 4)]
+        assert _skyline(quantized, keep_high=True) \
+            == reference_skyline(quantized, keep_high=True)
+
+    def test_key_scores_equal_per_note_loop(self, rng):
+        for _ in range(300):
+            score = random_score(rng)
+            histogram, scores = reference_key_scores(score)
+            if histogram.sum() <= 0:
+                with pytest.raises(NoKeyError):
+                    detect_key(score)
+                continue
+            assert np.array_equal(_profile_correlations(histogram), scores)
+            best = int(np.argmax(scores))
+            assert detect_key(score) == Key(
+                best % 12, Mode.MAJOR if best < 12 else Mode.MINOR)
+
+    def test_slice_track_equals_whole_song_scan(self, rng):
+        for _ in range(200):
+            notes, step = [], int(rng.integers(0, 10))
+            for _ in range(int(rng.integers(0, 40))):
+                notes.append(NoteEvent(int(rng.integers(30, 90)), step,
+                                       int(rng.integers(1, 40))))
+                step = notes[-1].end + int(rng.integers(0, 3))
+            ends = [n.end for n in notes]
+            for start in range(0, step + 80, 16):
+                assert _slice_track(notes, ends, start, start + 64) \
+                    == reference_slice_track(notes, start, start + 64)
+
+
+def long_note_song():
+    """A usable song whose melody holds one note for 200,000 beats."""
+    melody = [MidiNote(60 + (i % 5), i, 1.0) for i in range(31)]
+    melody.append(MidiNote(67, 31.0, 200_000.0))
+    bass = [MidiNote(36 + (i % 3), i * 2, 2.0) for i in range(16)]
+    return Score(tracks=[MidiTrack(name="melody", channel=0, notes=melody),
+                         MidiTrack(name="bass", channel=1, notes=bass)])
+
+
+class TestSongLengthCap:
+    def test_cap_is_far_above_real_songs(self):
+        assert MAX_SONG_BARS == 2048
+        assert MAX_SONG_STEPS == 2048 * 16
+
+    def test_long_note_song_skipped_fast(self, tmp_path):
+        write_song(tmp_path / "a.mid", bars=8)
+        (tmp_path / "b.mid").write_bytes(write_midi(long_note_song()))
+        write_song(tmp_path / "c.mid", bars=8, shift=2)
+        began = time.perf_counter()
+        dataset = build_dataset(tmp_path)
+        assert time.perf_counter() - began < 0.5
+        assert [f.source_id for f in dataset.fragments] == [
+            "a.mid", "a.mid", "c.mid", "c.mid"]
+        (skip,) = dataset.meta["skips"]
+        assert skip["file"] == "b.mid"
+        assert f"cap of {MAX_SONG_BARS} bars" in skip["reason"]
+
+    def test_song_at_the_cap_is_kept(self):
+        melody = [MidiNote(60 + (i % 5), 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
+        bass = [MidiNote(36, 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
+        pair = extract_tracks(Score(tracks=[MidiTrack(notes=melody),
+                                            MidiTrack(notes=bass)]))
+        assert pair.melody[-1].end == MAX_SONG_STEPS
+        with pytest.raises(InvalidSongError):
+            extract_tracks(Score(tracks=[MidiTrack(notes=melody),
+                                         MidiTrack(notes=bass + [MidiNote(36, 0.0, 8192.25)])]))
+
+    def test_far_meter_change_builds_bars_only_up_to_the_cap(self):
+        warnings = []
+        began = time.perf_counter()
+        bars = _bar_grid([(0.0, 4, 4), (1e8, 3, 4)], 64, warnings)
+        assert time.perf_counter() - began < 0.5
+        assert len(bars) == MAX_SONG_BARS
+        assert bars[-1] == (MAX_SONG_STEPS - 16, 16, True)

@@ -1,7 +1,11 @@
 """SMF codec: parsing, rejection paths, and write/parse round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_parse_midi
+from toy import toy_song
 from ttvae.errors import MidiParseError, UnsupportedFormatError
 from ttvae.midi import (
     MidiNote,
@@ -153,3 +157,131 @@ class TestRoundTrip:
         once = write_midi(parse_midi(write_midi(score)))
         twice = write_midi(parse_midi(once))
         assert once == twice
+
+
+def smf(*tracks, fmt=1, division=96):
+    """Format ``fmt`` SMF bytes holding the given raw MTrk event streams."""
+    head = b"MThd" + (6).to_bytes(4, "big") + fmt.to_bytes(2, "big") \
+        + len(tracks).to_bytes(2, "big") + division.to_bytes(2, "big")
+    return head + b"".join(b"MTrk" + len(t).to_bytes(4, "big") + t for t in tracks)
+
+
+# Every event kind the reader handles: running status, sysex, every channel
+# message, zero-velocity note-offs, re-struck and never-ended notes, all the
+# meta events it keeps or skips, and delta times of one to four bytes.
+KITCHEN_SINK = smf(
+    bytes.fromhex(
+        "00 FF03 04 6C656164"        # track name
+        "00 FF03 03 616C74"          # a second name, ignored
+        "00 FF51 03 07A120"          # tempo
+        "00 FF58 04 03020C08"        # 3/4
+        "00 FF06 02 4131"            # marker
+        "00 FF01 03 616263"          # text, skipped
+        "00 F0 03 7E0102"            # sysex
+        "00 C2 05"                   # program change
+        "00 92 3C 50"                # note on, channel 2
+        "10 3E 50"                   # running status
+        "8100 3C 00"                 # zero-velocity off, two-byte delta
+        "00 D2 40"                   # channel pressure
+        "00 B2 07 64"                # controller
+        "00 E2 00 40"                # pitch bend
+        "00 A2 3E 20"                # key pressure
+        "00 92 3E 60"                # re-struck while sounding
+        "818000 82 3E 00"            # three-byte delta
+        "00 F7 01 00"                # sysex continuation
+        "00 92 40 70"                # left open
+        "81808000 92 43 30"          # four-byte delta
+        "10 82 43 00"
+        "00 FF2F 00"),
+    bytes.fromhex("00 99 24 40" "20 89 24 00" "00 C9 01" "00 FF2F 00"),
+)
+
+
+def round_trip_files():
+    return [write_midi(toy_song(i)) for i in range(8)] + [
+        write_midi(single_note_score()), KITCHEN_SINK]
+
+
+def outcome(parse, data):
+    """The score, or the error's type, message and offset."""
+    try:
+        return parse(data)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+class TestOnePassReader:
+    """``parse_midi`` against the byte-at-a-time reader it replaced."""
+
+    def test_kitchen_sink_reads_every_event_kind(self):
+        score = parse_midi(KITCHEN_SINK)
+        assert score == reference_parse_midi(KITCHEN_SINK)
+        lead, kit = score.tracks
+        assert lead.name == "lead" and lead.channel == 2
+        assert [n.pitch for n in lead.notes] == [60, 62, 62, 64, 67]
+        # deltas of 16, 128, 16384 and 2**21 ticks at 96 per beat
+        assert [(n.onset, n.duration, n.velocity) for n in lead.notes[:3]] == [
+            (0.0, 1.5, 0x50), (16 / 96, 16512 / 96, 0x50), (1.5, 2113552 / 96, 0x60)]
+        assert lead.notes[-1].duration == 16 / 96
+        assert kit.is_drum
+        assert score.meters == [(0.0, 3, 4)]
+        assert score.markers == [(0.0, "A1")]
+
+    def test_equal_scores_on_round_trips(self, rng):
+        files = round_trip_files()
+        for _ in range(20):
+            notes = [MidiNote(int(rng.integers(0, 128)), float(rng.integers(0, 64)) / 8,
+                              float(rng.integers(0, 32)) / 8, int(rng.integers(1, 128)))
+                     for _ in range(int(rng.integers(1, 40)))]
+            files.append(write_midi(Score(
+                tracks=[MidiTrack(name="t", channel=int(rng.integers(0, 16)),
+                                  notes=notes)],
+                tempos=[(0.0, 90.0), (2.0, 140.0)], markers=[(1.0, "m")])))
+        for data in files:
+            assert parse_midi(data) == reference_parse_midi(data)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutations_and_truncations_agree(self, data):
+        files = round_trip_files()
+        blob = bytearray(files[data.draw(st.integers(0, len(files) - 1))])
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob))):]
+        blob = bytes(blob)
+        assert outcome(parse_midi, blob) == outcome(reference_parse_midi, blob)
+
+    def test_every_truncation_agrees(self):
+        for length in range(len(KITCHEN_SINK) + 1):
+            blob = KITCHEN_SINK[:length]
+            assert outcome(parse_midi, blob) == outcome(reference_parse_midi, blob)
+
+    def test_every_cut_event_stream_agrees(self):
+        # a chunk whose length matches its cut events ends the file mid-event
+        events = KITCHEN_SINK[22:22 + int.from_bytes(KITCHEN_SINK[18:22], "big")]
+        for length in range(len(events) + 1):
+            blob = smf(events[:length])
+            assert outcome(parse_midi, blob) == outcome(reference_parse_midi, blob)
+
+    @pytest.mark.parametrize("events", [
+        "80808080 00", "00 FF01 80808080 00", "00 F0 80808080 01"])
+    def test_overlong_variable_length_quantity(self, events):
+        blob = smf(bytes.fromhex(events))
+        assert outcome(parse_midi, blob) == outcome(reference_parse_midi, blob)
+        with pytest.raises(MidiParseError, match="exceeds 4 bytes"):
+            parse_midi(blob)
+
+    def test_reads_past_the_chunk_end_are_checked_against_the_file(self):
+        # the note-on starts inside the first chunk and takes its velocity
+        # from the next chunk's id, which is then read again as a chunk
+        first = bytes.fromhex("00 90 3C")
+        data = smf(first, bytes.fromhex("00 FF2F 00"))
+        score = parse_midi(data)
+        assert score == reference_parse_midi(data)
+        assert score.tracks[0].notes == [MidiNote(60, 0.0, 0.0, ord("M"))]
+        with pytest.raises(MidiParseError) as err:
+            parse_midi(smf(first))
+        assert err.value.offset == 14 + 8 + 3
+        assert "event data" in str(err.value)

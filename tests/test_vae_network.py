@@ -130,6 +130,37 @@ class TestGruLayer:
                 assert g.shape == r.shape
                 np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-12)
 
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_skipped_input_gradient_leaves_weight_gradients(self, rng, broadcast):
+        x = rng.standard_normal((3, 1 if broadcast else 7, 5))
+        if broadcast:
+            x = np.broadcast_to(x, (3, 7, 5))
+        (w, u, b), = _gru_stack(rng, 1)
+        states, cache = network.gru_layer_forward(x, w, u, b)
+        d_states = rng.standard_normal(states.shape)
+        full = network.gru_layer_backward(d_states, None, cache)
+        lean = network.gru_layer_backward(d_states, None, cache, input_grad=False)
+        assert full[0] is not None and lean[0] is None
+        for g, r in zip(lean[1:], full[1:]):
+            np.testing.assert_array_equal(g, r)
+
+    def test_encoder_skips_the_roll_gradient(self, rng, monkeypatch):
+        skipped = []
+        real = network.gru_layer_backward
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            skipped.append(out[0] is None)
+            return out
+
+        monkeypatch.setattr(network, "gru_layer_backward", spy)
+        model = tiny_model()
+        x = np.stack([random_roll(rng) for _ in range(2)]).astype(np.float32)
+        posterior, cache = network.encoder_forward(model.params, TINY, x)
+        network.encoder_backward(model.params, TINY, cache, np.ones_like(posterior.mu),
+                                 np.ones_like(posterior.logvar), {})
+        assert skipped == [False, True]  # gru1, then gru0
+
     def test_decoder_broadcast_equals_tiled_copy(self, rng, monkeypatch):
         cfg = ModelConfig(latent_dim=4, hidden=8, gru_layers=2, rng_seed=3)
         params = init_params(cfg, rng, dtype=np.float64)
