@@ -1,10 +1,11 @@
 """Atomic artifact writes: write a temporary file beside the target, then rename.
 
-Datasets, checkpoints and vectors files are written through
-:func:`atomic_write`, so a reader finds the old file or the new one, never a
-partial write.  A writer that raises leaves the old file byte-identical and
-removes its temporary file.  (The data is not fsync'ed: this guards against a
-failing or killed writer, not against a power cut.)
+Every artifact -- dataset, checkpoint, vectors file, ledger, report, chart,
+MIDI file -- is written through :func:`atomic_write`, so a reader finds the
+old file or the new one, never a partial write.  A writer that raises leaves
+the old file byte-identical and removes its temporary file.  (The data is not
+fsync'ed: this guards against a failing or killed writer, not against a
+power cut.)
 """
 
 from __future__ import annotations
@@ -27,3 +28,9 @@ def atomic_write(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data``; a str is written as UTF-8."""
+    with atomic_write(path) as fh:
+        fh.write(data.encode() if isinstance(data, str) else data)

@@ -13,9 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, latent
+from .atomic import write_atomic
 from .corpus import build_dataset, load_dataset, save_dataset, song_fragments
 from .errors import InvalidInputError, TtvaeError
 from .generate import (
@@ -83,7 +82,7 @@ def cmd_analyze(args) -> int:
     else:
         text = _fragment_csv(fragments, f" [detected key: {key}]")
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
         print(f"wrote {len(fragments)} fragment(s) to {args.out}")
     else:
         sys.stdout.write(text)
@@ -182,9 +181,12 @@ def _load_template(args) -> ShapeTemplate:
             f"got {args.template!r}")
     try:
         values = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InvalidInputError(f"cannot parse template {path}: {err}") from err
-    return ShapeTemplate(path.stem, np.asarray(values, dtype=float))
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise InvalidInputError(f"template {path} must be a JSON list of numbers")
+    return ShapeTemplate(path.stem, values)
 
 
 def cmd_shape_vector(args) -> int:
@@ -247,7 +249,7 @@ def cmd_generate(args) -> int:
     request = _request_from_args(args)
     result = generate(model, vectors, request, checkpoint_id=ckpt.ident)
     out = Path(args.out)
-    out.write_bytes(result.midi_bytes)
+    write_atomic(out, result.midi_bytes)
     report_path = out.with_name(out.name + ".tension.json")
     evaluation.write_json(report_path, result.report)
     if args.json:
@@ -270,7 +272,7 @@ def cmd_compose_chain(args) -> int:
     result = compose_chain(model, vectors, plan, request,
                            checkpoint_id=ckpt.ident)
     out = Path(args.out)
-    out.write_bytes(result.midi_bytes)
+    write_atomic(out, result.midi_bytes)
     report_path = out.with_name(out.name + ".tension.json")
     evaluation.write_json(report_path, result.report)
     if args.json:

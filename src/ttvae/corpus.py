@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_atomic
 from .errors import InvalidInputError, InvalidSongError, NoKeyError, TtvaeError
 from .midi import MidiNote, MidiTrack, Score, parse_midi
 from .pianoroll import (
@@ -403,8 +403,8 @@ def save_dataset(dataset: FragmentDataset, path) -> None:
         "skips": dataset.meta.get("skips", []),
         "warnings": dataset.meta.get("warnings", []),
     }
-    with atomic_write(path.with_name(path.name + ".json")) as fh:
-        fh.write((json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(path.with_name(path.name + ".json"),
+                 json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> FragmentDataset:

@@ -12,13 +12,14 @@ contaminate the behavioral claim.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import pianoroll
+from .atomic import write_atomic
 from .errors import InvalidInputError
 from .latent import AttributeVector, apply_vector, direction_score
 from .pianoroll import (
@@ -359,16 +360,19 @@ def pitch_class_histogram(rolls: np.ndarray,
 # Report files
 
 
+def _write_csv(path, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue())
+
+
 def write_sweep_csv(path, report: SweepReport) -> None:
     columns = ("scale", "n", "ratio_recomputed", "ratio_predicted",
                "melody_pitch_accuracy", "bass_pitch_accuracy",
                "melody_rhythm_fscore", "bass_rhythm_fscore")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in report.rows:
-            writer.writerow([f"{row.scale:g}", row.n]
-                            + [f"{getattr(row, c):.6f}" for c in columns[2:]])
+    _write_csv(path, [columns] + [
+        [f"{row.scale:g}", row.n] + [f"{getattr(row, c):.6f}" for c in columns[2:]]
+        for row in report.rows])
 
 
 def sweep_summary(report: SweepReport) -> dict:
@@ -397,20 +401,15 @@ def sweep_summary(report: SweepReport) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_interaction_csv(path, report: InteractionReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("vector", "scale", f"tensile_{report.ratio_kind}_ratio",
-                         f"diameter_{report.ratio_kind}_ratio"))
-        for name in report.vector_names:
-            for scale in report.scales:
-                cell = report.rows[name][scale]
-                writer.writerow([name, f"{scale:g}",
-                                 f"{cell['tensile']:.6f}",
-                                 f"{cell['diameter']:.6f}"])
+    _write_csv(path, [("vector", "scale", f"tensile_{report.ratio_kind}_ratio",
+                       f"diameter_{report.ratio_kind}_ratio")] + [
+        [name, f"{scale:g}", f"{report.rows[name][scale]['tensile']:.6f}",
+         f"{report.rows[name][scale]['diameter']:.6f}"]
+        for name in report.vector_names for scale in report.scales])
 
 
 def interaction_summary(report: InteractionReport) -> dict:
@@ -429,12 +428,10 @@ def interaction_summary(report: InteractionReport) -> dict:
 
 def write_histogram_csv(path, original: np.ndarray, modified: np.ndarray) -> None:
     names = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("pitch_class", "original", "modified", "difference"))
-        for pc, name in enumerate(names):
-            writer.writerow((name, int(original[pc]), int(modified[pc]),
-                             int(modified[pc]) - int(original[pc])))
+    _write_csv(path, [("pitch_class", "original", "modified", "difference")] + [
+        (name, int(original[pc]), int(modified[pc]),
+         int(modified[pc]) - int(original[pc]))
+        for pc, name in enumerate(names)])
 
 
 def write_ratio_chart_svg(path, report: SweepReport,
@@ -473,4 +470,4 @@ def write_ratio_chart_svg(path, report: SweepReport,
                  f'text-anchor="middle">{report.vector_name} '
                  f'{report.ratio_kind} ratio vs scale</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_atomic(path, "\n".join(parts) + "\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_atomic
 from .corpus import FragmentDataset
 from .errors import InvalidInputError, MissingFragmentError
 from .pianoroll import N_STEPS
@@ -44,10 +44,15 @@ class ShapeTemplate:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        try:
+            v = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise InvalidInputError(f"template values must be numbers: {err}") from err
         if v.shape != (N_STEPS,):
             raise InvalidInputError(
                 f"template needs {N_STEPS} values, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvalidInputError("template values must be finite")
         if v.std() == 0:
             raise InvalidInputError("template must not be constant")
         object.__setattr__(self, "values", v)
@@ -284,8 +289,7 @@ def save_vectors(path, vectors_file: VectorsFile) -> None:
             for _, v in sorted(vectors_file.vectors.items())
         ],
     }
-    with atomic_write(path) as fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_vectors(path) -> VectorsFile:

@@ -86,7 +86,7 @@ def validate_roll(roll: np.ndarray) -> None:
     if roll.ndim not in (2, 3) or roll.shape[-2:] != (N_STEPS, N_FEATURES):
         raise InvalidRollError(
             f"roll must be {N_STEPS}x{N_FEATURES}, got {roll.shape}")
-    if not np.isin(roll, (0, 1)).all():
+    if not ((roll == 0) | (roll == 1)).all():
         raise InvalidRollError("roll entries must be 0 or 1")
     if not (roll[..., MELODY_PITCH_COLS].sum(axis=-1) == 1).all():
         raise InvalidRollError("each step needs exactly one melody pitch column")

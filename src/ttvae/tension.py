@@ -8,6 +8,12 @@ contributes 0 -- and both curves are then smoothed with a centered
 quarter-note moving average so values do not jump from one 16th note to the
 next.  Every function here takes one roll (64, 89) or a stack (n, 64, 89)
 and works along the last axis, so a stack costs one call.
+
+A roll has exactly two voices, so a step's cloud is one of 13 x 13 (melody
+pitch class or rest) x (bass pitch class or rest) pairs.
+:func:`tension_curves` evaluates the kernel once on that grid and reads each
+step's strain and diameter from the table; the values equal a kernel call
+per step bit for bit.
 """
 
 from __future__ import annotations
@@ -66,16 +72,28 @@ def moving_average(values: np.ndarray, window: int = QUARTER_NOTE_STEPS) -> np.n
     return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
+def _step_table(key: KeyCenter, cfg: SpiralConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Strain and diameter of every two-voice step, each shape (13, 13).
+
+    Entry ``[m, b]`` is the cloud of melody pitch class ``m - 1`` and bass
+    pitch class ``b - 1``, where -1 (index 0) is a rest.
+    """
+    pcs = np.stack(np.meshgrid(np.arange(-1, 12), np.arange(-1, 12),
+                               indexing="ij"), axis=-1)
+    return cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
+                         (pcs >= 0).astype(float), key.point.to_array())
+
+
 def tension_curves(roll: np.ndarray, key: KeyCenter,
                    cfg: SpiralConfig = SpiralConfig(),
                    window: int = QUARTER_NOTE_STEPS,
                    ) -> tuple[TensionCurve, TensionCurve]:
     """Smoothed tensile-strain and cloud-diameter curves of one roll or a stack."""
     pianoroll.validate_roll(roll)
-    pcs = np.stack((pianoroll.melody_pitch_classes(roll),
-                    pianoroll.bass_pitch_classes(roll)), axis=-1)
-    strain, diameter = cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
-                                     (pcs >= 0).astype(float), key.point.to_array())
+    strain_table, diameter_table = _step_table(key, cfg)
+    cells = (pianoroll.melody_pitch_classes(roll) + 1,
+             pianoroll.bass_pitch_classes(roll) + 1)
+    strain, diameter = strain_table[cells], diameter_table[cells]
     return (
         TensionCurve(TensionKind.TENSILE_STRAIN, moving_average(strain, window)),
         TensionCurve(TensionKind.CLOUD_DIAMETER, moving_average(diameter, window)),

@@ -11,16 +11,32 @@ GRU gates follow the classic formulation: update u, reset r, candidate
 c = tanh(W x + U (r * h) + b), new state h' = u * h + (1 - u) * c.  Packed
 weight matrices hold the three gates side by side in (update, reset,
 candidate) order, so the update and reset gates take one recurrent matmul
-``h @ U[:, :2h]`` per step (and one ``d @ U[:, :2h].T`` backward).  The
-bias is folded into the input projection once per layer call.  Gate
-buffers, caches and states are time-major ``(steps, batch, .)`` so every
-step works on contiguous slices in place; a layer hands the next one a
-``(batch, steps, .)`` view of its states, and the decoder heads read one
+``h @ U[:, :2h]`` per step (and one ``d @ U[:, :2h].T`` backward).
+
+Buffer layout of a layer call.  The input projection ``x W + b`` is one
+matmul into an interleaved ``(steps, batch, 3h)`` buffer (a per-gate split
+rounds differently at some widths, e.g. h = 8 or 24).  The same buffer then
+holds the gate activations, step-major ``(steps, 3, batch, h)``: step t adds
+the recurrent products to its interleaved block, takes the tanh-form sigmoid,
+the candidate tanh and h' = u * h + (1 - u) * c on contiguous ``(2, batch,
+h)`` and ``(batch, h)`` scratch arrays allocated once per call, and then
+copies (update, reset, candidate) over the block it has read.  (A repeated
+input, below, projects into a small buffer, so its gates get their own.)
+The cache keeps the gates and the states but not ``r * h``, which the
+backward pass recomputes for ``dU`` from the same two factors.  The backward
+pass reads ``gates[t]`` and keeps its gate gradients interleaved,
+``(steps, batch, 3h)``, so ``dW``, ``dU`` and the input gradient stay single
+matmuls (a per-gate split of ``x.T @ d_gates`` also rounds differently).
+States are time-major ``(steps, batch, h)``; a layer hands the next one a
+``(batch, steps, h)`` view of them, and the decoder heads read one
 batch-major copy of the top layer's.  The decoder's repeated latent is a
 stride-0 broadcast, which a GRU layer projects through ``W`` once, and whose
 input gradient it returns summed over the steps, shape ``(batch, 1, .)``.
-Every backward pass here is hand-derived and verified against central
-finite differences (see ``gradcheck``).
+Each head adds its biases and takes its tanh and its softmax in place on its
+matmul outputs.  The tests hold the plain versions of the layer and the
+heads, and require the results here to equal them bit for bit.  Every
+backward pass is hand-derived and verified against central finite
+differences (see ``gradcheck``).
 """
 
 from __future__ import annotations
@@ -78,9 +94,11 @@ def _sigmoid(x):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis in place; returns ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _orthogonal(rng, rows, cols, dtype):
@@ -97,21 +115,18 @@ def _glorot(rng, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator,
-                dtype=np.float32) -> dict[str, np.ndarray]:
-    """Fresh parameter tensors; recurrent kernels start orthogonal per gate."""
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in initialization order."""
     h, latent = cfg.hidden, cfg.latent_dim
-    params: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def gru(prefix: str, input_dim: int) -> None:
-        params[f"{prefix}.w"] = _glorot(rng, input_dim, 3 * h, dtype)
-        params[f"{prefix}.u"] = np.concatenate(
-            [_orthogonal(rng, h, h, dtype) for _ in range(3)], axis=1)
-        params[f"{prefix}.b"] = np.zeros(3 * h, dtype=dtype)
+        shapes.update({f"{prefix}.w": (input_dim, 3 * h),
+                       f"{prefix}.u": (h, 3 * h), f"{prefix}.b": (3 * h,)})
 
     def dense(prefix: str, fan_in: int, fan_out: int) -> None:
-        params[f"{prefix}.w"] = _glorot(rng, fan_in, fan_out, dtype)
-        params[f"{prefix}.b"] = np.zeros(fan_out, dtype=dtype)
+        shapes.update({f"{prefix}.w": (fan_in, fan_out),
+                       f"{prefix}.b": (fan_out,)})
 
     for i in range(cfg.gru_layers):
         gru(f"enc.gru{i}", N_FEATURES if i == 0 else h)
@@ -122,6 +137,22 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator,
     for name, width, _ in HEAD_SPECS:
         dense(f"dec.head.{name}.l1", h, h)
         dense(f"dec.head.{name}.l2", h, width)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator,
+                dtype=np.float32) -> dict[str, np.ndarray]:
+    """Fresh parameter tensors; recurrent kernels start orthogonal per gate."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape, dtype=dtype)
+        elif name.endswith(".u"):
+            h = shape[0]
+            params[name] = np.concatenate(
+                [_orthogonal(rng, h, h, dtype) for _ in range(3)], axis=1)
+        else:
+            params[name] = _glorot(rng, *shape, dtype)
     return params
 
 
@@ -157,31 +188,39 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
     h_dim = u.shape[0]
     two = 2 * h_dim
     u_gates, u_cand = u[:, :two], u[:, two:]
-    gates = np.empty((steps, batch, 3 * h_dim), dtype=x.dtype)
     if x.strides[1] == 0:
-        proj = np.broadcast_to(x[:, 0] @ w + b, gates.shape)
+        proj = np.broadcast_to(x[:, 0] @ w + b, (steps, batch, 3 * h_dim))
+        gates = np.empty((steps, 3, batch, h_dim), dtype=x.dtype)
     else:
-        np.matmul(_rows(x), w, out=gates.reshape(steps * batch, -1))
-        gates += b
-        proj = gates
-    reset_h = np.empty((steps, batch, h_dim), dtype=x.dtype)
+        # the projection buffer becomes the gate buffer: step t reads its
+        # interleaved block, then overwrites it with the step's activations
+        proj = (_rows(x) @ w).reshape(steps, batch, 3 * h_dim)
+        proj += b
+        gates = proj.reshape(steps, 3, batch, h_dim)
     states = np.empty((steps, batch, h_dim), dtype=x.dtype)
     h = np.zeros((batch, h_dim), dtype=x.dtype)
+    act = np.empty((3, batch, h_dim), dtype=x.dtype)
+    update, reset, cand = act
+    rh = np.empty((batch, h_dim), dtype=x.dtype)
     rec_gates = np.empty((batch, two), dtype=x.dtype)
+    rec_view = rec_gates.reshape(batch, 2, h_dim).transpose(1, 0, 2)
     rec_cand = np.empty((batch, h_dim), dtype=x.dtype)
-    for t in range(steps):
-        g, p = gates[t], proj[t]
-        np.add(p[:, :two], np.matmul(h, u_gates, out=rec_gates), out=g[:, :two])
-        _sigmoid(g[:, :two])
-        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
-        np.multiply(reset, h, out=reset_h[t])
-        np.add(p[:, two:], np.matmul(reset_h[t], u_cand, out=rec_cand), out=cand)
+    keep = np.empty((batch, h_dim), dtype=x.dtype)
+    for p, g, s in zip(proj.reshape(steps, batch, 3, h_dim).transpose(0, 2, 1, 3),
+                       gates, states):
+        np.matmul(h, u_gates, out=rec_gates)
+        np.add(p[:2], rec_view, out=act[:2])
+        _sigmoid(act[:2])
+        np.multiply(reset, h, out=rh)
+        np.add(p[2], np.matmul(rh, u_cand, out=rec_cand), out=cand)
         np.tanh(cand, out=cand)
-        h_new = np.multiply(update, h, out=states[t])
-        h_new += (1.0 - update) * cand
-        h = h_new
-    cache = {"x": x, "w": w, "u": u, "gates": gates, "reset_h": reset_h,
-             "states": states}
+        g[...] = act
+        np.subtract(1.0, update, out=keep)
+        keep *= cand
+        np.multiply(update, h, out=s)
+        s += keep
+        h = s
+    cache = {"x": x, "w": w, "u": u, "gates": gates, "states": states}
     return _seq(states.reshape(steps * batch, h_dim), batch), cache
 
 
@@ -198,21 +237,21 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
     is None when ``input_grad`` is false, for a caller with no use for it.
     """
     x, w, u = cache["x"], cache["w"], cache["u"]
-    gates, reset_h, states = cache["gates"], cache["reset_h"], cache["states"]
+    gates, states = cache["gates"], cache["states"]
     steps, batch, h_dim = states.shape
     two = 2 * h_dim
     u_gates_t = np.ascontiguousarray(u[:, :two].T)
     u_cand_t = np.ascontiguousarray(u[:, two:].T)
     d_tm = None if d_states is None else d_states.transpose(1, 0, 2)
-    d_gates = np.empty_like(gates)
+    d_gates = np.empty((steps, batch, 3 * h_dim), dtype=x.dtype)
     h_zero = np.zeros((batch, h_dim), dtype=x.dtype)
     dh = h_zero.copy() if d_last is None else d_last.copy()
     for t in range(steps - 1, -1, -1):
         if d_tm is not None:
             dh += d_tm[t]
         h_prev = states[t - 1] if t else h_zero
-        g, d = gates[t], d_gates[t]
-        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
+        update, reset, cand = gates[t]
+        d = d_gates[t]
         d_update = dh * (h_prev - cand)
         d_pre_cand = np.multiply(dh * (1.0 - update), 1.0 - cand * cand,
                                  out=d[:, two:])
@@ -233,6 +272,9 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
     # h_prev at step 0 is zero, so its term drops out of the update/reset sum
     du[:, :two] = (states[:-1].reshape(rows - batch, h_dim).T
                    @ flat_gates[batch:, :two])
+    # r * h_prev as each forward step computed it (zero at step 0)
+    reset_h = np.zeros_like(states)
+    np.multiply(gates[1:, 1], states[:-1], out=reset_h[1:])
     du[:, two:] = reset_h.reshape(rows, h_dim).T @ flat_gates[:, two:]
     if x.strides[1] == 0:
         d_proj = d_gates.sum(axis=0)
@@ -318,8 +360,11 @@ def decoder_forward(params: dict, cfg: ModelConfig,
         b1 = params[f"dec.head.{name}.l1.b"]
         w2 = params[f"dec.head.{name}.l2.w"]
         b2 = params[f"dec.head.{name}.l2.b"]
-        hidden = np.tanh(flat_h @ w1 + b1)
-        logits = hidden @ w2 + b2
+        hidden = flat_h @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2
+        logits += b2
         if activation == "softmax":
             value = _softmax(logits).reshape(batch, N_STEPS, width)
         elif activation == "sigmoid":

@@ -15,11 +15,13 @@ reproducible.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..corpus import FragmentDataset
 from ..errors import InvalidInputError, NumericFailureError
 from .checkpoint import save_checkpoint
@@ -148,14 +150,15 @@ def evaluate_split(params: dict, cfg: ModelConfig, rolls: np.ndarray,
 
 
 def write_ledger(path, ledger: list[LedgerRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LEDGER_COLUMNS)
-        writer.writeheader()
-        for row in ledger:
-            record = row.as_record()
-            for key in LOSS_FIELDS:
-                record[key] = f"{record[key]:.8f}"
-            writer.writerow(record)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=LEDGER_COLUMNS)
+    writer.writeheader()
+    for row in ledger:
+        record = row.as_record()
+        for key in LOSS_FIELDS:
+            record[key] = f"{record[key]:.8f}"
+        writer.writerow(record)
+    write_atomic(path, text.getvalue())
 
 
 def train(dataset: FragmentDataset, cfg: ModelConfig,

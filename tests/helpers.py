@@ -26,8 +26,13 @@ from ttvae.pianoroll import (
     N_STEPS,
     NoteEvent,
     TrackPair,
+    bass_pitch_classes,
     encode_roll,
+    melody_pitch_classes,
 )
+from ttvae.spiral import SpiralConfig, cloud_tension, pitch_class_positions
+from ttvae.tension import moving_average
+from ttvae.vae.network import HEAD_SPECS
 
 RISE = math.sqrt(2.0 / 15.0)
 FIFTHS = (0, -5, 2, -3, 4, -1, 6, 1, -4, 3, -2, 5)
@@ -180,6 +185,173 @@ def reference_gru_backward(d_states, d_last, cache):
     du[:, 2 * h_dim:] = flat_reset_h.T @ flat_gates[:, 2 * h_dim:]
     d_input = (flat_gates @ w.T).reshape(x.shape)
     return d_input, flat_x.T @ flat_gates, du, flat_gates.sum(axis=0)
+
+
+# ------------------------------------------- reference GRU layer and decoder heads
+# The GRU layer with one interleaved (steps, batch, 3 * hidden) gate buffer and
+# the decoder heads with freshly allocated intermediates, kept verbatim as
+# bitwise references for the gate-outer, in-place versions in ``network``.
+
+def _tanh_sigmoid(x):
+    """Logistic function in place, as 0.5 * tanh(0.5 * x) + 0.5; returns x."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
+def _allocating_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _time_major_rows(seq: np.ndarray) -> np.ndarray:
+    """(batch, steps, n) -> time-major rows (steps * batch, n).
+
+    A view when ``seq`` is the batch-major view of a time-major array, as
+    the GRU states and input gradients are; a copy otherwise.
+    """
+    batch, steps, width = seq.shape
+    return seq.transpose(1, 0, 2).reshape(steps * batch, width)
+
+
+def _batch_major_seq(rows: np.ndarray, batch: int) -> np.ndarray:
+    """Time-major rows (steps * batch, n) -> (batch, steps, n) view."""
+    return rows.reshape(-1, batch, rows.shape[-1]).transpose(1, 0, 2)
+
+
+def interleaved_gru_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
+                            b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Run one GRU layer over (batch, steps, input); returns states + cache.
+
+    The states come back as a (batch, steps, hidden) view of a time-major
+    buffer.  An input whose step stride is 0 (one vector repeated over the
+    steps) is projected through ``w`` once.
+    """
+    batch, steps, _ = x.shape
+    h_dim = u.shape[0]
+    two = 2 * h_dim
+    u_gates, u_cand = u[:, :two], u[:, two:]
+    gates = np.empty((steps, batch, 3 * h_dim), dtype=x.dtype)
+    if x.strides[1] == 0:
+        proj = np.broadcast_to(x[:, 0] @ w + b, gates.shape)
+    else:
+        np.matmul(_time_major_rows(x), w, out=gates.reshape(steps * batch, -1))
+        gates += b
+        proj = gates
+    reset_h = np.empty((steps, batch, h_dim), dtype=x.dtype)
+    states = np.empty((steps, batch, h_dim), dtype=x.dtype)
+    h = np.zeros((batch, h_dim), dtype=x.dtype)
+    rec_gates = np.empty((batch, two), dtype=x.dtype)
+    rec_cand = np.empty((batch, h_dim), dtype=x.dtype)
+    for t in range(steps):
+        g, p = gates[t], proj[t]
+        np.add(p[:, :two], np.matmul(h, u_gates, out=rec_gates), out=g[:, :two])
+        _tanh_sigmoid(g[:, :two])
+        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
+        np.multiply(reset, h, out=reset_h[t])
+        np.add(p[:, two:], np.matmul(reset_h[t], u_cand, out=rec_cand), out=cand)
+        np.tanh(cand, out=cand)
+        h_new = np.multiply(update, h, out=states[t])
+        h_new += (1.0 - update) * cand
+        h = h_new
+    cache = {"x": x, "w": w, "u": u, "gates": gates, "reset_h": reset_h,
+             "states": states}
+    return _batch_major_seq(states.reshape(steps * batch, h_dim), batch), cache
+
+
+def interleaved_gru_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
+                             cache: dict, input_grad: bool = True,
+                             ) -> tuple[np.ndarray | None, np.ndarray,
+                                        np.ndarray, np.ndarray]:
+    """Backpropagate through one GRU layer.
+
+    ``d_states`` carries gradients on every per-step output (None for
+    none); ``d_last`` an optional extra gradient on the final state.
+    Returns (d_input, dw, du, db); ``d_input`` has one step when the input
+    had step stride 0, and is then the gradient summed over the steps.  It
+    is None when ``input_grad`` is false, for a caller with no use for it.
+    """
+    x, w, u = cache["x"], cache["w"], cache["u"]
+    gates, reset_h, states = cache["gates"], cache["reset_h"], cache["states"]
+    steps, batch, h_dim = states.shape
+    two = 2 * h_dim
+    u_gates_t = np.ascontiguousarray(u[:, :two].T)
+    u_cand_t = np.ascontiguousarray(u[:, two:].T)
+    d_tm = None if d_states is None else d_states.transpose(1, 0, 2)
+    d_gates = np.empty_like(gates)
+    h_zero = np.zeros((batch, h_dim), dtype=x.dtype)
+    dh = h_zero.copy() if d_last is None else d_last.copy()
+    for t in range(steps - 1, -1, -1):
+        if d_tm is not None:
+            dh += d_tm[t]
+        h_prev = states[t - 1] if t else h_zero
+        g, d = gates[t], d_gates[t]
+        update, reset, cand = g[:, :h_dim], g[:, h_dim:two], g[:, two:]
+        d_update = dh * (h_prev - cand)
+        d_pre_cand = np.multiply(dh * (1.0 - update), 1.0 - cand * cand,
+                                 out=d[:, two:])
+        dh_prev = dh * update
+        d_reset_h = d_pre_cand @ u_cand_t
+        d_reset = d_reset_h * h_prev
+        dh_prev += d_reset_h * reset
+        d_pre_update = np.multiply(d_update, update, out=d[:, :h_dim])
+        d_pre_update *= 1.0 - update
+        d_pre_reset = np.multiply(d_reset, reset, out=d[:, h_dim:two])
+        d_pre_reset *= 1.0 - reset
+        dh_prev += d[:, :two] @ u_gates_t
+        dh = dh_prev
+
+    rows = steps * batch
+    flat_gates = d_gates.reshape(rows, 3 * h_dim)
+    du = np.empty_like(u)
+    # h_prev at step 0 is zero, so its term drops out of the update/reset sum
+    du[:, :two] = (states[:-1].reshape(rows - batch, h_dim).T
+                   @ flat_gates[batch:, :two])
+    du[:, two:] = reset_h.reshape(rows, h_dim).T @ flat_gates[:, two:]
+    if x.strides[1] == 0:
+        d_proj = d_gates.sum(axis=0)
+        dw = x[:, 0].T @ d_proj
+        db = d_proj.sum(axis=0)
+        d_input = (d_proj @ w.T)[:, None, :] if input_grad else None
+    else:
+        dw = _time_major_rows(x).T @ flat_gates
+        db = flat_gates.sum(axis=0)
+        d_input = _batch_major_seq(flat_gates @ w.T, batch) if input_grad else None
+    return d_input, dw, du, db
+
+
+def allocating_decoder_heads(params, flat_h, batch):
+    """The decoder's six heads as one loop that allocates every intermediate;
+    returns (outputs, hidden caches) keyed by head name."""
+    outputs = {}
+    head_caches = {}
+    for name, width, activation in HEAD_SPECS:
+        w1 = params[f"dec.head.{name}.l1.w"]
+        b1 = params[f"dec.head.{name}.l1.b"]
+        w2 = params[f"dec.head.{name}.l2.w"]
+        b2 = params[f"dec.head.{name}.l2.b"]
+        hidden = np.tanh(flat_h @ w1 + b1)
+        logits = hidden @ w2 + b2
+        if activation == "softmax":
+            value = _allocating_softmax(logits).reshape(batch, N_STEPS, width)
+        elif activation == "sigmoid":
+            value = _tanh_sigmoid(logits).reshape(batch, N_STEPS)
+        else:
+            value = logits.reshape(batch, N_STEPS)
+        outputs[name] = value
+        head_caches[name] = hidden
+    return outputs, head_caches
+
+
+def direct_tension_curves(roll, key, cfg=SpiralConfig(), window=4):
+    """Smoothed (strain, diameter) with one kernel call per step of every roll."""
+    pcs = np.stack((melody_pitch_classes(roll), bass_pitch_classes(roll)), axis=-1)
+    strain, diameter = cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
+                                     (pcs >= 0).astype(float), key.point.to_array())
+    return moving_average(strain, window), moving_average(diameter, window)
 
 
 # --------------------------------------------------------- reference MIDI reader

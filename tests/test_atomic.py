@@ -1,17 +1,28 @@
 """Artifact writes are atomic: a failed write leaves the old file as it was."""
 
 import builtins
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import random_window
-from ttvae import atomic
+from ttvae import atomic, evaluation
 from ttvae.atomic import atomic_write
+from ttvae.cli import main
 from ttvae.corpus import Fragment, FragmentDataset, save_dataset
 from ttvae.latent import AttributeVector, VectorsFile, save_vectors
+from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
 from ttvae.pianoroll import encode_roll
-from ttvae.vae import ModelConfig, TensionVae, save_checkpoint
+from ttvae.vae import (
+    LedgerRow,
+    LossBreakdown,
+    ModelConfig,
+    TensionVae,
+    save_checkpoint,
+    write_ledger,
+)
 
 CFG = ModelConfig(latent_dim=4, hidden=8, gru_layers=1, rng_seed=1)
 
@@ -117,3 +128,115 @@ class TestAtomicWrite:
         SAVERS[kind](tmp_path / f"out.{kind}", rng)
         expected = {f"out.{kind}"} | ({"out.dataset.json"} if kind == "dataset" else set())
         assert set(snapshot(tmp_path)) == expected
+
+
+def sweep_report():
+    row = evaluation.SweepRow(scale=2.0, n=4, ratio_recomputed=0.5, ratio_predicted=0.25,
+                              melody_pitch_accuracy=1.0, bass_pitch_accuracy=0.75,
+                              melody_rhythm_fscore=0.5, bass_rhythm_fscore=1.0)
+    return evaluation.SweepReport(vector_name="v", ratio_kind="upward",
+                                  measured_curve="tensile", scales=[2.0], rows=[row],
+                                  thresholds={}, n=4, rng_seed=0)
+
+
+def interaction_report():
+    cell = {"tensile": 0.5, "diameter": 0.25}
+    return evaluation.InteractionReport(
+        vector_names=("a", "b"), ratio_kind="high", scales=[0.0, 1.0],
+        rows={"a": {0.0: cell, 1.0: cell}, "b": {0.0: cell, 1.0: cell}},
+        cross_effect={}, n=4, rng_seed=0)
+
+
+def song_file(directory):
+    melody = [MidiNote(60 + i % 5, float(i), 1.0) for i in range(16)]
+    bass = [MidiNote(36, 2.0 * i, 2.0) for i in range(8)]
+    path = directory / "song.mid"
+    path.write_bytes(write_midi(Score(tracks=[
+        MidiTrack(name="melody", channel=0, notes=melody),
+        MidiTrack(name="bass", channel=1, notes=bass)])))
+    return path
+
+
+def model_files(directory):
+    """An untrained checkpoint and a vectors file that fits it."""
+    cfg = ModelConfig(latent_dim=2, hidden=8, gru_layers=1, rng_seed=1)
+    model = directory / "model.ttv"
+    ident = save_checkpoint(model, TensionVae.initialize(cfg).params, cfg)
+    fitting = vectors()
+    fitting.checkpoint_id = ident
+    save_vectors(directory / "vectors.json", fitting)
+    return ["--model", str(model), "--vectors", str(directory / "vectors.json")]
+
+
+def run_cli(command):
+    def run(directory, out):
+        if command == "analyze":
+            argv = ["analyze", "--in", str(song_file(directory))]
+        else:
+            argv = [command] + model_files(directory)
+        if command == "compose-chain":
+            plan = directory / "plan.json"
+            plan.write_text(json.dumps({"sections": [{"bars": 4, "edits": [["v", 1.0]]}]}))
+            argv += ["--plan", str(plan)]
+        return lambda: main(argv + ["--out", str(directory / out)])
+    return run
+
+
+LOSSES = LossBreakdown(*(0.125 * i for i in range(8)))
+
+# name -> (artifact file names, setup(directory, out) -> a call that writes them)
+WRITERS = {
+    "ledger": (["ledger.csv"], lambda d, out: lambda: write_ledger(
+        d / out, [LedgerRow(1, "train", LOSSES), LedgerRow(1, "val", LOSSES)])),
+    "sweep csv": (["sweep.csv"], lambda d, out: lambda: evaluation.write_sweep_csv(
+        d / out, sweep_report())),
+    "json": (["summary.json"], lambda d, out: lambda: evaluation.write_json(
+        d / out, evaluation.sweep_summary(sweep_report()))),
+    "interaction csv": (["grid.csv"], lambda d, out: lambda: evaluation.write_interaction_csv(
+        d / out, interaction_report())),
+    "histogram csv": (["hist.csv"], lambda d, out: lambda: evaluation.write_histogram_csv(
+        d / out, np.arange(12), np.arange(12)[::-1])),
+    "svg": (["chart.svg"], lambda d, out: lambda: evaluation.write_ratio_chart_svg(
+        d / out, sweep_report())),
+    "analyze": (["curves.csv"], run_cli("analyze")),
+    "generate": (["gen.mid", "gen.mid.tension.json"], run_cli("generate")),
+    "compose-chain": (["chain.mid", "chain.mid.tension.json"], run_cli("compose-chain")),
+}
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make the atomic write of the file ``name`` fail halfway; others succeed."""
+    def fake_open(path, mode):
+        fh = builtins.open(path, mode)
+        return _HalfWrite(fh) if Path(path).name.startswith(f".{name}.") else fh
+    monkeypatch.setattr(atomic, "open", fake_open, raising=False)
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_writes_the_artifacts(self, tmp_path, kind):
+        names, setup = WRITERS[kind]
+        write = setup(tmp_path, names[0])
+        before = set(snapshot(tmp_path))
+        assert write() in (None, 0)
+        assert set(snapshot(tmp_path)) - before == set(names)
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        names, setup = WRITERS[kind]
+        for failing in names:
+            directory = tmp_path / failing
+            directory.mkdir()
+            write = setup(directory, names[0])
+            for name in names:
+                (directory / name).write_bytes(b"previous " + name.encode())
+            before = snapshot(directory)
+            with monkeypatch.context() as patch:
+                fail_writes_to(patch, failing)
+                try:
+                    assert write() == 1  # a command reports an internal error
+                except OSError:
+                    pass  # a library writer raises
+            after = snapshot(directory)
+            assert after[failing] == before[failing]
+            assert set(after) == set(before)

@@ -236,6 +236,99 @@ class TestShapeVector:
                      "--out", str(tmp_path / "s.json")]) == 2
 
 
+class TestMalformedTemplate:
+    @pytest.mark.parametrize("text", [
+        json.dumps(["up"] * 64), json.dumps([{"v": 1}] * 64),
+        json.dumps([None] * 64), json.dumps([[0.5]] * 64),
+        "[" + ", ".join(["NaN"] + ["0.5"] * 63) + "]",
+        "[" + ", ".join(["Infinity"] + ["0.5"] * 63) + "]",
+        "[" + ", ".join(["1" + "0" * 400] + ["0.5"] * 63) + "]",
+        "[" * 100000 + "]" * 100000], ids=lambda t: t[:24])
+    def test_exits_two(self, pipeline, tmp_path, text, capsys):
+        template = tmp_path / "bad.json"
+        template.write_text(text)
+        assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
+                     "--dataset", str(pipeline["dataset"]),
+                     "--template", str(template), "--target-n", "6",
+                     "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def _first_matrix(manifest):
+    return next(t for t in manifest["tensors"] if len(t["shape"]) == 2)
+
+
+def _drop(key):
+    def damage(manifest):
+        del manifest[key]
+    return damage
+
+
+def _set(key, value):
+    def damage(manifest):
+        manifest["tensors"][0][key] = value
+    return damage
+
+
+def _set_schedule(value):
+    def damage(manifest):
+        manifest["schedule"] = value
+    return damage
+
+
+def _set_config(key, value):
+    def damage(manifest):
+        manifest["config"][key] = value
+    return damage
+
+
+CHECKPOINT_DAMAGE = {
+    "manifest is a list": lambda m: [],
+    "no tensors": _drop("tensors"),
+    "no blob_sha256": _drop("blob_sha256"),
+    "no config": _drop("config"),
+    "tensors not a list": lambda m: m.update(tensors={"a": 1}),
+    "tensor not an object": lambda m: m["tensors"].__setitem__(0, 7),
+    "nbytes a string": lambda m: m["tensors"][0].update(
+        nbytes=str(m["tensors"][0]["nbytes"])),
+    "shape larger than its bytes": lambda m: m["tensors"][0].update(
+        shape=[m["tensors"][0]["shape"][0] * 2]),
+    "negative shape": lambda m: m["tensors"][0].update(shape=[-1]),
+    "negative offset": _set("offset", -4),
+    "overlapping offset": lambda m: m["tensors"][1].update(offset=0),
+    "offset past the blob": lambda m: m["tensors"][-1].update(
+        offset=m["tensors"][-1]["offset"] + 4),
+    "wrong dtype": _set("dtype", "<f8"),
+    "renamed tensor": _set("name", "enc.gru9.w"),
+    "transposed shape": lambda m: _first_matrix(m).update(
+        shape=_first_matrix(m)["shape"][::-1]),
+    "duplicate name": lambda m: m["tensors"][1].update(
+        name=m["tensors"][0]["name"]),
+    "list schedule": _set_schedule([1, 2]),
+    "string global_batches": _set_schedule({"global_batches": "7"}),
+    "config not an object": lambda m: m.update(config=5),
+    "config field a string": _set_config("hidden", "24"),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_eval_exits_two(self, pipeline, tmp_path, damage, capsys):
+        raw = pipeline["checkpoint"].read_bytes()
+        end = 8 + int.from_bytes(raw[4:8], "little")
+        manifest = json.loads(raw[8:end])
+        replaced = CHECKPOINT_DAMAGE[damage](manifest)
+        encoded = json.dumps(manifest if replaced is None else replaced).encode()
+        bad = tmp_path / "bad.ttv"
+        bad.write_bytes(raw[:4] + len(encoded).to_bytes(4, "little")
+                        + encoded + raw[end:])
+        assert main(["eval", "--model", str(bad),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--experiment", "direction", "--n", "4",
+                     "--out", str(tmp_path / "reports")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestGenerate:
     def test_sampled_seed_writes_midi_and_report(self, pipeline, tmp_path):
         out = tmp_path / "gen.mid"

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_tension, random_roll
-from ttvae.errors import InvalidInputError
+from helpers import brute_force_tension, direct_tension_curves, random_roll
+from ttvae.errors import InvalidInputError, InvalidRollError
 from ttvae.pianoroll import (
     MELODY_REST_COL,
     NoteEvent,
     TrackPair,
     encode_roll,
+    validate_roll,
 )
 from ttvae.spiral import (
     Cloud,
@@ -161,6 +162,38 @@ class TestTensionCurves:
         with pytest.raises(InvalidInputError):
             tension_curves(rolls, C_MAJOR, CFG)
 
+
+    @pytest.mark.parametrize("tonic", range(12))
+    def test_step_table_equals_direct_kernel(self, rng, tonic):
+        # every major key (as a line-of-fifths index -5..6); random rolls have
+        # melody and bass rests, and one roll rests throughout
+        key = key_center(tonic - 5, CFG)
+        rolls = np.stack([random_roll(rng) for _ in range(60)]
+                         + [encode_roll(TrackPair())])
+        strain, diam = tension_curves(rolls, key, CFG)
+        ref_strain, ref_diam = direct_tension_curves(rolls, key, CFG)
+        assert np.array_equal(strain.values, ref_strain)
+        assert np.array_equal(diam.values, ref_diam)
+
+    def test_step_table_covers_every_pair(self):
+        # 169 fragments, each holding one (melody, bass) pair of the 13 x 13
+        # grid of pitch classes and rests for all 64 steps
+        pairs = [(m, b) for m in range(-1, 12) for b in range(-1, 12)]
+        rolls = np.stack([encode_roll(TrackPair(
+            melody=[] if m < 0 else [NoteEvent(60 + m, 0, 64)],
+            bass=[] if b < 0 else [NoteEvent(36 + b, 0, 64)])) for m, b in pairs])
+        for window in (1, 4):
+            got = tension_curves(rolls, C_MAJOR, CFG, window)
+            want = direct_tension_curves(rolls, C_MAJOR, CFG, window)
+            for curve, ref in zip(got, want):
+                assert np.array_equal(curve.values, ref)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_entries_other_than_zero_and_one_rejected(self, bad):
+        roll = encode_roll(TrackPair()).astype(float)
+        roll[7, 80] = bad
+        with pytest.raises(InvalidRollError, match="0 or 1"):
+            validate_roll(roll)
 
 class TestCloudTensionKernel:
     def test_cloud_wrappers_equal_kernel(self, rng):

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_roll, reference_gru_backward, reference_gru_forward
+from helpers import (
+    allocating_decoder_heads,
+    interleaved_gru_backward,
+    interleaved_gru_forward,
+    random_roll,
+    reference_gru_backward,
+    reference_gru_forward,
+)
 from ttvae.errors import InvalidInputError
+from ttvae.pianoroll import N_STEPS
 from ttvae.vae import network
 from ttvae.vae import (
     DecoderOutput,
@@ -195,6 +203,61 @@ class TestGruLayer:
         out = network._sigmoid(x)
         assert out is x
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
+
+
+def _float32_layer(rng, in_dim, h_dim):
+    return ((rng.standard_normal((in_dim, 3 * h_dim)) * in_dim ** -0.5).astype(np.float32),
+            (rng.standard_normal((h_dim, 3 * h_dim)) * h_dim ** -0.5).astype(np.float32),
+            (rng.standard_normal(3 * h_dim) * 0.1).astype(np.float32))
+
+
+def _assert_same_layer(x, w, u, b, rng):
+    """States and all four gradients bitwise equal to the interleaved layer."""
+    states, cache = network.gru_layer_forward(x, w, u, b)
+    ref_states, ref_cache = interleaved_gru_forward(x, w, u, b)
+    np.testing.assert_array_equal(states, ref_states)
+    d_states = rng.standard_normal(states.shape).astype(np.float32)
+    d_last = rng.standard_normal(states[:, -1].shape).astype(np.float32)
+    got = network.gru_layer_backward(d_states, d_last, cache)
+    want = interleaved_gru_backward(d_states, d_last, ref_cache)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype
+        np.testing.assert_array_equal(g, r)
+
+
+class TestBitwiseReference:
+    """The gate-outer GRU and the in-place heads round exactly as the
+    interleaved, allocating versions kept in ``helpers`` do."""
+
+    @pytest.mark.parametrize("in_dim", [16, 89, 96, 256])
+    @pytest.mark.parametrize("h_dim", [8, 128, 256])
+    @pytest.mark.parametrize("batch", [1, 4, 24, 64, 256])
+    def test_gru_layer(self, rng, batch, h_dim, in_dim):
+        x = rng.standard_normal((batch, N_STEPS, in_dim)).astype(np.float32)
+        _assert_same_layer(x, *_float32_layer(rng, in_dim, h_dim), rng)
+
+    @pytest.mark.parametrize("in_dim", [16, 96])
+    @pytest.mark.parametrize("h_dim", [8, 128, 256])
+    @pytest.mark.parametrize("batch", [1, 4, 24, 64, 256])
+    def test_gru_layer_stride_zero_input(self, rng, batch, h_dim, in_dim):
+        z = rng.standard_normal((batch, 1, in_dim)).astype(np.float32)
+        x = np.broadcast_to(z, (batch, N_STEPS, in_dim))
+        assert x.strides[1] == 0
+        _assert_same_layer(x, *_float32_layer(rng, in_dim, h_dim), rng)
+
+    @pytest.mark.parametrize("h_dim", [8, 128, 256])
+    @pytest.mark.parametrize("batch", [1, 4, 24, 64, 256])
+    def test_decoder_heads(self, rng, batch, h_dim):
+        cfg = ModelConfig(latent_dim=16, hidden=h_dim, gru_layers=1, rng_seed=3)
+        params = init_params(cfg, rng)
+        for value in params.values():  # give the zero-initialized biases values
+            value += rng.normal(0, 0.1, value.shape).astype(np.float32)
+        z = rng.standard_normal((batch, 16)).astype(np.float32)
+        out, cache = network.decoder_forward(params, cfg, z)
+        ref_out, ref_hidden = allocating_decoder_heads(params, cache["flat_h"], batch)
+        for name, _, _ in network.HEAD_SPECS:
+            np.testing.assert_array_equal(getattr(out, name), ref_out[name])
+            np.testing.assert_array_equal(cache["heads"][name], ref_hidden[name])
 
 
 class TestReparameterize:
