@@ -49,12 +49,12 @@ def _load_model(path, expected_config=None):
 
 def _fragment_csv(fragments, keys_line: str) -> str:
     lines = ["step,tensile_strain,cloud_diameter"]
-    for i, fragment in enumerate(fragments):
-        lines.append(f"# fragment {i} (bars {fragment.bar_offset}-"
-                     f"{fragment.bar_offset + 3}){keys_line}")
+    for i, bar_offset in enumerate(fragments.bar_offsets):
+        lines.append(f"# fragment {i} (bars {bar_offset}-"
+                     f"{bar_offset + 3}){keys_line}")
         for step in range(64):
-            lines.append(f"{step},{fragment.tensile[step]:.6f},"
-                         f"{fragment.diameter[step]:.6f}")
+            lines.append(f"{step},{fragments.tensile[i, step]:.6f},"
+                         f"{fragments.diameter[i, step]:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -71,11 +71,12 @@ def cmd_analyze(args) -> int:
             "warnings": warnings,
             "fragments": [
                 {
-                    "bar_offset": f.bar_offset,
-                    "tensile_strain": [round(float(v), 6) for v in f.tensile],
-                    "cloud_diameter": [round(float(v), 6) for v in f.diameter],
+                    "bar_offset": bar_offset,
+                    "tensile_strain": [round(float(v), 6) for v in tensile],
+                    "cloud_diameter": [round(float(v), 6) for v in diameter],
                 }
-                for f in fragments
+                for bar_offset, tensile, diameter in zip(
+                    fragments.bar_offsets, fragments.tensile, fragments.diameter)
             ],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import song_fragments
+from .corpus import MAX_SONG_BARS, song_fragments
 from .errors import InvalidInputError
 from .evaluation import roll_from_output
 from .latent import VectorsFile, apply_vector
@@ -50,10 +50,11 @@ class ChainSection:
     edits: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.bars < 4 or self.bars % 4:
+        # bool passes isinstance(int) but is below 4
+        if not isinstance(self.bars, int) or self.bars < 4 or self.bars % 4:
             raise InvalidInputError(
-                f"section length must be a positive multiple of 4 bars, "
-                f"got {self.bars}")
+                f"section length must be a positive integer multiple of 4 "
+                f"bars, got {self.bars!r}")
 
 
 @dataclass
@@ -63,11 +64,15 @@ class ChainPlan:
     def __post_init__(self):
         if not self.sections:
             raise InvalidInputError("chain plan needs at least one section")
+        if self.total_bars() > MAX_SONG_BARS:
+            raise InvalidInputError(
+                f"chain plan runs {self.total_bars()} bars, past the cap of "
+                f"{MAX_SONG_BARS}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChainPlan":
         try:
-            sections = [ChainSection(bars=int(s["bars"]),
+            sections = [ChainSection(bars=s["bars"],
                                      edits=[(str(n), float(a))
                                             for n, a in s.get("edits", [])])
                         for s in data["sections"]]
@@ -111,11 +116,10 @@ def seed_latent(model: TensionVae, request: GenerationRequest) -> tuple[np.ndarr
         raise InvalidInputError(
             f"fragment index {request.fragment_index} out of range "
             f"(file has {len(fragments)} fragments)")
-    fragment = fragments[request.fragment_index]
-    z = model.encode(fragment.roll).mu
+    z = model.encode(fragments.rolls[request.fragment_index]).mu
     return z, {"kind": "seed_midi", "path": str(request.seed_midi),
                "fragment_index": request.fragment_index,
-               "bar_offset": fragment.bar_offset}
+               "bar_offset": fragments.bar_offsets[request.fragment_index]}
 
 
 def apply_edits(z: np.ndarray, vectors: VectorsFile,

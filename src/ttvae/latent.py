@@ -223,8 +223,7 @@ def attribute_vector(model: TensionVae, dataset: FragmentDataset,
     def class_mean(ids, chunk=256):
         total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
         for start in range(0, len(ids), chunk):
-            rolls = np.stack([dataset.fragments[i].roll
-                              for i in ids[start:start + chunk]])
+            rolls = dataset.rolls[ids[start:start + chunk]]
             total += model.encode(rolls).mu.sum(axis=0, dtype=np.float64)
         return total / len(ids)
 
@@ -262,9 +261,7 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
     vectors: dict[str, AttributeVector] = {}
     for kind in kinds:
         template = templates.get(kind)
-        curve_kind = _KIND_CURVE.get(kind, "tensile")
-        curves = np.stack([getattr(dataset.fragments[i], curve_kind)
-                           for i in ids])
+        curves = getattr(dataset, _KIND_CURVE.get(kind, "tensile"))[ids]
         selection = select_classes(curves, kind, target_n, template=template)
         class_a = [ids[i] for i in selection.class_a]
         class_b = [ids[i] for i in selection.class_b]

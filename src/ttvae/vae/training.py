@@ -123,13 +123,6 @@ def training_split(cfg: ModelConfig, n: int) -> dict[str, np.ndarray]:
     return split_dataset(n, cfg.split, np.random.default_rng(split_seed))
 
 
-def _dataset_arrays(dataset: FragmentDataset):
-    rolls = dataset.rolls().astype(np.float32)
-    tensile = dataset.curves("tensile").astype(np.float32)
-    diameter = dataset.curves("diameter").astype(np.float32)
-    return rolls, tensile, diameter
-
-
 EVAL_CHUNK = 256
 
 
@@ -168,7 +161,7 @@ def train(dataset: FragmentDataset, cfg: ModelConfig,
     Aborts with :class:`NumericFailureError` if the loss goes non-finite,
     saving the best parameters seen so far when ``out_dir`` is given.
     """
-    rolls, tensile, diameter = _dataset_arrays(dataset)
+    rolls, tensile, diameter = dataset.rolls, dataset.tensile, dataset.diameter
     init_seed, split_seed, loop_seed = _seed_streams(cfg)
     params = init_params(cfg, np.random.default_rng(init_seed))
     splits = split_dataset(len(dataset), cfg.split,

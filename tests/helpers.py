@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ttvae.corpus import KK_MAJOR, KK_MINOR
+from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset
 from ttvae.errors import MidiParseError, UnsupportedFormatError
 from ttvae.midi import (
     _META_END_OF_TRACK,
@@ -62,6 +62,19 @@ def random_window(rng, bass_low=36, bass_high=47):
 
 def random_roll(rng):
     return encode_roll(random_window(rng))
+
+
+def make_dataset(rolls, tensile, diameter, source_ids=None, bar_offsets=None,
+                 meta=None):
+    """A FragmentDataset from stacks (or lists) of rolls and curves."""
+    n = len(rolls)
+    return FragmentDataset(
+        rolls=np.asarray(rolls, np.uint8),
+        tensile=np.asarray(tensile, np.float32),
+        diameter=np.asarray(diameter, np.float32),
+        source_ids=[""] * n if source_ids is None else list(source_ids),
+        bar_offsets=[0] * n if bar_offsets is None else list(bar_offsets),
+        meta={} if meta is None else meta)
 
 
 def _point(pc):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from helpers import brute_force_tension, random_roll, random_window
+from helpers import brute_force_tension, make_dataset, random_roll, random_window
 from toy import write_toy_corpus
 from ttvae.cli import main
 from ttvae.corpus import load_dataset
@@ -210,9 +210,9 @@ def _train_split_metrics(run):
     dataset = load_dataset(run["dataset"])
     from ttvae.vae.training import training_split
     idx = training_split(ckpt.config, len(dataset))["train"]
-    rolls = dataset.rolls().astype(np.float32)[idx]
-    tensile = dataset.curves("tensile")[idx]
-    diameter = dataset.curves("diameter")[idx]
+    rolls = dataset.rolls.astype(np.float32)[idx]
+    tensile = dataset.tensile[idx]
+    diameter = dataset.diameter[idx]
     breakdown, out = evaluate_batch(model.params, model.cfg, rolls, tensile,
                                     diameter, ckpt.config.beta_max)
     accuracy = float((out.melody_pitch.argmax(axis=2)
@@ -315,12 +315,8 @@ def test_criterion_11_labeling_separability(rng):
     assert selection.class_a == list(range(10))
     assert selection.class_b == list(range(10, 20))
 
-    from ttvae.corpus import Fragment, FragmentDataset
-    fragments = [Fragment(roll=random_roll(rng),
-                          tensile=curves[i].astype(np.float32),
-                          diameter=curves[i].astype(np.float32))
-                 for i in range(20)]
-    dataset = FragmentDataset(fragments=fragments)
+    dataset = make_dataset([random_roll(rng) for _ in range(20)],
+                           curves, curves)
     model = TensionVae.initialize(
         ModelConfig(latent_dim=8, hidden=12, gru_layers=1, rng_seed=1))
     v_ab = attribute_vector(model, dataset, selection.class_a,

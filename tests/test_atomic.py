@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_window
+from helpers import make_dataset, random_window
 from ttvae import atomic, evaluation
 from ttvae.atomic import atomic_write
 from ttvae.cli import main
-from ttvae.corpus import Fragment, FragmentDataset, save_dataset
+from ttvae.corpus import save_dataset
 from ttvae.latent import AttributeVector, VectorsFile, save_vectors
 from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
 from ttvae.pianoroll import encode_roll
@@ -28,11 +28,10 @@ CFG = ModelConfig(latent_dim=4, hidden=8, gru_layers=1, rng_seed=1)
 
 
 def dataset(rng, n=3):
-    return FragmentDataset(fragments=[
-        Fragment(roll=encode_roll(random_window(rng)),
-                 tensile=np.zeros(64, np.float32), diameter=np.ones(64, np.float32),
-                 source_id=f"s{i}.mid", bar_offset=4 * i)
-        for i in range(n)])
+    return make_dataset([encode_roll(random_window(rng)) for _ in range(n)],
+                        np.zeros((n, 64)), np.ones((n, 64)),
+                        source_ids=[f"s{i}.mid" for i in range(n)],
+                        bar_offsets=[4 * i for i in range(n)])
 
 
 def vectors():
@@ -118,8 +117,8 @@ class TestAtomicWrite:
         save_dataset(dataset(rng), path)
         before = snapshot(tmp_path)
         broken = dataset(rng)
-        broken.fragments[1].tensile = None  # fails after the first record
-        with pytest.raises(AttributeError):
+        broken.tensile = np.zeros((3, 63), np.float32)  # fails after the header
+        with pytest.raises(ValueError):
             save_dataset(broken, path)
         assert snapshot(tmp_path) == before
 

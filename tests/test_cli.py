@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import json
+import struct
 
 import pytest
 
 from helpers import brute_force_tension
 from toy import toy_song, write_toy_corpus
 from ttvae.cli import main
-from ttvae.corpus import load_dataset
+from ttvae.corpus import RECORD_DTYPE, load_dataset
 from ttvae.midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
 from ttvae.spiral import SpiralConfig, key_center
 from ttvae.vae import load_checkpoint
@@ -67,7 +68,7 @@ class TestAnalyze:
         from ttvae.corpus import song_fragments
         fragments, _, _ = song_fragments(parse_midi(path.read_bytes()))
         ref_strain, ref_diam = brute_force_tension(
-            fragments[0].roll, key_center(0, SpiralConfig()).point.to_array())
+            fragments.rolls[0], key_center(0, SpiralConfig()).point.to_array())
         for i, row in enumerate(rows):
             assert float(row[1]) == pytest.approx(ref_strain[i], abs=1e-6)
             assert float(row[2]) == pytest.approx(ref_diam[i], abs=1e-6)
@@ -145,23 +146,54 @@ class TestMalformedDataset:
         assert "dataset truncated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", [
-        "not json", "not an object", "short source_ids", "short bar_offsets"])
+        "not json", "not an object", "short source_ids", "short bar_offsets",
+        "long source_ids", "empty source_ids", "text bar_offsets",
+        "int source_ids"])
     def test_bad_sidecar_exits_two(self, pipeline, tmp_path, damage, capsys):
         dataset = tmp_path / "copy.ds"
         dataset.write_bytes(pipeline["dataset"].read_bytes())
         sidecar = json.loads(pipeline["dataset"].with_name(
             pipeline["dataset"].name + ".json").read_text())
+        count = len(sidecar["source_ids"])
         if damage == "not json":
             text = "{\"source_ids\": ["
         elif damage == "not an object":
             text = json.dumps([sidecar])
         else:
-            key = damage.split()[1]
-            sidecar[key] = sidecar[key][:-1]
+            how, key = damage.split()
+            sidecar[key] = {"short": sidecar[key][:-1],
+                            "long": sidecar[key] + sidecar[key][:1],
+                            "empty": [],
+                            "text": ["x"] * count,
+                            "int": list(range(count))}[how]
             text = json.dumps(sidecar)
         dataset.with_name(dataset.name + ".json").write_text(text)
         assert _train_exit(dataset, tmp_path / "m") == 2
         assert "sidecar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "vectors"])
+    @pytest.mark.parametrize("damage", ["roll byte 7", "nan tensile"])
+    def test_bad_record_exits_two(self, pipeline, tmp_path, command, damage,
+                                  capsys):
+        data = bytearray(pipeline["dataset"].read_bytes())
+        record = 10 + 5 * RECORD_DTYPE.itemsize  # fragment 5
+        if damage == "roll byte 7":
+            data[record + 100] = 7
+        else:
+            data[record + 64 * 89:record + 64 * 89 + 4] = struct.pack(
+                "<f", float("nan"))
+        dataset = tmp_path / "bad.ds"
+        dataset.write_bytes(bytes(data))
+        if command == "train":
+            code = _train_exit(dataset, tmp_path / "m")
+        else:
+            code = main(["vectors", "--model", str(pipeline["checkpoint"]),
+                         "--dataset", str(dataset), "--target-n", "8",
+                         "--out", str(tmp_path / "v.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: dataset fragment 5:")
+        assert "Traceback" not in err
 
 
 class TestMalformedConfig:
@@ -415,6 +447,16 @@ class TestComposeChain:
                      "--vectors", str(pipeline["vectors"]),
                      "--plan", str(plan),
                      "--out", str(tmp_path / "c.mid")]) == 2
+
+    def test_text_bars_exit_two(self, pipeline, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"sections": [{"bars": "4"}]}))
+        assert main(["compose-chain", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--plan", str(plan),
+                     "--out", str(tmp_path / "c.mid")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestEval:

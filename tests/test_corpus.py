@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    make_dataset,
     random_window,
     reference_key_scores,
     reference_skyline,
@@ -19,9 +20,8 @@ from ttvae.corpus import (
     _profile_correlations,
     _skyline,
     _slice_track,
+    _validate_rolls,
     KK_MINOR,
-    Fragment,
-    FragmentDataset,
     Key,
     Mode,
     build_dataset,
@@ -363,6 +363,36 @@ class TestBuildDataset:
         dataset = build_dataset(tmp_path)
         assert dataset.meta["original_keys"]["a.mid"].startswith("D")
 
+    def test_no_usable_song_round_trips_empty(self, tmp_path):
+        (tmp_path / "bad.mid").write_bytes(b"not midi at all")
+        dataset = build_dataset(tmp_path)
+        assert len(dataset) == 0
+        path = tmp_path / "empty.ds"
+        save_dataset(dataset, path)
+        assert path.stat().st_size == 10
+        loaded = load_dataset(path)
+        assert len(loaded) == 0
+        assert loaded.rolls.shape == (0, 64, 89)
+        assert loaded.meta["skips"] == dataset.meta["skips"]
+
+    def test_fragments_are_row_views_of_the_columns(self, tmp_path):
+        write_song(tmp_path / "a.mid", bars=8)
+        write_song(tmp_path / "b.mid", bars=12, shift=2)
+        built = build_dataset(tmp_path)
+        save_dataset(built, tmp_path / "out.ds")
+        for dataset in (built, load_dataset(tmp_path / "out.ds")):
+            rows = dataset.fragments
+            assert len(rows) == len(dataset) == 5
+            for i, row in enumerate(rows):
+                for name, column in (("roll", dataset.rolls),
+                                     ("tensile", dataset.tensile),
+                                     ("diameter", dataset.diameter)):
+                    value = getattr(row, name)
+                    np.testing.assert_array_equal(value, column[i])
+                    assert np.shares_memory(value, column)
+                assert row.source_id == dataset.source_ids[i]
+                assert row.bar_offset == dataset.bar_offsets[i]
+
     def test_curves_match_pipeline(self, tmp_path, rng):
         write_song(tmp_path / "a.mid", bars=4)
         dataset = build_dataset(tmp_path)
@@ -376,16 +406,15 @@ class TestBuildDataset:
 
 class TestDatasetFile:
     def test_round_trip(self, tmp_path, rng):
-        fragments = []
-        for i in range(5):
-            roll = encode_roll(random_window(rng))
-            fragments.append(Fragment(
-                roll=roll,
-                tensile=rng.uniform(0, 2, 64).astype(np.float32),
-                diameter=rng.uniform(0, 2, 64).astype(np.float32),
-                source_id=f"song{i}.mid", bar_offset=4 * i))
-        ds = FragmentDataset(fragments=fragments,
-                             meta={"original_keys": {}, "skips": [], "warnings": []})
+        rolls, tensile, diameter = [], [], []
+        for _ in range(5):
+            rolls.append(encode_roll(random_window(rng)))
+            tensile.append(rng.uniform(0, 2, 64))
+            diameter.append(rng.uniform(0, 2, 64))
+        ds = make_dataset(rolls, tensile, diameter,
+                          source_ids=[f"song{i}.mid" for i in range(5)],
+                          bar_offsets=[4 * i for i in range(5)],
+                          meta={"original_keys": {}, "skips": [], "warnings": []})
         path = tmp_path / "mini.ds"
         save_dataset(ds, path)
         loaded = load_dataset(path)
@@ -397,15 +426,21 @@ class TestDatasetFile:
             assert (a.source_id, a.bar_offset) == (b.source_id, b.bar_offset)
 
     def test_truncated_rejected(self, tmp_path, rng):
-        ds = FragmentDataset(fragments=[Fragment(
-            roll=encode_roll(random_window(rng)),
-            tensile=np.zeros(64, np.float32),
-            diameter=np.zeros(64, np.float32))])
+        ds = make_dataset([encode_roll(random_window(rng))],
+                          np.zeros((1, 64)), np.zeros((1, 64)))
         path = tmp_path / "mini.ds"
         save_dataset(ds, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(InvalidInputError):
             load_dataset(path)
+
+    def test_first_bad_roll_is_named_across_chunks(self, rng):
+        rolls = np.stack([encode_roll(random_window(rng)) for _ in range(10)])
+        _validate_rolls(rolls, chunk=4)
+        rolls[6, 3, 80] = 7
+        rolls[9, 0, 0] = 7
+        with pytest.raises(InvalidInputError, match="^dataset fragment 6: "):
+            _validate_rolls(rolls, chunk=4)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ds"
@@ -422,9 +457,8 @@ class TestSongFragments:
                               MidiTrack(name="b", notes=bass)])
         fragments, key, warnings = song_fragments(score)
         assert len(fragments) == 2
-        for f in fragments:
-            validate_roll(f.roll)
-            assert np.isfinite(f.tensile).all()
+        validate_roll(fragments.rolls)
+        assert np.isfinite(fragments.tensile).all()
 
 
 def random_quantized(rng, n):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toy import toy_song
+from ttvae.corpus import MAX_SONG_BARS
 from ttvae.errors import InvalidInputError
 from ttvae.generate import (
     ChainPlan,
@@ -52,6 +53,19 @@ class TestRequestValidation:
     def test_plan_needs_sections(self):
         with pytest.raises(InvalidInputError):
             ChainPlan(sections=[])
+
+    @pytest.mark.parametrize("bars", ["4", 4.9, 8.0, True], ids=repr)
+    def test_plan_bars_must_be_integers(self, bars):
+        with pytest.raises(InvalidInputError):
+            ChainPlan.from_dict({"sections": [{"bars": bars}]})
+
+    def test_plan_length_is_capped(self):
+        plan = ChainPlan.from_dict({"sections": [{"bars": MAX_SONG_BARS}]})
+        assert plan.total_bars() == MAX_SONG_BARS
+        for sections in ([{"bars": 1_000_000_000}],
+                         [{"bars": MAX_SONG_BARS}, {"bars": 4}]):
+            with pytest.raises(InvalidInputError, match="cap"):
+                ChainPlan.from_dict({"sections": sections})
 
 
 class TestSeedLatent:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_roll
-from ttvae.corpus import Fragment, FragmentDataset
+from helpers import make_dataset, random_roll
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
     RAMP_TEMPLATE,
@@ -181,15 +180,14 @@ class TestSelectClasses:
 
 
 def tiny_dataset(rng, n=12):
-    fragments = []
+    rolls, tensile, diameter = [], [], []
     for i in range(n):
         shape = RAMP if i % 2 == 0 else RAMP[::-1]
-        fragments.append(Fragment(
-            roll=random_roll(rng),
-            tensile=(shape + 0.05 * i).astype(np.float32),  # vary the level too
-            diameter=rng.uniform(0, 2, 64).astype(np.float32),
-            source_id=f"f{i}", bar_offset=0))
-    return FragmentDataset(fragments=fragments)
+        rolls.append(random_roll(rng))
+        tensile.append(shape + 0.05 * i)  # vary the level too
+        diameter.append(rng.uniform(0, 2, 64))
+    return make_dataset(rolls, tensile, diameter,
+                        source_ids=[f"f{i}" for i in range(n)])
 
 
 def tiny_model():
@@ -278,7 +276,7 @@ class TestBuildAndSaveVectors:
         model = tiny_model()
         vf = build_vectors(model, ds, kinds=["tensile_strain_direction"],
                            target_n=4)
-        sel = select_classes(ds.curves("tensile"), "tensile_strain_direction",
+        sel = select_classes(ds.tensile, "tensile_strain_direction",
                              target_n=4)
         assert all(i % 2 == 0 for i in sel.class_a)
         assert all(i % 2 == 1 for i in sel.class_b)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_roll
-from ttvae.corpus import Fragment, FragmentDataset
+from helpers import make_dataset, random_roll
 from ttvae.errors import InvalidInputError, NumericFailureError
 from ttvae.vae import ModelConfig, load_checkpoint, train
 from ttvae.vae.training import Adam, split_dataset, training_split, write_ledger
@@ -15,15 +14,13 @@ TINY_CFG = ModelConfig(latent_dim=4, hidden=12, gru_layers=1, batch_size=4,
 
 
 def small_dataset(rng, n=12):
-    fragments = []
-    for i in range(n):
-        roll = random_roll(rng)
-        fragments.append(Fragment(
-            roll=roll,
-            tensile=rng.uniform(0, 2, 64).astype(np.float32),
-            diameter=rng.uniform(0, 2, 64).astype(np.float32),
-            source_id=f"s{i}", bar_offset=0))
-    return FragmentDataset(fragments=fragments)
+    rolls, tensile, diameter = [], [], []
+    for _ in range(n):
+        rolls.append(random_roll(rng))
+        tensile.append(rng.uniform(0, 2, 64))
+        diameter.append(rng.uniform(0, 2, 64))
+    return make_dataset(rolls, tensile, diameter,
+                        source_ids=[f"s{i}" for i in range(n)])
 
 
 class TestSplit:
