@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -221,6 +222,14 @@ def cmd_shape_vector(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """``float(text)``; a non-finite value raises ValueError too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _parse_edits(pairs: list[str]) -> list[tuple[str, float]]:
     edits = []
     for item in pairs or []:
@@ -229,7 +238,7 @@ def _parse_edits(pairs: list[str]) -> list[tuple[str, float]]:
                 f"--edit expects NAME=SCALE, got {item!r}")
         name, _, scale = item.partition("=")
         try:
-            edits.append((name.strip(), float(scale)))
+            edits.append((name.strip(), _finite(scale)))
         except ValueError as err:
             raise InvalidInputError(f"bad edit scale in {item!r}") from err
     return edits
@@ -288,7 +297,7 @@ def _parse_scales(text: str | None, default) -> tuple[float, ...]:
     if not text:
         return tuple(default)
     try:
-        return tuple(float(s) for s in text.split(","))
+        return tuple(_finite(s) for s in text.split(","))
     except ValueError as err:
         raise InvalidInputError(f"bad --scales value {text!r}") from err
 
@@ -310,22 +319,20 @@ def cmd_eval(args) -> int:
         if args.charts:
             evaluation.write_ratio_chart_svg(out_dir / f"{stem}.svg", report)
 
-    if args.experiment == "direction":
-        scales = _parse_scales(args.scales, evaluation.DEFAULT_DIRECTION_SCALES)
-        for kind in latent.DIRECTION_KINDS:
-            if kind in vectors.vectors:
-                report = evaluation.direction_sweep(
-                    model, vectors.get(kind), scales, args.n, seed,
-                    trained_batches=trained)
-                emit_sweep(report, f"direction_{kind}")
-    elif args.experiment == "level":
-        scales = _parse_scales(args.scales, evaluation.DEFAULT_LEVEL_SCALES)
-        for kind in latent.LEVEL_KINDS:
-            if kind in vectors.vectors:
-                report = evaluation.level_sweep(
-                    model, vectors.get(kind), scales, args.n, seed,
-                    trained_batches=trained)
-                emit_sweep(report, f"level_{kind}")
+    if args.experiment in ("direction", "level"):
+        kinds, ratio_kind, default = {
+            "direction": (latent.DIRECTION_KINDS, "upward",
+                          evaluation.DEFAULT_DIRECTION_SCALES),
+            "level": (latent.LEVEL_KINDS, "high",
+                      evaluation.DEFAULT_LEVEL_SCALES)}[args.experiment]
+        scales = _parse_scales(args.scales, default)
+        kinds = [kind for kind in kinds if kind in vectors.vectors]
+        if kinds:
+            reports = evaluation.sweeps(
+                model, [vectors.get(kind) for kind in kinds], ratio_kind,
+                scales, args.n, seed, trained_batches=trained)
+            for kind, report in zip(kinds, reports):
+                emit_sweep(report, f"{args.experiment}_{kind}")
     elif args.experiment == "interaction":
         scales = _parse_scales(args.scales, evaluation.DEFAULT_DIRECTION_SCALES)
         pairs = [("direction", latent.DIRECTION_KINDS, "upward"),
@@ -343,16 +350,10 @@ def cmd_eval(args) -> int:
             outputs[f"interaction_{label}"] = str(
                 out_dir / f"interaction_{label}.csv")
     elif args.experiment == "pitch-dist":
-        from .vae.network import sample_latent
-        from .latent import apply_vector
         vector = vectors.get(args.vector)
-        z = sample_latent(args.n, model.cfg.latent_dim, seed).astype(model.dtype)
-        original = evaluation.decode_hardened(model, z)[0]
-        modified = evaluation.decode_hardened(
-            model, apply_vector(z, vector, args.scale))[0]
         bars = (2, 4)
-        hist_orig = evaluation.pitch_class_histogram(original, bars)
-        hist_mod = evaluation.pitch_class_histogram(modified, bars)
+        hist_orig, hist_mod = evaluation.pitch_distribution(
+            model, vector, args.scale, args.n, seed, bars)
         evaluation.write_histogram_csv(out_dir / "pitch_distribution.csv",
                                        hist_orig, hist_mod)
         evaluation.write_json(out_dir / "pitch_distribution.json", {

@@ -7,6 +7,14 @@ and rhythm changed.  Ratios always use tension recomputed from the decoded
 rolls by the spiral geometry -- never the model's own tension heads, which
 are reported separately as "predicted" -- so prediction error cannot
 contaminate the behavioral claim.
+
+Every experiment runs on one streamed loop, ``_decode_stream``: it draws the
+n seeded latents, then takes them ``DECODE_CHUNK`` at a time, decodes the
+chunk's unedited baseline once, and then each (vector, scale) edit of the
+chunk, reusing the baseline at scale 0.  The sweeps keep only per-example
+scalars of each chunk -- ratio flags and pair metrics -- and take every mean
+once, over the concatenated per-example arrays, so memory stays O(chunk)
+whatever n is and the reports do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -149,22 +157,32 @@ def rhythm_fscore(original: np.ndarray, modified: np.ndarray):
         for col in (MELODY_ONSET_COL, BASS_ONSET_COL)), original)
 
 
-def upward_ratio(curves: np.ndarray, tau: float) -> float:
-    """Fraction of curves whose direction score strictly exceeds ``tau``."""
+def upward_ratio(curves: np.ndarray, tau: float, per_example: bool = False):
+    """Fraction of curves whose direction score strictly exceeds ``tau``.
+
+    With ``per_example`` the per-curve flags come back instead, so that a
+    streamed sweep can take one mean over all its chunks.
+    """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[0] < 1:
         raise InvalidInputError("upward_ratio needs at least one curve")
-    return float(np.mean([direction_score(c) > tau for c in curves]))
+    flags = np.array([direction_score(c) > tau for c in curves])
+    return flags if per_example else float(np.mean(flags))
 
 
-def high_ratio(curves: np.ndarray, threshold: float, tau: float) -> float:
-    """Fraction with mean above ``threshold`` and 2-norm distance over ``tau``."""
+def high_ratio(curves: np.ndarray, threshold: float, tau: float,
+               per_example: bool = False):
+    """Fraction with mean above ``threshold`` and 2-norm distance over ``tau``.
+
+    With ``per_example`` the per-curve flags come back instead.
+    """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[0] < 1:
         raise InvalidInputError("high_ratio needs at least one curve")
     means = curves.mean(axis=1)
     magnitudes = np.linalg.norm(curves - threshold, axis=1)
-    return float(np.mean((means > threshold) & (magnitudes > tau)))
+    flags = (means > threshold) & (magnitudes > tau)
+    return flags if per_example else float(np.mean(flags))
 
 
 def decode_hardened(model: TensionVae, z: np.ndarray,
@@ -183,14 +201,44 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _decode_stream(model: TensionVae, vectors, scales, n: int, rng_seed: int,
+                   spiral_cfg: SpiralConfig, visit) -> None:
+    """Decode n seeded latents and their edits, one chunk at a time.
+
+    Per chunk, calls ``visit(None, None, base, base)`` with the chunk's
+    ``decode_hardened`` output, then ``visit(v, s, base, edited)`` for every
+    vector v and scale s (indices, vector-major) with the chunk edited by
+    scale * vector decoded -- ``base`` itself at scale 0.  Each output is
+    dropped before the next decode.  ``decode_hardened`` is looked up in
+    this module on every call, so a replacement of it sees every chunk.
+    """
+    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
+    for start in range(0, n, DECODE_CHUNK):
+        chunk = z[start:start + DECODE_CHUNK]
+        base = decode_hardened(model, chunk, spiral_cfg)
+        visit(None, None, base, base)
+        for v, vector in enumerate(vectors):
+            for s, scale in enumerate(scales):
+                edited = base if scale == 0.0 else decode_hardened(
+                    model, apply_vector(chunk, vector, scale), spiral_cfg)
+                visit(v, s, base, edited)
+                del edited
+        del base
+
+
+def _mean(chunks) -> float:
+    """Mean of per-example values gathered chunk by chunk."""
+    return float(np.mean(np.concatenate(chunks)))
+
+
 def _measured_curve(vector_name: str) -> str:
     return "diameter" if vector_name.startswith("cloud_diameter") else "tensile"
 
 
 def _pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
-    per_example = (pitch_accuracy(original_rolls, modified_rolls)
-                   + rhythm_fscore(original_rolls, modified_rolls))
-    return tuple(float(values.mean()) for values in per_example)
+    """Per-example pitch accuracy and rhythm F-score, melody then bass."""
+    return (pitch_accuracy(original_rolls, modified_rolls)
+            + rhythm_fscore(original_rolls, modified_rolls))
 
 
 def _direction_tau(vector: AttributeVector) -> float:
@@ -205,34 +253,75 @@ def _level_params(vector: AttributeVector) -> tuple[float, float]:
             float(thresholds.get("class_a_min_magnitude", 0.0)))
 
 
-def _sweep(model: TensionVae, vector: AttributeVector, scales, n: int,
-           rng_seed: int, ratio_fn, ratio_kind: str, thresholds: dict,
-           spiral_cfg: SpiralConfig, untrained: bool) -> SweepReport:
+def _upward_rating(vector: AttributeVector, tau: float | None = None):
+    """(per-example flag function, thresholds) of a direction sweep."""
+    tau = _direction_tau(vector) if tau is None else tau
+    return (lambda curves: upward_ratio(curves, tau, per_example=True),
+            {"tau_direction": tau})
+
+
+def _high_rating(vector: AttributeVector, threshold: float | None = None,
+                 tau: float | None = None):
+    """(per-example flag function, thresholds) of a level sweep."""
+    own_threshold, own_tau = _level_params(vector)
+    threshold = own_threshold if threshold is None else threshold
+    tau = own_tau if tau is None else tau
+    return (lambda curves: high_ratio(curves, threshold, tau, per_example=True),
+            {"threshold": threshold, "tau_level": tau})
+
+
+_RATINGS = {"upward": _upward_rating, "high": _high_rating}
+
+
+def _sweep(model: TensionVae, vectors, ratings, scales, n: int,
+           rng_seed: int, ratio_kind: str, spiral_cfg: SpiralConfig,
+           untrained: bool) -> list[SweepReport]:
+    """One report per vector, rated by its (flag function, thresholds)."""
     if n < 1:
         raise InvalidInputError("sweep needs n >= 1 samples")
-    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
-    original = decode_hardened(model, z, spiral_cfg)
-    measured = _measured_curve(vector.name)
-    rows = []
-    for scale in scales:
-        if scale == 0.0:
-            rolls, pred_t, pred_d, rec_t, rec_d = original
-        else:
-            rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
-                model, apply_vector(z, vector, scale), spiral_cfg)
-        recomputed = rec_t if measured == "tensile" else rec_d
-        predicted = pred_t if measured == "tensile" else pred_d
-        metrics = _pair_metrics(original[0], rolls)
-        rows.append(SweepRow(
-            scale=float(scale), n=n,
-            ratio_recomputed=ratio_fn(recomputed),
-            ratio_predicted=ratio_fn(predicted),
-            melody_pitch_accuracy=metrics[0], bass_pitch_accuracy=metrics[1],
-            melody_rhythm_fscore=metrics[2], bass_rhythm_fscore=metrics[3]))
-    return SweepReport(vector_name=vector.name, ratio_kind=ratio_kind,
-                       measured_curve=measured, scales=[float(s) for s in scales],
-                       rows=rows, thresholds=thresholds, n=n, rng_seed=rng_seed,
-                       untrained_model=untrained)
+    measured = [_measured_curve(vector.name) for vector in vectors]
+    # [vector][scale] -> six columns of per-chunk arrays: recomputed and
+    # predicted ratio flags, then the four pair metrics
+    columns = [[[[] for _ in range(6)] for _ in scales] for _ in vectors]
+
+    def visit(v, s, base, edited):
+        if v is None:
+            return
+        rolls, pred_t, pred_d, rec_t, rec_d = edited
+        flags = ratings[v][0]
+        tensile = measured[v] == "tensile"
+        values = ((flags(rec_t if tensile else rec_d),
+                   flags(pred_t if tensile else pred_d))
+                  + _pair_metrics(base[0], rolls))
+        for column, value in zip(columns[v][s], values):
+            column.append(value)
+
+    _decode_stream(model, vectors, scales, n, rng_seed, spiral_cfg, visit)
+    return [SweepReport(
+        vector_name=vector.name, ratio_kind=ratio_kind, measured_curve=curve,
+        scales=[float(s) for s in scales],
+        rows=[SweepRow(float(scale), n, *map(_mean, per_scale))
+              for scale, per_scale in zip(scales, vector_columns)],
+        thresholds=thresholds, n=n, rng_seed=rng_seed, untrained_model=untrained)
+        for vector, (_, thresholds), curve, vector_columns
+        in zip(vectors, ratings, measured, columns)]
+
+
+def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
+           n: int = 10_000, rng_seed: int = 0,
+           spiral_cfg: SpiralConfig = SpiralConfig(),
+           trained_batches: int | None = None) -> list[SweepReport]:
+    """Direction (``"upward"``) or level (``"high"``) sweeps of several vectors.
+
+    Each vector is rated at its own effective thresholds, and the reports
+    equal those of :func:`direction_sweep` or :func:`level_sweep` run on each
+    vector alone, but every chunk's baseline is decoded once for all.
+    """
+    if ratio_kind not in _RATINGS:
+        raise InvalidInputError(f"unknown ratio kind {ratio_kind!r}")
+    return _sweep(model, vectors, [_RATINGS[ratio_kind](v) for v in vectors],
+                  scales, n, rng_seed, ratio_kind, spiral_cfg,
+                  untrained=not trained_batches)
 
 
 def direction_sweep(model: TensionVae, vector: AttributeVector,
@@ -244,12 +333,9 @@ def direction_sweep(model: TensionVae, vector: AttributeVector,
 
     ``tau`` defaults to the vector's effective up-class labeling threshold.
     """
-    if tau is None:
-        tau = _direction_tau(vector)
-    return _sweep(model, vector, scales, n, rng_seed,
-                  lambda curves: upward_ratio(curves, tau),
-                  "upward", {"tau_direction": tau}, spiral_cfg,
-                  untrained=not trained_batches)
+    return _sweep(model, [vector], [_upward_rating(vector, tau)], scales, n,
+                  rng_seed, "upward", spiral_cfg,
+                  untrained=not trained_batches)[0]
 
 
 def level_sweep(model: TensionVae, vector: AttributeVector,
@@ -262,13 +348,9 @@ def level_sweep(model: TensionVae, vector: AttributeVector,
 
     ``threshold`` and ``tau`` default to the vector's effective labeling.
     """
-    own_threshold, own_tau = _level_params(vector)
-    threshold = own_threshold if threshold is None else threshold
-    tau = own_tau if tau is None else tau
-    return _sweep(model, vector, scales, n, rng_seed,
-                  lambda curves: high_ratio(curves, threshold, tau),
-                  "high", {"threshold": threshold, "tau_level": tau},
-                  spiral_cfg, untrained=not trained_batches)
+    return _sweep(model, [vector], [_high_rating(vector, threshold, tau)],
+                  scales, n, rng_seed, "high", spiral_cfg,
+                  untrained=not trained_batches)[0]
 
 
 def interaction_grid(model: TensionVae, vector_a: AttributeVector,
@@ -298,42 +380,40 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
         level_params = {_measured_curve(v.name):
                         dict(zip(("threshold", "tau"), _level_params(v)))
                         for v in vectors}
-    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
-    rows: dict[str, dict[float, dict[str, float]]] = {}
-    baselines: dict[str, dict[str, float]] = {}
+    kinds = ("tensile", "diameter")
 
-    def one_ratio(kind, curves):
+    def flags(kind, curves):
         if mode == "upward":
-            return upward_ratio(curves, taus.get(kind, 0.0))
+            return upward_ratio(curves, taus.get(kind, 0.0), per_example=True)
         params = level_params.get(kind, {})
         return high_ratio(curves, params.get("threshold", 0.0),
-                          params.get("tau", 0.0))
+                          params.get("tau", 0.0), per_example=True)
 
-    def both_ratios(rec_t, rec_d):
-        return {
-            "tensile": one_ratio("tensile", rec_t),
-            "diameter": one_ratio("diameter", rec_d),
-        }
+    # per-chunk flags of both kinds: the baseline under (None, None), each
+    # edit under its (vector, scale) indices; scale 0 reads the baseline's
+    columns = {key: {kind: [] for kind in kinds} for key in [(None, None)] + [
+        (v, s) for v in range(2) for s, scale in enumerate(scales) if scale != 0.0]}
 
-    base = decode_hardened(model, z, spiral_cfg)
-    base_ratios = both_ratios(base[3], base[4])
-    for vector in vectors:
-        rows[vector.name] = {}
-        for scale in scales:
-            if scale == 0.0:
-                rows[vector.name][float(scale)] = dict(base_ratios)
-                continue
-            _, _, _, rec_t, rec_d = decode_hardened(
-                model, apply_vector(z, vector, scale), spiral_cfg)
-            rows[vector.name][float(scale)] = both_ratios(rec_t, rec_d)
-        baselines[vector.name] = base_ratios
+    def visit(v, s, base, edited):
+        if (v, s) in columns:
+            for kind, curves in zip(kinds, edited[3:]):
+                columns[v, s][kind].append(flags(kind, curves))
+
+    _decode_stream(model, vectors, scales, n, rng_seed, spiral_cfg, visit)
+    base_ratios = {kind: _mean(columns[None, None][kind]) for kind in kinds}
+    rows: dict[str, dict[float, dict[str, float]]] = {}
+    for v, vector in enumerate(vectors):
+        rows[vector.name] = {
+            float(scale): dict(base_ratios) if scale == 0.0 else
+            {kind: _mean(columns[v, s][kind]) for kind in kinds}
+            for s, scale in enumerate(scales)}
 
     cross_effect = {}
     for vector in vectors:
         own = _measured_curve(vector.name)
         other = "diameter" if own == "tensile" else "tensile"
         deviations = [abs(rows[vector.name][float(s)][other]
-                          - baselines[vector.name][other])
+                          - base_ratios[other])
                       for s in scales if s != 0.0]
         cross_effect[f"{vector.name}_on_{other}"] = float(np.mean(deviations))
     return InteractionReport(
@@ -341,6 +421,26 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
         scales=[float(s) for s in scales], rows=rows,
         cross_effect=cross_effect, n=n, rng_seed=rng_seed,
         untrained_model=not trained_batches)
+
+
+def pitch_distribution(model: TensionVae, vector: AttributeVector,
+                       scale: float, n: int, rng_seed: int = 0,
+                       bar_range: tuple[int, int] = (2, 4),
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Pitch-class histograms of n decoded samples, unedited and edited.
+
+    Counts sounding melody and bass pitch classes over ``bar_range`` of each
+    sample and of its edit by ``scale * vector``, summed chunk by chunk.
+    """
+    original = np.zeros(12, dtype=np.int64)
+    modified = np.zeros(12, dtype=np.int64)
+
+    def visit(v, s, base, edited):
+        counts = original if v is None else modified
+        counts += pitch_class_histogram(edited[0], bar_range)
+
+    _decode_stream(model, [vector], [scale], n, rng_seed, SpiralConfig(), visit)
+    return original, modified
 
 
 def pitch_class_histogram(rolls: np.ndarray,

@@ -10,6 +10,7 @@ the unedited and edited versions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,10 @@ class ChainSection:
             raise InvalidInputError(
                 f"section length must be a positive integer multiple of 4 "
                 f"bars, got {self.bars!r}")
+        for name, scale in self.edits:
+            if not math.isfinite(scale):
+                raise InvalidInputError(
+                    f"section edit {name!r} has non-finite scale {scale!r}")
 
 
 @dataclass

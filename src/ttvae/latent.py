@@ -234,13 +234,23 @@ def attribute_vector(model: TensionVae, dataset: FragmentDataset,
 
 def apply_vector(z: np.ndarray, vector: AttributeVector,
                  scale: float) -> np.ndarray:
-    """z + scale * vector (dimension-checked, input untouched)."""
+    """z + scale * vector (dimension-checked, input untouched).
+
+    A result that is not finite -- a non-finite scale, or one so large that
+    it overflows the latent dtype -- raises InvalidInputError.
+    """
     z = np.asarray(z)
     if z.shape[-1] != vector.values.shape[0]:
         raise InvalidInputError(
             f"latent size {z.shape[-1]} does not match vector "
             f"{vector.name!r} of size {vector.values.shape[0]}")
-    return z + scale * vector.values.astype(z.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        edited = z + scale * vector.values.astype(z.dtype)
+    if not np.isfinite(edited).all():
+        raise InvalidInputError(
+            f"edit {vector.name!r} at scale {scale!r} gives a non-finite "
+            f"latent code")
+    return edited
 
 
 def build_vectors(model: TensionVae, dataset: FragmentDataset,

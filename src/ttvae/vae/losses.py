@@ -174,8 +174,8 @@ def evaluate_batch(params: dict, cfg: ModelConfig, rolls: np.ndarray,
     """Deterministic evaluation pass decoding from the posterior mean."""
     dtype = params["enc.mu.w"].dtype
     x = np.asarray(rolls, dtype=dtype)
-    posterior, _ = encoder_forward(params, cfg, x)
-    out, _ = decoder_forward(params, cfg, posterior.mu)
+    posterior, _ = encoder_forward(params, cfg, x, keep_cache=False)
+    out, _ = decoder_forward(params, cfg, posterior.mu, keep_cache=False)
     breakdown = loss(out, x, np.asarray(tensile_target, dtype=dtype),
                      np.asarray(diameter_target, dtype=dtype), beta, posterior)
     return breakdown, out

@@ -34,7 +34,14 @@ stride-0 broadcast, which a GRU layer projects through ``W`` once, and whose
 input gradient it returns summed over the steps, shape ``(batch, 1, .)``.
 Each head adds its biases and takes its tanh and its softmax in place on its
 matmul outputs.  The tests hold the plain versions of the layer and the
-heads, and require the results here to equal them bit for bit.  Every
+heads, and require the results here to equal them bit for bit.
+
+Inference keeps no cache.  ``encoder_forward`` and ``decoder_forward`` take
+``keep_cache=False`` from ``TensionVae`` and ``evaluate_batch``: the same
+operations run in the same order, but a layer's gate buffer and states are
+let go once the next layer has read them, and a head's hidden array once its
+second matmul has, so a decode holds about two layers' buffers at a time
+instead of every layer's and every head's.  Every
 backward pass is hand-derived and verified against central finite
 differences (see ``gradcheck``).
 """
@@ -288,9 +295,13 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
     return d_input, dw, du, db
 
 
-def encoder_forward(params: dict, cfg: ModelConfig,
-                    x: np.ndarray) -> tuple[Posterior, dict]:
-    """Roll batch (batch, 64, 89) -> posterior; cache for backward."""
+def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
+                    keep_cache: bool = True) -> tuple[Posterior, dict | None]:
+    """Roll batch (batch, 64, 89) -> posterior; cache for backward.
+
+    With ``keep_cache`` false the cache is None, and each layer's gate buffer
+    and states are freed once the next layer has read them.
+    """
     h_seq = x
     layer_caches = []
     for i in range(cfg.gru_layers):
@@ -298,12 +309,16 @@ def encoder_forward(params: dict, cfg: ModelConfig,
             h_seq, params[f"enc.gru{i}.w"], params[f"enc.gru{i}.u"],
             params[f"enc.gru{i}.b"])
         _check_finite(h_seq, f"encoder gru{i}")
-        layer_caches.append(cache)
+        if keep_cache:
+            layer_caches.append(cache)
+        del cache
     h_last = h_seq[:, -1, :]
     mu = h_last @ params["enc.mu.w"] + params["enc.mu.b"]
     logvar_raw = h_last @ params["enc.logvar.w"] + params["enc.logvar.b"]
     logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite(mu, "encoder mu head")
+    if not keep_cache:
+        return Posterior(mu=mu, logvar=logvar), None
     cache = {
         "layers": layer_caches,
         "h_last": h_last,
@@ -339,9 +354,15 @@ def reparameterize(posterior: Posterior, noise: np.ndarray) -> np.ndarray:
     return posterior.mu + np.exp(0.5 * posterior.logvar) * noise
 
 
-def decoder_forward(params: dict, cfg: ModelConfig,
-                    z: np.ndarray) -> tuple[DecoderOutput, dict]:
-    """Latent batch (batch, latent) -> six heads; cache for backward."""
+def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
+                    keep_cache: bool = True) -> tuple[DecoderOutput, dict | None]:
+    """Latent batch (batch, latent) -> six heads; cache for backward.
+
+    With ``keep_cache`` false the cache is None: each layer's gate buffer
+    and states are freed once the next layer (or the heads' batch-major
+    copy) has read them, and each head's hidden array after its second
+    matmul.
+    """
     batch = z.shape[0]
     h_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
     layer_caches = []
@@ -350,8 +371,11 @@ def decoder_forward(params: dict, cfg: ModelConfig,
             h_seq, params[f"dec.gru{i}.w"], params[f"dec.gru{i}.u"],
             params[f"dec.gru{i}.b"])
         _check_finite(h_seq, f"decoder gru{i}")
-        layer_caches.append(cache)
+        if keep_cache:
+            layer_caches.append(cache)
+        del cache
     flat_h = h_seq.reshape(batch * N_STEPS, -1)
+    del h_seq
 
     outputs = {}
     head_caches = {}
@@ -364,6 +388,9 @@ def decoder_forward(params: dict, cfg: ModelConfig,
         hidden += b1
         np.tanh(hidden, out=hidden)
         logits = hidden @ w2
+        if keep_cache:
+            head_caches[name] = hidden
+        del hidden
         logits += b2
         if activation == "softmax":
             value = _softmax(logits).reshape(batch, N_STEPS, width)
@@ -373,7 +400,8 @@ def decoder_forward(params: dict, cfg: ModelConfig,
             value = logits.reshape(batch, N_STEPS)
         _check_finite(value, f"decoder head {name}")
         outputs[name] = value
-        head_caches[name] = hidden
+    if not keep_cache:
+        return DecoderOutput(**outputs), None
     cache = {"layers": layer_caches, "flat_h": flat_h, "heads": head_caches,
              "latent_dim": z.shape[1]}
     return DecoderOutput(**outputs), cache
@@ -440,7 +468,7 @@ class TensionVae:
     def encode(self, roll: np.ndarray) -> Posterior:
         batch, squeeze = _as_batch(roll)
         posterior, _ = encoder_forward(self.params, self.cfg,
-                                       batch.astype(self.dtype))
+                                       batch.astype(self.dtype), keep_cache=False)
         if squeeze:
             return Posterior(mu=posterior.mu[0], logvar=posterior.logvar[0])
         return posterior
@@ -454,7 +482,7 @@ class TensionVae:
             raise InvalidInputError(
                 f"latent size {z.shape[1]} does not match model "
                 f"latent_dim {self.cfg.latent_dim}")
-        out, _ = decoder_forward(self.params, self.cfg, z)
+        out, _ = decoder_forward(self.params, self.cfg, z, keep_cache=False)
         if squeeze:
             return DecoderOutput(*(getattr(out, f)[0] for f in (
                 "melody_pitch", "melody_onset", "bass_pitch", "bass_onset",

@@ -4,8 +4,24 @@ import math
 
 import numpy as np
 
+from ttvae import evaluation
 from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset
-from ttvae.errors import MidiParseError, UnsupportedFormatError
+from ttvae.errors import InvalidInputError, MidiParseError, UnsupportedFormatError
+from ttvae.evaluation import (
+    DEFAULT_DIRECTION_SCALES,
+    InteractionReport,
+    SweepReport,
+    SweepRow,
+    _direction_tau,
+    _level_params,
+    _measured_curve,
+    decode_hardened,
+    high_ratio,
+    pitch_accuracy,
+    rhythm_fscore,
+    upward_ratio,
+)
+from ttvae.latent import apply_vector
 from ttvae.midi import (
     _META_END_OF_TRACK,
     _META_MARKER,
@@ -32,7 +48,7 @@ from ttvae.pianoroll import (
 )
 from ttvae.spiral import SpiralConfig, cloud_tension, pitch_class_positions
 from ttvae.tension import moving_average
-from ttvae.vae.network import HEAD_SPECS
+from ttvae.vae.network import HEAD_SPECS, sample_latent
 
 RISE = math.sqrt(2.0 / 15.0)
 FIFTHS = (0, -5, 2, -3, 4, -1, 6, 1, -4, 3, -2, 5)
@@ -582,3 +598,123 @@ def reference_slice_track(notes, start, end):
             hi = min(n.end, end)
             out.append(NoteEvent(n.pitch, lo - start, hi - lo))
     return out
+
+
+# ---------------------------------------------------- reference sweep loops
+# The sweeps as they were before the streamed loop: each decodes the whole
+# sample at every scale and keeps every roll stack.  ``reference_sweep`` and
+# ``reference_interaction_grid`` are the former ``evaluation._sweep`` and
+# ``evaluation.interaction_grid``, and ``reference_pitch_distribution`` the
+# former loop of ``ttv eval --experiment pitch-dist``, kept verbatim as exact
+# references for the streamed versions.
+
+def reference_pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
+    per_example = (pitch_accuracy(original_rolls, modified_rolls)
+                   + rhythm_fscore(original_rolls, modified_rolls))
+    return tuple(float(values.mean()) for values in per_example)
+
+
+def reference_sweep(model, vector, scales, n: int,
+                    rng_seed: int, ratio_fn, ratio_kind: str, thresholds: dict,
+                    spiral_cfg: SpiralConfig, untrained: bool) -> SweepReport:
+    _pair_metrics = reference_pair_metrics
+    if n < 1:
+        raise InvalidInputError("sweep needs n >= 1 samples")
+    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
+    original = decode_hardened(model, z, spiral_cfg)
+    measured = _measured_curve(vector.name)
+    rows = []
+    for scale in scales:
+        if scale == 0.0:
+            rolls, pred_t, pred_d, rec_t, rec_d = original
+        else:
+            rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
+                model, apply_vector(z, vector, scale), spiral_cfg)
+        recomputed = rec_t if measured == "tensile" else rec_d
+        predicted = pred_t if measured == "tensile" else pred_d
+        metrics = _pair_metrics(original[0], rolls)
+        rows.append(SweepRow(
+            scale=float(scale), n=n,
+            ratio_recomputed=ratio_fn(recomputed),
+            ratio_predicted=ratio_fn(predicted),
+            melody_pitch_accuracy=metrics[0], bass_pitch_accuracy=metrics[1],
+            melody_rhythm_fscore=metrics[2], bass_rhythm_fscore=metrics[3]))
+    return SweepReport(vector_name=vector.name, ratio_kind=ratio_kind,
+                       measured_curve=measured, scales=[float(s) for s in scales],
+                       rows=rows, thresholds=thresholds, n=n, rng_seed=rng_seed,
+                       untrained_model=untrained)
+
+
+def reference_interaction_grid(model, vector_a,
+                               vector_b,
+                               scales=DEFAULT_DIRECTION_SCALES, n: int = 10_000,
+                               rng_seed: int = 0,
+                               taus: dict[str, float] | None = None,
+                               mode: str = "upward",
+                               level_params: dict[str, dict[str, float]] | None = None,
+                               spiral_cfg: SpiralConfig = SpiralConfig(),
+                               trained_batches: int | None = None) -> InteractionReport:
+    if mode not in ("upward", "high"):
+        raise InvalidInputError(f"unknown interaction mode {mode!r}")
+    vectors = (vector_a, vector_b)
+    if taus is None:
+        taus = {_measured_curve(v.name): _direction_tau(v) for v in vectors}
+    if level_params is None:
+        level_params = {_measured_curve(v.name):
+                        dict(zip(("threshold", "tau"), _level_params(v)))
+                        for v in vectors}
+    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
+    rows: dict[str, dict[float, dict[str, float]]] = {}
+    baselines: dict[str, dict[str, float]] = {}
+
+    def one_ratio(kind, curves):
+        if mode == "upward":
+            return upward_ratio(curves, taus.get(kind, 0.0))
+        params = level_params.get(kind, {})
+        return high_ratio(curves, params.get("threshold", 0.0),
+                          params.get("tau", 0.0))
+
+    def both_ratios(rec_t, rec_d):
+        return {
+            "tensile": one_ratio("tensile", rec_t),
+            "diameter": one_ratio("diameter", rec_d),
+        }
+
+    base = decode_hardened(model, z, spiral_cfg)
+    base_ratios = both_ratios(base[3], base[4])
+    for vector in vectors:
+        rows[vector.name] = {}
+        for scale in scales:
+            if scale == 0.0:
+                rows[vector.name][float(scale)] = dict(base_ratios)
+                continue
+            _, _, _, rec_t, rec_d = decode_hardened(
+                model, apply_vector(z, vector, scale), spiral_cfg)
+            rows[vector.name][float(scale)] = both_ratios(rec_t, rec_d)
+        baselines[vector.name] = base_ratios
+
+    cross_effect = {}
+    for vector in vectors:
+        own = _measured_curve(vector.name)
+        other = "diameter" if own == "tensile" else "tensile"
+        deviations = [abs(rows[vector.name][float(s)][other]
+                          - baselines[vector.name][other])
+                      for s in scales if s != 0.0]
+        cross_effect[f"{vector.name}_on_{other}"] = float(np.mean(deviations))
+    return InteractionReport(
+        vector_names=(vector_a.name, vector_b.name), ratio_kind=mode,
+        scales=[float(s) for s in scales], rows=rows,
+        cross_effect=cross_effect, n=n, rng_seed=rng_seed,
+        untrained_model=not trained_batches)
+
+
+def reference_pitch_distribution(model, vector, scale, n, seed):
+    """(hist_orig, hist_mod) as ``ttv eval --experiment pitch-dist`` made them."""
+    z = sample_latent(n, model.cfg.latent_dim, seed).astype(model.dtype)
+    original = evaluation.decode_hardened(model, z)[0]
+    modified = evaluation.decode_hardened(
+        model, apply_vector(z, vector, scale))[0]
+    bars = (2, 4)
+    hist_orig = evaluation.pitch_class_histogram(original, bars)
+    hist_mod = evaluation.pitch_class_histogram(modified, bars)
+    return hist_orig, hist_mod

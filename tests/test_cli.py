@@ -509,6 +509,52 @@ class TestEval:
         assert texts[0] == texts[1]
 
 
+class TestNonFiniteScales:
+    """Scales that are not finite, or overflow the latent, are bad input."""
+
+    @staticmethod
+    def _assert_input_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("scales", ["0,nan", "0,inf", "0,1e300"])
+    def test_eval_scales(self, pipeline, tmp_path, scales, capsys):
+        code = main(["eval", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--experiment", "direction", "--n", "4",
+                     f"--scales={scales}", "--out", str(tmp_path / "reports")])
+        self._assert_input_error(code, capsys)
+
+    def test_pitch_dist_scale(self, pipeline, tmp_path, capsys):
+        code = main(["eval", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--experiment", "pitch-dist", "--n", "4",
+                     "--scale", "nan", "--out", str(tmp_path / "reports")])
+        self._assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("scale", ["nan", "-inf", "1e300"])
+    def test_generate_edit(self, pipeline, tmp_path, scale, capsys):
+        code = main(["generate", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--edit", f"tensile_strain_direction={scale}",
+                     "--rng-seed", "3", "--out", str(tmp_path / "g.mid")])
+        self._assert_input_error(code, capsys)
+        assert not (tmp_path / "g.mid").exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "1e300"])
+    def test_chain_plan_edit(self, pipeline, tmp_path, scale, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"sections": [
+            {"bars": 4, "edits": [["tensile_strain_direction", scale]]}]}))
+        code = main(["compose-chain", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--plan", str(plan), "--rng-seed", "4",
+                     "--out", str(tmp_path / "c.mid")])
+        self._assert_input_error(code, capsys)
+        assert not (tmp_path / "c.mid").exists()
+
+
 class TestGradcheckCommand:
     def test_passes_and_exits_zero(self, capsys):
         assert main(["gradcheck", "--samples", "40", "--rng-seed", "1"]) == 0

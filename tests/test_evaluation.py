@@ -1,29 +1,40 @@
 """Metric unit cases, roll hardening, and sweep/interaction report shapes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_roll
+from helpers import (
+    random_roll,
+    reference_interaction_grid,
+    reference_pitch_distribution,
+    reference_sweep,
+)
 from ttvae import evaluation
 from ttvae.errors import InvalidInputError
 from ttvae.evaluation import (
     decode_hardened,
     high_ratio,
     interaction_grid,
+    interaction_summary,
     pitch_accuracy,
+    pitch_distribution,
     pitch_class_histogram,
     rhythm_fscore,
     roll_from_output,
     direction_sweep,
+    level_sweep,
     sweep_summary,
+    sweeps,
     upward_ratio,
     write_interaction_csv,
     write_ratio_chart_svg,
     write_sweep_csv,
 )
 from ttvae.latent import AttributeVector
+from ttvae.spiral import SpiralConfig
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     MELODY_ONSET_COL,
@@ -169,8 +180,7 @@ def _pair_metrics_one_by_one(original_rolls, modified_rolls):
                          for o, m in zip(original_rolls, modified_rolls)])
     fscore = np.array([rhythm_fscore(o, m)
                        for o, m in zip(original_rolls, modified_rolls)])
-    return (float(accuracy[:, 0].mean()), float(accuracy[:, 1].mean()),
-            float(fscore[:, 0].mean()), float(fscore[:, 1].mean()))
+    return (accuracy[:, 0], accuracy[:, 1], fscore[:, 0], fscore[:, 1])
 
 
 class TestBatchedPairMetrics:
@@ -404,3 +414,114 @@ class TestDecodeHardened:
         monkeypatch.setattr(evaluation, "DECODE_CHUNK", 3)
         for a, b in zip(whole, decode_hardened(model, z)):
             np.testing.assert_array_equal(a, b)
+
+
+def reference_model():
+    return TensionVae.initialize(
+        ModelConfig(latent_dim=6, hidden=16, gru_layers=2, rng_seed=8))
+
+
+def skewed_vector(name, axis):
+    values = np.zeros(6)
+    values[axis], values[(axis + 1) % 6] = 1.0, -0.5
+    return AttributeVector(name, values, (2, 2),
+                           {"class_a_min_score": 0.1, "threshold": 0.8,
+                            "class_a_min_magnitude": 1.0})
+
+
+# 256 is DECODE_CHUNK: one sample, a partial chunk, one full chunk, one full
+# chunk and a one-sample chunk, and the eval-sweep size
+SIZES = [1, 255, 256, 257, 520]
+SCALE_LISTS = {"zero and negative": (-4.0, 0.0, 4.0), "no zero": (2.0, 5.0),
+               "repeated": (3.0, 0.0, 3.0, 0.0), "negative": (-6.0, -1.0)}
+
+
+def reference_sweep_summary(model, vector, ratio_kind, scales, n, seed):
+    if ratio_kind == "upward":
+        tau = evaluation._direction_tau(vector)
+        ratio_fn, thresholds = (lambda curves: upward_ratio(curves, tau),
+                                {"tau_direction": tau})
+    else:
+        threshold, tau = evaluation._level_params(vector)
+        ratio_fn, thresholds = (lambda curves: high_ratio(curves, threshold, tau),
+                                {"threshold": threshold, "tau_level": tau})
+    return sweep_summary(reference_sweep(model, vector, scales, n, seed, ratio_fn,
+                                         ratio_kind, thresholds, SpiralConfig(),
+                                         untrained=True))
+
+
+class TestStreamedEqualsReference:
+    """The streamed loop reports exactly what the whole-sample loops did."""
+
+    @pytest.mark.parametrize("scales", SCALE_LISTS.values(), ids=SCALE_LISTS.keys())
+    @pytest.mark.parametrize("n", SIZES)
+    def test_direction_sweeps(self, n, scales):
+        model = reference_model()
+        vectors = [skewed_vector("tensile_strain_direction", 0),
+                   skewed_vector("cloud_diameter_direction", 2)]
+        reports = sweeps(model, vectors, "upward", scales, n, rng_seed=3)
+        for vector, report in zip(vectors, reports):
+            expected = reference_sweep_summary(model, vector, "upward", scales,
+                                               n, 3)
+            assert sweep_summary(report) == expected
+        assert sweep_summary(direction_sweep(model, vectors[1], scales, n, 3)) \
+            == sweep_summary(reports[1])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_level_sweeps(self, n):
+        model = reference_model()
+        scales = SCALE_LISTS["zero and negative"]
+        vectors = [skewed_vector("tensile_strain_level", 1),
+                   skewed_vector("cloud_diameter_level", 3)]
+        reports = sweeps(model, vectors, "high", scales, n, rng_seed=4)
+        for vector, report in zip(vectors, reports):
+            expected = reference_sweep_summary(model, vector, "high", scales, n, 4)
+            assert sweep_summary(report) == expected
+            assert sweep_summary(level_sweep(model, vector, scales, n, 4)) == expected
+
+    @pytest.mark.parametrize("mode", ["upward", "high"])
+    @pytest.mark.parametrize("n, scales", [(n, SCALE_LISTS["zero and negative"])
+                                           for n in SIZES]
+                             + [(257, scales) for name, scales in SCALE_LISTS.items()
+                                if name != "zero and negative"])
+    def test_interaction_grid(self, n, scales, mode):
+        model = reference_model()
+        vectors = (skewed_vector("tensile_strain_direction", 0),
+                   skewed_vector("cloud_diameter_direction", 2))
+        streamed = interaction_grid(model, *vectors, scales, n, 5, mode=mode)
+        expected = reference_interaction_grid(model, *vectors, scales, n, 5,
+                                              mode=mode)
+        assert interaction_summary(streamed) == interaction_summary(expected)
+
+    @pytest.mark.parametrize("n, scale", [(n, 4.0) for n in SIZES]
+                             + [(257, 0.0), (257, -6.0)])
+    def test_pitch_distribution(self, n, scale):
+        model = reference_model()
+        vector = skewed_vector("tensile_strain_direction", 0)
+        streamed = pitch_distribution(model, vector, scale, n, 6)
+        expected = reference_pitch_distribution(model, vector, scale, n, 6)
+        for got, want in zip(streamed, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_unknown_ratio_kind(self):
+        with pytest.raises(InvalidInputError):
+            sweeps(reference_model(), [], "sideways", (1.0,), 4)
+
+
+class TestStreamedMemory:
+    def test_sweep_peak_does_not_grow_with_n(self):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
+        vector = skewed_vector("tensile_strain_direction", 0)
+        direction_sweep(model, vector, (0.0, 4.0), n=4, rng_seed=1)
+        peaks = []
+        for n in (256, 2048):
+            tracemalloc.start()
+            try:
+                direction_sweep(model, vector, (0.0, 4.0), n=n, rng_seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # keeping every scale's roll stack grows by about 23 MiB here
+        assert peaks[1] - peaks[0] < 2**20

@@ -1,6 +1,7 @@
 """Encoder/decoder contracts, loss closed forms, and the KL schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,47 @@ class TestDecode:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             tiny_model().decode(np.zeros(7))
+
+
+HEAD_FIELDS = ("melody_pitch", "melody_onset", "bass_pitch", "bass_onset",
+               "tensile", "diameter")
+
+
+class TestCacheFreeInference:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("hidden", [8, 128])
+    @pytest.mark.parametrize("batch", [1, 4, 256])
+    def test_equals_the_caching_forward(self, rng, batch, hidden, layers):
+        cfg = ModelConfig(latent_dim=16, hidden=hidden, gru_layers=layers,
+                          rng_seed=5)
+        params = TensionVae.initialize(cfg).params
+        x = np.stack([random_roll(rng) for _ in range(batch)]).astype(np.float32)
+        kept, cache = network.encoder_forward(params, cfg, x)
+        free, no_cache = network.encoder_forward(params, cfg, x, keep_cache=False)
+        assert cache is not None and no_cache is None
+        np.testing.assert_array_equal(free.mu, kept.mu)
+        np.testing.assert_array_equal(free.logvar, kept.logvar)
+        z = rng.standard_normal((batch, 16)).astype(np.float32)
+        kept, cache = network.decoder_forward(params, cfg, z)
+        free, no_cache = network.decoder_forward(params, cfg, z, keep_cache=False)
+        assert cache is not None and no_cache is None
+        for field in HEAD_FIELDS:
+            np.testing.assert_array_equal(getattr(free, field),
+                                          getattr(kept, field))
+
+    def test_decode_of_256_stays_under_60_mib(self):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=16, hidden=128, gru_layers=2, rng_seed=1))
+        z = np.random.default_rng(0).standard_normal((256, 16))
+        model.decode(z[:2])
+        tracemalloc.start()
+        try:
+            model.decode(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the caching forward peaks at about 126 MiB, the cache-free one at 42
+        assert peak < 60 * 2**20
 
 
 class TestKlDivergence:
