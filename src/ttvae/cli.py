@@ -119,8 +119,8 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
     cfg = _config_from_args(args)
+    dataset = load_dataset(args.dataset)
     progress = None
     if args.verbose:
         progress = lambda epoch, tr, val: print(

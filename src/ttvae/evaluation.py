@@ -15,6 +15,15 @@ chunk, reusing the baseline at scale 0.  The sweeps keep only per-example
 scalars of each chunk -- ratio flags and pair metrics -- and take every mean
 once, over the concatenated per-example arrays, so memory stays O(chunk)
 whatever n is and the reports do not depend on the chunking.
+
+Each chunk is decoded, hardened and scored as two row halves at once, one on
+the calling thread and one on a single helper thread (``decode_hardened``).
+The two halves together are one chunk, so memory is still one chunk's, and
+every output is bitwise that of decoding the chunk whole.  The helper adds
+to BLAS's own threads: with OpenBLAS's default of one thread per core each
+half's matmuls may start more, which oversubscribes a small host and can
+make the decode slower than on one thread; ``OPENBLAS_NUM_THREADS=1`` keeps
+it at two threads.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,19 +195,79 @@ def high_ratio(curves: np.ndarray, threshold: float, tau: float,
     return flags if per_example else float(np.mean(flags))
 
 
+def _decode_block(model: TensionVae, z: np.ndarray, spiral_cfg: SpiralConfig,
+                  reference) -> tuple[np.ndarray, ...]:
+    """Decode, harden and score one block of latents."""
+    out = model.decode(z)
+    rolls = roll_from_output(out)
+    strain, diameter = tension_curves(rolls, reference, spiral_cfg)
+    return rolls, out.tensile, out.diameter, strain.values, diameter.values
+
+
+_helper_pool = None
+_helper_lock = threading.Lock()
+
+
+def _helper():
+    """The executor of the one helper thread, started on first use.
+
+    It is shared by every caller in the process, so that at most one helper
+    thread exists however many threads decode.
+
+    ``concurrent.futures`` is imported here, not with the module: the import
+    takes about 10 ms that ``import ttvae`` need not pay.
+    """
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _helper_pool = ThreadPoolExecutor(max_workers=1,
+                                              thread_name_prefix="ttvae-decode")
+        return _helper_pool
+
+
+def _decode_halves(model: TensionVae, z: np.ndarray, spiral_cfg: SpiralConfig,
+                   reference) -> list[tuple[np.ndarray, ...]]:
+    """``_decode_block`` of one chunk's two row halves, run on two threads.
+
+    The helper thread takes the last ``floor(k/2)`` of the chunk's k rows
+    while the calling thread takes the first ``ceil(k/2)``; NumPy's ufuncs
+    and BLAS release the GIL, so the halves run on two cores.  A block of two
+    or more rows decodes to the same bits as inside a larger batch, but a
+    one-row matmul goes through gemv and rounds differently, so a chunk whose
+    halves would not both have two rows is decoded whole.  An error in the
+    helper's half is raised once the caller's half has finished.
+    """
+    half = (len(z) + 1) // 2
+    if len(z) - half < 2:
+        return [_decode_block(model, z, spiral_cfg, reference)]
+    second = _helper().submit(_decode_block, model, z[half:], spiral_cfg,
+                              reference)
+    try:
+        first = _decode_block(model, z[:half], spiral_cfg, reference)
+    finally:
+        second.exception()  # wait for the helper whatever happened here
+    return [first, second.result()]
+
+
 def decode_hardened(model: TensionVae, z: np.ndarray,
                     spiral_cfg: SpiralConfig = SpiralConfig(),
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray, np.ndarray]:
-    """Decode latents to rolls plus predicted and recomputed curves."""
+    """Decode latents to rolls plus predicted and recomputed curves.
+
+    The latents go ``DECODE_CHUNK`` at a time, each chunk as two row halves
+    decoded at once on the calling thread and the one helper thread (see
+    ``_decode_halves``), so at most one chunk's rows are in flight and memory
+    is that of one chunk's decode.  The outputs are bitwise those of decoding
+    each chunk whole on one thread.  BLAS threads add to the helper's: each
+    half's matmuls may use BLAS's own threads as well.
+    """
     reference = key_center(0, spiral_cfg)
     parts = []
     for start in range(0, len(z), DECODE_CHUNK):
-        out = model.decode(z[start:start + DECODE_CHUNK])
-        rolls = roll_from_output(out)
-        strain, diameter = tension_curves(rolls, reference, spiral_cfg)
-        parts.append((rolls, out.tensile, out.diameter,
-                      strain.values, diameter.values))
+        parts += _decode_halves(model, z[start:start + DECODE_CHUNK],
+                                spiral_cfg, reference)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

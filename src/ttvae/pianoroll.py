@@ -77,26 +77,42 @@ class TrackPair:
                         f"{name} notes overlap or are unsorted at step {b.onset}")
 
 
+# reduceat starts of the column runs that ``validate_roll`` sums per step:
+# melody pitch, melody onset, bass pitch, bass onset
+_SUMMED_RUNS = (0, MELODY_ONSET_COL, BASS_PITCH_START, BASS_ONSET_COL)
+
+
 def validate_roll(roll: np.ndarray) -> None:
     """Raise :class:`InvalidRollError` unless ``roll`` satisfies all invariants.
 
     ``roll`` is one (64, 89) roll or a stack (n, 64, 89); every roll of a
-    stack is checked.
+    stack is checked, one invariant at a time over the whole stack.  Once
+    the entries are known to be 0 or 1 the other checks read them as uint8:
+    one ``reduceat`` pass sums each step's pitch columns, and the onset
+    checks read four columns.
     """
     if roll.ndim not in (2, 3) or roll.shape[-2:] != (N_STEPS, N_FEATURES):
         raise InvalidRollError(
             f"roll must be {N_STEPS}x{N_FEATURES}, got {roll.shape}")
-    if not ((roll == 0) | (roll == 1)).all():
-        raise InvalidRollError("roll entries must be 0 or 1")
-    if not (roll[..., MELODY_PITCH_COLS].sum(axis=-1) == 1).all():
+    if roll.dtype == np.bool_:
+        flags = roll.view(np.uint8)
+    elif roll.dtype == np.uint8:
+        if roll.size and roll.max() > 1:
+            raise InvalidRollError("roll entries must be 0 or 1")
+        flags = roll
+    else:
+        ones = roll == 1
+        if not (ones | (roll == 0)).all():
+            raise InvalidRollError("roll entries must be 0 or 1")
+        flags = ones.view(np.uint8)
+    sums = np.add.reduceat(flags, _SUMMED_RUNS, axis=-1, dtype=np.uint8)
+    if not (sums[..., 0] == 1).all():
         raise InvalidRollError("each step needs exactly one melody pitch column")
-    if not (roll[..., BASS_PITCH_COLS].sum(axis=-1) == 1).all():
+    if not (sums[..., 2] == 1).all():
         raise InvalidRollError("each step needs exactly one bass pitch column")
-    melody_rest = roll[..., MELODY_REST_COL] == 1
-    if (roll[..., MELODY_ONSET_COL].astype(bool) & melody_rest).any():
+    if (flags[..., MELODY_ONSET_COL] & flags[..., MELODY_REST_COL]).any():
         raise InvalidRollError("melody onset flagged on a rest step")
-    bass_rest = roll[..., BASS_REST_COL] == 1
-    if (roll[..., BASS_ONSET_COL].astype(bool) & bass_rest).any():
+    if (flags[..., BASS_ONSET_COL] & flags[..., BASS_REST_COL]).any():
         raise InvalidRollError("bass onset flagged on a rest step")
 
 

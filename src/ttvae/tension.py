@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,16 +73,21 @@ def moving_average(values: np.ndarray, window: int = QUARTER_NOTE_STEPS) -> np.n
     return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
+@lru_cache(maxsize=8)
 def _step_table(key: KeyCenter, cfg: SpiralConfig) -> tuple[np.ndarray, np.ndarray]:
     """Strain and diameter of every two-voice step, each shape (13, 13).
 
     Entry ``[m, b]`` is the cloud of melody pitch class ``m - 1`` and bass
-    pitch class ``b - 1``, where -1 (index 0) is a rest.
+    pitch class ``b - 1``, where -1 (index 0) is a rest.  Both key and config
+    are frozen, so the tables are cached per pair and returned read-only.
     """
     pcs = np.stack(np.meshgrid(np.arange(-1, 12), np.arange(-1, 12),
                                indexing="ij"), axis=-1)
-    return cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
-                         (pcs >= 0).astype(float), key.point.to_array())
+    tables = cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
+                           (pcs >= 0).astype(float), key.point.to_array())
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def tension_curves(roll: np.ndarray, key: KeyCenter,

@@ -9,6 +9,18 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import InvalidInputError
+from ..pianoroll import N_STEPS
+
+# The most memory a config may ask for, in bytes, counted before anything is
+# allocated: every float32 parameter tensor of ``network.param_shapes`` plus
+# one batch of hidden activations (batch x 64 steps x hidden).  The paper
+# default counts about 11 MB.  Training holds a multiple of this count
+# (gradients, Adam moments and each GRU layer's gate cache), so a config past
+# the budget could only thrash or be killed, and is refused with exit 2.
+MEMORY_BUDGET_BYTES = 2**30
+# ``param_shapes`` lists every layer, so a deeper stack is refused before
+# its layers are listed.
+MAX_GRU_LAYERS = 64
 
 _INT_FIELDS = ("latent_dim", "hidden", "gru_layers", "batch_size",
                "early_stop_patience", "max_epochs", "rng_seed")
@@ -80,6 +92,19 @@ class ModelConfig:
         if abs(sum(self.split) - 1.0) > 1e-9 or any(s < 0 for s in self.split):
             raise InvalidInputError("split must be three non-negative "
                                     "fractions summing to 1")
+        if self.gru_layers > MAX_GRU_LAYERS:
+            raise InvalidInputError(f"gru_layers must be <= {MAX_GRU_LAYERS}")
+        needed = self.memory_bytes()
+        if needed > MEMORY_BUDGET_BYTES:
+            raise InvalidInputError(
+                f"config asks for {needed:,} bytes of parameters "
+                f"and activations, past the budget of {MEMORY_BUDGET_BYTES:,}")
+
+    def memory_bytes(self) -> int:
+        """Bytes of the float32 parameters plus one batch of hidden activations."""
+        from .network import param_shapes  # network imports this module
+        params = sum(math.prod(shape) for shape in param_shapes(self).values())
+        return 4 * (params + self.batch_size * N_STEPS * self.hidden)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -6,7 +6,12 @@ import numpy as np
 
 from ttvae import evaluation
 from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset
-from ttvae.errors import InvalidInputError, MidiParseError, UnsupportedFormatError
+from ttvae.errors import (
+    InvalidInputError,
+    InvalidRollError,
+    MidiParseError,
+    UnsupportedFormatError,
+)
 from ttvae.evaluation import (
     DEFAULT_DIRECTION_SCALES,
     InteractionReport,
@@ -15,7 +20,6 @@ from ttvae.evaluation import (
     _direction_tau,
     _level_params,
     _measured_curve,
-    decode_hardened,
     high_ratio,
     pitch_accuracy,
     rhythm_fscore,
@@ -34,11 +38,14 @@ from ttvae.midi import (
 )
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
+    BASS_PITCH_COLS,
     BASS_PITCH_START,
     BASS_REST_COL,
     MELODY_LOW,
     MELODY_ONSET_COL,
+    MELODY_PITCH_COLS,
     MELODY_REST_COL,
+    N_FEATURES,
     N_STEPS,
     NoteEvent,
     TrackPair,
@@ -46,8 +53,8 @@ from ttvae.pianoroll import (
     encode_roll,
     melody_pitch_classes,
 )
-from ttvae.spiral import SpiralConfig, cloud_tension, pitch_class_positions
-from ttvae.tension import moving_average
+from ttvae.spiral import SpiralConfig, cloud_tension, key_center, pitch_class_positions
+from ttvae.tension import moving_average, tension_curves
 from ttvae.vae.network import HEAD_SPECS, sample_latent
 
 RISE = math.sqrt(2.0 / 15.0)
@@ -78,6 +85,26 @@ def random_window(rng, bass_low=36, bass_high=47):
 
 def random_roll(rng):
     return encode_roll(random_window(rng))
+
+
+def reference_validate_roll(roll: np.ndarray) -> None:
+    """``pianoroll.validate_roll`` as it was before it read 0/1 entries as
+    uint8 and summed the pitch columns in one pass, kept verbatim."""
+    if roll.ndim not in (2, 3) or roll.shape[-2:] != (N_STEPS, N_FEATURES):
+        raise InvalidRollError(
+            f"roll must be {N_STEPS}x{N_FEATURES}, got {roll.shape}")
+    if not ((roll == 0) | (roll == 1)).all():
+        raise InvalidRollError("roll entries must be 0 or 1")
+    if not (roll[..., MELODY_PITCH_COLS].sum(axis=-1) == 1).all():
+        raise InvalidRollError("each step needs exactly one melody pitch column")
+    if not (roll[..., BASS_PITCH_COLS].sum(axis=-1) == 1).all():
+        raise InvalidRollError("each step needs exactly one bass pitch column")
+    melody_rest = roll[..., MELODY_REST_COL] == 1
+    if (roll[..., MELODY_ONSET_COL].astype(bool) & melody_rest).any():
+        raise InvalidRollError("melody onset flagged on a rest step")
+    bass_rest = roll[..., BASS_REST_COL] == 1
+    if (roll[..., BASS_ONSET_COL].astype(bool) & bass_rest).any():
+        raise InvalidRollError("bass onset flagged on a rest step")
 
 
 def make_dataset(rolls, tensile, diameter, source_ids=None, bar_offsets=None,
@@ -606,7 +633,22 @@ def reference_slice_track(notes, start, end):
 # ``reference_interaction_grid`` are the former ``evaluation._sweep`` and
 # ``evaluation.interaction_grid``, and ``reference_pitch_distribution`` the
 # former loop of ``ttv eval --experiment pitch-dist``, kept verbatim as exact
-# references for the streamed versions.
+# references for the streamed versions; they decode through
+# ``reference_decode_hardened``, not the function under test.
+
+def reference_decode_hardened(model, z, spiral_cfg=SpiralConfig()):
+    """``evaluation.decode_hardened`` as it was before each chunk's halves ran
+    on two threads: every chunk decoded whole on the calling thread."""
+    reference = key_center(0, spiral_cfg)
+    parts = []
+    for start in range(0, len(z), evaluation.DECODE_CHUNK):
+        out = model.decode(z[start:start + evaluation.DECODE_CHUNK])
+        rolls = evaluation.roll_from_output(out)
+        strain, diameter = tension_curves(rolls, reference, spiral_cfg)
+        parts.append((rolls, out.tensile, out.diameter,
+                      strain.values, diameter.values))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
 
 def reference_pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
     per_example = (pitch_accuracy(original_rolls, modified_rolls)
@@ -621,14 +663,14 @@ def reference_sweep(model, vector, scales, n: int,
     if n < 1:
         raise InvalidInputError("sweep needs n >= 1 samples")
     z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
-    original = decode_hardened(model, z, spiral_cfg)
+    original = reference_decode_hardened(model, z, spiral_cfg)
     measured = _measured_curve(vector.name)
     rows = []
     for scale in scales:
         if scale == 0.0:
             rolls, pred_t, pred_d, rec_t, rec_d = original
         else:
-            rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
+            rolls, pred_t, pred_d, rec_t, rec_d = reference_decode_hardened(
                 model, apply_vector(z, vector, scale), spiral_cfg)
         recomputed = rec_t if measured == "tensile" else rec_d
         predicted = pred_t if measured == "tensile" else pred_d
@@ -680,7 +722,7 @@ def reference_interaction_grid(model, vector_a,
             "diameter": one_ratio("diameter", rec_d),
         }
 
-    base = decode_hardened(model, z, spiral_cfg)
+    base = reference_decode_hardened(model, z, spiral_cfg)
     base_ratios = both_ratios(base[3], base[4])
     for vector in vectors:
         rows[vector.name] = {}
@@ -688,7 +730,7 @@ def reference_interaction_grid(model, vector_a,
             if scale == 0.0:
                 rows[vector.name][float(scale)] = dict(base_ratios)
                 continue
-            _, _, _, rec_t, rec_d = decode_hardened(
+            _, _, _, rec_t, rec_d = reference_decode_hardened(
                 model, apply_vector(z, vector, scale), spiral_cfg)
             rows[vector.name][float(scale)] = both_ratios(rec_t, rec_d)
         baselines[vector.name] = base_ratios
@@ -711,8 +753,8 @@ def reference_interaction_grid(model, vector_a,
 def reference_pitch_distribution(model, vector, scale, n, seed):
     """(hist_orig, hist_mod) as ``ttv eval --experiment pitch-dist`` made them."""
     z = sample_latent(n, model.cfg.latent_dim, seed).astype(model.dtype)
-    original = evaluation.decode_hardened(model, z)[0]
-    modified = evaluation.decode_hardened(
+    original = reference_decode_hardened(model, z)[0]
+    modified = reference_decode_hardened(
         model, apply_vector(z, vector, scale))[0]
     bars = (2, 4)
     hist_orig = evaluation.pitch_class_histogram(original, bars)

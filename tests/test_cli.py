@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import brute_force_tension
 from toy import toy_song, write_toy_corpus
+import ttvae
 from ttvae.cli import main
 from ttvae.corpus import RECORD_DTYPE, load_dataset
 from ttvae.midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
@@ -211,6 +217,32 @@ class TestMalformedConfig:
         config = tmp_path / "c.json"
         config.write_text("[1, 2]")
         assert _train_exit(pipeline["dataset"], tmp_path / "m", config) == 2
+
+    @pytest.mark.parametrize("fields", [
+        {"hidden": 10**9}, {"batch_size": 10**12}, {"gru_layers": 10**9}],
+        ids=repr)
+    def test_past_memory_budget_exits_two(self, pipeline, tmp_path, fields):
+        # in a child whose address space is capped at 1 GiB, so that a
+        # config the budget let through fails there (exit 1, MemoryError)
+        # instead of taking the host's memory
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(TOY_CONFIG, **fields)))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = str(Path(ttvae.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttvae.cli", "train", "--dataset",
+             str(pipeline["dataset"]), "--out", str(tmp_path / "m"),
+             "--config", str(config)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "budget" in proc.stderr or "gru_layers" in proc.stderr
+        assert not (tmp_path / "m").exists()
 
 
 class TestVectors:

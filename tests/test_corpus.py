@@ -11,6 +11,7 @@ from helpers import (
     reference_key_scores,
     reference_skyline,
     reference_slice_track,
+    reference_validate_roll,
 )
 from ttvae.corpus import (
     KK_MAJOR,
@@ -34,9 +35,12 @@ from ttvae.corpus import (
     transpose_to_c,
     transposition_shift,
 )
-from ttvae.errors import InvalidInputError, InvalidSongError, NoKeyError
+from ttvae.errors import InvalidInputError, InvalidRollError, InvalidSongError, NoKeyError
 from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
 from ttvae.pianoroll import (
+    BASS_ONSET_COL,
+    BASS_PITCH_START,
+    BASS_REST_COL,
     MELODY_ONSET_COL,
     MELODY_REST_COL,
     NoteEvent,
@@ -320,6 +324,117 @@ class TestDecodeRoll:
         with pytest.raises(InvalidRollError):
             decode_roll(roll)
 
+
+
+ROLL_DTYPES = [np.uint8, np.bool_, np.float32, np.float64]
+# values no 0/1 roll holds, per dtype; a bool array cannot hold any
+BAD_ENTRIES = {np.uint8: [2, 255], np.bool_: [],
+               np.float32: [2, -1, 0.5, np.nan, np.inf],
+               np.float64: [2, -1, 0.5, np.nan, -np.inf]}
+
+
+def _break(roll, kind, step):
+    """Break one invariant of a valid uint8 ``roll`` at ``step``, in place."""
+    melody = slice(0, MELODY_REST_COL + 1)
+    bass = slice(BASS_PITCH_START, BASS_REST_COL + 1)
+    if kind == "no melody pitch":
+        roll[step, melody] = 0
+    elif kind == "two melody pitches":
+        roll[step, melody] = 0
+        roll[step, [3, 40]] = 1
+    elif kind == "no bass pitch":
+        roll[step, bass] = 0
+    elif kind == "two bass pitches":
+        roll[step, bass] = 0
+        roll[step, [BASS_PITCH_START, BASS_REST_COL]] = 1
+    elif kind == "melody onset on rest":
+        roll[step, melody] = 0
+        roll[step, [MELODY_REST_COL, MELODY_ONSET_COL]] = 1
+    elif kind == "bass onset on rest":
+        roll[step, bass] = 0
+        roll[step, [BASS_REST_COL, BASS_ONSET_COL]] = 1
+    else:
+        raise ValueError(kind)
+
+
+BREAKS = ["no melody pitch", "two melody pitches", "no bass pitch",
+          "two bass pitches", "melody onset on rest", "bass onset on rest"]
+
+
+def _outcome(validate, roll):
+    try:
+        validate(roll)
+    except InvalidRollError as err:
+        return str(err)
+    return None
+
+
+def _same_outcome(roll):
+    """validate_roll and the reference copy accept ``roll`` or raise the same."""
+    got = _outcome(validate_roll, roll)
+    assert got == _outcome(reference_validate_roll, roll)
+    return got
+
+
+class TestValidateRollEqualsReference:
+    """``validate_roll`` raises what the reference copy raises, first error too."""
+
+    @pytest.fixture
+    def stack(self, rng):
+        return np.stack([encode_roll(random_window(rng)) for _ in range(5)])
+
+    @pytest.mark.parametrize("dtype", ROLL_DTYPES)
+    @pytest.mark.parametrize("kind", BREAKS)
+    def test_each_broken_invariant(self, stack, kind, dtype):
+        one = stack[0].copy()
+        _break(one, kind, 17)
+        _break(stack[3], kind, 63)
+        for roll in (one, stack):
+            assert _same_outcome(roll.astype(dtype)) is not None
+
+    @pytest.mark.parametrize("dtype", ROLL_DTYPES)
+    def test_bad_entries(self, stack, dtype):
+        for value in BAD_ENTRIES[dtype]:
+            bad = stack.astype(dtype)
+            bad[2, 9, 80] = value
+            assert _same_outcome(bad) == "roll entries must be 0 or 1"
+            assert _same_outcome(bad[2]) == "roll entries must be 0 or 1"
+
+    @pytest.mark.parametrize("dtype", ROLL_DTYPES)
+    def test_first_of_several_errors(self, stack, dtype):
+        # each ordered pair of broken invariants, in different rolls and at
+        # the same step of one roll, plus a bad entry in a later roll
+        for first in BREAKS:
+            for second in BREAKS:
+                apart, together = stack.copy(), stack.copy()
+                _break(apart[4], first, 5)
+                _break(apart[1], second, 60)
+                _break(together[2], first, 8)
+                _break(together[2], second, 8)
+                for roll in (apart, together):
+                    assert _same_outcome(roll.astype(dtype)) is not None
+                    for value in BAD_ENTRIES[dtype]:
+                        bad = roll.astype(dtype)
+                        bad[4, 63, 88] = value
+                        assert _same_outcome(bad) == "roll entries must be 0 or 1"
+
+    @pytest.mark.parametrize("dtype", ROLL_DTYPES)
+    def test_random_flips(self, rng, dtype):
+        for _ in range(150):
+            rolls = np.stack([encode_roll(random_window(rng)) for _ in range(3)])
+            for _ in range(int(rng.integers(0, 3))):
+                index = tuple(int(rng.integers(0, size)) for size in rolls.shape)
+                rolls[index] = 1 - rolls[index]
+            _same_outcome(rolls.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", ROLL_DTYPES)
+    def test_valid_layouts_and_shapes(self, stack, dtype):
+        rolls = stack.astype(dtype)
+        for roll in (rolls, rolls[0], rolls[::2], np.asfortranarray(rolls),
+                     rolls[:0]):
+            assert _same_outcome(roll) is None
+        for roll in (rolls[..., :88], rolls[:, :63], rolls[None], rolls[0, 0]):
+            assert _same_outcome(roll).startswith("roll must be 64x89")
 
 def write_song(path, bars=8, shift=0):
     melody = [MidiNote(60 + shift + (i % 5), i, 1.0) for i in range(bars * 4)]

@@ -1,6 +1,9 @@
 """Metric unit cases, roll hardening, and sweep/interaction report shapes."""
 
+import concurrent.futures
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,12 +11,13 @@ import pytest
 
 from helpers import (
     random_roll,
+    reference_decode_hardened,
     reference_interaction_grid,
     reference_pitch_distribution,
     reference_sweep,
 )
 from ttvae import evaluation
-from ttvae.errors import InvalidInputError
+from ttvae.errors import InvalidInputError, NumericFailureError
 from ttvae.evaluation import (
     decode_hardened,
     high_ratio,
@@ -45,6 +49,7 @@ from ttvae.pianoroll import (
     validate_roll,
 )
 from ttvae.vae import DecoderOutput, ModelConfig, TensionVae
+from ttvae.vae.network import sample_latent
 
 RAMP = np.arange(64) / 63
 
@@ -414,6 +419,93 @@ class TestDecodeHardened:
         monkeypatch.setattr(evaluation, "DECODE_CHUNK", 3)
         for a, b in zip(whole, decode_hardened(model, z)):
             np.testing.assert_array_equal(a, b)
+
+
+class TestTwoThreadDecode:
+    """Each chunk's row halves decode on two threads, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        # hidden 128 is where a one-row block rounds differently from the
+        # same row inside a batch; the hidden-16 models cannot show it
+        return TensionVae.initialize(
+            ModelConfig(latent_dim=16, hidden=128, gru_layers=2, rng_seed=5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 129, 255, 256, 257, 513, 520])
+    def test_equals_sequential_reference(self, wide_model, n):
+        z = sample_latent(n, 16, n).astype(wide_model.dtype) * 2
+        got = decode_hardened(wide_model, z)
+        want = reference_decode_hardened(wide_model, z)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad_rows", ["param", "caller half", "helper half"])
+    def test_numeric_failure_raised_like_reference(self, bad_rows):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=2, rng_seed=2))
+        z = sample_latent(300, 6, 1).astype(model.dtype)
+        if bad_rows == "param":
+            model.params["dec.gru0.w"][0, 0] = np.nan
+        else:
+            # rows 0-127 and 128-255 of the first chunk are its two halves
+            z[3 if bad_rows == "caller half" else 200] = np.nan
+        before = set(threading.enumerate())
+        with pytest.raises(NumericFailureError) as want:
+            reference_decode_hardened(model, z)
+        with pytest.raises(NumericFailureError) as got:
+            decode_hardened(model, z)
+        assert str(got.value) == str(want.value)
+        assert len(set(threading.enumerate()) - before) <= 1
+        # the helper is still usable after an error
+        clean = sample_latent(8, 6, 1).astype(model.dtype)
+        model.params["dec.gru0.w"][0, 0] = 0.0
+        for a, b in zip(decode_hardened(model, clean),
+                        reference_decode_hardened(model, clean)):
+            np.testing.assert_array_equal(a, b)
+        assert len(set(threading.enumerate()) - before) <= 1
+
+    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=2, rng_seed=4))
+        z = sample_latent(40, 6, 9).astype(model.dtype)
+        want = reference_decode_hardened(model, z)
+        started = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        # start with no helper, so that the callers race to start it
+        if evaluation._helper_pool is not None:
+            evaluation._helper_pool.shutdown()
+            evaluation._helper_pool = None
+        before = set(threading.enumerate())
+        results = [None] * 6
+        together = threading.Barrier(6)
+
+        def call(i):
+            together.wait(timeout=60)
+            results[i] = decode_hardened(model, z)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(started) == 1
+        for got in results:
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        assert len(set(threading.enumerate()) - before) <= 1
 
 
 def reference_model():

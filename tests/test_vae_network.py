@@ -497,3 +497,23 @@ class TestInitParams:
         for g in range(3):
             block = u[:, g * 8:(g + 1) * 8]
             np.testing.assert_allclose(block.T @ block, np.eye(8), atol=1e-5)
+
+
+class TestMemoryBudget:
+    def test_counts_parameters_and_one_batch_of_activations(self):
+        params = init_params(TINY, np.random.default_rng(0))
+        activations = TINY.batch_size * N_STEPS * TINY.hidden
+        assert TINY.memory_bytes() == 4 * (
+            sum(p.size for p in params.values()) + activations)
+        assert ModelConfig().memory_bytes() < 12_000_000  # the paper default
+
+    def test_refused_past_the_budget(self):
+        from ttvae.vae.config import MEMORY_BUDGET_BYTES
+        per_row = 4 * N_STEPS * 256
+        fits = (MEMORY_BUDGET_BYTES - ModelConfig(batch_size=1).memory_bytes()
+                ) // per_row + 1
+        assert ModelConfig(batch_size=fits).memory_bytes() <= MEMORY_BUDGET_BYTES
+        with pytest.raises(InvalidInputError, match="budget"):
+            ModelConfig(batch_size=fits + 1)
+        with pytest.raises(InvalidInputError, match="gru_layers"):
+            ModelConfig(gru_layers=10**9)
