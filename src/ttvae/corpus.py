@@ -23,10 +23,15 @@ one :data:`RECORD_DTYPE` record per fragment, read and written in one piece.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import stat
 import struct
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,8 @@ from .pianoroll import (
     NoteEvent,
     TrackPair,
     encode_roll,
+    unchecked_note,
+    unchecked_pair,
     validate_roll,
 )
 from .spiral import SpiralConfig, key_center
@@ -51,6 +58,14 @@ MIN_TRACK_NOTES = 8
 # song comes near it, and a corrupt note length must not size the step grid.
 MAX_SONG_BARS = 2048
 MAX_SONG_STEPS = MAX_SONG_BARS * STEPS_PER_BAR
+# Corpus files larger than this are skipped unread, and no more than this is
+# read.  It allows 2 KiB per bar of a song at MAX_SONG_BARS: sixteen tracks,
+# one per MIDI channel, each striking a note on every 16th step, at 8 bytes a
+# note (a note-on and a note-off of a 1-byte delta and 3 bytes).  A file past
+# it is longer or denser than any song ingest keeps, and parsing costs about
+# 35 bytes of memory per file byte.  Real songs are tens of kilobytes.
+MAX_MIDI_BYTES = MAX_SONG_BARS * 2048
+_OVERSIZE = f"larger than the cap of {MAX_MIDI_BYTES} bytes for a MIDI file"
 DATASET_MAGIC = b"TVAE"
 DATASET_VERSION = 1
 # One fragment of the dataset file, 6,208 bytes.
@@ -203,8 +218,8 @@ def extract_tracks(score: Score, melody_name: str | None = None,
         raise InvalidSongError(
             f"melody and bass run {extent} 16th steps, past the cap of "
             f"{MAX_SONG_BARS} bars of 4/4")
-    return TrackPair(melody=_skyline(melody, keep_high=True),
-                     bass=_skyline(bass, keep_high=False))
+    return unchecked_pair(_skyline(melody, keep_high=True),
+                          _skyline(bass, keep_high=False))
 
 
 def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
@@ -272,12 +287,11 @@ def transpose_to_c(score: Score, key: Key) -> Score:
 def transpose_pair(pair: TrackPair, shift: int) -> TrackPair:
     if shift == 0:
         return pair
-    return TrackPair(
-        melody=[NoteEvent(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
-                for n in pair.melody],
-        bass=[NoteEvent(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
-              for n in pair.bass],
-    )
+    return unchecked_pair(
+        [unchecked_note(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+         for n in pair.melody],
+        [unchecked_note(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+         for n in pair.bass])
 
 
 def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
@@ -315,7 +329,7 @@ def _slice_track(notes: list[NoteEvent], ends: list[int], start: int,
             break
         lo = max(n.onset, start)
         hi = min(ends[i], end)
-        out.append(NoteEvent(n.pitch, lo - start, hi - lo))
+        out.append(unchecked_note(n.pitch, lo - start, hi - lo))
     return out
 
 
@@ -348,7 +362,7 @@ def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
         bass = _slice_track(pair.bass, bass_ends, start, start + N_STEPS)
         if not melody or not bass:
             continue
-        fragments.append((first, TrackPair(melody=melody, bass=bass)))
+        fragments.append((first, unchecked_pair(melody, bass)))
     return fragments, warnings
 
 
@@ -372,32 +386,72 @@ def song_fragments(score: Score, melody_name: str | None = None,
         bar_offsets=[bar_offset for bar_offset, _ in windows]), key, warnings
 
 
+def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
+    """(path, bytes to read, skip reason) from one ``stat``, before any read.
+
+    Only a regular file within :data:`MAX_MIDI_BYTES` is read: opening a
+    FIFO would block, and the bytes read size the parse's memory.
+    """
+    try:
+        st = path.stat()
+    except OSError as err:
+        return path, 0, str(err)
+    if not stat.S_ISREG(st.st_mode):
+        return path, 0, "not a regular file"
+    if st.st_size > MAX_MIDI_BYTES:
+        return path, 0, _OVERSIZE
+    return path, st.st_size, None
+
+
+def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
+                 bass_name: str | None, cfg: SpiralConfig):
+    """One corpus entry's (song, key, warnings), or (None, skip reason, [])."""
+    path, _, reason = entry
+    if reason is None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read(MAX_MIDI_BYTES + 1)  # the file may have grown
+            if len(data) > MAX_MIDI_BYTES:
+                raise InvalidInputError(_OVERSIZE)
+            song, key, warnings = song_fragments(
+                parse_midi(data), melody_name, bass_name, cfg)
+            return song, str(key), warnings
+        except (TtvaeError, OSError) as err:
+            reason = str(err)
+    return None, reason, []
+
+
 def build_dataset(midi_dir, melody_name: str | None = None,
                   bass_name: str | None = None,
                   cfg: SpiralConfig = SpiralConfig()) -> FragmentDataset:
     """Process every .mid/.midi under ``midi_dir`` in filename order.
 
     Unreadable or unusable files are recorded in the skip report; the batch
-    never aborts on a single bad file.
+    never aborts on a single bad file.  Entries that are not regular files,
+    and files over :data:`MAX_MIDI_BYTES`, are skipped without being read.
+
+    The files are split into two runs of about equal bytes: the caller
+    builds the first and a forked helper process the second (see
+    :func:`_map_in_two_processes`), and the results are merged in file
+    order, so the dataset is the one a single process would build.
     """
     midi_dir = Path(midi_dir)
     if not midi_dir.is_dir():
         raise InvalidInputError(f"not a directory: {midi_dir}")
-    files = sorted(p for p in midi_dir.iterdir()
-                   if p.suffix.lower() in (".mid", ".midi"))
+    entries = [_corpus_entry(p) for p in sorted(
+        p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))]
+    results = _map_in_two_processes(
+        lambda entry: _ingest_file(entry, melody_name, bass_name, cfg),
+        entries, [size for _, size, _ in entries])
     meta = {"original_keys": {}, "skips": [], "warnings": []}
     # The empty part keeps the concatenation defined when no song is usable.
     songs = [FragmentDataset.empty()]
     source_ids, bar_offsets = [], []
-    for path in files:
-        try:
-            score = parse_midi(path.read_bytes())
-            song, key, warnings = song_fragments(
-                score, melody_name, bass_name, cfg)
-        except (TtvaeError, OSError) as err:
-            meta["skips"].append({"file": path.name, "reason": str(err)})
+    for (path, _, _), (song, detail, warnings) in zip(entries, results):
+        if song is None:
+            meta["skips"].append({"file": path.name, "reason": detail})
             continue
-        meta["original_keys"][path.name] = str(key)
+        meta["original_keys"][path.name] = detail
         meta["warnings"].extend(f"{path.name}: {w}" for w in warnings)
         songs.append(song)
         source_ids += [path.name] * len(song)
@@ -407,6 +461,118 @@ def build_dataset(midi_dir, melody_name: str | None = None,
         tensile=np.concatenate([song.tensile for song in songs]),
         diameter=np.concatenate([song.diameter for song in songs]),
         source_ids=source_ids, bar_offsets=bar_offsets, meta=meta)
+
+
+def _split_point(weights: list[int]) -> int:
+    """``k`` in 1..n-1 that splits ``weights`` into two contiguous runs whose
+    sums are as close as they can be."""
+    total = sum(weights)
+    heads = list(accumulate(weights[:-1]))
+    return 1 + min(range(len(heads)), key=lambda k: abs(2 * heads[k] - total))
+
+
+def _map_in_two_processes(fn, items: list, weights: list[int]) -> list:
+    """``[fn(item) for item in items]``, computed in two processes.
+
+    The caller maps the first run of items and one helper, forked here, the
+    rest (:func:`_split_point` balances their weights).  The helper pickles
+    each result to a pipe as soon as it has it, and a thread of the caller
+    unpickles them as they come, so the helper does not stall on a full
+    pipe while the caller works.  The
+    helper's first exception is raised here with its message; a helper that
+    dies raises :class:`RuntimeError` naming how.  The helper is killed if
+    still running and reaped before this returns or raises.  With fewer than
+    two items, or without ``os.fork``, the caller maps every item itself.
+    """
+    if len(items) < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    split = _split_point(weights)
+    tail = items[split:]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _serve(fn, tail, read_fd, write_fd)
+    os.close(write_fd)
+    stream = os.fdopen(read_fd, "rb")
+    received: list[tuple[bool, object]] = []
+    reader = threading.Thread(target=_receive, args=(stream, received),
+                              daemon=True)
+    try:
+        reader.start()
+        head = [fn(item) for item in items[:split]]
+        reader.join()
+        status, pid = os.waitpid(pid, 0)[1], None
+    finally:
+        if pid is not None:  # the caller's half raised: stop the helper
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if reader.is_alive():
+            reader.join()
+        stream.close()
+    for ok, value in received:
+        if not ok:
+            raise value
+    if status != 0 or len(received) != len(tail):
+        raise RuntimeError(
+            f"corpus helper process {_exit_cause(status)} after "
+            f"{len(received)} of {len(tail)} files")
+    return head + [value for _, value in received]
+
+
+def _serve(fn, items: list, read_fd: int, write_fd: int) -> None:
+    """The helper's whole life: pickle ``(True, fn(item))`` per item to the
+    pipe, or ``(False, exception)`` and stop; then ``os._exit``."""
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as stream:
+            for item in items:
+                try:
+                    message = (True, fn(item))
+                except Exception as err:
+                    message = (False, _portable(err))
+                pickle.dump(message, stream, pickle.HIGHEST_PROTOCOL)
+                stream.flush()
+                if not message[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(stream, received: list) -> None:
+    """Unpickle the helper's messages into ``received`` until the pipe ends."""
+    try:
+        while True:
+            received.append(pickle.load(stream))
+    except (EOFError, pickle.UnpicklingError):
+        # The end of the pipe, or a message cut short by the helper's
+        # death; the caller checks the count and the exit status.
+        pass
+
+
+def _portable(err: Exception) -> Exception:
+    """``err`` if it survives a pickle round trip, else a RuntimeError
+    carrying its type and message."""
+    try:
+        pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+        return err
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+
+
+def _exit_cause(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal
+        return f"was killed by {signal.Signals(-code).name}"
+    return f"exited with status {code}"
 
 
 def save_dataset(dataset: FragmentDataset, path) -> None:

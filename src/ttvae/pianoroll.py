@@ -77,6 +77,25 @@ class TrackPair:
                         f"{name} notes overlap or are unsorted at step {b.onset}")
 
 
+# The corpus derives notes and windows from notes already checked (clipped,
+# shifted or re-paired), so it builds them without running the checks again.
+
+def unchecked_note(pitch: int, onset: int, duration: int) -> NoteEvent:
+    """A :class:`NoteEvent` whose values the caller knows are valid."""
+    note = object.__new__(NoteEvent)
+    object.__setattr__(note, "__dict__",
+                       {"pitch": pitch, "onset": onset, "duration": duration})
+    return note
+
+
+def unchecked_pair(melody: list[NoteEvent], bass: list[NoteEvent]) -> TrackPair:
+    """A :class:`TrackPair` of tracks the caller knows are sorted and disjoint."""
+    pair = object.__new__(TrackPair)
+    pair.melody = melody
+    pair.bass = bass
+    return pair
+
+
 # reduceat starts of the column runs that ``validate_roll`` sums per step:
 # melody pitch, melody onset, bass pitch, bass onset
 _SUMMED_RUNS = (0, MELODY_ONSET_COL, BASS_PITCH_START, BASS_ONSET_COL)

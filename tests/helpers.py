@@ -1,15 +1,17 @@
 """Shared generators and independent oracles used across the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from ttvae import evaluation
-from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset
+from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset, song_fragments
 from ttvae.errors import (
     InvalidInputError,
     InvalidRollError,
     MidiParseError,
+    TtvaeError,
     UnsupportedFormatError,
 )
 from ttvae.evaluation import (
@@ -35,6 +37,7 @@ from ttvae.midi import (
     MidiNote,
     MidiTrack,
     Score,
+    parse_midi,
 )
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
@@ -625,6 +628,39 @@ def reference_slice_track(notes, start, end):
             hi = min(n.end, end)
             out.append(NoteEvent(n.pitch, lo - start, hi - lo))
     return out
+
+
+def reference_build_dataset(midi_dir, melody_name=None, bass_name=None,
+                            cfg=SpiralConfig()):
+    """``corpus.build_dataset`` as it was before it split the files between
+    two processes: one sequential loop, each file read whole."""
+    midi_dir = Path(midi_dir)
+    if not midi_dir.is_dir():
+        raise InvalidInputError(f"not a directory: {midi_dir}")
+    files = sorted(p for p in midi_dir.iterdir()
+                   if p.suffix.lower() in (".mid", ".midi"))
+    meta = {"original_keys": {}, "skips": [], "warnings": []}
+    # The empty part keeps the concatenation defined when no song is usable.
+    songs = [FragmentDataset.empty()]
+    source_ids, bar_offsets = [], []
+    for path in files:
+        try:
+            score = parse_midi(path.read_bytes())
+            song, key, warnings = song_fragments(
+                score, melody_name, bass_name, cfg)
+        except (TtvaeError, OSError) as err:
+            meta["skips"].append({"file": path.name, "reason": str(err)})
+            continue
+        meta["original_keys"][path.name] = str(key)
+        meta["warnings"].extend(f"{path.name}: {w}" for w in warnings)
+        songs.append(song)
+        source_ids += [path.name] * len(song)
+        bar_offsets += song.bar_offsets
+    return FragmentDataset(
+        rolls=np.concatenate([song.rolls for song in songs]),
+        tensile=np.concatenate([song.tensile for song in songs]),
+        diameter=np.concatenate([song.diameter for song in songs]),
+        source_ids=source_ids, bar_offsets=bar_offsets, meta=meta)
 
 
 # ---------------------------------------------------- reference sweep loops

@@ -32,6 +32,7 @@ from ttvae.corpus import (
     save_dataset,
     segment,
     song_fragments,
+    transpose_pair,
     transpose_to_c,
     transposition_shift,
 )
@@ -624,6 +625,30 @@ class TestLoopReferences:
             best = int(np.argmax(scores))
             assert detect_key(score) == Key(
                 best % 12, Mode.MAJOR if best < 12 else Mode.MINOR)
+
+    def test_unchecked_notes_and_windows_pass_the_public_checks(self, rng):
+        # extract_tracks, transpose_pair and segment build their notes and
+        # pairs without re-running the checks; rebuilding each through the
+        # checking constructors must succeed and give equal values.
+        def rebuilt(pair):
+            return TrackPair(
+                melody=[NoteEvent(n.pitch, n.onset, n.duration) for n in pair.melody],
+                bass=[NoteEvent(n.pitch, n.onset, n.duration) for n in pair.bass])
+
+        checked = 0
+        for _ in range(300):
+            score = random_score(rng)
+            try:
+                pair = extract_tracks(score)
+            except InvalidSongError:
+                continue
+            for shift in (-6, -1, 0, 5, 6):
+                moved = transpose_pair(pair, shift)
+                windows, _ = segment(moved)
+                for p in [pair, moved] + [window for _, window in windows]:
+                    assert rebuilt(p) == p
+                    checked += 1
+        assert checked > 500
 
     def test_slice_track_equals_whole_song_scan(self, rng):
         for _ in range(200):
