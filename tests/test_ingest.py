@@ -1,6 +1,7 @@
 """Two-process ingest: ``build_dataset`` against the sequential reference,
 the helper process's errors and deaths, and entries skipped unread."""
 
+import contextlib
 import hashlib
 import importlib
 import os
@@ -247,10 +248,18 @@ class TestEntriesSkippedUnread:
         (tmp_path / "a.mid").write_bytes(GOOD[0])
         os.mkfifo(tmp_path / "zz.mid")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", FIFO_PROBE, str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=20)
-        assert proc.returncode == 0, proc.stderr
-        elapsed, skip, count = proc.stdout.splitlines()
+        proc = subprocess.Popen([sys.executable, "-c", FIFO_PROBE, str(tmp_path)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=20)
+        finally:
+            # A helper blocked on the FIFO would outlive a killed probe.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 0, err
+        elapsed, skip, count = out.splitlines()
         assert float(elapsed) < 1.0
         assert skip == "zz.mid | not a regular file"
         assert int(count) == 2
