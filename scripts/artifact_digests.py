@@ -1,0 +1,81 @@
+"""SHA-256 of every artifact of a tiny seeded ``ttv`` chain on the toy corpus.
+
+    python3 scripts/artifact_digests.py OUT_DIR
+
+Runs preprocess -> train -> vectors -> generate -> compose-chain -> eval (the
+direction, level, interaction and pitch-dist experiments) under fixed seeds,
+writing everything under ``OUT_DIR``, then prints one ``<sha256>  <path>``
+line per file, sorted by path relative to ``OUT_DIR``.  The chain runs in
+``OUT_DIR`` on relative paths, so reports that record an input path do not
+depend on where ``OUT_DIR`` is.  It takes about 10 s on two cores.
+
+Every artifact is byte-identical under a fixed seed, so two checkouts that
+print the same lines make the same artifacts.  To compare a change with its
+parent, run the script from both checkouts and ``diff`` the outputs.  Like
+the benchmark, it imports ``ttvae`` from this checkout's ``src`` and runs
+BLAS on one thread.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+CONFIG = dict(latent_dim=8, hidden=24, gru_layers=1, batch_size=8,
+              learning_rate=0.002, beta_step=1e-4, beta_max=0.006,
+              early_stop_patience=50, max_epochs=3, rng_seed=5)
+SAMPLES = "520"
+
+
+def run(*argv: str) -> None:
+    from ttvae.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"ttv {argv[0]} exited {code}")
+
+
+def main() -> None:
+    from toy import write_toy_corpus
+
+    out = Path(sys.argv[1])
+    (out / "midi").mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    write_toy_corpus(Path("midi"))
+    Path("config.json").write_text(json.dumps(CONFIG))
+    Path("plan.json").write_text(json.dumps({"sections": [
+        {"bars": 4},
+        {"bars": 8, "edits": [["tensile_strain_direction", 4.0]]},
+        {"bars": 4, "edits": [["cloud_diameter_level", -3.0]]}]}))
+    model = ("--model", "model/checkpoint.ttv", "--vectors", "vectors.json")
+
+    run("preprocess", "--in", "midi", "--out", "toy.ds")
+    run("train", "--dataset", "toy.ds", "--out", "model",
+        "--config", "config.json")
+    run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "8",
+        "--out", "vectors.json")
+    run("generate", *model, "--edit", "tensile_strain_direction=6",
+        "--rng-seed", "3", "--out", "generated.mid")
+    run("generate", *model, "--seed-midi", "midi/song00.mid",
+        "--fragment-index", "1", "--edit", "cloud_diameter_direction=-4",
+        "--out", "seeded.mid")
+    run("compose-chain", *model, "--plan", "plan.json", "--rng-seed", "2",
+        "--out", "chain.mid")
+    for experiment in ("direction", "level", "interaction", "pitch-dist"):
+        run("eval", *model, "--experiment", experiment, "--n", SAMPLES,
+            "--rng-seed", "4", "--charts", "--out", f"eval/{experiment}")
+
+    for path in sorted(p for p in Path().rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
+
+
+if __name__ == "__main__":
+    main()

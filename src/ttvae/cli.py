@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import evaluation, latent
 from .atomic import write_atomic
-from .corpus import build_dataset, load_dataset, save_dataset, song_fragments
+from .corpus import build_dataset, load_dataset, read_midi_file, save_dataset, song_fragments
 from .errors import InvalidInputError, TtvaeError
 from .generate import (
     ChainPlan,
@@ -60,7 +60,7 @@ def _fragment_csv(fragments, keys_line: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    score = parse_midi(Path(args.infile).read_bytes())
+    score = parse_midi(read_midi_file(args.infile))
     fragments, key, warnings = song_fragments(
         score, args.melody_track, args.bass_track)
     if not fragments:
@@ -302,6 +302,15 @@ def _parse_scales(text: str | None, default) -> tuple[float, ...]:
         raise InvalidInputError(f"bad --scales value {text!r}") from err
 
 
+# The sweep experiments, each also a pair of the interaction experiment:
+# experiment -> (vector kinds, ratio kind, default scales).
+_SWEEPS = {
+    "direction": (latent.DIRECTION_KINDS, "upward",
+                  evaluation.DEFAULT_DIRECTION_SCALES),
+    "level": (latent.LEVEL_KINDS, "high", evaluation.DEFAULT_LEVEL_SCALES),
+}
+
+
 def cmd_eval(args) -> int:
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
@@ -319,12 +328,8 @@ def cmd_eval(args) -> int:
         if args.charts:
             evaluation.write_ratio_chart_svg(out_dir / f"{stem}.svg", report)
 
-    if args.experiment in ("direction", "level"):
-        kinds, ratio_kind, default = {
-            "direction": (latent.DIRECTION_KINDS, "upward",
-                          evaluation.DEFAULT_DIRECTION_SCALES),
-            "level": (latent.LEVEL_KINDS, "high",
-                      evaluation.DEFAULT_LEVEL_SCALES)}[args.experiment]
+    if args.experiment in _SWEEPS:
+        kinds, ratio_kind, default = _SWEEPS[args.experiment]
         scales = _parse_scales(args.scales, default)
         kinds = [kind for kind in kinds if kind in vectors.vectors]
         if kinds:
@@ -335,9 +340,7 @@ def cmd_eval(args) -> int:
                 emit_sweep(report, f"{args.experiment}_{kind}")
     elif args.experiment == "interaction":
         scales = _parse_scales(args.scales, evaluation.DEFAULT_DIRECTION_SCALES)
-        pairs = [("direction", latent.DIRECTION_KINDS, "upward"),
-                 ("level", latent.LEVEL_KINDS, "high")]
-        for label, kinds, mode in pairs:
+        for label, (kinds, mode, _) in _SWEEPS.items():
             if not all(k in vectors.vectors for k in kinds):
                 continue
             report = evaluation.interaction_grid(
@@ -474,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vectors", required=True)
     p.add_argument("--experiment", required=True,
-                   choices=("direction", "level", "interaction", "pitch-dist"))
+                   choices=(*_SWEEPS, "interaction", "pitch-dist"))
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--scales", default=None, help="comma-separated scales")
     p.add_argument("--vector", default="tensile_strain_direction",

@@ -50,7 +50,6 @@ from .pianoroll import (
     unchecked_pair,
     validate_roll,
 )
-from .spiral import SpiralConfig, key_center
 from .tension import tension_curves
 
 MIN_TRACK_NOTES = 8
@@ -368,7 +367,6 @@ def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
 
 def song_fragments(score: Score, melody_name: str | None = None,
                    bass_name: str | None = None,
-                   cfg: SpiralConfig = SpiralConfig(),
                    ) -> tuple[FragmentDataset, Key, list[str]]:
     """Full single-song pipeline; the tension key is always C major."""
     pair = extract_tracks(score, melody_name, bass_name)
@@ -378,7 +376,7 @@ def song_fragments(score: Score, melody_name: str | None = None,
     if not windows:
         return FragmentDataset.empty(), key, warnings
     rolls = np.stack([encode_roll(window) for _, window in windows])
-    strain, diameter = tension_curves(rolls, key_center(0, cfg), cfg)
+    strain, diameter = tension_curves(rolls)
     return FragmentDataset(
         rolls=rolls, tensile=strain.values.astype(np.float32),
         diameter=diameter.values.astype(np.float32),
@@ -403,27 +401,41 @@ def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
     return path, st.st_size, None
 
 
-def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
-                 bass_name: str | None, cfg: SpiralConfig):
-    """One corpus entry's (song, key, warnings), or (None, skip reason, [])."""
+def _read_entry(entry: tuple[Path, int, str | None]) -> bytes:
+    """A corpus entry's bytes, or its skip reason raised.  At most the cap
+    plus one byte is read: the file may have grown since its ``stat``."""
     path, _, reason = entry
-    if reason is None:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read(MAX_MIDI_BYTES + 1)  # the file may have grown
-            if len(data) > MAX_MIDI_BYTES:
-                raise InvalidInputError(_OVERSIZE)
-            song, key, warnings = song_fragments(
-                parse_midi(data), melody_name, bass_name, cfg)
-            return song, str(key), warnings
-        except (TtvaeError, OSError) as err:
-            reason = str(err)
-    return None, reason, []
+    if reason is not None:
+        raise InvalidInputError(reason)
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_MIDI_BYTES + 1)
+    if len(data) > MAX_MIDI_BYTES:
+        raise InvalidInputError(_OVERSIZE)
+    return data
+
+
+def read_midi_file(path) -> bytes:
+    """One MIDI file's bytes, read as a corpus entry is: a FIFO, directory
+    or file over :data:`MAX_MIDI_BYTES` raises InvalidInputError unread."""
+    try:
+        return _read_entry(_corpus_entry(Path(path)))
+    except (InvalidInputError, OSError) as err:
+        raise InvalidInputError(f"cannot read MIDI file {path}: {err}") from err
+
+
+def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
+                 bass_name: str | None):
+    """One corpus entry's (song, key, warnings), or (None, skip reason, [])."""
+    try:
+        song, key, warnings = song_fragments(
+            parse_midi(_read_entry(entry)), melody_name, bass_name)
+        return song, str(key), warnings
+    except (TtvaeError, OSError) as err:
+        return None, str(err), []
 
 
 def build_dataset(midi_dir, melody_name: str | None = None,
-                  bass_name: str | None = None,
-                  cfg: SpiralConfig = SpiralConfig()) -> FragmentDataset:
+                  bass_name: str | None = None) -> FragmentDataset:
     """Process every .mid/.midi under ``midi_dir`` in filename order.
 
     Unreadable or unusable files are recorded in the skip report; the batch
@@ -441,7 +453,7 @@ def build_dataset(midi_dir, melody_name: str | None = None,
     entries = [_corpus_entry(p) for p in sorted(
         p for p in midi_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))]
     results = _map_in_two_processes(
-        lambda entry: _ingest_file(entry, melody_name, bass_name, cfg),
+        lambda entry: _ingest_file(entry, melody_name, bass_name),
         entries, [size for _, size, _ in entries])
     meta = {"original_keys": {}, "skips": [], "warnings": []}
     # The empty part keeps the concatenation defined when no song is usable.

@@ -6,7 +6,10 @@ recomputed tension curves classify as upward/high alongside how much pitch
 and rhythm changed.  Ratios always use tension recomputed from the decoded
 rolls by the spiral geometry -- never the model's own tension heads, which
 are reported separately as "predicted" -- so prediction error cannot
-contaminate the behavioral claim.
+contaminate the behavioral claim.  Curves are recomputed at the published
+calibration against C major.  Each vector's edits are rated on the curve it
+measures, at the thresholds its classes were labeled at, both as
+:mod:`ttvae.latent` resolves them; ``_rating`` makes the flag function.
 
 Every experiment runs on one streamed loop, ``_decode_stream``: it draws the
 n seeded latents, then takes them ``DECODE_CHUNK`` at a time, decodes the
@@ -39,7 +42,7 @@ import numpy as np
 from . import pianoroll
 from .atomic import write_atomic
 from .errors import InvalidInputError
-from .latent import AttributeVector, apply_vector, direction_score
+from .latent import AttributeVector, apply_vector, direction_score, measured_curve
 from .pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_COLS,
@@ -49,7 +52,6 @@ from .pianoroll import (
     MELODY_PITCH_COLS,
     MELODY_REST_COL,
 )
-from .spiral import SpiralConfig, key_center
 from .tension import tension_curves
 from .vae.network import DecoderOutput, TensionVae, sample_latent
 
@@ -195,12 +197,11 @@ def high_ratio(curves: np.ndarray, threshold: float, tau: float,
     return flags if per_example else float(np.mean(flags))
 
 
-def _decode_block(model: TensionVae, z: np.ndarray, spiral_cfg: SpiralConfig,
-                  reference) -> tuple[np.ndarray, ...]:
+def _decode_block(model: TensionVae, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Decode, harden and score one block of latents."""
     out = model.decode(z)
     rolls = roll_from_output(out)
-    strain, diameter = tension_curves(rolls, reference, spiral_cfg)
+    strain, diameter = tension_curves(rolls)
     return rolls, out.tensile, out.diameter, strain.values, diameter.values
 
 
@@ -226,8 +227,7 @@ def _helper():
         return _helper_pool
 
 
-def _decode_halves(model: TensionVae, z: np.ndarray, spiral_cfg: SpiralConfig,
-                   reference) -> list[tuple[np.ndarray, ...]]:
+def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """``_decode_block`` of one chunk's two row halves, run on two threads.
 
     The helper thread takes the last ``floor(k/2)`` of the chunk's k rows
@@ -240,18 +240,16 @@ def _decode_halves(model: TensionVae, z: np.ndarray, spiral_cfg: SpiralConfig,
     """
     half = (len(z) + 1) // 2
     if len(z) - half < 2:
-        return [_decode_block(model, z, spiral_cfg, reference)]
-    second = _helper().submit(_decode_block, model, z[half:], spiral_cfg,
-                              reference)
+        return [_decode_block(model, z)]
+    second = _helper().submit(_decode_block, model, z[half:])
     try:
-        first = _decode_block(model, z[:half], spiral_cfg, reference)
+        first = _decode_block(model, z[:half])
     finally:
         second.exception()  # wait for the helper whatever happened here
     return [first, second.result()]
 
 
 def decode_hardened(model: TensionVae, z: np.ndarray,
-                    spiral_cfg: SpiralConfig = SpiralConfig(),
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray, np.ndarray]:
     """Decode latents to rolls plus predicted and recomputed curves.
@@ -263,16 +261,14 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
     each chunk whole on one thread.  BLAS threads add to the helper's: each
     half's matmuls may use BLAS's own threads as well.
     """
-    reference = key_center(0, spiral_cfg)
     parts = []
     for start in range(0, len(z), DECODE_CHUNK):
-        parts += _decode_halves(model, z[start:start + DECODE_CHUNK],
-                                spiral_cfg, reference)
+        parts += _decode_halves(model, z[start:start + DECODE_CHUNK])
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _decode_stream(model: TensionVae, vectors, scales, n: int, rng_seed: int,
-                   spiral_cfg: SpiralConfig, visit) -> None:
+                   visit) -> None:
     """Decode n seeded latents and their edits, one chunk at a time.
 
     Per chunk, calls ``visit(None, None, base, base)`` with the chunk's
@@ -285,12 +281,12 @@ def _decode_stream(model: TensionVae, vectors, scales, n: int, rng_seed: int,
     z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
     for start in range(0, n, DECODE_CHUNK):
         chunk = z[start:start + DECODE_CHUNK]
-        base = decode_hardened(model, chunk, spiral_cfg)
+        base = decode_hardened(model, chunk)
         visit(None, None, base, base)
         for v, vector in enumerate(vectors):
             for s, scale in enumerate(scales):
                 edited = base if scale == 0.0 else decode_hardened(
-                    model, apply_vector(chunk, vector, scale), spiral_cfg)
+                    model, apply_vector(chunk, vector, scale))
                 visit(v, s, base, edited)
                 del edited
         del base
@@ -301,55 +297,38 @@ def _mean(chunks) -> float:
     return float(np.mean(np.concatenate(chunks)))
 
 
-def _measured_curve(vector_name: str) -> str:
-    return "diameter" if vector_name.startswith("cloud_diameter") else "tensile"
-
-
 def _pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarray):
     """Per-example pitch accuracy and rhythm F-score, melody then bass."""
     return (pitch_accuracy(original_rolls, modified_rolls)
             + rhythm_fscore(original_rolls, modified_rolls))
 
 
-def _direction_tau(vector: AttributeVector) -> float:
-    """The vector's effective up-class labeling threshold (0 if unrecorded)."""
-    return float(vector.effective_thresholds.get("class_a_min_score", 0.0))
-
-
-def _level_params(vector: AttributeVector) -> tuple[float, float]:
-    """(threshold, tau) of the vector's effective level labeling."""
-    thresholds = vector.effective_thresholds
-    return (float(thresholds.get("threshold", 0.0)),
-            float(thresholds.get("class_a_min_magnitude", 0.0)))
-
-
-def _upward_rating(vector: AttributeVector, tau: float | None = None):
-    """(per-example flag function, thresholds) of a direction sweep."""
-    tau = _direction_tau(vector) if tau is None else tau
-    return (lambda curves: upward_ratio(curves, tau, per_example=True),
-            {"tau_direction": tau})
-
-
-def _high_rating(vector: AttributeVector, threshold: float | None = None,
-                 tau: float | None = None):
-    """(per-example flag function, thresholds) of a level sweep."""
-    own_threshold, own_tau = _level_params(vector)
-    threshold = own_threshold if threshold is None else threshold
-    tau = own_tau if tau is None else tau
+def _rating(ratio_kind: str, vector: AttributeVector | None,
+            tau: float | None = None):
+    """(per-example flag function, thresholds) of an ``"upward"`` or
+    ``"high"`` ratio at ``vector``'s effective thresholds, all 0 for no
+    vector; ``tau`` replaces the vector's direction threshold."""
+    if ratio_kind == "upward":
+        if tau is None:
+            tau = vector.direction_tau() if vector is not None else 0.0
+        return (lambda curves: upward_ratio(curves, tau, per_example=True),
+                {"tau_direction": tau})
+    threshold, tau = (vector.level_params() if vector is not None
+                      else (0.0, 0.0))
     return (lambda curves: high_ratio(curves, threshold, tau, per_example=True),
             {"threshold": threshold, "tau_level": tau})
 
 
-_RATINGS = {"upward": _upward_rating, "high": _high_rating}
-
-
-def _sweep(model: TensionVae, vectors, ratings, scales, n: int,
-           rng_seed: int, ratio_kind: str, spiral_cfg: SpiralConfig,
-           untrained: bool) -> list[SweepReport]:
-    """One report per vector, rated by its (flag function, thresholds)."""
+def _sweep(model: TensionVae, vectors, ratio_kind: str, scales, n: int,
+           rng_seed: int, trained_batches: int | None,
+           tau: float | None = None) -> list[SweepReport]:
+    """One report per vector, each rated by :func:`_rating`."""
+    if ratio_kind not in ("upward", "high"):
+        raise InvalidInputError(f"unknown ratio kind {ratio_kind!r}")
     if n < 1:
         raise InvalidInputError("sweep needs n >= 1 samples")
-    measured = [_measured_curve(vector.name) for vector in vectors]
+    ratings = [_rating(ratio_kind, vector, tau) for vector in vectors]
+    measured = [measured_curve(vector.name) for vector in vectors]
     # [vector][scale] -> six columns of per-chunk arrays: recomputed and
     # predicted ratio flags, then the four pair metrics
     columns = [[[[] for _ in range(6)] for _ in scales] for _ in vectors]
@@ -366,20 +345,20 @@ def _sweep(model: TensionVae, vectors, ratings, scales, n: int,
         for column, value in zip(columns[v][s], values):
             column.append(value)
 
-    _decode_stream(model, vectors, scales, n, rng_seed, spiral_cfg, visit)
+    _decode_stream(model, vectors, scales, n, rng_seed, visit)
     return [SweepReport(
         vector_name=vector.name, ratio_kind=ratio_kind, measured_curve=curve,
         scales=[float(s) for s in scales],
         rows=[SweepRow(float(scale), n, *map(_mean, per_scale))
               for scale, per_scale in zip(scales, vector_columns)],
-        thresholds=thresholds, n=n, rng_seed=rng_seed, untrained_model=untrained)
+        thresholds=thresholds, n=n, rng_seed=rng_seed,
+        untrained_model=not trained_batches)
         for vector, (_, thresholds), curve, vector_columns
         in zip(vectors, ratings, measured, columns)]
 
 
 def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
            n: int = 10_000, rng_seed: int = 0,
-           spiral_cfg: SpiralConfig = SpiralConfig(),
            trained_batches: int | None = None) -> list[SweepReport]:
     """Direction (``"upward"``) or level (``"high"``) sweeps of several vectors.
 
@@ -387,77 +366,51 @@ def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
     equal those of :func:`direction_sweep` or :func:`level_sweep` run on each
     vector alone, but every chunk's baseline is decoded once for all.
     """
-    if ratio_kind not in _RATINGS:
-        raise InvalidInputError(f"unknown ratio kind {ratio_kind!r}")
-    return _sweep(model, vectors, [_RATINGS[ratio_kind](v) for v in vectors],
-                  scales, n, rng_seed, ratio_kind, spiral_cfg,
-                  untrained=not trained_batches)
+    return _sweep(model, vectors, ratio_kind, scales, n, rng_seed,
+                  trained_batches)
 
 
 def direction_sweep(model: TensionVae, vector: AttributeVector,
                     scales=DEFAULT_DIRECTION_SCALES, n: int = 10_000,
                     rng_seed: int = 0, tau: float | None = None,
-                    spiral_cfg: SpiralConfig = SpiralConfig(),
                     trained_batches: int | None = None) -> SweepReport:
     """Upward-ratio and change metrics across scaled direction edits.
 
     ``tau`` defaults to the vector's effective up-class labeling threshold.
     """
-    return _sweep(model, [vector], [_upward_rating(vector, tau)], scales, n,
-                  rng_seed, "upward", spiral_cfg,
-                  untrained=not trained_batches)[0]
+    return _sweep(model, [vector], "upward", scales, n, rng_seed,
+                  trained_batches, tau)[0]
 
 
 def level_sweep(model: TensionVae, vector: AttributeVector,
                 scales=DEFAULT_LEVEL_SCALES, n: int = 10_000,
-                rng_seed: int = 0, threshold: float | None = None,
-                tau: float | None = None,
-                spiral_cfg: SpiralConfig = SpiralConfig(),
+                rng_seed: int = 0,
                 trained_batches: int | None = None) -> SweepReport:
-    """High-ratio analogue of :func:`direction_sweep` for level vectors.
-
-    ``threshold`` and ``tau`` default to the vector's effective labeling.
-    """
-    return _sweep(model, [vector], [_high_rating(vector, threshold, tau)],
-                  scales, n, rng_seed, "high", spiral_cfg,
-                  untrained=not trained_batches)[0]
+    """High-ratio analogue of :func:`direction_sweep` for level vectors,
+    rated at the vector's effective level labeling."""
+    return _sweep(model, [vector], "high", scales, n, rng_seed,
+                  trained_batches)[0]
 
 
 def interaction_grid(model: TensionVae, vector_a: AttributeVector,
                      vector_b: AttributeVector,
                      scales=DEFAULT_DIRECTION_SCALES, n: int = 10_000,
-                     rng_seed: int = 0,
-                     taus: dict[str, float] | None = None,
-                     mode: str = "upward",
-                     level_params: dict[str, dict[str, float]] | None = None,
-                     spiral_cfg: SpiralConfig = SpiralConfig(),
+                     rng_seed: int = 0, mode: str = "upward",
                      trained_batches: int | None = None) -> InteractionReport:
     """Apply each vector alone and measure both tension kinds' ratios.
 
-    ``mode="upward"`` rates each kind's direction (thresholds in ``taus``);
-    ``mode="high"`` rates levels using per-kind ``level_params`` entries of
-    the form {"threshold": c, "tau": t}.  Either mapping defaults to the
-    effective thresholds of the vector that measures each kind.  The
-    cross-effect statistic per vector is the mean absolute deviation of the
-    *other* kind's ratio from its unedited baseline.
+    ``mode`` is the ratio kind, ``"upward"`` or ``"high"``.  Each kind is
+    rated at the effective thresholds of the vector that measures it (the
+    second, if both do), and at 0 if neither does.  The cross-effect
+    statistic per vector is the mean absolute deviation of the *other*
+    kind's ratio from its unedited baseline.
     """
     if mode not in ("upward", "high"):
         raise InvalidInputError(f"unknown interaction mode {mode!r}")
     vectors = (vector_a, vector_b)
-    if taus is None:
-        taus = {_measured_curve(v.name): _direction_tau(v) for v in vectors}
-    if level_params is None:
-        level_params = {_measured_curve(v.name):
-                        dict(zip(("threshold", "tau"), _level_params(v)))
-                        for v in vectors}
     kinds = ("tensile", "diameter")
-
-    def flags(kind, curves):
-        if mode == "upward":
-            return upward_ratio(curves, taus.get(kind, 0.0), per_example=True)
-        params = level_params.get(kind, {})
-        return high_ratio(curves, params.get("threshold", 0.0),
-                          params.get("tau", 0.0), per_example=True)
+    measuring = {measured_curve(v.name): v for v in vectors}
+    flags = {kind: _rating(mode, measuring.get(kind))[0] for kind in kinds}
 
     # per-chunk flags of both kinds: the baseline under (None, None), each
     # edit under its (vector, scale) indices; scale 0 reads the baseline's
@@ -467,9 +420,9 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
     def visit(v, s, base, edited):
         if (v, s) in columns:
             for kind, curves in zip(kinds, edited[3:]):
-                columns[v, s][kind].append(flags(kind, curves))
+                columns[v, s][kind].append(flags[kind](curves))
 
-    _decode_stream(model, vectors, scales, n, rng_seed, spiral_cfg, visit)
+    _decode_stream(model, vectors, scales, n, rng_seed, visit)
     base_ratios = {kind: _mean(columns[None, None][kind]) for kind in kinds}
     rows: dict[str, dict[float, dict[str, float]]] = {}
     for v, vector in enumerate(vectors):
@@ -480,7 +433,7 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
 
     cross_effect = {}
     for vector in vectors:
-        own = _measured_curve(vector.name)
+        own = measured_curve(vector.name)
         other = "diameter" if own == "tensile" else "tensile"
         deviations = [abs(rows[vector.name][float(s)][other]
                           - base_ratios[other])
@@ -509,7 +462,7 @@ def pitch_distribution(model: TensionVae, vector: AttributeVector,
         counts = original if v is None else modified
         counts += pitch_class_histogram(edited[0], bar_range)
 
-    _decode_stream(model, [vector], [scale], n, rng_seed, SpiralConfig(), visit)
+    _decode_stream(model, [vector], [scale], n, rng_seed, visit)
     return original, modified
 
 

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MAX_SONG_BARS, song_fragments
+from .corpus import MAX_SONG_BARS, read_midi_file, song_fragments
 from .errors import InvalidInputError
 from .evaluation import roll_from_output
 from .latent import VectorsFile, apply_vector
 from .midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
 from .pianoroll import BARS_PER_FRAGMENT, TrackPair, decode_roll
-from .spiral import SpiralConfig, key_center
 from .tension import tension_curves
 from .vae.network import TensionVae, sample_latent
 
@@ -112,7 +111,7 @@ def seed_latent(model: TensionVae, request: GenerationRequest) -> tuple[np.ndarr
         z = sample_latent(1, model.cfg.latent_dim,
                           request.sample_seed)[0].astype(model.dtype)
         return z, {"kind": "sampled", "rng_seed": request.sample_seed}
-    score = parse_midi(Path(request.seed_midi).read_bytes())
+    score = parse_midi(read_midi_file(request.seed_midi))
     fragments, _, _ = song_fragments(score)
     if not fragments:
         raise InvalidInputError(
@@ -150,8 +149,8 @@ def pair_to_score(pair: TrackPair, markers: list[tuple[float, str]] | None = Non
     )
 
 
-def _curve_report(roll: np.ndarray, out, spiral_cfg: SpiralConfig) -> dict:
-    strain, diameter = tension_curves(roll, key_center(0, spiral_cfg), spiral_cfg)
+def _curve_report(roll: np.ndarray, out) -> dict:
+    strain, diameter = tension_curves(roll)
     def listed(values):
         return [round(float(v), 6) for v in values]
     return {
@@ -169,8 +168,7 @@ class GenerationResult:
 
 
 def generate(model: TensionVae, vectors: VectorsFile,
-             request: GenerationRequest, checkpoint_id: str = "",
-             spiral_cfg: SpiralConfig = SpiralConfig()) -> GenerationResult:
+             request: GenerationRequest, checkpoint_id: str = "") -> GenerationResult:
     """Decode the edited seed into a 4-bar MIDI plus tension report."""
     check_compatibility(model, vectors, checkpoint_id)
     z, seed_info = seed_latent(model, request)
@@ -185,16 +183,15 @@ def generate(model: TensionVae, vectors: VectorsFile,
         "seed": seed_info,
         "edits": [[name, float(scale)] for name, scale in request.edits],
         "checkpoint_id": checkpoint_id,
-        "original": _curve_report(roll_original, out_original, spiral_cfg),
-        "modified": _curve_report(roll_edited, out_edited, spiral_cfg),
+        "original": _curve_report(roll_original, out_original),
+        "modified": _curve_report(roll_edited, out_edited),
     }
     return GenerationResult(midi_bytes=write_midi(pair_to_score(pair)),
                             report=report)
 
 
 def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
-                  request: GenerationRequest, checkpoint_id: str = "",
-                  spiral_cfg: SpiralConfig = SpiralConfig()) -> GenerationResult:
+                  request: GenerationRequest, checkpoint_id: str = "") -> GenerationResult:
     """Concatenate 4-bar blocks decoded from cumulatively edited seeds.
 
     Every section re-edits the previous section's latent (edits accumulate),
@@ -217,7 +214,7 @@ def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
             "section": number,
             "bars": section.bars,
             "edits": [[name, float(scale)] for name, scale in section.edits],
-            **_curve_report(roll, out, spiral_cfg),
+            **_curve_report(roll, out),
         })
         for _ in range(section.bars // BARS_PER_FRAGMENT):
             offset = bar_cursor * 16

@@ -7,6 +7,11 @@ Top-scoring fragments on each side form two classes whose encoder-mean
 difference is the attribute vector for that property; adding a scaled copy
 of the vector to a latent code steers the decoded music toward the first
 class.
+
+This is the one module that knows the labeling thresholds: a vector records
+the thresholds its classes were cut at, :meth:`AttributeVector.direction_tau`
+and :meth:`AttributeVector.level_params` read them back, and
+:func:`measured_curve` names the curve it measures.
 """
 
 from __future__ import annotations
@@ -28,12 +33,11 @@ LEVEL_KINDS = ("tensile_strain_level", "cloud_diameter_level")
 STANDARD_KINDS = DIRECTION_KINDS + LEVEL_KINDS
 DEFAULT_TARGET_N = 1000
 
-_KIND_CURVE = {
-    "tensile_strain_direction": "tensile",
-    "tensile_strain_level": "tensile",
-    "cloud_diameter_direction": "diameter",
-    "cloud_diameter_level": "diameter",
-}
+
+def measured_curve(name: str) -> str:
+    """The dataset curve a labeling kind or vector of this name measures:
+    ``"diameter"`` for the cloud-diameter kinds, else ``"tensile"``."""
+    return "diameter" if name.startswith("cloud_diameter") else "tensile"
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,15 @@ class AttributeVector:
     values: np.ndarray
     class_sizes: tuple[int, int]
     effective_thresholds: dict = field(default_factory=dict)
+
+    def direction_tau(self) -> float:
+        """The up-class labeling threshold (0 if unrecorded)."""
+        return float(self.effective_thresholds.get("class_a_min_score", 0.0))
+
+    def level_params(self) -> tuple[float, float]:
+        """(threshold, tau) of the level labeling (each 0 if unrecorded)."""
+        return (float(self.effective_thresholds.get("threshold", 0.0)),
+                float(self.effective_thresholds.get("class_a_min_magnitude", 0.0)))
 
 
 @dataclass
@@ -271,7 +284,7 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
     vectors: dict[str, AttributeVector] = {}
     for kind in kinds:
         template = templates.get(kind)
-        curves = getattr(dataset, _KIND_CURVE.get(kind, "tensile"))[ids]
+        curves = getattr(dataset, measured_curve(kind))[ids]
         selection = select_classes(curves, kind, target_n, template=template)
         class_a = [ids[i] for i in selection.class_a]
         class_b = [ids[i] for i in selection.class_b]

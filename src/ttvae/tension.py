@@ -14,6 +14,11 @@ pitch class or rest) x (bass pitch class or rest) pairs.
 :func:`tension_curves` evaluates the kernel once on that grid and reads each
 step's strain and diameter from the table; the values equal a kernel call
 per step bit for bit.
+
+:func:`tension_curves` is the one place that picks the key strain is
+measured against: C major, the key every corpus fragment is moved to, unless
+a caller names another.  The pipeline computes every curve this way, at the
+published calibration.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from . import pianoroll
 from .errors import InvalidInputError
-from .spiral import KeyCenter, SpiralConfig, cloud_tension, pitch_class_positions
+from .spiral import KeyCenter, SpiralConfig, cloud_tension, key_center, pitch_class_positions
 
 QUARTER_NOTE_STEPS = 4
 
@@ -90,12 +95,15 @@ def _step_table(key: KeyCenter, cfg: SpiralConfig) -> tuple[np.ndarray, np.ndarr
     return tables
 
 
-def tension_curves(roll: np.ndarray, key: KeyCenter,
+def tension_curves(roll: np.ndarray, key: KeyCenter | None = None,
                    cfg: SpiralConfig = SpiralConfig(),
                    window: int = QUARTER_NOTE_STEPS,
                    ) -> tuple[TensionCurve, TensionCurve]:
-    """Smoothed tensile-strain and cloud-diameter curves of one roll or a stack."""
+    """Smoothed tensile-strain and cloud-diameter curves of one roll or a
+    stack, with strain measured against ``key`` (C major by default)."""
     pianoroll.validate_roll(roll)
+    if key is None:
+        key = key_center(0, cfg)
     strain_table, diameter_table = _step_table(key, cfg)
     cells = (pianoroll.melody_pitch_classes(roll) + 1,
              pianoroll.bass_pitch_classes(roll) + 1)

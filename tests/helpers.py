@@ -19,15 +19,12 @@ from ttvae.evaluation import (
     InteractionReport,
     SweepReport,
     SweepRow,
-    _direction_tau,
-    _level_params,
-    _measured_curve,
     high_ratio,
     pitch_accuracy,
     rhythm_fscore,
     upward_ratio,
 )
-from ttvae.latent import apply_vector
+from ttvae.latent import AttributeVector, apply_vector
 from ttvae.midi import (
     _META_END_OF_TRACK,
     _META_MARKER,
@@ -630,8 +627,7 @@ def reference_slice_track(notes, start, end):
     return out
 
 
-def reference_build_dataset(midi_dir, melody_name=None, bass_name=None,
-                            cfg=SpiralConfig()):
+def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
     """``corpus.build_dataset`` as it was before it split the files between
     two processes: one sequential loop, each file read whole."""
     midi_dir = Path(midi_dir)
@@ -647,7 +643,7 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None,
         try:
             score = parse_midi(path.read_bytes())
             song, key, warnings = song_fragments(
-                score, melody_name, bass_name, cfg)
+                score, melody_name, bass_name)
         except (TtvaeError, OSError) as err:
             meta["skips"].append({"file": path.name, "reason": str(err)})
             continue
@@ -670,7 +666,24 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None,
 # ``evaluation.interaction_grid``, and ``reference_pitch_distribution`` the
 # former loop of ``ttv eval --experiment pitch-dist``, kept verbatim as exact
 # references for the streamed versions; they decode through
-# ``reference_decode_hardened``, not the function under test.
+# ``reference_decode_hardened``, not the function under test, and read
+# thresholds through the former ``evaluation`` helpers below, not ``latent``.
+
+def _measured_curve(vector_name: str) -> str:
+    return "diameter" if vector_name.startswith("cloud_diameter") else "tensile"
+
+
+def _direction_tau(vector: AttributeVector) -> float:
+    """The vector's effective up-class labeling threshold (0 if unrecorded)."""
+    return float(vector.effective_thresholds.get("class_a_min_score", 0.0))
+
+
+def _level_params(vector: AttributeVector) -> tuple[float, float]:
+    """(threshold, tau) of the vector's effective level labeling."""
+    thresholds = vector.effective_thresholds
+    return (float(thresholds.get("threshold", 0.0)),
+            float(thresholds.get("class_a_min_magnitude", 0.0)))
+
 
 def reference_decode_hardened(model, z, spiral_cfg=SpiralConfig()):
     """``evaluation.decode_hardened`` as it was before each chunk's halves ran

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import contextlib
 import json
 import os
 import resource
+import signal
 import struct
 import subprocess
 import sys
@@ -15,9 +17,10 @@ from toy import toy_song, write_toy_corpus
 import ttvae
 from ttvae.cli import main
 from ttvae.corpus import RECORD_DTYPE, load_dataset
+from ttvae.latent import VectorsFile, save_vectors
 from ttvae.midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
 from ttvae.spiral import SpiralConfig, key_center
-from ttvae.vae import load_checkpoint
+from ttvae.vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint
 
 TOY_CONFIG = dict(latent_dim=8, hidden=24, gru_layers=1, batch_size=8,
                   learning_rate=0.002, beta_step=1e-4, beta_max=0.006,
@@ -604,3 +607,92 @@ class TestVectorModelMismatch:
         assert main(["generate", "--model", str(other_dir / "checkpoint.ttv"),
                      "--vectors", str(pipeline["vectors"]),
                      "--out", str(tmp_path / "g.mid")]) == 2
+
+
+# Runs ``ttv`` in a child process and prints its peak RSS in KiB, so a read
+# that sizes memory shows.  ``ru_maxrss`` would count the forking test
+# process's peak too, since it survives ``exec``; ``VmHWM`` does not.
+CLI_PROBE = """
+import sys
+from ttvae.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def run_cli_probe(argv):
+    """(exit code, stdout, stderr) of ``ttv argv`` in a child process in its
+    own session; its process group is killed afterwards, so a child blocked
+    on a FIFO cannot outlive the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", CLI_PROBE, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return proc.returncode, out, err
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """An untrained checkpoint, a vectors file without vectors and a plan."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = ModelConfig(latent_dim=4, hidden=8, gru_layers=1, rng_seed=1)
+    save_checkpoint(root / "model.ttv", TensionVae.initialize(cfg).params, cfg)
+    save_vectors(root / "vectors.json", VectorsFile(4, "", {}))
+    (root / "plan.json").write_text(json.dumps({"sections": [{"bars": 4}]}))
+    return root
+
+
+# A sparse file this large costs a whole read 128 MiB of memory.
+BIG_MIDI_BYTES = 128 * 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo")
+                    or not os.path.exists("/proc/self/status"),
+                    reason="needs FIFOs and /proc")
+class TestMidiInputsReadCapped:
+    """``analyze --in`` and ``--seed-midi`` read a MIDI file as ingest does:
+    a FIFO, directory or file over the cap exits 2 unread."""
+
+    REASONS = {"fifo": "not a regular file", "directory": "not a regular file",
+               "oversize": "larger than the cap of"}
+
+    @pytest.mark.parametrize("kind", REASONS)
+    @pytest.mark.parametrize("command", ["analyze", "generate", "compose-chain"])
+    def test_exits_two_unread(self, command, kind, tiny_model, tmp_path):
+        path = tmp_path / "in.mid"
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            with open(path, "wb") as fh:
+                fh.truncate(BIG_MIDI_BYTES)  # sparse: no bytes written
+        argv = {
+            "analyze": ["analyze", "--in", str(path)],
+            "generate": ["generate", "--model", str(tiny_model / "model.ttv"),
+                         "--vectors", str(tiny_model / "vectors.json"),
+                         "--seed-midi", str(path),
+                         "--out", str(tmp_path / "g.mid")],
+            "compose-chain": [
+                "compose-chain", "--model", str(tiny_model / "model.ttv"),
+                "--vectors", str(tiny_model / "vectors.json"),
+                "--plan", str(tiny_model / "plan.json"),
+                "--seed-midi", str(path), "--out", str(tmp_path / "c.mid")],
+        }[command]
+        code, out, err = run_cli_probe(argv)
+        assert code == 2, err
+        assert err.startswith("error: ") and self.REASONS[kind] in err, err
+        assert str(path) in err
+        # the peak of a read of the whole file would pass 128 MiB
+        assert int(out.splitlines()[-1]) * 1024 < BIG_MIDI_BYTES * 3 // 4
+        assert not (tmp_path / "g.mid").exists()
+        assert not (tmp_path / "c.mid").exists()

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _direction_tau,
+    _level_params,
     random_roll,
     reference_decode_hardened,
     reference_interaction_grid,
@@ -530,11 +532,11 @@ SCALE_LISTS = {"zero and negative": (-4.0, 0.0, 4.0), "no zero": (2.0, 5.0),
 
 def reference_sweep_summary(model, vector, ratio_kind, scales, n, seed):
     if ratio_kind == "upward":
-        tau = evaluation._direction_tau(vector)
+        tau = _direction_tau(vector)
         ratio_fn, thresholds = (lambda curves: upward_ratio(curves, tau),
                                 {"tau_direction": tau})
     else:
-        threshold, tau = evaluation._level_params(vector)
+        threshold, tau = _level_params(vector)
         ratio_fn, thresholds = (lambda curves: high_ratio(curves, threshold, tau),
                                 {"threshold": threshold, "tau_level": tau})
     return sweep_summary(reference_sweep(model, vector, scales, n, seed, ratio_fn,
@@ -572,14 +574,27 @@ class TestStreamedEqualsReference:
             assert sweep_summary(level_sweep(model, vector, scales, n, 4)) == expected
 
     @pytest.mark.parametrize("mode", ["upward", "high"])
-    @pytest.mark.parametrize("n, scales", [(n, SCALE_LISTS["zero and negative"])
-                                           for n in SIZES]
-                             + [(257, scales) for name, scales in SCALE_LISTS.items()
-                                if name != "zero and negative"])
-    def test_interaction_grid(self, n, scales, mode):
+    @pytest.mark.parametrize("n, scales, curves", [
+        pytest.param(n, scales, "both", id=f"{n}-scales{i}")
+        for i, (n, scales) in enumerate(
+            [(n, SCALE_LISTS["zero and negative"]) for n in SIZES]
+            + [(257, scales) for name, scales in SCALE_LISTS.items()
+               if name != "zero and negative"])]
+        + [pytest.param(257, SCALE_LISTS["zero and negative"], "tensile only",
+                        id="257-same-curve")])
+    def test_interaction_grid(self, n, scales, curves, mode):
         model = reference_model()
-        vectors = (skewed_vector("tensile_strain_direction", 0),
-                   skewed_vector("cloud_diameter_direction", 2))
+        if curves == "both":
+            vectors = (skewed_vector("tensile_strain_direction", 0),
+                       skewed_vector("cloud_diameter_direction", 2))
+        else:
+            # Neither vector measures diameter, which is rated at zero
+            # thresholds; tensile is rated at the second vector's.
+            vectors = (skewed_vector("tensile_strain_direction", 0),
+                       skewed_vector("tensile_strain_level", 2))
+            vectors[1].effective_thresholds = {
+                "class_a_min_score": -0.2, "threshold": 0.6,
+                "class_a_min_magnitude": 0.5}
         streamed = interaction_grid(model, *vectors, scales, n, 5, mode=mode)
         expected = reference_interaction_grid(model, *vectors, scales, n, 5,
                                               mode=mode)
@@ -601,8 +616,24 @@ class TestStreamedEqualsReference:
             sweeps(reference_model(), [], "sideways", (1.0,), 4)
 
 
+class InlineHelper:
+    """An executor whose ``submit`` runs the call at once."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
 class TestStreamedMemory:
-    def test_sweep_peak_does_not_grow_with_n(self):
+    def test_sweep_peak_does_not_grow_with_n(self, monkeypatch):
+        # The helper's half runs inline: whether the two halves' peaks
+        # overlap would otherwise depend on thread timing, with more chances
+        # to at larger n.
+        monkeypatch.setattr(evaluation, "_helper", InlineHelper)
         model = TensionVae.initialize(
             ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
         vector = skewed_vector("tensile_strain_direction", 0)

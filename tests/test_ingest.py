@@ -26,7 +26,6 @@ from ttvae.corpus import (
     save_dataset,
 )
 from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
-from ttvae.spiral import SpiralConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -309,7 +308,7 @@ class TestEntriesSkippedUnread:
                 return data
 
         monkeypatch.setattr(corpus, "open", Recording, raising=False)
-        song, reason, warnings = _ingest_file(entry, None, None, SpiralConfig())
+        song, reason, warnings = _ingest_file(entry, None, None)
         assert got == [MAX_MIDI_BYTES + 1]
         assert song is None and warnings == []
         assert f"cap of {MAX_MIDI_BYTES} bytes" in reason
