@@ -5,7 +5,10 @@
 Runs preprocess -> train -> vectors -> generate -> compose-chain -> eval (the
 direction, level, interaction and pitch-dist experiments) under fixed seeds,
 writing everything under ``OUT_DIR``, then prints one ``<sha256>  <path>``
-line per file, sorted by path relative to ``OUT_DIR``.  The chain runs in
+line per file, sorted by path relative to ``OUT_DIR``.  The toy corpus is
+all C major in 4/4, so the script also preprocesses the benchmark's seed-1
+``ingest`` corpus (transposed songs, 3/4 regions and three files to skip),
+written by ``perfbench/gen.py`` outside ``OUT_DIR``, into ``ingest.ds``.  The chain runs in
 ``OUT_DIR`` on relative paths, so reports that record an input path do not
 depend on where ``OUT_DIR`` is.  It takes about 10 s on two cores.
 
@@ -22,11 +25,12 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 CONFIG = dict(latent_dim=8, hidden=24, gru_layers=1, batch_size=8,
               learning_rate=0.002, beta_step=1e-4, beta_max=0.006,
@@ -58,6 +62,12 @@ def main() -> None:
     model = ("--model", "model/checkpoint.ttv", "--vectors", "vectors.json")
 
     run("preprocess", "--in", "midi", "--out", "toy.ds")
+    with tempfile.TemporaryDirectory() as bench:
+        import gen
+        import workloads
+
+        gen.write_corpus(Path(bench), 1, workloads.SPECS["ingest"])
+        run("preprocess", "--in", str(Path(bench) / "midi"), "--out", "ingest.ds")
     run("train", "--dataset", "toy.ds", "--out", "model",
         "--config", "config.json")
     run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "8",

@@ -393,13 +393,22 @@ def cmd_gradcheck(args) -> int:
     return 0 if passed else 1
 
 
+def _int_from(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttv",
         description="Tonal-tension curves, tension-predicting VAE, and "
                     "tension-controlled music generation.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rng-seed", type=int, default=None,
+    common.add_argument("--rng-seed", type=_int_from(0), default=None,
                         help="seed for all randomized behavior")
     common.add_argument("--config", default=None,
                         help="JSON file of model/training settings")
@@ -434,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kinds", default="all")
-    p.add_argument("--target-n", type=int, default=1000)
+    p.add_argument("--target-n", type=_int_from(1), default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vectors)
 
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'triangle' or a JSON file of 64 values")
     p.add_argument("--peak-step", type=int, default=32)
     p.add_argument("--name", default=None)
-    p.add_argument("--target-n", type=int, default=1000)
+    p.add_argument("--target-n", type=_int_from(1), default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shape_vector)
 

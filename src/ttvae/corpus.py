@@ -28,11 +28,12 @@ import pickle
 import stat
 import struct
 import threading
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +45,8 @@ from .pianoroll import (
     N_STEPS,
     STEPS_PER_BAR,
     NoteEvent,
-    TrackPair,
-    encode_roll,
-    unchecked_note,
-    unchecked_pair,
+    decode_track,
+    encode_steps,
     validate_roll,
 )
 from .tension import tension_curves
@@ -148,77 +147,110 @@ class FragmentDataset:
                          self.source_ids, self.bar_offsets))
 
 
-def quantize_notes(notes: list[MidiNote]) -> list[tuple[int, int, int]]:
-    """Snap (pitch, onset, duration) to the 16th grid; minimum duration 1."""
-    out = []
-    for n in notes:
-        onset = round(n.onset * 4)
-        end = round((n.onset + n.duration) * 4)
-        out.append((n.pitch, onset, max(1, end - onset)))
-    return out
+class TrackColumns(NamedTuple):
+    """One MIDI track's notes as columns, in note order."""
+
+    name: str
+    pitch: np.ndarray       # MIDI pitch, int64
+    onset: np.ndarray       # quarter-note beats
+    duration: np.ndarray    # quarter-note beats
 
 
-def _skyline(quantized: list[tuple[int, int, int]], keep_high: bool) -> list[NoteEvent]:
-    """Monophonize on the step grid, keeping the extreme sounding pitch.
+def read_tracks(score: Score) -> list[TrackColumns]:
+    """Every non-drum track of ``score`` as columns, each note read once."""
+    def column(notes, name, dtype):
+        return np.fromiter(map(attrgetter(name), notes), dtype, len(notes))
 
-    Simultaneous candidates resolve to the highest (or lowest) pitch; among
-    equal pitches the later onset wins, so a re-struck note truncates the
-    one it overlaps.
+    return [TrackColumns(t.name, column(t.notes, "pitch", np.int64),
+                         column(t.notes, "onset", np.float64),
+                         column(t.notes, "duration", np.float64))
+            for t in score.non_drum_tracks()]
+
+
+@dataclass(frozen=True, eq=False)
+class SongSteps:
+    """A song's melody and bass on the 16th grid: ``pitch`` and ``onset`` are
+    (2, steps), melody then bass, as :func:`ttvae.pianoroll.encode_steps`
+    reads them.  ``tracks`` are the song's non-drum tracks as columns."""
+
+    pitch: np.ndarray
+    onset: np.ndarray
+    tracks: list[TrackColumns]
+
+    @property
+    def melody(self) -> list[NoteEvent]:
+        return decode_track(self.pitch[0], self.onset[0], -1, int)
+
+    @property
+    def bass(self) -> list[NoteEvent]:
+        return decode_track(self.pitch[1], self.onset[1], -1, int)
+
+
+def _skyline(pitch: np.ndarray, onset: np.ndarray, end: np.ndarray,
+             steps: int, keep_high: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Monophonize quantized notes on a grid of ``steps``: per-step pitch
+    (-1 where silent) and whether a note starts at each step.
+
+    Each step is owned by the extreme sounding pitch; among equal pitches
+    the later onset wins, so a re-struck note truncates the one it overlaps.
+    A new owner starts a note.
     """
-    if not quantized:
-        return []
-    total = max(onset + dur for _, onset, dur in quantized)
-    sign = 1 if keep_high else -1
-    ranked = sorted(range(len(quantized)), key=lambda i: (
-        sign * quantized[i][0], quantized[i][1], i))
+    owner = np.full(steps, -1, dtype=np.intp)
+    ranked = np.lexsort((onset, pitch if keep_high else -pitch))
     # Paint in rank order, so each step ends up owned by its top-ranked note.
-    owner = np.full(total, -1, dtype=np.intp)
-    for idx in ranked:
-        _, onset, dur = quantized[idx]
-        owner[onset:onset + dur] = idx
-    starts = np.flatnonzero(np.diff(owner, prepend=-2)).tolist()
-    ends = starts[1:] + [total]
-    return [NoteEvent(quantized[idx][0], start, end - start)
-            for idx, start, end in zip(owner[starts].tolist(), starts, ends)
-            if idx >= 0]
+    for idx, lo, hi in zip(ranked.tolist(), onset[ranked].tolist(),
+                           end[ranked].tolist()):
+        owner[lo:hi] = idx
+    starts = owner != np.concatenate(([-1], owner[:-1]))
+    return np.append(pitch, -1)[owner], starts & (owner >= 0)
 
 
-def _pick_named(score: Score, name: str) -> MidiTrack:
-    for track in score.non_drum_tracks():
+def _pick_named(tracks: list[TrackColumns], name: str) -> TrackColumns:
+    for track in tracks:
         if track.name.lower() == name.lower():
             return track
     raise InvalidSongError(f"no track named {name!r}")
 
 
 def extract_tracks(score: Score, melody_name: str | None = None,
-                   bass_name: str | None = None) -> TrackPair:
-    """Choose melody and bass tracks and return them quantized + monophonic."""
-    candidates = [t for t in score.non_drum_tracks()
-                  if len(t.notes) >= MIN_TRACK_NOTES]
-    melody_track = _pick_named(score, melody_name) if melody_name else None
-    bass_track = _pick_named(score, bass_name) if bass_name else None
-    if melody_track is None or bass_track is None:
+                   bass_name: str | None = None) -> SongSteps:
+    """Choose melody and bass tracks and return them quantized + monophonic.
+
+    Notes snap to the 16th grid (half to even), lasting at least one step.
+    The song's extent is checked against :data:`MAX_SONG_STEPS` before any
+    per-step array is made.
+    """
+    tracks = read_tracks(score)
+    candidates = [t for t in tracks if len(t.pitch) >= MIN_TRACK_NOTES]
+    melody = _pick_named(tracks, melody_name) if melody_name else None
+    bass = _pick_named(tracks, bass_name) if bass_name else None
+    if melody is None or bass is None:
         if len(candidates) < 2:
             raise InvalidSongError(
                 f"need two non-drum tracks with >= {MIN_TRACK_NOTES} notes, "
                 f"found {len(candidates)}")
-        ordered = sorted(range(len(candidates)),
-                         key=lambda i: (candidates[i].mean_pitch(), i))
-        if melody_track is None:
-            melody_track = candidates[ordered[-1]]
-        if bass_track is None:
-            bass_track = candidates[ordered[0]]
-    if melody_track is bass_track:
+        # mean pitch from the integer sum
+        ordered = sorted(range(len(candidates)), key=lambda i: (
+            int(candidates[i].pitch.sum()) / len(candidates[i].pitch), i))
+        if melody is None:
+            melody = candidates[ordered[-1]]
+        if bass is None:
+            bass = candidates[ordered[0]]
+    if melody is bass:
         raise InvalidSongError("melody and bass resolved to the same track")
-    melody = quantize_notes(melody_track.notes)
-    bass = quantize_notes(bass_track.notes)
-    extent = max((onset + dur for _, onset, dur in melody + bass), default=0)
+    onsets = [np.rint(t.onset * 4) for t in (melody, bass)]
+    ends = [np.maximum(np.rint((t.onset + t.duration) * 4), onset + 1)
+            for t, onset in zip((melody, bass), onsets)]
+    extent = int(max(np.max(end, initial=0) for end in ends))
     if extent > MAX_SONG_STEPS:
         raise InvalidSongError(
             f"melody and bass run {extent} 16th steps, past the cap of "
             f"{MAX_SONG_BARS} bars of 4/4")
-    return unchecked_pair(_skyline(melody, keep_high=True),
-                          _skyline(bass, keep_high=False))
+    lines = [_skyline(t.pitch, onset.astype(np.intp), end.astype(np.intp),
+                      extent, keep_high)
+             for t, onset, end, keep_high in zip((melody, bass), onsets, ends,
+                                                 (True, False))]
+    return SongSteps(*map(np.stack, zip(*lines)), tracks)
 
 
 def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
@@ -232,16 +264,16 @@ def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
     return dots / (h_norm * _KEY_PROFILE_NORMS)
 
 
-def detect_key(score: Score) -> Key:
-    """Krumhansl-Schmuckler detection on a duration-weighted pc histogram.
+def detect_key(tracks: list[TrackColumns]) -> Key:
+    """Krumhansl-Schmuckler detection on the duration-weighted pc histogram
+    of ``tracks``, a song's non-drum tracks (:func:`read_tracks`).
 
     Ties break toward major, then toward the lower tonic pitch class.
     """
-    notes = [n for track in score.non_drum_tracks() for n in track.notes]
-    pcs = np.fromiter((n.pitch % 12 for n in notes), np.intp, len(notes))
-    durations = np.fromiter((max(n.duration, 0.0) for n in notes), np.float64,
-                            len(notes))
-    histogram = np.bincount(pcs, weights=durations, minlength=12)
+    pitch = np.concatenate([t.pitch for t in tracks] + [np.zeros(0, np.int64)])
+    duration = np.concatenate([t.duration for t in tracks] + [np.zeros(0)])
+    histogram = np.bincount(pitch % 12, weights=np.maximum(duration, 0.0),
+                            minlength=12)
     if histogram.sum() <= 0:
         raise NoKeyError("score has no sounding notes to detect a key from")
     scores = _profile_correlations(histogram)
@@ -259,12 +291,10 @@ def transposition_shift(key: Key) -> int:
     return up if up <= 6 else up - 12
 
 
-def _clamp_pitch(pitch: int) -> int:
-    while pitch < 0:
-        pitch += 12
-    while pitch > 127:
-        pitch -= 12
-    return pitch
+def _clamp_pitches(pitch: np.ndarray) -> np.ndarray:
+    """Move each pitch by octaves into 0..127."""
+    return np.where(pitch < 0, pitch % 12,
+                    np.where(pitch > 127, 127 - (127 - pitch) % 12, pitch))
 
 
 def transpose_to_c(score: Score, key: Key) -> Score:
@@ -272,25 +302,23 @@ def transpose_to_c(score: Score, key: Key) -> Score:
     shift = transposition_shift(key)
     tracks = []
     for track in score.tracks:
-        if track.is_drum or shift == 0:
-            notes = [MidiNote(n.pitch, n.onset, n.duration, n.velocity)
-                     for n in track.notes]
-        else:
-            notes = [MidiNote(_clamp_pitch(n.pitch + shift), n.onset,
-                              n.duration, n.velocity) for n in track.notes]
-        tracks.append(MidiTrack(track.name, track.channel, notes))
+        pitches = [n.pitch for n in track.notes]
+        if not track.is_drum and shift != 0:
+            pitches = _clamp_pitches(np.array(pitches, np.int64) + shift).tolist()
+        tracks.append(MidiTrack(track.name, track.channel, [
+            MidiNote(pitch, n.onset, n.duration, n.velocity)
+            for pitch, n in zip(pitches, track.notes)]))
     return Score(tracks=tracks, tempos=list(score.tempos),
                  meters=list(score.meters), markers=list(score.markers))
 
 
-def transpose_pair(pair: TrackPair, shift: int) -> TrackPair:
+def transpose_pair(song: SongSteps, shift: int) -> SongSteps:
+    """The song moved by ``shift`` semitones, as :func:`transpose_to_c`
+    moves notes; silent steps stay silent."""
     if shift == 0:
-        return pair
-    return unchecked_pair(
-        [unchecked_note(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
-         for n in pair.melody],
-        [unchecked_note(_clamp_pitch(n.pitch + shift), n.onset, n.duration)
-         for n in pair.bass])
+        return song
+    moved = np.where(song.pitch < 0, -1, _clamp_pitches(song.pitch + shift))
+    return replace(song, pitch=moved)
 
 
 def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
@@ -314,38 +342,20 @@ def _bar_grid(meters: list[tuple[float, int, int]], total_steps: int,
     return bars
 
 
-def _slice_track(notes: list[NoteEvent], ends: list[int], start: int,
-                 end: int) -> list[NoteEvent]:
-    """The notes that overlap steps [start, end), clipped and made relative.
-
-    ``notes`` are sorted and do not overlap, so their ``ends`` are sorted too
-    and the first overlapping note is found by bisection.
-    """
-    out = []
-    for i in range(bisect_right(ends, start), len(notes)):
-        n = notes[i]
-        if n.onset >= end:
-            break
-        lo = max(n.onset, start)
-        hi = min(ends[i], end)
-        out.append(unchecked_note(n.pitch, lo - start, hi - lo))
-    return out
-
-
-def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
-            ) -> tuple[list[tuple[int, TrackPair]], list[str]]:
-    """Split into non-overlapping 4-bar windows counted from bar 0.
+def segment(song: SongSteps, meters: list[tuple[float, int, int]] | None = None,
+            ) -> tuple[list[int], np.ndarray, list[str]]:
+    """Split into non-overlapping 4-bar windows counted from bar 0 and
+    encode them: (first bar of each window, rolls, warnings).
 
     Windows containing non-4/4 or non-contiguous bars are skipped with a
     warning; windows where either track is entirely silent are discarded.
+    A note that carries over into a window starts at its step 0.
     """
     warnings: list[str] = []
-    melody_ends = [n.end for n in pair.melody]
-    bass_ends = [n.end for n in pair.bass]
-    if not melody_ends and not bass_ends:
-        return [], warnings
-    bars = _bar_grid(meters or [], max(melody_ends + bass_ends), warnings)
-    fragments: list[tuple[int, TrackPair]] = []
+    pitch, onset = song.pitch, song.onset
+    total = pitch.shape[1]
+    bars = _bar_grid(meters or [], total, warnings) if total else []
+    offsets, starts = [], []
     for first in range(0, len(bars) - 3, 4):
         window = bars[first:first + 4]
         if not all(b[2] for b in window):
@@ -356,32 +366,45 @@ def segment(pair: TrackPair, meters: list[tuple[float, int, int]] | None = None,
         if not contiguous:
             warnings.append(f"bars {first}..{first + 3} are not contiguous; skipped")
             continue
-        start = window[0][0]
-        melody = _slice_track(pair.melody, melody_ends, start, start + N_STEPS)
-        bass = _slice_track(pair.bass, bass_ends, start, start + N_STEPS)
-        if not melody or not bass:
-            continue
-        fragments.append((first, unchecked_pair(melody, bass)))
-    return fragments, warnings
+        offsets.append(first)
+        starts.append(window[0][0])
+    steps = np.array(starts, dtype=np.intp).reshape(-1, 1) + np.arange(N_STEPS)
+    past = int(steps.max(initial=total - 1)) + 1 - total
+    if past > 0:  # bars may run past the last note: those steps are silent
+        pitch = np.pad(pitch, ((0, 0), (0, past)), constant_values=-1)
+        onset = np.pad(onset, ((0, 0), (0, past)))
+    pitch, onset = pitch[:, steps], onset[:, steps]
+    kept = (pitch >= 0).any(axis=2).all(axis=0)
+    return (list(compress(offsets, kept)),
+            encode_steps(pitch[:, kept], onset[:, kept]), warnings)
+
+
+def _song_rolls(score: Score, melody_name: str | None, bass_name: str | None,
+                ) -> tuple[np.ndarray, list[int], Key, list[str]]:
+    """One song's (rolls, bar offsets, original key, warnings)."""
+    song = extract_tracks(score, melody_name, bass_name)
+    key = detect_key(song.tracks)
+    offsets, rolls, warnings = segment(
+        transpose_pair(song, transposition_shift(key)), score.meters)
+    return rolls, offsets, key, warnings
+
+
+def _with_tension(rolls: np.ndarray, source_ids: list[str],
+                  bar_offsets: list[int], meta: dict) -> FragmentDataset:
+    """The fragments of ``rolls``, with curves from one tension call (the
+    key is always C major; rows are independent, so batching moves no bit)."""
+    strain, diameter = tension_curves(rolls)
+    return FragmentDataset(rolls, strain.values.astype(np.float32),
+                           diameter.values.astype(np.float32), source_ids,
+                           bar_offsets, meta)
 
 
 def song_fragments(score: Score, melody_name: str | None = None,
                    bass_name: str | None = None,
                    ) -> tuple[FragmentDataset, Key, list[str]]:
     """Full single-song pipeline; the tension key is always C major."""
-    pair = extract_tracks(score, melody_name, bass_name)
-    key = detect_key(score)
-    pair = transpose_pair(pair, transposition_shift(key))
-    windows, warnings = segment(pair, score.meters)
-    if not windows:
-        return FragmentDataset.empty(), key, warnings
-    rolls = np.stack([encode_roll(window) for _, window in windows])
-    strain, diameter = tension_curves(rolls)
-    return FragmentDataset(
-        rolls=rolls, tensile=strain.values.astype(np.float32),
-        diameter=diameter.values.astype(np.float32),
-        source_ids=[""] * len(windows),
-        bar_offsets=[bar_offset for bar_offset, _ in windows]), key, warnings
+    rolls, offsets, key, warnings = _song_rolls(score, melody_name, bass_name)
+    return _with_tension(rolls, [""] * len(rolls), offsets, {}), key, warnings
 
 
 def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
@@ -425,11 +448,12 @@ def read_midi_file(path) -> bytes:
 
 def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
                  bass_name: str | None):
-    """One corpus entry's (song, key, warnings), or (None, skip reason, [])."""
+    """One corpus entry's ((rolls, bar offsets), key, warnings), or
+    (None, skip reason, [])."""
     try:
-        song, key, warnings = song_fragments(
+        rolls, offsets, key, warnings = _song_rolls(
             parse_midi(_read_entry(entry)), melody_name, bass_name)
-        return song, str(key), warnings
+        return (rolls, offsets), str(key), warnings
     except (TtvaeError, OSError) as err:
         return None, str(err), []
 
@@ -443,9 +467,10 @@ def build_dataset(midi_dir, melody_name: str | None = None,
     and files over :data:`MAX_MIDI_BYTES`, are skipped without being read.
 
     The files are split into two runs of about equal bytes: the caller
-    builds the first and a forked helper process the second (see
-    :func:`_map_in_two_processes`), and the results are merged in file
-    order, so the dataset is the one a single process would build.
+    builds the rolls of the first and a forked helper process those of the
+    second (see :func:`_map_in_two_processes`), and the results are merged
+    in file order, so the dataset is the one a single process would build.
+    One tension call then scores every roll.
     """
     midi_dir = Path(midi_dir)
     if not midi_dir.is_dir():
@@ -457,7 +482,7 @@ def build_dataset(midi_dir, melody_name: str | None = None,
         entries, [size for _, size, _ in entries])
     meta = {"original_keys": {}, "skips": [], "warnings": []}
     # The empty part keeps the concatenation defined when no song is usable.
-    songs = [FragmentDataset.empty()]
+    rolls = [np.zeros((0, N_STEPS, N_FEATURES), np.uint8)]
     source_ids, bar_offsets = [], []
     for (path, _, _), (song, detail, warnings) in zip(entries, results):
         if song is None:
@@ -465,14 +490,10 @@ def build_dataset(midi_dir, melody_name: str | None = None,
             continue
         meta["original_keys"][path.name] = detail
         meta["warnings"].extend(f"{path.name}: {w}" for w in warnings)
-        songs.append(song)
-        source_ids += [path.name] * len(song)
-        bar_offsets += song.bar_offsets
-    return FragmentDataset(
-        rolls=np.concatenate([song.rolls for song in songs]),
-        tensile=np.concatenate([song.tensile for song in songs]),
-        diameter=np.concatenate([song.diameter for song in songs]),
-        source_ids=source_ids, bar_offsets=bar_offsets, meta=meta)
+        rolls.append(song[0])
+        source_ids += [path.name] * len(song[0])
+        bar_offsets += song[1]
+    return _with_tension(np.concatenate(rolls), source_ids, bar_offsets, meta)
 
 
 def _split_point(weights: list[int]) -> int:

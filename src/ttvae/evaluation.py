@@ -42,7 +42,7 @@ import numpy as np
 from . import pianoroll
 from .atomic import write_atomic
 from .errors import InvalidInputError
-from .latent import AttributeVector, apply_vector, direction_score, measured_curve
+from .latent import RAMP_TEMPLATE, AttributeVector, apply_vector, measured_curve, shape_scores
 from .pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_COLS,
@@ -178,7 +178,7 @@ def upward_ratio(curves: np.ndarray, tau: float, per_example: bool = False):
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[0] < 1:
         raise InvalidInputError("upward_ratio needs at least one curve")
-    flags = np.array([direction_score(c) > tau for c in curves])
+    flags = shape_scores(curves, RAMP_TEMPLATE) > tau
     return flags if per_example else float(np.mean(flags))
 
 

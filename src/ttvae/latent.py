@@ -105,13 +105,19 @@ class VectorsFile:
         return self.vectors[name]
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return 0.0
-    return float(a @ b / denom)
+def shape_scores(curves: np.ndarray, template: ShapeTemplate) -> np.ndarray:
+    """Correlation of each row of ``curves`` (n, 64) with a shape template;
+    constant curves score 0.  Row means and stacked (1, 64) @ (64, 1)
+    matmuls make the sums and BLAS dots of one curve's ``mean`` and ``@``,
+    so each score equals the one-curve score bit for bit."""
+    curves = np.ascontiguousarray(curves, dtype=float)
+    if curves.ndim != 2 or curves.shape[1] != N_STEPS:
+        raise InvalidInputError(f"curves must be (n, {N_STEPS})")
+    rows = (curves - curves.mean(axis=1, keepdims=True))[:, None, :]
+    b = template.values - template.values.mean()
+    denom = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0]) * np.linalg.norm(b)
+    dots = (rows @ b[:, None])[:, 0, 0]
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0)
 
 
 def direction_score(curve: np.ndarray) -> float:
@@ -133,7 +139,7 @@ def shape_score(curve: np.ndarray, template: ShapeTemplate) -> float:
     curve = np.asarray(curve, dtype=float)
     if curve.shape != (N_STEPS,):
         raise InvalidInputError(f"curve must have {N_STEPS} values")
-    return _pearson(curve, template.values)
+    return float(shape_scores(curve[None], template)[0])
 
 
 @dataclass
@@ -198,7 +204,7 @@ def select_classes(curves: np.ndarray, kind: str,
             "class_b_min_magnitude": min(magnitude[i] for i in class_b),
         }
     elif template is not None:
-        scores = [shape_score(c, template) for c in curves]
+        scores = shape_scores(curves, template).tolist()
         per_class = min(target_n, n // 2)
         if target_n > n // 2:
             warnings.append(

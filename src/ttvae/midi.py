@@ -45,9 +45,6 @@ class MidiTrack:
     def is_drum(self) -> bool:
         return self.channel == DRUM_CHANNEL
 
-    def mean_pitch(self) -> float:
-        return sum(n.pitch for n in self.notes) / len(self.notes)
-
 
 @dataclass
 class Score:

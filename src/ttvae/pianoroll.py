@@ -77,25 +77,6 @@ class TrackPair:
                         f"{name} notes overlap or are unsorted at step {b.onset}")
 
 
-# The corpus derives notes and windows from notes already checked (clipped,
-# shifted or re-paired), so it builds them without running the checks again.
-
-def unchecked_note(pitch: int, onset: int, duration: int) -> NoteEvent:
-    """A :class:`NoteEvent` whose values the caller knows are valid."""
-    note = object.__new__(NoteEvent)
-    object.__setattr__(note, "__dict__",
-                       {"pitch": pitch, "onset": onset, "duration": duration})
-    return note
-
-
-def unchecked_pair(melody: list[NoteEvent], bass: list[NoteEvent]) -> TrackPair:
-    """A :class:`TrackPair` of tracks the caller knows are sorted and disjoint."""
-    pair = object.__new__(TrackPair)
-    pair.melody = melody
-    pair.bass = bass
-    return pair
-
-
 # reduceat starts of the column runs that ``validate_roll`` sums per step:
 # melody pitch, melody onset, bass pitch, bass onset
 _SUMMED_RUNS = (0, MELODY_ONSET_COL, BASS_PITCH_START, BASS_ONSET_COL)
@@ -135,43 +116,47 @@ def validate_roll(roll: np.ndarray) -> None:
         raise InvalidRollError("bass onset flagged on a rest step")
 
 
+def encode_steps(pitch: np.ndarray, onset: np.ndarray) -> np.ndarray:
+    """Encode per-step tracks into rolls (..., 64, 89) in one pass.
+
+    ``pitch`` and ``onset`` are (2, ..., 64), melody then bass: the MIDI
+    pitch sounding at each step (-1 where silent) and whether a note starts
+    there.  A note sounding at step 0 starts there, and melody pitches
+    outside MIDI 24..96 are rests.
+    """
+    melody, bass = pitch
+    in_range = (melody >= MELODY_LOW) & (melody <= MELODY_HIGH)
+    sounding = bass >= 0
+    cols = np.stack([np.where(in_range, melody - MELODY_LOW, MELODY_REST_COL),
+                     np.where(sounding, BASS_PITCH_START + bass % 12,
+                              BASS_REST_COL)], axis=-1)
+    rolls = np.zeros(melody.shape + (N_FEATURES,), dtype=np.uint8)
+    np.put_along_axis(rolls, cols, 1, axis=-1)
+    starts = onset | (np.arange(N_STEPS) == 0)
+    rolls[..., MELODY_ONSET_COL] = in_range & starts[0]
+    rolls[..., BASS_ONSET_COL] = sounding & starts[1]
+    return rolls
+
+
 def encode_roll(pair: TrackPair) -> np.ndarray:
     """Encode a quantized 4-bar window into the 64x89 binary matrix.
 
     Total over its inputs: melody notes outside MIDI 24..96 become rests, and
-    notes are cropped to the 64-step window.
+    notes are cropped to the 64-step window (see :func:`encode_steps`).
     """
-    roll = np.zeros((N_STEPS, N_FEATURES), dtype=np.uint8)
-    roll[:, MELODY_REST_COL] = 1
-    roll[:, BASS_REST_COL] = 1
-
-    for note in pair.melody:
-        if not MELODY_LOW <= note.pitch <= MELODY_HIGH:
-            continue
-        start, end = note.onset, min(note.end, N_STEPS)
-        if start >= N_STEPS:
-            continue
-        col = note.pitch - MELODY_LOW
-        roll[start:end, MELODY_REST_COL] = 0
-        roll[start:end, :MELODY_REST_COL] = 0
-        roll[start:end, col] = 1
-        roll[start, MELODY_ONSET_COL] = 1
-
-    for note in pair.bass:
-        start, end = note.onset, min(note.end, N_STEPS)
-        if start >= N_STEPS:
-            continue
-        col = BASS_PITCH_START + note.pitch % 12
-        roll[start:end, BASS_REST_COL] = 0
-        roll[start:end, BASS_PITCH_COLS] = 0
-        roll[start:end, col] = 1
-        roll[start, BASS_ONSET_COL] = 1
-    return roll
+    pitch = np.full((2, N_STEPS), -1)
+    onset = np.zeros((2, N_STEPS), dtype=bool)
+    for row, notes in enumerate((pair.melody, pair.bass)):
+        for note in notes:
+            if note.onset < N_STEPS:
+                pitch[row, note.onset:note.end] = note.pitch
+                onset[row, note.onset] = True
+    return encode_steps(pitch, onset)
 
 
-def _decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
-                  to_pitch) -> list[NoteEvent]:
-    """Segment per-step pitch/onset columns into note events.
+def decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
+                 to_pitch) -> list[NoteEvent]:
+    """Segment per-step pitch/onset columns, of any length, into note events.
 
     A note starts where the onset flag is set, or where the pitch value
     changes without one (legato split); it sustains while the pitch column
@@ -180,7 +165,7 @@ def _decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
     notes: list[NoteEvent] = []
     current_pitch = None
     current_start = 0
-    for step in range(N_STEPS):
+    for step in range(len(pitches)):
         value = int(pitches[step])
         sounding = value != rest_value
         starts_new = sounding and (
@@ -194,7 +179,7 @@ def _decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
             current_start = step
     if current_pitch is not None:
         notes.append(NoteEvent(to_pitch(current_pitch), current_start,
-                               N_STEPS - current_start))
+                               len(pitches) - current_start))
     return notes
 
 
@@ -205,11 +190,11 @@ def decode_roll(roll: np.ndarray) -> TrackPair:
         raise InvalidRollError("decode_roll takes one roll, not a stack")
     melody_cols = roll[:, MELODY_PITCH_COLS].argmax(axis=1)
     bass_cols = roll[:, BASS_PITCH_COLS].argmax(axis=1)
-    melody = _decode_track(melody_cols, roll[:, MELODY_ONSET_COL],
-                           MELODY_REST_COL, lambda c: c + MELODY_LOW)
-    bass = _decode_track(bass_cols, roll[:, BASS_ONSET_COL],
-                         BASS_REST_COL - BASS_PITCH_START,
-                         lambda c: BASS_DECODE_BASE + c)
+    melody = decode_track(melody_cols, roll[:, MELODY_ONSET_COL],
+                          MELODY_REST_COL, lambda c: c + MELODY_LOW)
+    bass = decode_track(bass_cols, roll[:, BASS_ONSET_COL],
+                        BASS_REST_COL - BASS_PITCH_START,
+                        lambda c: BASS_DECODE_BASE + c)
     return TrackPair(melody=melody, bass=bass)
 
 

@@ -1,16 +1,31 @@
 """Shared generators and independent oracles used across the test suite."""
 
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
 from ttvae import evaluation
-from ttvae.corpus import KK_MAJOR, KK_MINOR, FragmentDataset, song_fragments
+from ttvae.corpus import (
+    KK_MAJOR,
+    KK_MINOR,
+    MAX_SONG_BARS,
+    MAX_SONG_STEPS,
+    MIN_TRACK_NOTES,
+    FragmentDataset,
+    SongSteps,
+    Key,
+    Mode,
+    _profile_correlations,
+    transposition_shift,
+)
 from ttvae.errors import (
     InvalidInputError,
     InvalidRollError,
+    InvalidSongError,
     MidiParseError,
+    NoKeyError,
     TtvaeError,
     UnsupportedFormatError,
 )
@@ -24,7 +39,17 @@ from ttvae.evaluation import (
     rhythm_fscore,
     upward_ratio,
 )
-from ttvae.latent import AttributeVector, apply_vector
+from ttvae.latent import (
+    DEFAULT_TARGET_N,
+    DIRECTION_KINDS,
+    LEVEL_KINDS,
+    RAMP_TEMPLATE,
+    AttributeVector,
+    ClassSelection,
+    _top_ids,
+    apply_vector,
+    level_score,
+)
 from ttvae.midi import (
     _META_END_OF_TRACK,
     _META_MARKER,
@@ -41,12 +66,14 @@ from ttvae.pianoroll import (
     BASS_PITCH_COLS,
     BASS_PITCH_START,
     BASS_REST_COL,
+    MELODY_HIGH,
     MELODY_LOW,
     MELODY_ONSET_COL,
     MELODY_PITCH_COLS,
     MELODY_REST_COL,
     N_FEATURES,
     N_STEPS,
+    STEPS_PER_BAR,
     NoteEvent,
     TrackPair,
     bass_pitch_classes,
@@ -81,6 +108,19 @@ def random_window(rng, bass_low=36, bass_high=47):
         melody=random_track(rng, MELODY_LOW, 96),
         bass=random_track(rng, bass_low, bass_high, rest_prob=0.2),
     )
+
+
+def song_steps(pair):
+    """The :class:`ttvae.corpus.SongSteps` of a :class:`TrackPair`, as
+    ``extract_tracks`` would hold its notes."""
+    total = max((n.end for n in pair.melody + pair.bass), default=0)
+    pitch = np.full((2, total), -1)
+    onset = np.zeros((2, total), dtype=bool)
+    for row, notes in enumerate((pair.melody, pair.bass)):
+        for note in notes:
+            pitch[row, note.onset:note.end] = note.pitch
+            onset[row, note.onset] = True
+    return SongSteps(pitch, onset, [])
 
 
 def random_roll(rng):
@@ -627,9 +667,229 @@ def reference_slice_track(notes, start, end):
     return out
 
 
+# ``corpus.song_fragments`` as it was before the columnar song pipeline: one
+# object per note from quantization to encoding, and one tension call per
+# song.  Kept verbatim (``_profile_correlations``, ``transposition_shift``,
+# ``Key`` and ``tension_curves`` are imported) as the exact reference for the
+# columnar pipeline and for ``reference_build_dataset``.
+
+def _ref_unchecked_note(pitch, onset, duration):
+    note = object.__new__(NoteEvent)
+    object.__setattr__(note, "__dict__",
+                       {"pitch": pitch, "onset": onset, "duration": duration})
+    return note
+
+
+def _ref_unchecked_pair(melody, bass):
+    pair = object.__new__(TrackPair)
+    pair.melody = melody
+    pair.bass = bass
+    return pair
+
+
+def _ref_quantize_notes(notes):
+    out = []
+    for n in notes:
+        onset = round(n.onset * 4)
+        end = round((n.onset + n.duration) * 4)
+        out.append((n.pitch, onset, max(1, end - onset)))
+    return out
+
+
+def _ref_skyline(quantized, keep_high):
+    if not quantized:
+        return []
+    total = max(onset + dur for _, onset, dur in quantized)
+    sign = 1 if keep_high else -1
+    ranked = sorted(range(len(quantized)), key=lambda i: (
+        sign * quantized[i][0], quantized[i][1], i))
+    owner = np.full(total, -1, dtype=np.intp)
+    for idx in ranked:
+        _, onset, dur = quantized[idx]
+        owner[onset:onset + dur] = idx
+    starts = np.flatnonzero(np.diff(owner, prepend=-2)).tolist()
+    ends = starts[1:] + [total]
+    return [_ref_unchecked_note(quantized[idx][0], start, end - start)
+            for idx, start, end in zip(owner[starts].tolist(), starts, ends)
+            if idx >= 0]
+
+
+def _ref_pick_named(score, name):
+    for track in score.non_drum_tracks():
+        if track.name.lower() == name.lower():
+            return track
+    raise InvalidSongError(f"no track named {name!r}")
+
+
+def reference_extract_tracks(score, melody_name=None, bass_name=None):
+    candidates = [t for t in score.non_drum_tracks()
+                  if len(t.notes) >= MIN_TRACK_NOTES]
+    melody_track = _ref_pick_named(score, melody_name) if melody_name else None
+    bass_track = _ref_pick_named(score, bass_name) if bass_name else None
+    if melody_track is None or bass_track is None:
+        if len(candidates) < 2:
+            raise InvalidSongError(
+                f"need two non-drum tracks with >= {MIN_TRACK_NOTES} notes, "
+                f"found {len(candidates)}")
+        ordered = sorted(range(len(candidates)), key=lambda i: (
+            sum(n.pitch for n in candidates[i].notes) / len(candidates[i].notes), i))
+        if melody_track is None:
+            melody_track = candidates[ordered[-1]]
+        if bass_track is None:
+            bass_track = candidates[ordered[0]]
+    if melody_track is bass_track:
+        raise InvalidSongError("melody and bass resolved to the same track")
+    melody = _ref_quantize_notes(melody_track.notes)
+    bass = _ref_quantize_notes(bass_track.notes)
+    extent = max((onset + dur for _, onset, dur in melody + bass), default=0)
+    if extent > MAX_SONG_STEPS:
+        raise InvalidSongError(
+            f"melody and bass run {extent} 16th steps, past the cap of "
+            f"{MAX_SONG_BARS} bars of 4/4")
+    return _ref_unchecked_pair(_ref_skyline(melody, keep_high=True),
+                               _ref_skyline(bass, keep_high=False))
+
+
+def reference_detect_key(score):
+    notes = [n for track in score.non_drum_tracks() for n in track.notes]
+    pcs = np.fromiter((n.pitch % 12 for n in notes), np.intp, len(notes))
+    durations = np.fromiter((max(n.duration, 0.0) for n in notes), np.float64,
+                            len(notes))
+    histogram = np.bincount(pcs, weights=durations, minlength=12)
+    if histogram.sum() <= 0:
+        raise NoKeyError("score has no sounding notes to detect a key from")
+    scores = _profile_correlations(histogram)
+    best = int(np.argmax(scores))
+    return Key(tonic=best % 12, mode=Mode.MAJOR if best < 12 else Mode.MINOR)
+
+
+def _ref_clamp_pitch(pitch):
+    while pitch < 0:
+        pitch += 12
+    while pitch > 127:
+        pitch -= 12
+    return pitch
+
+
+def reference_transpose_pair(pair, shift):
+    if shift == 0:
+        return pair
+    return _ref_unchecked_pair(
+        [_ref_unchecked_note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+         for n in pair.melody],
+        [_ref_unchecked_note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+         for n in pair.bass])
+
+
+def reference_bar_grid(meters, total_steps, warnings):
+    regions = sorted(meters) if meters else [(0.0, 4, 4)]
+    bars = []
+    for i, (beat, num, den) in enumerate(regions):
+        start = round(beat * 4)
+        end = round(regions[i + 1][0] * 4) if i + 1 < len(regions) else total_steps
+        end = min(end, MAX_SONG_STEPS)
+        if num < 1 or num * STEPS_PER_BAR % den:
+            warnings.append(f"meter {num}/{den} not representable on the "
+                            f"16th grid; region at step {start} skipped")
+            continue
+        bar_len = num * STEPS_PER_BAR // den
+        while start + bar_len <= end:
+            bars.append((start, bar_len, (num, den) == (4, 4)))
+            start += bar_len
+    return bars
+
+
+def _ref_slice_track(notes, ends, start, end):
+    out = []
+    for i in range(bisect_right(ends, start), len(notes)):
+        n = notes[i]
+        if n.onset >= end:
+            break
+        lo = max(n.onset, start)
+        hi = min(ends[i], end)
+        out.append(_ref_unchecked_note(n.pitch, lo - start, hi - lo))
+    return out
+
+
+def reference_segment(pair, meters=None):
+    warnings = []
+    melody_ends = [n.end for n in pair.melody]
+    bass_ends = [n.end for n in pair.bass]
+    if not melody_ends and not bass_ends:
+        return [], warnings
+    bars = reference_bar_grid(meters or [], max(melody_ends + bass_ends), warnings)
+    fragments = []
+    for first in range(0, len(bars) - 3, 4):
+        window = bars[first:first + 4]
+        if not all(b[2] for b in window):
+            warnings.append(f"bars {first}..{first + 3} are not in 4/4; skipped")
+            continue
+        contiguous = all(window[i][0] + window[i][1] == window[i + 1][0]
+                         for i in range(3))
+        if not contiguous:
+            warnings.append(f"bars {first}..{first + 3} are not contiguous; skipped")
+            continue
+        start = window[0][0]
+        melody = _ref_slice_track(pair.melody, melody_ends, start, start + N_STEPS)
+        bass = _ref_slice_track(pair.bass, bass_ends, start, start + N_STEPS)
+        if not melody or not bass:
+            continue
+        fragments.append((first, _ref_unchecked_pair(melody, bass)))
+    return fragments, warnings
+
+
+def reference_encode_roll(pair):
+    """``pianoroll.encode_roll`` as a per-note loop, before it became an
+    adapter over the step encoder."""
+    roll = np.zeros((N_STEPS, N_FEATURES), dtype=np.uint8)
+    roll[:, MELODY_REST_COL] = 1
+    roll[:, BASS_REST_COL] = 1
+
+    for note in pair.melody:
+        if not MELODY_LOW <= note.pitch <= MELODY_HIGH:
+            continue
+        start, end = note.onset, min(note.end, N_STEPS)
+        if start >= N_STEPS:
+            continue
+        col = note.pitch - MELODY_LOW
+        roll[start:end, MELODY_REST_COL] = 0
+        roll[start:end, :MELODY_REST_COL] = 0
+        roll[start:end, col] = 1
+        roll[start, MELODY_ONSET_COL] = 1
+
+    for note in pair.bass:
+        start, end = note.onset, min(note.end, N_STEPS)
+        if start >= N_STEPS:
+            continue
+        col = BASS_PITCH_START + note.pitch % 12
+        roll[start:end, BASS_REST_COL] = 0
+        roll[start:end, BASS_PITCH_COLS] = 0
+        roll[start:end, col] = 1
+        roll[start, BASS_ONSET_COL] = 1
+    return roll
+
+
+def reference_song_fragments(score, melody_name=None, bass_name=None):
+    """(dataset, key, warnings) of one song through the per-note pipeline."""
+    pair = reference_extract_tracks(score, melody_name, bass_name)
+    key = reference_detect_key(score)
+    pair = reference_transpose_pair(pair, transposition_shift(key))
+    windows, warnings = reference_segment(pair, score.meters)
+    if not windows:
+        return FragmentDataset.empty(), key, warnings
+    rolls = np.stack([reference_encode_roll(window) for _, window in windows])
+    strain, diameter = tension_curves(rolls)
+    return FragmentDataset(
+        rolls=rolls, tensile=strain.values.astype(np.float32),
+        diameter=diameter.values.astype(np.float32),
+        source_ids=[""] * len(windows),
+        bar_offsets=[bar_offset for bar_offset, _ in windows]), key, warnings
+
+
 def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
     """``corpus.build_dataset`` as it was before it split the files between
-    two processes: one sequential loop, each file read whole."""
+    two processes: one sequential loop, each file read whole, each song
+    through :func:`reference_song_fragments`."""
     midi_dir = Path(midi_dir)
     if not midi_dir.is_dir():
         raise InvalidInputError(f"not a directory: {midi_dir}")
@@ -642,7 +902,7 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
     for path in files:
         try:
             score = parse_midi(path.read_bytes())
-            song, key, warnings = song_fragments(
+            song, key, warnings = reference_song_fragments(
                 score, melody_name, bass_name)
         except (TtvaeError, OSError) as err:
             meta["skips"].append({"file": path.name, "reason": str(err)})
@@ -657,6 +917,87 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
         tensile=np.concatenate([song.tensile for song in songs]),
         diameter=np.concatenate([song.diameter for song in songs]),
         source_ids=source_ids, bar_offsets=bar_offsets, meta=meta)
+
+
+# ------------------------------------------------ reference per-curve scores
+# ``latent._pearson``, ``shape_score`` and ``select_classes`` as they were
+# before ``latent.shape_scores`` scored every curve at once, kept verbatim.
+
+def reference_pearson(a, b):
+    a = a - a.mean()
+    b = b - b.mean()
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if denom == 0:
+        return 0.0
+    return float(a @ b / denom)
+
+
+def reference_shape_score(curve, template):
+    curve = np.asarray(curve, dtype=float)
+    if curve.shape != (N_STEPS,):
+        raise InvalidInputError(f"curve must have {N_STEPS} values")
+    return reference_pearson(curve, template.values)
+
+
+def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
+                             threshold=None, template=None):
+    curves = np.asarray(curves, dtype=float)
+    if curves.ndim != 2 or curves.shape[1] != N_STEPS:
+        raise InvalidInputError("curves must be (n_fragments, 64)")
+    n = len(curves)
+    warnings = []
+    if kind in DIRECTION_KINDS:
+        template = RAMP_TEMPLATE
+    if kind in LEVEL_KINDS:
+        c = float(curves.mean()) if threshold is None else float(threshold)
+        magnitude = {}
+        high, low = [], []
+        for i, curve in enumerate(curves):
+            sign, mag = level_score(curve, c)
+            magnitude[i] = mag
+            (high if sign > 0 else low).append((mag, i))
+        per_class = min(target_n, len(high), len(low))
+        if per_class < target_n:
+            warnings.append(
+                f"sides hold {len(high)} high / {len(low)} low fragments; "
+                f"using {per_class} per class")
+        if per_class == 0:
+            raise InvalidInputError(
+                f"cannot form {kind} classes: one side is empty")
+        class_a = _top_ids(high, per_class)
+        class_b = _top_ids(low, per_class)
+        thresholds = {
+            "threshold": c,
+            "class_a_min_magnitude": min(magnitude[i] for i in class_a),
+            "class_b_min_magnitude": min(magnitude[i] for i in class_b),
+        }
+    elif template is not None:
+        scores = [reference_shape_score(c, template) for c in curves]
+        per_class = min(target_n, n // 2)
+        if target_n > n // 2:
+            warnings.append(
+                f"population {n} cannot fill two classes of {target_n}; "
+                f"using {per_class} per class")
+        if per_class == 0:
+            raise InvalidInputError(f"cannot form {kind} classes from {n} fragment(s)")
+        ranked = _top_ids([(score, i) for i, score in enumerate(scores)], n)
+        class_a, class_b = ranked[:per_class], ranked[n - per_class:]
+        thresholds = {
+            "class_a_min_score": min(scores[i] for i in class_a),
+            "class_b_max_score": max(scores[i] for i in class_b),
+        }
+    elif kind.startswith("shape:"):
+        raise InvalidInputError("shape selection needs a template")
+    else:
+        raise InvalidInputError(f"unknown labeling kind {kind!r}")
+    return ClassSelection(kind=kind, class_a=sorted(class_a),
+                          class_b=sorted(class_b),
+                          effective_thresholds=thresholds, warnings=warnings)
+
+
+def reference_upward_ratio(curves, tau):
+    return float(np.mean([reference_shape_score(c, RAMP_TEMPLATE) > tau
+                          for c in np.atleast_2d(np.asarray(curves, dtype=float))]))
 
 
 # ---------------------------------------------------- reference sweep loops

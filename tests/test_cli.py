@@ -696,3 +696,41 @@ class TestMidiInputsReadCapped:
         assert int(out.splitlines()[-1]) * 1024 < BIG_MIDI_BYTES * 3 // 4
         assert not (tmp_path / "g.mid").exists()
         assert not (tmp_path / "c.mid").exists()
+
+
+SUBCOMMANDS = ("analyze", "preprocess", "train", "vectors", "shape-vector",
+               "generate", "compose-chain", "eval", "gradcheck")
+
+
+class TestIntegerFlagsCheckedOnParse:
+    """A negative ``--rng-seed`` or a ``--target-n`` below 1 is refused by
+    argparse, on every subcommand that takes the flag, before any work."""
+
+    def _refused(self, argv, capsys, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " + message in err
+        assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_negative_rng_seed(self, command, capsys):
+        self._refused([command, "--rng-seed", "-1"], capsys,
+                      "--rng-seed: must be >= 0, got -1")
+
+    @pytest.mark.parametrize("command", ["vectors", "shape-vector"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_target_n_below_one(self, command, value, capsys):
+        self._refused([command, "--target-n", value], capsys,
+                      f"--target-n: must be >= 1, got {value}")
+
+    def test_non_integer_rng_seed(self, capsys):
+        self._refused(["generate", "--rng-seed", "x"], capsys,
+                      "--rng-seed: invalid integer value: 'x'")
+
+    def test_zero_seed_and_one_per_class_still_parse(self):
+        args = ttvae.cli.build_parser().parse_args(
+            ["vectors", "--model", "m", "--dataset", "d", "--out", "o",
+             "--rng-seed", "0", "--target-n", "1"])
+        assert (args.rng_seed, args.target_n) == (0, 1)

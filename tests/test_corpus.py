@@ -4,14 +4,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     make_dataset,
     random_window,
+    reference_encode_roll,
+    reference_extract_tracks,
     reference_key_scores,
     reference_skyline,
     reference_slice_track,
+    reference_song_fragments,
+    reference_transpose_pair,
     reference_validate_roll,
+    song_steps,
 )
 from ttvae.corpus import (
     KK_MAJOR,
@@ -20,7 +27,6 @@ from ttvae.corpus import (
     _bar_grid,
     _profile_correlations,
     _skyline,
-    _slice_track,
     _validate_rolls,
     KK_MINOR,
     Key,
@@ -29,6 +35,7 @@ from ttvae.corpus import (
     detect_key,
     extract_tracks,
     load_dataset,
+    read_tracks,
     save_dataset,
     segment,
     song_fragments,
@@ -36,7 +43,13 @@ from ttvae.corpus import (
     transpose_to_c,
     transposition_shift,
 )
-from ttvae.errors import InvalidInputError, InvalidRollError, InvalidSongError, NoKeyError
+from ttvae.errors import (
+    InvalidInputError,
+    InvalidRollError,
+    InvalidSongError,
+    NoKeyError,
+    TtvaeError,
+)
 from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
@@ -47,6 +60,7 @@ from ttvae.pianoroll import (
     NoteEvent,
     TrackPair,
     decode_roll,
+    decode_track,
     encode_roll,
     validate_roll,
 )
@@ -141,7 +155,7 @@ def pearson_oracle(histogram):
 class TestDetectKey:
     def test_c_major_scale(self):
         score = two_track_score(SCALE_UP, [p - 24 for p in SCALE_UP])
-        key = detect_key(score)
+        key = detect_key(read_tracks(score))
         assert key == Key(0, Mode.MAJOR)
         histogram = [0.0] * 12
         for p in SCALE_UP + [p - 24 for p in SCALE_UP]:
@@ -153,12 +167,12 @@ class TestDetectKey:
         for shift in (2, 5, 9):
             shifted = [p + shift for p in SCALE_UP]
             score = two_track_score(shifted, [p - 24 for p in shifted])
-            assert detect_key(score) == Key(shift % 12, Mode.MAJOR)
+            assert detect_key(read_tracks(score)) == Key(shift % 12, Mode.MAJOR)
 
     def test_natural_minor_scale(self):
         minor = [57, 59, 60, 62, 64, 65, 67, 69]  # A natural minor
         score = two_track_score(minor, [p - 24 for p in minor])
-        key = detect_key(score)
+        key = detect_key(read_tracks(score))
         histogram = [0.0] * 12
         for p in minor + [p - 24 for p in minor]:
             histogram[p % 12] += 1.0
@@ -170,7 +184,7 @@ class TestDetectKey:
     def test_single_repeated_note(self):
         score = Score(tracks=[MidiTrack(notes=[
             MidiNote(60, i, 1.0) for i in range(8)])])
-        key = detect_key(score)
+        key = detect_key(read_tracks(score))
         assert key.tonic == 0
         oracle = pearson_oracle([8.0] + [0.0] * 11)
         best = oracle.index(max(oracle))
@@ -178,7 +192,7 @@ class TestDetectKey:
 
     def test_all_rest_rejected(self):
         with pytest.raises(NoKeyError):
-            detect_key(Score(tracks=[MidiTrack()]))
+            detect_key(read_tracks(Score(tracks=[MidiTrack()])))
 
 
 class TestTranspose:
@@ -213,8 +227,8 @@ class TestTranspose:
         for shift in range(12):
             melody = [p + shift for p in SCALE_UP]
             score = two_track_score(melody, [p - 24 for p in melody])
-            key = detect_key(score)
-            again = detect_key(transpose_to_c(score, key))
+            key = detect_key(read_tracks(score))
+            again = detect_key(read_tracks(transpose_to_c(score, key)))
             assert again in (Key(0, Mode.MAJOR), Key(9, Mode.MINOR))
 
 
@@ -227,26 +241,26 @@ def steady_pair(bars, melody_pitch=60, bass_pitch=36):
 
 class TestSegment:
     def test_eight_bars_two_fragments(self):
-        fragments, warnings = segment(steady_pair(8))
-        assert [offset for offset, _ in fragments] == [0, 4]
+        offsets, rolls, warnings = segment(song_steps(steady_pair(8)))
+        assert offsets == [0, 4] and len(rolls) == 2
         assert warnings == []
 
     def test_ten_bars_drops_tail(self):
-        fragments, _ = segment(steady_pair(10))
-        assert len(fragments) == 2
+        offsets, _, _ = segment(song_steps(steady_pair(10)))
+        assert len(offsets) == 2
 
     def test_silent_bass_discards_window(self):
         pair = TrackPair(melody=steady_pair(4).melody, bass=[])
-        fragments, _ = segment(pair)
-        assert fragments == []
+        offsets, rolls, _ = segment(song_steps(pair))
+        assert offsets == [] and rolls.shape == (0, 64, 89)
 
     def test_non_44_region_skipped(self):
-        fragments, warnings = segment(steady_pair(12), meters=[
+        offsets, _, warnings = segment(song_steps(steady_pair(12)), meters=[
             (0.0, 4, 4), (16.0, 3, 4), (28.0, 4, 4)])
         assert len(warnings) >= 1
         # Bars 4..7 sit in the 3/4 region, so only the windows at bar 0 and
         # bar 8 survive.
-        assert [offset for offset, _ in fragments] == [0, 8]
+        assert offsets == [0, 8]
 
     def test_zero_numerator_meter_skipped(self):
         warnings = []
@@ -257,9 +271,10 @@ class TestSegment:
     def test_notes_crossing_window_boundary_split(self):
         melody = [NoteEvent(60, 0, 128)]
         bass = [NoteEvent(36, 0, 128)]
-        fragments, _ = segment(TrackPair(melody=melody, bass=bass))
-        assert len(fragments) == 2
-        for _, window in fragments:
+        offsets, rolls, _ = segment(song_steps(TrackPair(melody=melody, bass=bass)))
+        assert len(offsets) == 2
+        for roll in rolls:
+            window = decode_roll(roll)
             assert window.melody[0].onset == 0
             assert window.melody[0].duration == 64
 
@@ -594,23 +609,31 @@ def random_score(rng):
     return Score(tracks=tracks)
 
 
+def skyline_notes(quantized, keep_high):
+    """``_skyline`` of (pitch, onset, duration) triples, read back as notes."""
+    pitch, onset, duration = np.array(quantized, np.int64).reshape(-1, 3).T
+    end = onset + duration
+    steps = int(end.max(initial=0))
+    return decode_track(*_skyline(pitch, onset, end, steps, keep_high), -1, int)
+
+
 class TestLoopReferences:
-    """The note-level corpus loops against the per-step and per-song loops
+    """The columnar corpus steps against the per-step and per-note loops
     they replaced."""
 
     @pytest.mark.parametrize("keep_high", [True, False])
     def test_skyline_equals_per_step_loop(self, rng, keep_high):
         for n in [0, 1, 2, 3] + [int(k) for k in rng.integers(4, 40, 300)]:
             quantized = random_quantized(rng, n)
-            assert _skyline(quantized, keep_high) \
+            assert skyline_notes(quantized, keep_high) \
                 == reference_skyline(quantized, keep_high)
 
     def test_skyline_restrike_truncates_and_resumes(self):
         quantized = [(60, 0, 8), (60, 2, 2), (67, 3, 1), (55, 0, 12)]
-        assert _skyline(quantized, keep_high=True) == [
+        assert skyline_notes(quantized, keep_high=True) == [
             NoteEvent(60, 0, 2), NoteEvent(60, 2, 1), NoteEvent(67, 3, 1),
             NoteEvent(60, 4, 4), NoteEvent(55, 8, 4)]
-        assert _skyline(quantized, keep_high=True) \
+        assert skyline_notes(quantized, keep_high=True) \
             == reference_skyline(quantized, keep_high=True)
 
     def test_key_scores_equal_per_note_loop(self, rng):
@@ -619,48 +642,123 @@ class TestLoopReferences:
             histogram, scores = reference_key_scores(score)
             if histogram.sum() <= 0:
                 with pytest.raises(NoKeyError):
-                    detect_key(score)
+                    detect_key(read_tracks(score))
                 continue
             assert np.array_equal(_profile_correlations(histogram), scores)
             best = int(np.argmax(scores))
-            assert detect_key(score) == Key(
+            assert detect_key(read_tracks(score)) == Key(
                 best % 12, Mode.MAJOR if best < 12 else Mode.MINOR)
 
     def test_unchecked_notes_and_windows_pass_the_public_checks(self, rng):
-        # extract_tracks, transpose_pair and segment build their notes and
-        # pairs without re-running the checks; rebuilding each through the
-        # checking constructors must succeed and give equal values.
-        def rebuilt(pair):
-            return TrackPair(
-                melody=[NoteEvent(n.pitch, n.onset, n.duration) for n in pair.melody],
-                bass=[NoteEvent(n.pitch, n.onset, n.duration) for n in pair.bass])
-
+        # extract_tracks, transpose_pair and segment make their steps and
+        # rolls without per-note checks; the notes they hold must pass the
+        # checking constructors, and every roll validate_roll.
         checked = 0
         for _ in range(300):
             score = random_score(rng)
             try:
-                pair = extract_tracks(score)
+                song = extract_tracks(score)
             except InvalidSongError:
                 continue
             for shift in (-6, -1, 0, 5, 6):
-                moved = transpose_pair(pair, shift)
-                windows, _ = segment(moved)
-                for p in [pair, moved] + [window for _, window in windows]:
-                    assert rebuilt(p) == p
+                moved = transpose_pair(song, shift)
+                _, rolls, _ = segment(moved)
+                validate_roll(rolls)
+                for s in (song, moved):
+                    pair = TrackPair(melody=s.melody, bass=s.bass)
+                    assert pair == TrackPair(
+                        melody=[NoteEvent(n.pitch, n.onset, n.duration)
+                                for n in pair.melody],
+                        bass=[NoteEvent(n.pitch, n.onset, n.duration)
+                              for n in pair.bass])
                     checked += 1
         assert checked > 500
 
     def test_slice_track_equals_whole_song_scan(self, rng):
-        for _ in range(200):
+        # A window cut by segment at any start step encodes the notes the
+        # whole-song scan finds there, also past the last note.
+        for _ in range(100):
             notes, step = [], int(rng.integers(0, 10))
             for _ in range(int(rng.integers(0, 40))):
                 notes.append(NoteEvent(int(rng.integers(30, 90)), step,
                                        int(rng.integers(1, 40))))
                 step = notes[-1].end + int(rng.integers(0, 3))
-            ends = [n.end for n in notes]
+            song = song_steps(TrackPair(melody=notes, bass=notes))
             for start in range(0, step + 80, 16):
-                assert _slice_track(notes, ends, start, start + 64) \
-                    == reference_slice_track(notes, start, start + 64)
+                offsets, rolls, _ = segment(
+                    song, meters=[(start / 4, 4, 4), (1e6, 4, 4)])
+                window = reference_slice_track(notes, start, start + 64)
+                if not window:
+                    assert offsets[:1] != [0]
+                    continue
+                assert offsets[0] == 0
+                assert np.array_equal(rolls[0], reference_encode_roll(
+                    TrackPair(melody=window, bass=window)))
+
+    def test_encode_roll_equals_per_note_loop(self, rng):
+        for _ in range(300):
+            window = random_window(rng)
+            assert np.array_equal(encode_roll(window),
+                                  reference_encode_roll(window))
+        edge = TrackPair(melody=[NoteEvent(23, 0, 4), NoteEvent(24, 4, 4),
+                                 NoteEvent(96, 8, 60), NoteEvent(97, 70, 4)],
+                         bass=[NoteEvent(0, 2, 3), NoteEvent(127, 60, 30)])
+        assert np.array_equal(encode_roll(edge), reference_encode_roll(edge))
+
+    @pytest.mark.parametrize("shift", range(-6, 7))
+    def test_transpose_pair_equals_per_note_clamp(self, shift):
+        # Pitches at both ends of 0..127, so that every shift clamps some.
+        pitches = [0, 1, 5, 6, 11, 12, 60, 115, 116, 121, 122, 126, 127]
+        score = Score(tracks=[
+            MidiTrack(notes=[MidiNote(p, i, 1.0) for i, p in enumerate(pitches)]),
+            MidiTrack(notes=[MidiNote(p, i, 0.5) for i, p in enumerate(pitches)])])
+        moved = transpose_pair(extract_tracks(score), shift)
+        expected = reference_transpose_pair(reference_extract_tracks(score), shift)
+        assert (moved.melody, moved.bass) == (expected.melody, expected.bass)
+
+
+# Beats on a 1/8 grid put onsets and ends half-way between 16th steps, where
+# rounding goes to the even step.
+beats = st.integers(0, 8 * 64).map(lambda k: k / 8)
+midi_notes = st.builds(MidiNote, pitch=st.integers(0, 127), onset=beats,
+                       duration=st.integers(0, 8 * 12).map(lambda k: k / 8))
+# Regions start on any 16th step, so 4/4 bars often stop short of the next
+# region, and a window across the gap is not contiguous.
+meters = st.lists(st.builds(
+    lambda step, meter: (step / 4, *meter), st.integers(0, 4 * 64),
+    st.sampled_from([(4, 4)] * 6 + [(3, 4), (2, 4), (0, 4), (5, 8), (7, 32),
+                                    (4, 3)])), max_size=4)
+
+
+@st.composite
+def songs(draw):
+    """Scores of 2-4 tracks, maybe one on the drum channel, with 3/4,
+    unrepresentable and non-contiguous meters, overlapping and re-struck
+    notes, melody pitches outside 24..96, notes crossing window starts and
+    windows where one track is silent."""
+    tracks = [MidiTrack(name=f"t{i}",
+                        channel=draw(st.sampled_from([0, 1, 2, 3, 9])),
+                        notes=draw(st.lists(midi_notes, min_size=7, max_size=60)))
+              for i in range(draw(st.integers(2, 4)))]
+    return Score(tracks=tracks, meters=sorted(draw(meters)))
+
+
+def outcome(pipeline, score, *names):
+    """(rolls, tensile, diameter, offsets, key, warnings), or the error."""
+    try:
+        dataset, key, warnings = pipeline(score, *names)
+    except TtvaeError as err:
+        return type(err), str(err)
+    return (dataset.rolls.tobytes(), dataset.tensile.tobytes(),
+            dataset.diameter.tobytes(), dataset.bar_offsets, key, warnings)
+
+
+class TestColumnarPipeline:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(songs(), st.sampled_from([(), (), (), ("t1", "t0"), ("t0", None)]))
+    def test_song_fragments_equal_per_note_pipeline(self, score, names):
+        assert outcome(song_fragments, score, *names) \
+            == outcome(reference_song_fragments, score, *names)
 
 
 def long_note_song():

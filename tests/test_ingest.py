@@ -331,3 +331,25 @@ class TestEntriesSkippedUnread:
         out = capsys.readouterr().out
         assert "(1 skipped)" in out
         assert f"skipped big.mid: larger than the cap of {MAX_MIDI_BYTES} bytes" in out
+
+
+class TestBenchmarkTracer:
+    def test_installs_on_this_source_and_switches_off(self, tmp_path, monkeypatch):
+        # The benchmark's tracer wraps program functions by name, so a
+        # renamed function fails here rather than in a traced benchmark run.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        spans = importlib.import_module("spans")
+        originals = dict(vars(corpus))
+        tracer = spans.Tracer()
+        switch = spans.install(tracer)
+        try:
+            assert corpus.segment is not originals["segment"]
+            write_corpus(tmp_path, GOOD[:1])
+            corpus.build_dataset(tmp_path)
+        finally:
+            switch(False)
+        assert vars(corpus) == originals
+        metrics = tracer.metrics(1, 0.0)
+        for span in ("corpus.build", "corpus.extract", "corpus.key",
+                     "corpus.segment", "midi.parse", "tension.curves"):
+            assert metrics[f"{span}.calls"] == 1, span

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_dataset, random_roll
+from helpers import (
+    make_dataset,
+    random_roll,
+    reference_select_classes,
+    reference_shape_score,
+    reference_upward_ratio,
+)
+from ttvae.evaluation import upward_ratio
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
     RAMP_TEMPLATE,
@@ -20,6 +27,7 @@ from ttvae.latent import (
     save_vectors,
     select_classes,
     shape_score,
+    shape_scores,
     triangle_template,
 )
 from ttvae.vae import ModelConfig, TensionVae
@@ -49,6 +57,58 @@ class TestDirectionScore:
         curve = np.sin(np.arange(64) / 5.0) + RAMP
         assert direction_score(-a * curve) == pytest.approx(
             -direction_score(curve), abs=1e-9)
+
+
+def curve_sets(rng):
+    """Named (n, 64) curve sets: normal and float32 values, quantized and
+    constant rows, and small cumulative sums."""
+    return {
+        "normal": rng.normal(size=(5000, 64)),
+        "float32": rng.uniform(0, 3, size=(5000, 64)).astype(np.float32),
+        "quantized": np.round(rng.uniform(0, 2, size=(2000, 64)) * 8) / 8,
+        "constant": np.repeat(rng.uniform(-2, 2, size=(50, 1)), 64, axis=1),
+        "cumulative": np.cumsum(rng.normal(0, 1e-3, size=(2000, 64)), axis=1),
+    }
+
+
+class TestBatchedScoresEqualPerCurve:
+    """``shape_scores`` against the per-curve scores it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("template", [RAMP_TEMPLATE, triangle_template(20),
+                                          ShapeTemplate("wave", np.sin(np.arange(64)))])
+    def test_curve_sets(self, rng, template):
+        for name, curves in curve_sets(rng).items():
+            expected = [reference_shape_score(c, template) for c in curves]
+            assert shape_scores(curves, template).tolist() == expected, name
+            assert [shape_score(c, template) for c in curves[:50]] \
+                == expected[:50], name
+
+    def test_direction_score_is_the_ramp_score(self, rng):
+        for curves in curve_sets(rng).values():
+            assert [direction_score(c) for c in curves[:200]] == [
+                reference_shape_score(c, RAMP_TEMPLATE) for c in curves[:200]]
+
+    def test_upward_ratio(self, rng):
+        for curves in curve_sets(rng).values():
+            for tau in (-0.5, 0.0, 0.3):
+                assert upward_ratio(curves, tau) \
+                    == reference_upward_ratio(curves, tau)
+
+    @pytest.mark.parametrize("kind", ["tensile_strain_direction",
+                                      "cloud_diameter_direction", "shape:wave"])
+    def test_select_classes(self, rng, kind):
+        template = ShapeTemplate("wave", np.sin(np.arange(64) / 3))
+        for curves in curve_sets(rng).values():
+            for target_n in (1, 7, 10_000):
+                assert select_classes(curves, kind, target_n, template=template) \
+                    == reference_select_classes(curves, kind, target_n,
+                                                template=template)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(InvalidInputError):
+            shape_scores(np.zeros((3, 63)), RAMP_TEMPLATE)
+        with pytest.raises(InvalidInputError):
+            shape_scores(np.zeros(64), RAMP_TEMPLATE)
 
 
 class TestLevelScore:
