@@ -131,12 +131,6 @@ class FragmentDataset:
     bar_offsets: list[int]
     meta: dict = field(default_factory=dict)
 
-    @classmethod
-    def empty(cls) -> FragmentDataset:
-        return cls(np.zeros((0, N_STEPS, N_FEATURES), np.uint8),
-                   np.zeros((0, N_STEPS), np.float32),
-                   np.zeros((0, N_STEPS), np.float32), [], [])
-
     def __len__(self) -> int:
         return len(self.rolls)
 

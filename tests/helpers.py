@@ -673,6 +673,13 @@ def reference_slice_track(notes, start, end):
 # ``Key`` and ``tension_curves`` are imported) as the exact reference for the
 # columnar pipeline and for ``reference_build_dataset``.
 
+def _ref_empty():
+    """The zero-row dataset (the former ``FragmentDataset.empty()``)."""
+    return FragmentDataset(np.zeros((0, N_STEPS, N_FEATURES), np.uint8),
+                           np.zeros((0, N_STEPS), np.float32),
+                           np.zeros((0, N_STEPS), np.float32), [], [])
+
+
 def _ref_unchecked_note(pitch, onset, duration):
     note = object.__new__(NoteEvent)
     object.__setattr__(note, "__dict__",
@@ -876,7 +883,7 @@ def reference_song_fragments(score, melody_name=None, bass_name=None):
     pair = reference_transpose_pair(pair, transposition_shift(key))
     windows, warnings = reference_segment(pair, score.meters)
     if not windows:
-        return FragmentDataset.empty(), key, warnings
+        return _ref_empty(), key, warnings
     rolls = np.stack([reference_encode_roll(window) for _, window in windows])
     strain, diameter = tension_curves(rolls)
     return FragmentDataset(
@@ -897,7 +904,7 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
                    if p.suffix.lower() in (".mid", ".midi"))
     meta = {"original_keys": {}, "skips": [], "warnings": []}
     # The empty part keeps the concatenation defined when no song is usable.
-    songs = [FragmentDataset.empty()]
+    songs = [_ref_empty()]
     source_ids, bar_offsets = [], []
     for path in files:
         try:
