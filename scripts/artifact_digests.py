@@ -2,7 +2,8 @@
 
     python3 scripts/artifact_digests.py OUT_DIR
 
-Runs preprocess -> train -> vectors -> generate -> compose-chain -> eval (the
+Runs preprocess -> train -> vectors (at ``--target-n`` 8, and at 1, where
+every class is one fragment) -> generate -> compose-chain -> eval (the
 direction, level, interaction and pitch-dist experiments) under fixed seeds,
 writing everything under ``OUT_DIR``, then prints one ``<sha256>  <path>``
 line per file, sorted by path relative to ``OUT_DIR``.  The toy corpus is
@@ -72,6 +73,9 @@ def main() -> None:
         "--config", "config.json")
     run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "8",
         "--out", "vectors.json")
+    # classes of one fragment: each is encoded as a 1-row batch (gemv)
+    run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "1",
+        "--out", "vectors_n1.json")
     run("generate", *model, "--edit", "tensile_strain_direction=6",
         "--rng-seed", "3", "--out", "generated.mid")
     run("generate", *model, "--seed-midi", "midi/song00.mid",

@@ -17,6 +17,7 @@ and :meth:`AttributeVector.level_params` read them back, and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,8 @@ DIRECTION_KINDS = ("tensile_strain_direction", "cloud_diameter_direction")
 LEVEL_KINDS = ("tensile_strain_level", "cloud_diameter_level")
 STANDARD_KINDS = DIRECTION_KINDS + LEVEL_KINDS
 DEFAULT_TARGET_N = 1000
+ENCODE_BLOCK = 256  # most rows per encoder call of the class means
+SHARED_ROWS = 8     # fewest rows of an encoder block that classes share
 
 
 def measured_curve(name: str) -> str:
@@ -105,19 +108,36 @@ class VectorsFile:
         return self.vectors[name]
 
 
+def _curve_rows(curves: np.ndarray) -> np.ndarray:
+    curves = np.ascontiguousarray(curves, dtype=float)
+    if curves.ndim != 2 or curves.shape[1] != N_STEPS:
+        raise InvalidInputError(f"curves must be (n, {N_STEPS})")
+    return curves
+
+
 def shape_scores(curves: np.ndarray, template: ShapeTemplate) -> np.ndarray:
     """Correlation of each row of ``curves`` (n, 64) with a shape template;
     constant curves score 0.  Row means and stacked (1, 64) @ (64, 1)
     matmuls make the sums and BLAS dots of one curve's ``mean`` and ``@``,
     so each score equals the one-curve score bit for bit."""
-    curves = np.ascontiguousarray(curves, dtype=float)
-    if curves.ndim != 2 or curves.shape[1] != N_STEPS:
-        raise InvalidInputError(f"curves must be (n, {N_STEPS})")
-    rows = (curves - curves.mean(axis=1, keepdims=True))[:, None, :]
+    rows = _curve_rows(curves)
+    rows = (rows - rows.mean(axis=1, keepdims=True))[:, None, :]
     b = template.values - template.values.mean()
     denom = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0]) * np.linalg.norm(b)
     dots = (rows @ b[:, None])[:, 0, 0]
     return np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0)
+
+
+def level_scores(curves: np.ndarray,
+                 threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, magnitudes) of each row of ``curves`` (n, 64): +1 where the
+    row's mean is above the threshold, else -1, and the row's 2-norm
+    distance from it.  Like :func:`shape_scores`, row means and stacked
+    dots give each pair bit for bit as one curve's ``mean`` and ``norm``."""
+    curves = _curve_rows(curves)
+    diffs = (curves - threshold)[:, None, :]
+    signs = np.where(curves.mean(axis=1) > threshold, 1, -1)
+    return signs, np.sqrt((diffs @ diffs.transpose(0, 2, 1))[:, 0, 0])
 
 
 def direction_score(curve: np.ndarray) -> float:
@@ -130,8 +150,8 @@ def level_score(curve: np.ndarray, threshold: float) -> tuple[int, float]:
     curve = np.asarray(curve, dtype=float)
     if curve.shape != (N_STEPS,):
         raise InvalidInputError(f"curve must have {N_STEPS} values")
-    sign = 1 if curve.mean() > threshold else -1
-    return sign, float(np.linalg.norm(curve - threshold))
+    signs, magnitudes = level_scores(curve[None], threshold)
+    return int(signs[0]), float(magnitudes[0])
 
 
 def shape_score(curve: np.ndarray, template: ShapeTemplate) -> float:
@@ -153,10 +173,9 @@ class ClassSelection:
     warnings: list[str] = field(default_factory=list)
 
 
-def _top_ids(scored: list[tuple[float, int]], n: int) -> list[int]:
-    # Sort by score descending, fragment id ascending for ties.
-    ranked = sorted(scored, key=lambda item: (-item[0], item[1]))
-    return [idx for _, idx in ranked[:n]]
+def _top_ids(scores: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` ids of highest score; among equal scores the lower id first."""
+    return ids[np.lexsort((ids, -scores))][:n]
 
 
 def select_classes(curves: np.ndarray, kind: str,
@@ -182,12 +201,8 @@ def select_classes(curves: np.ndarray, kind: str,
         template = RAMP_TEMPLATE
     if kind in LEVEL_KINDS:
         c = float(curves.mean()) if threshold is None else float(threshold)
-        magnitude = {}
-        high, low = [], []
-        for i, curve in enumerate(curves):
-            sign, mag = level_score(curve, c)
-            magnitude[i] = mag
-            (high if sign > 0 else low).append((mag, i))
+        signs, magnitudes = level_scores(curves, c)
+        high, low = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
         per_class = min(target_n, len(high), len(low))
         if per_class < target_n:
             warnings.append(
@@ -196,15 +211,15 @@ def select_classes(curves: np.ndarray, kind: str,
         if per_class == 0:
             raise InvalidInputError(
                 f"cannot form {kind} classes: one side is empty")
-        class_a = _top_ids(high, per_class)
-        class_b = _top_ids(low, per_class)
+        class_a = _top_ids(magnitudes[high], high, per_class)
+        class_b = _top_ids(magnitudes[low], low, per_class)
         thresholds = {
             "threshold": c,
-            "class_a_min_magnitude": min(magnitude[i] for i in class_a),
-            "class_b_min_magnitude": min(magnitude[i] for i in class_b),
+            "class_a_min_magnitude": float(magnitudes[class_a].min()),
+            "class_b_min_magnitude": float(magnitudes[class_b].min()),
         }
     elif template is not None:
-        scores = shape_scores(curves, template).tolist()
+        scores = shape_scores(curves, template)
         per_class = min(target_n, n // 2)
         if target_n > n // 2:
             warnings.append(
@@ -213,41 +228,72 @@ def select_classes(curves: np.ndarray, kind: str,
         if per_class == 0:
             raise InvalidInputError(f"cannot form {kind} classes from {n} fragment(s)")
         # Top and bottom of one ranking: disjoint because 2 * per_class <= n.
-        ranked = _top_ids([(score, i) for i, score in enumerate(scores)], n)
+        ranked = _top_ids(scores, np.arange(n), n)
         class_a, class_b = ranked[:per_class], ranked[n - per_class:]
         thresholds = {
-            "class_a_min_score": min(scores[i] for i in class_a),
-            "class_b_max_score": max(scores[i] for i in class_b),
+            "class_a_min_score": float(scores[class_a].min()),
+            "class_b_max_score": float(scores[class_b].max()),
         }
     elif kind.startswith("shape:"):
         raise InvalidInputError("shape selection needs a template")
     else:
         raise InvalidInputError(f"unknown labeling kind {kind!r}")
-    return ClassSelection(kind=kind, class_a=sorted(class_a),
-                          class_b=sorted(class_b),
+    return ClassSelection(kind=kind, class_a=np.sort(class_a).tolist(),
+                          class_b=np.sort(class_b).tolist(),
                           effective_thresholds=thresholds, warnings=warnings)
+
+
+def class_means(model: TensionVae, dataset: FragmentDataset,
+                classes: list[list[int]]) -> list[np.ndarray]:
+    """Float64 mean encoder code of each (non-empty) class of fragment ids.
+
+    Each fragment is encoded once, in blocks of :data:`SHARED_ROWS` to
+    :data:`ENCODE_BLOCK` rows, however many classes hold it.  A class is
+    summed one ``ENCODE_BLOCK`` chunk at a time, in class order, as one
+    encode per chunk would sum it.  That is bit for bit where the BLAS
+    computes a row of such a block whatever rows surround it.  Fewer rows
+    may take other paths (gemv for one row, small-matrix kernels), so a chunk
+    of fewer than ``SHARED_ROWS`` ids keeps an encode of its own.
+    """
+    for ids in classes:
+        if not len(ids):
+            raise InvalidInputError("classes must be non-empty")
+        for idx in ids:
+            if not 0 <= idx < len(dataset):
+                raise MissingFragmentError(
+                    f"fragment id {idx} is not in the dataset (size {len(dataset)})")
+    chunks = [[tuple(ids[start:start + ENCODE_BLOCK])
+               for start in range(0, len(ids), ENCODE_BLOCK)] for ids in classes]
+    own = {part: model.encode(dataset.rolls[list(part)]).mu
+           for part in {part for parts in chunks for part in parts
+                        if len(part) < SHARED_ROWS}}
+    shared = np.unique([i for parts in chunks for part in parts
+                        if len(part) >= SHARED_ROWS for i in part]).astype(np.intp)
+    if len(shared):
+        blocks = np.array_split(shared, -(-len(shared) // ENCODE_BLOCK))
+        # np.resize repeats the ids of a block that would be too small (a
+        # chunk of one repeated id), so that it too has SHARED_ROWS rows.
+        table = np.concatenate([
+            model.encode(dataset.rolls[np.resize(block, max(len(block), SHARED_ROWS))])
+            .mu[:len(block)] for block in blocks])
+    means = []
+    for ids, parts in zip(classes, chunks):
+        total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
+        for part in parts:
+            mu = own[part] if part in own else table[np.searchsorted(shared, part)]
+            total += mu.sum(axis=0, dtype=np.float64)
+        means.append(total / len(ids))
+    return means
 
 
 def attribute_vector(model: TensionVae, dataset: FragmentDataset,
                      class_a: list[int], class_b: list[int],
                      name: str) -> AttributeVector:
-    """Difference of encoder posterior means between the two classes."""
-    if not class_a or not class_b:
-        raise InvalidInputError("both classes must be non-empty")
-    for idx in list(class_a) + list(class_b):
-        if not 0 <= idx < len(dataset):
-            raise MissingFragmentError(
-                f"fragment id {idx} is not in the dataset (size {len(dataset)})")
-
-    def class_mean(ids, chunk=256):
-        total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
-        for start in range(0, len(ids), chunk):
-            rolls = dataset.rolls[ids[start:start + chunk]]
-            total += model.encode(rolls).mu.sum(axis=0, dtype=np.float64)
-        return total / len(ids)
-
-    values = class_mean(class_a) - class_mean(class_b)
-    return AttributeVector(name=name, values=values.astype(np.float64),
+    """Difference of encoder posterior means between the two classes, each
+    fragment encoded once, in blocks of at most 256 rows (see
+    :func:`class_means`)."""
+    mean_a, mean_b = class_means(model, dataset, [class_a, class_b])
+    return AttributeVector(name=name, values=mean_a - mean_b,
                            class_sizes=(len(class_a), len(class_b)))
 
 
@@ -280,23 +326,31 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
                   checkpoint_id: str = "") -> VectorsFile:
     """Label the dataset and extract one attribute vector per kind.
 
+    Every kind is labeled first.  Then each fragment of any class is encoded
+    once, in blocks of at most 256 rows, and each class mean is summed as one
+    encode per class chunk sums it (:func:`class_means` says when that is bit
+    for bit).
     ``restrict_ids`` limits labeling to a subset (normally the training
     split); class ids still refer to dataset positions.
     """
     kinds = list(kinds) if kinds else list(STANDARD_KINDS)
     templates = templates or {}
-    ids = list(restrict_ids) if restrict_ids is not None \
-        else list(range(len(dataset)))
-    vectors: dict[str, AttributeVector] = {}
+    ids = np.arange(len(dataset)) if restrict_ids is None \
+        else np.asarray(restrict_ids, dtype=np.intp)
+    selections = {}
     for kind in kinds:
-        template = templates.get(kind)
         curves = getattr(dataset, measured_curve(kind))[ids]
-        selection = select_classes(curves, kind, target_n, template=template)
-        class_a = [ids[i] for i in selection.class_a]
-        class_b = [ids[i] for i in selection.class_b]
-        vector = attribute_vector(model, dataset, class_a, class_b, kind)
-        vector.effective_thresholds = selection.effective_thresholds
-        vectors[kind] = vector
+        selections[kind] = select_classes(curves, kind, target_n,
+                                          template=templates.get(kind))
+    classes = [ids[c].tolist() for s in selections.values()
+               for c in (s.class_a, s.class_b)]
+    means = iter(class_means(model, dataset, classes))
+    vectors = {
+        kind: AttributeVector(
+            name=kind, values=next(means) - next(means),
+            class_sizes=(len(s.class_a), len(s.class_b)),
+            effective_thresholds=s.effective_thresholds)
+        for kind, s in selections.items()}
     return VectorsFile(latent_dim=model.cfg.latent_dim,
                        checkpoint_id=checkpoint_id, vectors=vectors)
 
@@ -327,19 +381,30 @@ def load_vectors(path) -> VectorsFile:
         latent_dim = int(payload["latent_dim"])
         vectors = {}
         for item in payload.get("vectors", []):
+            name = item["name"]
+            if not isinstance(name, str):
+                raise TypeError(f"vector name {name!r} must be a string")
             values = np.array(item["values"], dtype=np.float64)
             if values.shape != (latent_dim,) or not np.isfinite(values).all():
-                raise ValueError(f"vector {item['name']!r} needs {latent_dim} "
+                raise ValueError(f"vector {name!r} needs {latent_dim} "
                                  f"finite values")
+            sizes = item["class_sizes"]
+            # JSON numbers load as exactly int or float; true is a bool
+            if not (isinstance(sizes, list) and len(sizes) == 2
+                    and all(type(n) is int and n >= 0 for n in sizes)):
+                raise ValueError(f"vector {name!r} needs two non-negative "
+                                 f"integer class sizes")
             thresholds = item.get("effective_thresholds", {})
-            if not isinstance(thresholds, dict):
-                raise TypeError("effective_thresholds must be an object")
-            vectors[item["name"]] = AttributeVector(
-                name=item["name"], values=values,
-                class_sizes=tuple(item["class_sizes"]),
+            if not isinstance(thresholds, dict) or not all(
+                    type(v) in (int, float) and math.isfinite(v)
+                    for v in thresholds.values()):
+                raise ValueError(f"vector {name!r} needs effective_thresholds "
+                                 f"of finite numbers")
+            vectors[name] = AttributeVector(
+                name=name, values=values, class_sizes=tuple(sizes),
                 effective_thresholds=thresholds)
         checkpoint_id = payload.get("checkpoint_id", "")
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise InvalidInputError(
             f"malformed vectors file {path}: {type(err).__name__}: {err}") from err
     return VectorsFile(latent_dim=latent_dim, checkpoint_id=checkpoint_id,

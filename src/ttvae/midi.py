@@ -61,6 +61,10 @@ def _end_of_file(what: str, pos: int) -> MidiParseError:
     return MidiParseError(f"unexpected end of file reading {what}", pos)
 
 
+def _bad_data_byte(byte: int, pos: int) -> MidiParseError:
+    return MidiParseError(f"data byte 0x{byte:02X} is not below 0x80", pos)
+
+
 def _varlen(data: bytes, pos: int, what: str) -> tuple[int, int]:
     """Read a variable-length quantity at ``pos``; returns (value, next pos)."""
     value = 0
@@ -191,12 +195,16 @@ def _parse_track(data: bytes, pos: int, end: int, division: int,
             pos += 1
             if status >= 0xF0:
                 raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
+            if data1 >= 0x80:
+                raise _bad_data_byte(data1, pos - 1)
         kind = status & 0xF0
         if kind == 0xC0 or kind == 0xD0:  # program change, channel pressure
             continue
         if pos >= size:
             raise _end_of_file("event data", pos)
         data2 = data[pos]
+        if data2 >= 0x80:
+            raise _bad_data_byte(data2, pos)
         pos += 1
         if kind > 0x90:  # key pressure, controller, pitch bend
             continue

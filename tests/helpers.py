@@ -25,6 +25,7 @@ from ttvae.errors import (
     InvalidRollError,
     InvalidSongError,
     MidiParseError,
+    MissingFragmentError,
     NoKeyError,
     TtvaeError,
     UnsupportedFormatError,
@@ -44,11 +45,12 @@ from ttvae.latent import (
     DIRECTION_KINDS,
     LEVEL_KINDS,
     RAMP_TEMPLATE,
+    STANDARD_KINDS,
     AttributeVector,
     ClassSelection,
-    _top_ids,
+    VectorsFile,
     apply_vector,
-    level_score,
+    measured_curve,
 )
 from ttvae.midi import (
     _META_END_OF_TRACK,
@@ -488,7 +490,8 @@ class _Reader:
 
 def reference_parse_midi(data: bytes) -> Score:
     """The byte-at-a-time reader that ``midi.parse_midi`` replaced, kept as
-    its oracle: same scores, same errors."""
+    its oracle: same scores, same errors.  One change since: a data byte at
+    or above 0x80 is a parse error at its own offset."""
     r = _Reader(data)
     if r.bytes(4, "header chunk id") != b"MThd":
         raise MidiParseError("missing MThd header", 0)
@@ -520,6 +523,12 @@ def reference_parse_midi(data: bytes) -> Score:
     score.meters.sort(key=lambda t: t[0])
     score.markers.sort(key=lambda t: t[0])
     return score
+
+
+def _reference_data_byte(byte: int, offset: int) -> None:
+    """A MIDI data byte has its top bit clear."""
+    if byte & 0x80:
+        raise MidiParseError(f"data byte 0x{byte:02X} is not below 0x80", offset)
 
 
 def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
@@ -570,11 +579,13 @@ def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) ->
             data1 = byte
         kind = status & 0xF0
         channel = status & 0x0F
+        if kind not in (0x80, 0x90, 0xA0, 0xB0, 0xC0, 0xD0, 0xE0):
+            raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
+        _reference_data_byte(data1, r.pos - 1)
         if kind in (0xC0, 0xD0):
             continue
-        if kind not in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            raise MidiParseError(f"unsupported status byte 0x{status:02X}", event_pos)
         data2 = r.u8("event data")
+        _reference_data_byte(data2, r.pos - 1)
         if kind == 0x90 and data2 > 0:
             open_notes.setdefault((channel, data1), []).append((tick, data2))
             channels.append(channel)
@@ -927,8 +938,9 @@ def reference_build_dataset(midi_dir, melody_name=None, bass_name=None):
 
 
 # ------------------------------------------------ reference per-curve scores
-# ``latent._pearson``, ``shape_score`` and ``select_classes`` as they were
-# before ``latent.shape_scores`` scored every curve at once, kept verbatim.
+# ``latent._pearson``, ``shape_score``, ``level_score``, ``_top_ids`` and
+# ``select_classes`` as they were before ``latent.shape_scores`` and
+# ``latent.level_scores`` scored every curve at once, kept verbatim.
 
 def reference_pearson(a, b):
     a = a - a.mean()
@@ -946,6 +958,20 @@ def reference_shape_score(curve, template):
     return reference_pearson(curve, template.values)
 
 
+def reference_level_score(curve, threshold):
+    curve = np.asarray(curve, dtype=float)
+    if curve.shape != (N_STEPS,):
+        raise InvalidInputError(f"curve must have {N_STEPS} values")
+    sign = 1 if curve.mean() > threshold else -1
+    return sign, float(np.linalg.norm(curve - threshold))
+
+
+def reference_top_ids(scored, n):
+    # Sort by score descending, fragment id ascending for ties.
+    ranked = sorted(scored, key=lambda item: (-item[0], item[1]))
+    return [idx for _, idx in ranked[:n]]
+
+
 def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
                              threshold=None, template=None):
     curves = np.asarray(curves, dtype=float)
@@ -960,7 +986,7 @@ def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
         magnitude = {}
         high, low = [], []
         for i, curve in enumerate(curves):
-            sign, mag = level_score(curve, c)
+            sign, mag = reference_level_score(curve, c)
             magnitude[i] = mag
             (high if sign > 0 else low).append((mag, i))
         per_class = min(target_n, len(high), len(low))
@@ -971,8 +997,8 @@ def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
         if per_class == 0:
             raise InvalidInputError(
                 f"cannot form {kind} classes: one side is empty")
-        class_a = _top_ids(high, per_class)
-        class_b = _top_ids(low, per_class)
+        class_a = reference_top_ids(high, per_class)
+        class_b = reference_top_ids(low, per_class)
         thresholds = {
             "threshold": c,
             "class_a_min_magnitude": min(magnitude[i] for i in class_a),
@@ -987,7 +1013,7 @@ def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
                 f"using {per_class} per class")
         if per_class == 0:
             raise InvalidInputError(f"cannot form {kind} classes from {n} fragment(s)")
-        ranked = _top_ids([(score, i) for i, score in enumerate(scores)], n)
+        ranked = reference_top_ids([(score, i) for i, score in enumerate(scores)], n)
         class_a, class_b = ranked[:per_class], ranked[n - per_class:]
         thresholds = {
             "class_a_min_score": min(scores[i] for i in class_a),
@@ -1005,6 +1031,54 @@ def reference_select_classes(curves, kind, target_n=DEFAULT_TARGET_N,
 def reference_upward_ratio(curves, tau):
     return float(np.mean([reference_shape_score(c, RAMP_TEMPLATE) > tau
                           for c in np.atleast_2d(np.asarray(curves, dtype=float))]))
+
+
+# -------------------------------------------------- reference class means
+# ``latent.attribute_vector`` and ``build_vectors`` as they were before
+# ``latent.class_means`` encoded each labeled fragment once: every class
+# encoded on its own, 256 ids at a time, kept verbatim.
+
+def reference_attribute_vector(model, dataset, class_a, class_b, name):
+    if not class_a or not class_b:
+        raise InvalidInputError("both classes must be non-empty")
+    for idx in list(class_a) + list(class_b):
+        if not 0 <= idx < len(dataset):
+            raise MissingFragmentError(
+                f"fragment id {idx} is not in the dataset (size {len(dataset)})")
+
+    def class_mean(ids, chunk=256):
+        total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
+        for start in range(0, len(ids), chunk):
+            rolls = dataset.rolls[ids[start:start + chunk]]
+            total += model.encode(rolls).mu.sum(axis=0, dtype=np.float64)
+        return total / len(ids)
+
+    values = class_mean(class_a) - class_mean(class_b)
+    return AttributeVector(name=name, values=values.astype(np.float64),
+                           class_sizes=(len(class_a), len(class_b)))
+
+
+def reference_build_vectors(model, dataset, kinds=None,
+                            target_n=DEFAULT_TARGET_N, restrict_ids=None,
+                            templates=None, checkpoint_id=""):
+    kinds = list(kinds) if kinds else list(STANDARD_KINDS)
+    templates = templates or {}
+    ids = list(restrict_ids) if restrict_ids is not None \
+        else list(range(len(dataset)))
+    vectors = {}
+    for kind in kinds:
+        template = templates.get(kind)
+        curves = getattr(dataset, measured_curve(kind))[ids]
+        selection = reference_select_classes(curves, kind, target_n,
+                                             template=template)
+        class_a = [ids[i] for i in selection.class_a]
+        class_b = [ids[i] for i in selection.class_b]
+        vector = reference_attribute_vector(model, dataset, class_a, class_b,
+                                            kind)
+        vector.effective_thresholds = selection.effective_thresholds
+        vectors[kind] = vector
+    return VectorsFile(latent_dim=model.cfg.latent_dim,
+                       checkpoint_id=checkpoint_id, vectors=vectors)
 
 
 # ---------------------------------------------------- reference sweep loops

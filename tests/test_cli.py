@@ -457,6 +457,65 @@ class TestMalformedVectors:
                      "--out", str(tmp_path / "g.mid")]) == 2
         assert "malformed vectors file" in capsys.readouterr().err
 
+    def damaged(self, pipeline, tmp_path, key, value):
+        """The pipeline's vectors file with ``key`` of every vector set to
+        ``value`` (each threshold, for ``effective_thresholds``)."""
+        payload = json.loads(pipeline["vectors"].read_text())
+        for item in payload["vectors"]:
+            if key == "effective_thresholds":
+                item[key] = dict.fromkeys(item[key], value)
+            else:
+                item[key] = value
+        bad = tmp_path / "bad_vectors.json"
+        bad.write_text(json.dumps(payload))
+        return bad
+
+    def assert_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed vectors file"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["direction", "interaction"])
+    def test_text_threshold_in_eval(self, pipeline, tmp_path, capsys, experiment):
+        bad = self.damaged(pipeline, tmp_path, "effective_thresholds", "abc")
+        self.assert_exits_two(
+            ["eval", "--model", str(pipeline["checkpoint"]), "--vectors", str(bad),
+             "--experiment", experiment, "--n", "4", "--scales=0,2",
+             "--out", str(tmp_path / "reports")], capsys)
+
+    def test_number_name_in_generate(self, pipeline, tmp_path, capsys):
+        bad = self.damaged(pipeline, tmp_path, "name", 5)
+        self.assert_exits_two(
+            ["generate", "--model", str(pipeline["checkpoint"]), "--vectors", str(bad),
+             "--edit", "tensile_strain_direction=2", "--out", str(tmp_path / "g.mid")],
+            capsys)
+
+    def test_number_name_in_shape_vector_merge(self, pipeline, tmp_path, capsys):
+        bad = self.damaged(pipeline, tmp_path, "name", 5)
+        before = bad.read_bytes()
+        self.assert_exits_two(
+            ["shape-vector", "--model", str(pipeline["checkpoint"]),
+             "--dataset", str(pipeline["dataset"]), "--template", "triangle",
+             "--target-n", "6", "--out", str(bad)], capsys)
+        assert bad.read_bytes() == before
+
+    @pytest.mark.parametrize("sizes", [[3], [3, -1], [3, 2.5], [3, True], "33",
+                                       [3, 3, 3]], ids=repr)
+    def test_bad_class_sizes(self, pipeline, tmp_path, capsys, sizes):
+        bad = self.damaged(pipeline, tmp_path, "class_sizes", sizes)
+        self.assert_exits_two(
+            ["generate", "--model", str(pipeline["checkpoint"]), "--vectors", str(bad),
+             "--out", str(tmp_path / "g.mid")], capsys)
+
+    @pytest.mark.parametrize("value", [None, True, [1.0], 1e400, 10 ** 400],
+                             ids=["null", "true", "list", "infinity", "huge-int"])
+    def test_bad_threshold_values(self, pipeline, tmp_path, capsys, value):
+        bad = self.damaged(pipeline, tmp_path, "effective_thresholds", value)
+        self.assert_exits_two(
+            ["generate", "--model", str(pipeline["checkpoint"]), "--vectors", str(bad),
+             "--out", str(tmp_path / "g.mid")], capsys)
+
 
 class TestComposeChain:
     def test_two_section_plan(self, pipeline, tmp_path):

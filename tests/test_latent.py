@@ -8,22 +8,30 @@ from hypothesis import strategies as st
 from helpers import (
     make_dataset,
     random_roll,
+    reference_attribute_vector,
+    reference_build_vectors,
+    reference_level_score,
     reference_select_classes,
     reference_shape_score,
+    reference_top_ids,
     reference_upward_ratio,
 )
 from ttvae.evaluation import upward_ratio
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
     RAMP_TEMPLATE,
+    STANDARD_KINDS,
     AttributeVector,
     ShapeTemplate,
     apply_vector,
+    _top_ids,
     attribute_vector,
     build_vectors,
     direction_score,
     level_score,
+    level_scores,
     load_vectors,
+    measured_curve,
     save_vectors,
     select_classes,
     shape_score,
@@ -95,7 +103,9 @@ class TestBatchedScoresEqualPerCurve:
                     == reference_upward_ratio(curves, tau)
 
     @pytest.mark.parametrize("kind", ["tensile_strain_direction",
-                                      "cloud_diameter_direction", "shape:wave"])
+                                      "cloud_diameter_direction", "shape:wave",
+                                      "tensile_strain_level",
+                                      "cloud_diameter_level"])
     def test_select_classes(self, rng, kind):
         template = ShapeTemplate("wave", np.sin(np.arange(64) / 3))
         for curves in curve_sets(rng).values():
@@ -103,6 +113,42 @@ class TestBatchedScoresEqualPerCurve:
                 assert select_classes(curves, kind, target_n, template=template) \
                     == reference_select_classes(curves, kind, target_n,
                                                 template=template)
+
+    def test_level_scores(self, rng):
+        sets = list(curve_sets(rng).values()) + [
+            rng.normal(rng.uniform(-3, 3), rng.uniform(0.01, 5),
+                       size=(int(rng.integers(1, 3000)), 64))
+            for _ in range(20)]
+        for curves in sets:
+            for threshold in (float(curves.mean()), 0.0, 1.25):
+                signs, magnitudes = level_scores(curves, threshold)
+                expected = [reference_level_score(c, threshold) for c in curves]
+                assert list(zip(signs.tolist(), magnitudes.tolist())) == expected
+                assert [level_score(c, threshold) for c in curves[:50]] \
+                    == expected[:50]
+
+    def test_level_classes_at_a_given_threshold(self, rng):
+        for curves in curve_sets(rng).values():
+            for threshold in (0.0, 1.0):
+                try:
+                    expected = reference_select_classes(
+                        curves, "tensile_strain_level", 40, threshold=threshold)
+                except InvalidInputError:
+                    with pytest.raises(InvalidInputError):
+                        select_classes(curves, "tensile_strain_level", 40,
+                                       threshold=threshold)
+                    continue
+                assert select_classes(curves, "tensile_strain_level", 40,
+                                      threshold=threshold) == expected
+
+    def test_top_ids_breaks_ties_by_id(self):
+        scores = np.array([0.5, 0.9, 0.5, -0.1, 0.9, 0.5, 0.0, 0.5])
+        ids = np.array([7, 3, 1, 0, 9, 4, 2, 5])
+        for n in range(len(ids) + 1):
+            expected = reference_top_ids(list(zip(scores.tolist(), ids.tolist())), n)
+            assert _top_ids(scores, ids, n).tolist() == expected
+        assert _top_ids(scores, ids, 6).tolist() == [3, 9, 1, 4, 5, 7]
+        assert _top_ids(np.zeros(5), np.arange(5)[::-1], 3).tolist() == [0, 1, 2]
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidInputError):
@@ -356,3 +402,156 @@ class TestBuildAndSaveVectors:
                            target_n=3)
         with pytest.raises(InvalidInputError):
             vf.get("nope")
+
+
+def vector_bytes(vectors_file):
+    """Everything a vectors file records, values as raw bytes."""
+    return [(name, v.name, v.values.dtype, v.values.tobytes(), v.class_sizes,
+             v.effective_thresholds)
+            for name, v in sorted(vectors_file.vectors.items())]
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """600 fragments of random rolls and curves: enough for two classes of
+    258 on each labeling kind."""
+    rng = np.random.default_rng(12)
+    n = 600
+    return make_dataset(rng.integers(0, 2, size=(n, 64, 89)),
+                        rng.normal(1.0, 0.5, size=(n, 64)),
+                        rng.normal(2.0, 0.5, size=(n, 64)))
+
+
+# The latent width of each hidden size: that of ``tiny_model``, of the toy
+# chain in ``scripts/artifact_digests.py`` and of the acceptance config.
+LATENT_OF_HIDDEN = {8: 6, 24: 8, 128: 16}
+
+
+def encoder(hidden, gru_layers=1):
+    return TensionVae.initialize(ModelConfig(
+        latent_dim=LATENT_OF_HIDDEN[hidden], hidden=hidden,
+        gru_layers=gru_layers, rng_seed=hidden))
+
+
+class TestClassMeansEqualPerClass:
+    """``build_vectors`` and ``attribute_vector`` against the per-class
+    encodes they replaced, bit for bit: values, class sizes, thresholds."""
+
+    @pytest.mark.parametrize("hidden", [8, 24])
+    @pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 258])
+    def test_class_sizes(self, wide_dataset, hidden, size):
+        model = encoder(hidden)
+        built = build_vectors(model, wide_dataset, target_n=size)
+        assert {v.class_sizes for v in built.vectors.values()} == {(size, size)}
+        assert vector_bytes(built) == vector_bytes(
+            reference_build_vectors(model, wide_dataset, target_n=size))
+
+    @pytest.mark.parametrize("size", [2, 257])
+    def test_hidden_128(self, wide_dataset, size):
+        model = encoder(128)
+        assert vector_bytes(build_vectors(model, wide_dataset, target_n=size)) \
+            == vector_bytes(reference_build_vectors(model, wide_dataset,
+                                                    target_n=size))
+
+    def test_two_layers(self, wide_dataset):
+        model = encoder(24, gru_layers=2)
+        assert vector_bytes(build_vectors(model, wide_dataset, target_n=100)) \
+            == vector_bytes(reference_build_vectors(model, wide_dataset,
+                                                    target_n=100))
+
+    @pytest.mark.parametrize("classes", [
+        "disjoint", "overlapping", "identical", "nested", "lone and 257",
+        "repeated id", "repeated lone id", "repeated id filling a block"])
+    @pytest.mark.parametrize("hidden", [8, 24, 128])
+    def test_attribute_vector(self, wide_dataset, classes, hidden):
+        class_a, class_b = {
+            "disjoint": (list(range(0, 258)), list(range(300, 555))),
+            "overlapping": (list(range(0, 300)), list(range(150, 450))),
+            "identical": (list(range(40, 297)), list(range(40, 297))),
+            "nested": (list(range(100, 613 - 100, 2)), list(range(150, 200))),
+            "lone and 257": ([599], list(range(599, 342, -1))),
+            "repeated id": ([5, 5], [5, 6, 6, 6]),
+            "repeated lone id": ([5, 5], [5]),
+            "repeated id filling a block": ([5] * 9, [6] * 8 + [7]),
+        }[classes]
+        model = encoder(hidden)
+        got = attribute_vector(model, wide_dataset, class_a, class_b, "v")
+        want = reference_attribute_vector(model, wide_dataset, class_a,
+                                          class_b, "v")
+        assert (got.values.tobytes(), got.class_sizes) \
+            == (want.values.tobytes(), want.class_sizes)
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_restricted_ids(self, wide_dataset, order):
+        rng = np.random.default_rng(3)
+        ids = np.sort(rng.choice(600, size=530, replace=False))
+        if order == "shuffled":
+            ids = rng.permutation(ids)
+        model = encoder(24)
+        for target_n in (1, 257, 1000):
+            assert vector_bytes(build_vectors(
+                model, wide_dataset, target_n=target_n,
+                restrict_ids=ids.tolist())) == vector_bytes(
+                reference_build_vectors(model, wide_dataset, target_n=target_n,
+                                        restrict_ids=ids.tolist()))
+
+    def test_shape_templates(self, wide_dataset):
+        templates = {"shape:triangle": triangle_template(20),
+                     "shape:wave": ShapeTemplate("wave", np.sin(np.arange(64) / 4))}
+        kinds = list(templates) + ["tensile_strain_level"]
+        model = encoder(8)
+        for target_n in (2, 257):
+            assert vector_bytes(build_vectors(
+                model, wide_dataset, kinds=kinds, target_n=target_n,
+                restrict_ids=list(range(550)), templates=templates,
+                checkpoint_id="c")) == vector_bytes(reference_build_vectors(
+                    model, wide_dataset, kinds=kinds, target_n=target_n,
+                    restrict_ids=list(range(550)), templates=templates,
+                    checkpoint_id="c"))
+
+
+class TestEncodeOnce:
+    """Each labeled fragment goes through the encoder once, in blocks of 8 to
+    256 rows; only a class chunk of fewer than 8 ids (a 1-row chunk among
+    them) gets an encode of its own."""
+
+    def encoded_rows(self, monkeypatch, model, dataset):
+        row_id = {roll.tobytes(): i for i, roll in enumerate(dataset.rolls)}
+        calls = []
+        encode = model.encode
+
+        def counting(rolls):
+            calls.append([row_id[roll.tobytes()] for roll in rolls])
+            return encode(rolls)
+
+        monkeypatch.setattr(model, "encode", counting)
+        return calls
+
+    @pytest.mark.parametrize("target_n", [5, 32, 256, 257, 263])
+    def test_each_fragment_once(self, monkeypatch, wide_dataset, target_n):
+        model = encoder(8)
+        calls = self.encoded_rows(monkeypatch, model, wide_dataset)
+        build_vectors(model, wide_dataset, target_n=target_n)
+        classes = []
+        for kind in STANDARD_KINDS:
+            curves = getattr(wide_dataset, measured_curve(kind))
+            selection = select_classes(curves, kind, target_n)
+            classes += [selection.class_a, selection.class_b]
+        chunks = [ids[start:start + 256] for ids in classes
+                  for start in range(0, len(ids), 256)]
+        shared = sorted({i for c in chunks if len(c) >= 8 for i in c})
+        small = {tuple(c) for c in chunks if len(c) < 8}
+        blocks = [ids for ids in calls if len(ids) >= 8]
+        assert sorted(i for ids in blocks for i in ids) == shared
+        assert all(len(ids) <= 256 for ids in blocks)
+        assert len(blocks) == -(-len(shared) // 256)
+        assert sorted(tuple(ids) for ids in calls if len(ids) < 8) == sorted(small)
+        assert bool(small) == (0 < target_n % 256 < 8)
+
+    def test_one_call_for_a_small_training_split(self, monkeypatch, wide_dataset):
+        model = encoder(8)
+        calls = self.encoded_rows(monkeypatch, model, wide_dataset)
+        build_vectors(model, wide_dataset, target_n=1000,
+                      restrict_ids=list(range(64)))
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) <= 64

@@ -113,6 +113,25 @@ class TestRejection:
             parse_midi(data)
 
 
+    # Each stream starts with a delta byte at offset 22 (header and MTrk
+    # header); the expected offset is that of the byte with its top bit set.
+    @pytest.mark.parametrize("events, offset", [
+        ("00 90 C8 40 00 FF2F00", 24),           # note number 200
+        ("00 90 3C C0 00 FF2F00", 25),           # velocity 192
+        ("00 90 3C 40 00 3D C0 00 FF2F00", 28),  # running status, velocity
+        ("00 80 BC 00 00 FF2F00", 24),           # note-off number
+        ("00 B0 07 FF 00 FF2F00", 25),           # controller value
+        ("00 C0 80 00 FF2F00", 24),              # program change
+        ("00 E0 00 90 00 FF2F00", 25),           # pitch bend
+    ])
+    def test_data_byte_with_top_bit_set(self, events, offset):
+        blob = smf(bytes.fromhex(events))
+        with pytest.raises(MidiParseError, match="data byte") as err:
+            parse_midi(blob)
+        assert err.value.offset == offset
+        assert outcome(parse_midi, blob) == outcome(reference_parse_midi, blob)
+
+
 class TestRoundTrip:
     def test_single_note(self):
         score = single_note_score()
