@@ -2,14 +2,16 @@
 
     python3 scripts/artifact_digests.py OUT_DIR
 
-Runs preprocess -> train -> vectors (at ``--target-n`` 8, and at 1, where
-every class is one fragment) -> generate -> compose-chain -> eval (the
-direction, level, interaction and pitch-dist experiments) under fixed seeds,
-writing everything under ``OUT_DIR``, then prints one ``<sha256>  <path>``
-line per file, sorted by path relative to ``OUT_DIR``.  The toy corpus is
-all C major in 4/4, so the script also preprocesses the benchmark's seed-1
-``ingest`` corpus (transposed songs, 3/4 regions and three files to skip),
-written by ``perfbench/gen.py`` outside ``OUT_DIR``, into ``ingest.ds``.  The chain runs in
+Runs analyze (one song, as CSV and as JSON) -> preprocess -> train ->
+vectors (at ``--target-n`` 8, and at 1, where every class is one fragment)
+-> shape-vector (the default triangle, in its own ``shape_vectors.json``) ->
+generate -> compose-chain -> eval (the direction, level, interaction and
+pitch-dist experiments) under fixed seeds, writing everything under
+``OUT_DIR``, then prints one ``<sha256>  <path>`` line per file, sorted by
+path relative to ``OUT_DIR``.  The toy corpus is all C major in 4/4, so the
+script also preprocesses the benchmark's seed-1 ``ingest`` corpus
+(transposed songs, 3/4 regions and three files to skip), written by
+``perfbench/gen.py`` outside ``OUT_DIR``, into ``ingest.ds``.  The chain runs in
 ``OUT_DIR`` on relative paths, so reports that record an input path do not
 depend on where ``OUT_DIR`` is.  It takes about 10 s on two cores.
 
@@ -62,6 +64,8 @@ def main() -> None:
         {"bars": 4, "edits": [["cloud_diameter_level", -3.0]]}]}))
     model = ("--model", "model/checkpoint.ttv", "--vectors", "vectors.json")
 
+    run("analyze", "--in", "midi/song00.mid", "--out", "analyze.csv")
+    run("analyze", "--in", "midi/song00.mid", "--json", "--out", "analyze.json")
     run("preprocess", "--in", "midi", "--out", "toy.ds")
     with tempfile.TemporaryDirectory() as bench:
         import gen
@@ -76,6 +80,8 @@ def main() -> None:
     # classes of one fragment: each is encoded as a 1-row batch (gemv)
     run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "1",
         "--out", "vectors_n1.json")
+    run("shape-vector", *model[:2], "--dataset", "toy.ds", "--target-n", "8",
+        "--out", "shape_vectors.json")
     run("generate", *model, "--edit", "tensile_strain_direction=6",
         "--rng-seed", "3", "--out", "generated.mid")
     run("generate", *model, "--seed-midi", "midi/song00.mid",

@@ -402,6 +402,17 @@ def _int_from(low: int):
     return integer
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type for finite numbers above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttv",
@@ -502,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify analytic gradients on a tiny model")
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--latent", type=int, default=4)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--samples", type=_int_from(1), default=200)
+    p.add_argument("--step", type=_positive_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

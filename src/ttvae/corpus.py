@@ -27,7 +27,6 @@ import os
 import pickle
 import stat
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate, compress
@@ -502,14 +501,13 @@ def _map_in_two_processes(fn, items: list, weights: list[int]) -> list:
     """``[fn(item) for item in items]``, computed in two processes.
 
     The caller maps the first run of items and one helper, forked here, the
-    rest (:func:`_split_point` balances their weights).  The helper pickles
-    each result to a pipe as soon as it has it, and a thread of the caller
-    unpickles them as they come, so the helper does not stall on a full
-    pipe while the caller works.  The
-    helper's first exception is raised here with its message; a helper that
-    dies raises :class:`RuntimeError` naming how.  The helper is killed if
-    still running and reaped before this returns or raises.  With fewer than
-    two items, or without ``os.fork``, the caller maps every item itself.
+    rest (:func:`_split_point` balances their weights).  The helper maps its
+    whole run, up to its first exception, and sends it back as one pickled
+    message, which the caller reads once its own run is done.  The helper's
+    exception is raised here with its message; a helper that dies raises
+    :class:`RuntimeError` naming how.  The helper is killed if still running
+    and reaped before this returns or raises.  With fewer than two items, or
+    without ``os.fork``, the caller maps every item itself.
     """
     if len(items) < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
@@ -525,63 +523,47 @@ def _map_in_two_processes(fn, items: list, weights: list[int]) -> list:
     if pid == 0:
         _serve(fn, tail, read_fd, write_fd)
     os.close(write_fd)
-    stream = os.fdopen(read_fd, "rb")
-    received: list[tuple[bool, object]] = []
-    reader = threading.Thread(target=_receive, args=(stream, received),
-                              daemon=True)
-    try:
-        reader.start()
-        head = [fn(item) for item in items[:split]]
-        reader.join()
-        status, pid = os.waitpid(pid, 0)[1], None
-    finally:
-        if pid is not None:  # the caller's half raised: stop the helper
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if reader.is_alive():
-            reader.join()
-        stream.close()
-    for ok, value in received:
-        if not ok:
-            raise value
+    with os.fdopen(read_fd, "rb") as stream:
+        try:
+            head = [fn(item) for item in items[:split]]
+            try:
+                received, error = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                # a message cut short, or none: the helper died
+                received, error = [], None
+            status, pid = os.waitpid(pid, 0)[1], None
+        finally:
+            if pid is not None:  # the caller's half raised: stop the helper
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if error is not None:
+        raise error
     if status != 0 or len(received) != len(tail):
         raise RuntimeError(
             f"corpus helper process {_exit_cause(status)} after "
             f"{len(received)} of {len(tail)} files")
-    return head + [value for _, value in received]
+    return head + received
 
 
 def _serve(fn, items: list, read_fd: int, write_fd: int) -> None:
-    """The helper's whole life: pickle ``(True, fn(item))`` per item to the
-    pipe, or ``(False, exception)`` and stop; then ``os._exit``."""
+    """The helper's whole life: map ``items`` up to the first exception,
+    pickle ``(results, exception or None)`` to the pipe once, then
+    ``os._exit``."""
     code = 1
     try:
         os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as stream:
+        results, error = [], None
+        try:
             for item in items:
-                try:
-                    message = (True, fn(item))
-                except Exception as err:
-                    message = (False, _portable(err))
-                pickle.dump(message, stream, pickle.HIGHEST_PROTOCOL)
-                stream.flush()
-                if not message[0]:
-                    break
+                results.append(fn(item))
+        except Exception as err:
+            error = _portable(err)
+        with os.fdopen(write_fd, "wb") as stream:
+            pickle.dump((results, error), stream, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(stream, received: list) -> None:
-    """Unpickle the helper's messages into ``received`` until the pipe ends."""
-    try:
-        while True:
-            received.append(pickle.load(stream))
-    except (EOFError, pickle.UnpicklingError):
-        # The end of the pipe, or a message cut short by the helper's
-        # death; the caller checks the count and the exit status.
-        pass
 
 
 def _portable(err: Exception) -> Exception:

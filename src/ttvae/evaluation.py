@@ -12,12 +12,14 @@ measures, at the thresholds its classes were labeled at, both as
 :mod:`ttvae.latent` resolves them; ``_rating`` makes the flag function.
 
 Every experiment runs on one streamed loop, ``_decode_stream``: it draws the
-n seeded latents, then takes them ``DECODE_CHUNK`` at a time, decodes the
-chunk's unedited baseline once, and then each (vector, scale) edit of the
-chunk, reusing the baseline at scale 0.  The sweeps keep only per-example
-scalars of each chunk -- ratio flags and pair metrics -- and take every mean
-once, over the concatenated per-example arrays, so memory stays O(chunk)
-whatever n is and the reports do not depend on the chunking.
+n seeded latents ``DECODE_CHUNK`` at a time from one generator, the same
+values as one draw of all n, decodes each chunk's unedited baseline once,
+and then each (vector, scale) edit of the chunk, reusing the baseline at
+scale 0.  The sweeps keep only per-example scalars of each chunk -- ratio
+flags and pair metrics -- and take every mean once, over the concatenated
+per-example arrays, so the reports do not depend on the chunking.  The
+decode's memory is one chunk's whatever n is; the per-example scalars grow
+by about 34 bytes per sample for each vector and scale.
 
 Each chunk is decoded, hardened and scored as two row halves at once, one on
 the calling thread and one on a single helper thread (``decode_hardened``).
@@ -278,9 +280,12 @@ def _decode_stream(model: TensionVae, vectors, scales, n: int, rng_seed: int,
     dropped before the next decode.  ``decode_hardened`` is looked up in
     this module on every call, so a replacement of it sees every chunk.
     """
-    z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    rng = np.random.default_rng(rng_seed)
     for start in range(0, n, DECODE_CHUNK):
-        chunk = z[start:start + DECODE_CHUNK]
+        chunk = sample_latent(min(DECODE_CHUNK, n - start), model.cfg.latent_dim,
+                              rng).astype(model.dtype)
         base = decode_hardened(model, chunk)
         visit(None, None, base, base)
         for v, vector in enumerate(vectors):
@@ -319,10 +324,17 @@ def _rating(ratio_kind: str, vector: AttributeVector | None,
             {"threshold": threshold, "tau_level": tau})
 
 
-def _sweep(model: TensionVae, vectors, ratio_kind: str, scales, n: int,
-           rng_seed: int, trained_batches: int | None,
+def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
+           n: int = 10_000, rng_seed: int = 0,
+           trained_batches: int | None = None,
            tau: float | None = None) -> list[SweepReport]:
-    """One report per vector, each rated by :func:`_rating`."""
+    """Direction (``"upward"``) or level (``"high"``) sweeps of several vectors.
+
+    Each vector is rated by :func:`_rating` at its own effective thresholds
+    (``tau`` replaces the direction threshold), and the reports equal those
+    of :func:`direction_sweep` or :func:`level_sweep` run on each vector
+    alone, but every chunk's baseline is decoded once for all.
+    """
     if ratio_kind not in ("upward", "high"):
         raise InvalidInputError(f"unknown ratio kind {ratio_kind!r}")
     if n < 1:
@@ -357,19 +369,6 @@ def _sweep(model: TensionVae, vectors, ratio_kind: str, scales, n: int,
         in zip(vectors, ratings, measured, columns)]
 
 
-def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
-           n: int = 10_000, rng_seed: int = 0,
-           trained_batches: int | None = None) -> list[SweepReport]:
-    """Direction (``"upward"``) or level (``"high"``) sweeps of several vectors.
-
-    Each vector is rated at its own effective thresholds, and the reports
-    equal those of :func:`direction_sweep` or :func:`level_sweep` run on each
-    vector alone, but every chunk's baseline is decoded once for all.
-    """
-    return _sweep(model, vectors, ratio_kind, scales, n, rng_seed,
-                  trained_batches)
-
-
 def direction_sweep(model: TensionVae, vector: AttributeVector,
                     scales=DEFAULT_DIRECTION_SCALES, n: int = 10_000,
                     rng_seed: int = 0, tau: float | None = None,
@@ -378,7 +377,7 @@ def direction_sweep(model: TensionVae, vector: AttributeVector,
 
     ``tau`` defaults to the vector's effective up-class labeling threshold.
     """
-    return _sweep(model, [vector], "upward", scales, n, rng_seed,
+    return sweeps(model, [vector], "upward", scales, n, rng_seed,
                   trained_batches, tau)[0]
 
 
@@ -388,7 +387,7 @@ def level_sweep(model: TensionVae, vector: AttributeVector,
                 trained_batches: int | None = None) -> SweepReport:
     """High-ratio analogue of :func:`direction_sweep` for level vectors,
     rated at the vector's effective level labeling."""
-    return _sweep(model, [vector], "high", scales, n, rng_seed,
+    return sweeps(model, [vector], "high", scales, n, rng_seed,
                   trained_batches)[0]
 
 

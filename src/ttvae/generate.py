@@ -18,11 +18,10 @@ import numpy as np
 
 from .corpus import MAX_SONG_BARS, read_midi_file, song_fragments
 from .errors import InvalidInputError
-from .evaluation import roll_from_output
+from .evaluation import decode_hardened
 from .latent import VectorsFile, apply_vector
 from .midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
 from .pianoroll import BARS_PER_FRAGMENT, TrackPair, decode_roll
-from .tension import tension_curves
 from .vae.network import TensionVae, sample_latent
 
 OUTPUT_BPM = 120.0
@@ -149,15 +148,15 @@ def pair_to_score(pair: TrackPair, markers: list[tuple[float, str]] | None = Non
     )
 
 
-def _curve_report(roll: np.ndarray, out) -> dict:
-    strain, diameter = tension_curves(roll)
-    def listed(values):
-        return [round(float(v), 6) for v in values]
+def _curve_report(hardened) -> dict:
+    """The curves of a one-row :func:`decode_hardened` output."""
+    def listed(column):
+        return [round(float(v), 6) for v in column[0]]
     return {
-        "predicted_tensile": listed(out.tensile),
-        "predicted_diameter": listed(out.diameter),
-        "recomputed_tensile": listed(strain.values),
-        "recomputed_diameter": listed(diameter.values),
+        "predicted_tensile": listed(hardened[1]),
+        "predicted_diameter": listed(hardened[2]),
+        "recomputed_tensile": listed(hardened[3]),
+        "recomputed_diameter": listed(hardened[4]),
     }
 
 
@@ -172,19 +171,15 @@ def generate(model: TensionVae, vectors: VectorsFile,
     """Decode the edited seed into a 4-bar MIDI plus tension report."""
     check_compatibility(model, vectors, checkpoint_id)
     z, seed_info = seed_latent(model, request)
-    out_original = model.decode(z)
-    roll_original = roll_from_output(out_original)
-    z_edited = apply_edits(z, vectors, request.edits)
-    out_edited = model.decode(z_edited)
-    roll_edited = roll_from_output(out_edited)
-
-    pair = decode_roll(roll_edited)
+    original = decode_hardened(model, z[None])
+    edited = decode_hardened(model, apply_edits(z, vectors, request.edits)[None])
+    pair = decode_roll(edited[0][0])
     report = {
         "seed": seed_info,
         "edits": [[name, float(scale)] for name, scale in request.edits],
         "checkpoint_id": checkpoint_id,
-        "original": _curve_report(roll_original, out_original),
-        "modified": _curve_report(roll_edited, out_edited),
+        "original": _curve_report(original),
+        "modified": _curve_report(edited),
     }
     return GenerationResult(midi_bytes=write_midi(pair_to_score(pair)),
                             report=report)
@@ -206,15 +201,14 @@ def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
     bar_cursor = 0
     for number, section in enumerate(plan.sections, start=1):
         z = apply_edits(z, vectors, section.edits)
-        out = model.decode(z)
-        roll = roll_from_output(out)
-        block_pair = decode_roll(roll)
+        hardened = decode_hardened(model, z[None])
+        block_pair = decode_roll(hardened[0][0])
         markers.append((bar_cursor * 4.0, f"section {number}"))
         sections_report.append({
             "section": number,
             "bars": section.bars,
             "edits": [[name, float(scale)] for name, scale in section.edits],
-            **_curve_report(roll, out),
+            **_curve_report(hardened),
         })
         for _ in range(section.bars // BARS_PER_FRAGMENT):
             offset = bar_cursor * 16

@@ -70,6 +70,9 @@ RAMP_TEMPLATE = ShapeTemplate("ramp", np.arange(N_STEPS, dtype=float) / (N_STEPS
 
 def triangle_template(peak_step: int = 32) -> ShapeTemplate:
     """Symmetric rise-then-fall template peaking at ``peak_step``."""
+    if not 0 <= peak_step < N_STEPS:
+        raise InvalidInputError(
+            f"peak step must be in 0..{N_STEPS - 1}, got {peak_step}")
     steps = np.arange(N_STEPS, dtype=float)
     span = max(peak_step, N_STEPS - 1 - peak_step)
     return ShapeTemplate("triangle",

@@ -490,8 +490,12 @@ class TensionVae:
         return out
 
 
-def sample_latent(n: int, latent_dim: int, rng_seed: int) -> np.ndarray:
-    """Seeded i.i.d. standard-normal latent codes, shape (n, latent_dim)."""
+def sample_latent(n: int, latent_dim: int,
+                  rng_seed: int | np.random.Generator) -> np.ndarray:
+    """Seeded i.i.d. standard-normal latent codes, shape (n, latent_dim).
+
+    Given a generator instead of a seed, the codes are its next draws.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(rng_seed)

@@ -296,6 +296,17 @@ class TestShapeVector:
         payload = json.loads(out.read_text())
         assert payload["vectors"][0]["name"] == "valley"
 
+    @pytest.mark.parametrize("peak", ["-5", "64", "1000", "1" + "0" * 400])
+    def test_peak_step_outside_the_window_exits_two(self, pipeline, tmp_path,
+                                                    peak, capsys):
+        out = tmp_path / "s.json"
+        assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
+                     "--dataset", str(pipeline["dataset"]),
+                     "--template", "triangle", f"--peak-step={peak}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: peak step must be in 0..63")
+        assert not out.exists()
+
     def test_bad_template_exits_two(self, pipeline, tmp_path):
         assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
                      "--dataset", str(pipeline["dataset"]),
@@ -762,8 +773,10 @@ SUBCOMMANDS = ("analyze", "preprocess", "train", "vectors", "shape-vector",
 
 
 class TestIntegerFlagsCheckedOnParse:
-    """A negative ``--rng-seed`` or a ``--target-n`` below 1 is refused by
-    argparse, on every subcommand that takes the flag, before any work."""
+    """A negative ``--rng-seed``, a ``--target-n`` below 1, a gradcheck
+    ``--samples`` below 1 and a ``--step`` that is not a finite positive
+    number are refused by argparse, on every subcommand that takes the flag,
+    before any work."""
 
     def _refused(self, argv, capsys, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -787,6 +800,16 @@ class TestIntegerFlagsCheckedOnParse:
     def test_non_integer_rng_seed(self, capsys):
         self._refused(["generate", "--rng-seed", "x"], capsys,
                       "--rng-seed: invalid integer value: 'x'")
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_gradcheck_samples_below_one(self, value, capsys):
+        self._refused(["gradcheck", "--samples", value], capsys,
+                      f"--samples: must be >= 1, got {value}")
+
+    @pytest.mark.parametrize("value", ["0", "-1e-4", "nan", "inf", "-inf", "x"])
+    def test_gradcheck_step_not_finite_and_positive(self, value, capsys):
+        self._refused(["gradcheck", f"--step={value}"], capsys,
+                      f"--step: must be finite and > 0, got {value}")
 
     def test_zero_seed_and_one_per_class_still_parse(self):
         args = ttvae.cli.build_parser().parse_args(

@@ -648,3 +648,22 @@ class TestStreamedMemory:
                 tracemalloc.stop()
         # keeping every scale's roll stack grows by about 23 MiB here
         assert peaks[1] - peaks[0] < 2**20
+
+    def test_latents_are_drawn_a_chunk_at_a_time(self, monkeypatch):
+        # A wide latent and a tiny decoder: drawing all n latents at once
+        # (float64, then a float32 copy) holds 2048 * 512 * 12 bytes, 12 MiB,
+        # about twice the peak of the whole run at n = 256.
+        monkeypatch.setattr(evaluation, "_helper", InlineHelper)
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=512, hidden=4, gru_layers=1, rng_seed=2))
+        vector = AttributeVector("tensile_strain_direction", np.zeros(512), (2, 2))
+        pitch_distribution(model, vector, 0.0, 4, 1)
+        peaks = []
+        for n in (256, 2048):
+            tracemalloc.start()
+            try:
+                pitch_distribution(model, vector, 0.0, n, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20

@@ -220,6 +220,34 @@ class TestHelperFailures:
         assert len(forks) == 1
         assert_reaped(forks)
 
+    def test_helper_finishing_first_waits_for_the_caller(
+            self, tmp_path, monkeypatch, forks):
+        # The helper's one message (27 rolls, about 150 KiB) is larger
+        # than a pipe buffer, so the helper blocks on it until the slowed
+        # caller has mapped its own half and reads.  A caller that waited for
+        # the helper before reading would wait forever: the alarm ends that.
+        write_corpus(tmp_path, GOOD)
+        parent = os.getpid()
+
+        def ingest(entry, *args):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            return _ingest_file(entry, *args)
+
+        def deadlocked(signum, frame):
+            raise TimeoutError("the caller and the helper wait on each other")
+
+        monkeypatch.setattr(corpus, "_ingest_file", ingest)
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(30)
+        try:
+            assert_equals_reference(tmp_path, tmp_path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
     def test_skips_are_not_helper_failures(self, tmp_path, forks):
         write_corpus(tmp_path, [BAD["unreadable"]] * 4)
         dataset = build_dataset(tmp_path)

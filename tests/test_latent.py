@@ -206,6 +206,15 @@ class TestShapeScore:
         assert template.values.argmax() == 32
         assert template.values[32] == 1.0
 
+    @pytest.mark.parametrize("peak", [0, 63])
+    def test_triangle_peaks_at_either_end(self, peak):
+        assert triangle_template(peak).values[peak] == 1.0
+
+    @pytest.mark.parametrize("peak", [-5, -1, 64, 1000, 10**400])
+    def test_triangle_peak_outside_the_window_rejected(self, peak):
+        with pytest.raises(InvalidInputError, match="peak step must be in 0..63"):
+            triangle_template(peak)
+
 
 def ramp_curves(n_up, n_down, noise=0.0, rng=None):
     curves = []
