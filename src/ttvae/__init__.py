@@ -14,17 +14,16 @@ from .corpus import Fragment, FragmentDataset, Key, Mode, build_dataset, load_da
 from .errors import TtvaeError
 from .latent import AttributeVector, ShapeTemplate, VectorsFile, apply_vector, build_vectors
 from .pianoroll import NoteEvent, TrackPair, decode_roll, encode_roll
-from .spiral import Cloud, KeyCenter, SpiralConfig, SpiralPoint, SpelledPitch
-from .tension import TensionCurve, TensionKind, moving_average, tension_curves
+from .spiral import Cloud, SpelledPitch
+from .tension import moving_average, tension_curves
 from .vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeVector", "Cloud", "Fragment", "FragmentDataset", "Key",
-    "KeyCenter", "Mode", "ModelConfig", "NoteEvent", "ShapeTemplate",
-    "SpelledPitch", "SpiralConfig", "SpiralPoint", "TensionCurve",
-    "TensionKind", "TensionVae", "TrackPair", "TtvaeError", "VectorsFile",
+    "AttributeVector", "Cloud", "Fragment", "FragmentDataset", "Key", "Mode",
+    "ModelConfig", "NoteEvent", "ShapeTemplate", "SpelledPitch", "TensionVae",
+    "TrackPair", "TtvaeError", "VectorsFile",
     "apply_vector", "build_dataset", "build_vectors", "decode_roll",
     "encode_roll", "load_checkpoint", "load_dataset", "moving_average",
     "save_checkpoint", "save_dataset", "tension_curves", "train",

@@ -16,7 +16,14 @@ from pathlib import Path
 
 from . import evaluation, latent
 from .atomic import write_atomic
-from .corpus import build_dataset, load_dataset, read_midi_file, save_dataset, song_fragments
+from .corpus import (
+    build_dataset,
+    load_dataset,
+    read_json,
+    read_midi_file,
+    save_dataset,
+    song_fragments,
+)
 from .errors import InvalidInputError, TtvaeError
 from .generate import (
     ChainPlan,
@@ -181,10 +188,7 @@ def _load_template(args) -> ShapeTemplate:
         raise InvalidInputError(
             f"template must be 'triangle' or a JSON file of 64 values, "
             f"got {args.template!r}")
-    try:
-        values = json.loads(path.read_text())
-    except (OSError, ValueError, RecursionError) as err:
-        raise InvalidInputError(f"cannot parse template {path}: {err}") from err
+    values = read_json(path, "template")
     if not isinstance(values, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise InvalidInputError(f"template {path} must be a JSON list of numbers")
@@ -273,11 +277,7 @@ def cmd_generate(args) -> int:
 def cmd_compose_chain(args) -> int:
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
-    try:
-        plan_data = json.loads(Path(args.plan).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise InvalidInputError(f"cannot read plan {args.plan}: {err}") from err
-    plan = ChainPlan.from_dict(plan_data)
+    plan = ChainPlan.from_dict(read_json(args.plan, "plan"))
     request = _request_from_args(args)
     result = compose_chain(model, vectors, plan, request,
                            checkpoint_id=ckpt.ident)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .atomic import atomic_write, write_atomic
 from .errors import InvalidInputError, InvalidRollError, InvalidSongError, NoKeyError, TtvaeError
-from .midi import MidiNote, MidiTrack, Score, parse_midi
+from .midi import Score, parse_midi
 from .pianoroll import (
     N_FEATURES,
     N_STEPS,
@@ -62,7 +62,6 @@ MAX_SONG_STEPS = MAX_SONG_BARS * STEPS_PER_BAR
 # it is longer or denser than any song ingest keeps, and parsing costs about
 # 35 bytes of memory per file byte.  Real songs are tens of kilobytes.
 MAX_MIDI_BYTES = MAX_SONG_BARS * 2048
-_OVERSIZE = f"larger than the cap of {MAX_MIDI_BYTES} bytes for a MIDI file"
 DATASET_MAGIC = b"TVAE"
 DATASET_VERSION = 1
 # One fragment of the dataset file, 6,208 bytes.
@@ -290,24 +289,9 @@ def _clamp_pitches(pitch: np.ndarray) -> np.ndarray:
                     np.where(pitch > 127, 127 - (127 - pitch) % 12, pitch))
 
 
-def transpose_to_c(score: Score, key: Key) -> Score:
-    """Shift all non-drum notes so the detected key becomes C major / A minor."""
-    shift = transposition_shift(key)
-    tracks = []
-    for track in score.tracks:
-        pitches = [n.pitch for n in track.notes]
-        if not track.is_drum and shift != 0:
-            pitches = _clamp_pitches(np.array(pitches, np.int64) + shift).tolist()
-        tracks.append(MidiTrack(track.name, track.channel, [
-            MidiNote(pitch, n.onset, n.duration, n.velocity)
-            for pitch, n in zip(pitches, track.notes)]))
-    return Score(tracks=tracks, tempos=list(score.tempos),
-                 meters=list(score.meters), markers=list(score.markers))
-
-
 def transpose_pair(song: SongSteps, shift: int) -> SongSteps:
-    """The song moved by ``shift`` semitones, as :func:`transpose_to_c`
-    moves notes; silent steps stay silent."""
+    """The song moved by ``shift`` semitones, each pitch moved by octaves
+    back into 0..127 if it leaves that range; silent steps stay silent."""
     if shift == 0:
         return song
     moved = np.where(song.pitch < 0, -1, _clamp_pitches(song.pitch + shift))
@@ -387,8 +371,8 @@ def _with_tension(rolls: np.ndarray, source_ids: list[str],
     """The fragments of ``rolls``, with curves from one tension call (the
     key is always C major; rows are independent, so batching moves no bit)."""
     strain, diameter = tension_curves(rolls)
-    return FragmentDataset(rolls, strain.values.astype(np.float32),
-                           diameter.values.astype(np.float32), source_ids,
+    return FragmentDataset(rolls, strain.astype(np.float32),
+                           diameter.astype(np.float32), source_ids,
                            bar_offsets, meta)
 
 
@@ -400,11 +384,13 @@ def song_fragments(score: Score, melody_name: str | None = None,
     return _with_tension(rolls, [""] * len(rolls), offsets, {}), key, warnings
 
 
-def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
-    """(path, bytes to read, skip reason) from one ``stat``, before any read.
+def _input_entry(path: Path, cap: int | None, what: str,
+                 ) -> tuple[Path, int, str | None]:
+    """(path, bytes to read, reason not to read) from one ``stat``, before
+    any read.
 
-    Only a regular file within :data:`MAX_MIDI_BYTES` is read: opening a
-    FIFO would block, and the bytes read size the parse's memory.
+    Only a regular file within ``cap`` bytes (if a cap is given) is read:
+    opening a FIFO would block, and the bytes read size memory.
     """
     try:
         st = path.stat()
@@ -412,31 +398,58 @@ def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
         return path, 0, str(err)
     if not stat.S_ISREG(st.st_mode):
         return path, 0, "not a regular file"
-    if st.st_size > MAX_MIDI_BYTES:
-        return path, 0, _OVERSIZE
+    if cap is not None and st.st_size > cap:
+        return path, 0, f"larger than the cap of {cap} bytes for a {what}"
     return path, st.st_size, None
 
 
-def _read_entry(entry: tuple[Path, int, str | None]) -> bytes:
-    """A corpus entry's bytes, or its skip reason raised.  At most the cap
+def _read_entry(entry: tuple[Path, int, str | None], cap: int | None,
+                what: str) -> bytes:
+    """An entry's bytes, or its reason not to read raised.  At most ``cap``
     plus one byte is read: the file may have grown since its ``stat``."""
     path, _, reason = entry
     if reason is not None:
         raise InvalidInputError(reason)
     with open(path, "rb") as fh:
-        data = fh.read(MAX_MIDI_BYTES + 1)
-    if len(data) > MAX_MIDI_BYTES:
-        raise InvalidInputError(_OVERSIZE)
+        data = fh.read(-1 if cap is None else cap + 1)
+    if cap is not None and len(data) > cap:
+        raise InvalidInputError(f"larger than the cap of {cap} bytes for a {what}")
     return data
+
+
+def read_input(path, what: str, cap: int | None = None) -> bytes:
+    """The bytes of the regular file ``path``, read as a corpus entry is.
+
+    Every input file goes through here: MIDI file, dataset and sidecar,
+    checkpoint, vectors file, config, chain plan and shape template.  A
+    path that is missing or not a regular file, or a failed read, raises
+    InvalidInputError naming ``what`` and the path.
+    """
+    try:
+        return _read_entry(_input_entry(Path(path), cap, what), cap, what)
+    except (InvalidInputError, OSError) as err:
+        raise InvalidInputError(f"cannot read {what} {path}: {err}") from err
+
+
+def read_json(path, what: str):
+    """The JSON value in the regular file ``path``, read by :func:`read_input`;
+    text that is not JSON raises InvalidInputError too."""
+    raw = read_input(path, what)
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as err:
+        raise InvalidInputError(f"cannot read {what} {path}: {err}") from err
+
+
+def _corpus_entry(path: Path) -> tuple[Path, int, str | None]:
+    """A corpus file's entry: the MIDI cap is :data:`MAX_MIDI_BYTES`."""
+    return _input_entry(path, MAX_MIDI_BYTES, "MIDI file")
 
 
 def read_midi_file(path) -> bytes:
     """One MIDI file's bytes, read as a corpus entry is: a FIFO, directory
     or file over :data:`MAX_MIDI_BYTES` raises InvalidInputError unread."""
-    try:
-        return _read_entry(_corpus_entry(Path(path)))
-    except (InvalidInputError, OSError) as err:
-        raise InvalidInputError(f"cannot read MIDI file {path}: {err}") from err
+    return read_input(path, "MIDI file", MAX_MIDI_BYTES)
 
 
 def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
@@ -444,8 +457,9 @@ def _ingest_file(entry: tuple[Path, int, str | None], melody_name: str | None,
     """One corpus entry's ((rolls, bar offsets), key, warnings), or
     (None, skip reason, [])."""
     try:
+        data = _read_entry(entry, MAX_MIDI_BYTES, "MIDI file")
         rolls, offsets, key, warnings = _song_rolls(
-            parse_midi(_read_entry(entry)), melody_name, bass_name)
+            parse_midi(data), melody_name, bass_name)
         return (rolls, offsets), str(key), warnings
     except (TtvaeError, OSError) as err:
         return None, str(err), []
@@ -637,7 +651,7 @@ def load_dataset(path) -> FragmentDataset:
     The columns are read-only views of the file's bytes.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    raw = read_input(path, "dataset")
     if raw[:4] != DATASET_MAGIC:
         raise InvalidInputError(f"{path} is not a fragment dataset")
     offset = 4 + 6
@@ -663,11 +677,7 @@ def load_dataset(path) -> FragmentDataset:
     sidecar_path = path.with_name(path.name + ".json")
     sidecar = {}
     if sidecar_path.exists():
-        try:
-            sidecar = json.loads(sidecar_path.read_text())
-        except (OSError, ValueError) as err:
-            raise InvalidInputError(
-                f"cannot read dataset sidecar {sidecar_path}: {err}") from err
+        sidecar = read_json(sidecar_path, "dataset sidecar")
         if not isinstance(sidecar, dict):
             raise InvalidInputError(f"dataset sidecar {sidecar_path} is not an object")
     return FragmentDataset(

@@ -38,10 +38,6 @@ class NoKeyError(InvalidInputError):
     """Key detection received a score with no sounding notes."""
 
 
-class UnsupportedModeError(InvalidInputError):
-    """Key-center construction is implemented for the major mode only."""
-
-
 class InvalidRollError(InvalidInputError):
     """A piano-roll matrix violates the one-hot/onset layout invariants."""
 

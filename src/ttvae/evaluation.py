@@ -204,7 +204,7 @@ def _decode_block(model: TensionVae, z: np.ndarray) -> tuple[np.ndarray, ...]:
     out = model.decode(z)
     rolls = roll_from_output(out)
     strain, diameter = tension_curves(rolls)
-    return rolls, out.tensile, out.diameter, strain.values, diameter.values
+    return rolls, out.tensile, out.diameter, strain, diameter
 
 
 _helper_pool = None

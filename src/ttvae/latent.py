@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .atomic import write_atomic
-from .corpus import FragmentDataset
+from .corpus import FragmentDataset, read_json
 from .errors import InvalidInputError, MissingFragmentError
 from .pianoroll import N_STEPS
 from .vae.network import TensionVae
@@ -376,10 +375,7 @@ def save_vectors(path, vectors_file: VectorsFile) -> None:
 
 
 def load_vectors(path) -> VectorsFile:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise InvalidInputError(f"cannot read vectors file {path}: {err}") from err
+    payload = read_json(path, "vectors file")
     try:
         latent_dim = int(payload["latent_dim"])
         vectors = {}

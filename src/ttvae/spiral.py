@@ -13,54 +13,29 @@ Euclidean closeness, which gives two per-window tension measures:
 the :class:`Cloud` functions here and the per-step curves of
 :mod:`ttvae.tension` are thin wrappers around it.
 
-Calibration defaults (radius 1, rise sqrt(2/15), chord/key weights) follow
-the established spiral-array literature and are tunable via
-:class:`SpiralConfig`.
+Every position is a (3,) float64 array at the published calibration of the
+spiral-array literature: radius 1, :data:`RISE` per fifth, and the chord
+and key weights :data:`CHORD_WEIGHTS` and :data:`KEY_WEIGHTS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedModeError
+from .errors import InvalidInputError
 
-DEFAULT_RISE = math.sqrt(2.0 / 15.0)
-DEFAULT_CHORD_WEIGHTS = (0.536, 0.274, 0.190)
+RISE = math.sqrt(2.0 / 15.0)
+CHORD_WEIGHTS = (0.536, 0.274, 0.190)
 # The published key-weight calibration (0.516, 0.315, 0.168) sums to 0.999;
 # normalize it so the weights form an exact convex combination.
-DEFAULT_KEY_WEIGHTS = (0.516 / 0.999, 0.315 / 0.999, 0.168 / 0.999)
+KEY_WEIGHTS = (0.516 / 0.999, 0.315 / 0.999, 0.168 / 0.999)
 
 # Line-of-fifths index per pitch class (C=0 .. B=11); black keys are spelled
 # as flats except F#, which suits material normalized to C major / A minor.
 FIFTH_INDEX_TABLE = (0, -5, 2, -3, 4, -1, 6, 1, -4, 3, -2, 5)
-
-_WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpiralConfig:
-    """Helix calibration: geometry plus chord/key blending weights."""
-
-    radius: float = 1.0
-    rise: float = DEFAULT_RISE
-    chord_weights: tuple[float, float, float] = DEFAULT_CHORD_WEIGHTS
-    key_weights: tuple[float, float, float] = DEFAULT_KEY_WEIGHTS
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidInputError(f"radius must be positive, got {self.radius}")
-        if not self.rise > 0:
-            raise InvalidInputError(f"rise must be positive, got {self.rise}")
-        for name, triple in (("chord_weights", self.chord_weights),
-                             ("key_weights", self.key_weights)):
-            if len(triple) != 3 or any(w <= 0 for w in triple):
-                raise InvalidInputError(f"{name} must be three positive reals")
-            if abs(sum(triple) - 1.0) > _WEIGHT_TOL:
-                raise InvalidInputError(f"{name} must sum to 1, got {sum(triple)!r}")
 
 
 @dataclass(frozen=True)
@@ -68,25 +43,6 @@ class SpelledPitch:
     """A pitch class as its position on the line of fifths (C=0, G=+1, F=-1)."""
 
     fifth_index: int
-
-
-@dataclass(frozen=True)
-class SpiralPoint:
-    """A 3-D position on (or derived from) the helix."""
-
-    x: float
-    y: float
-    z: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class KeyCenter:
-    """Center of effect of a reference key, used by tensile strain."""
-
-    point: SpiralPoint
 
 
 @dataclass(frozen=True)
@@ -120,31 +76,21 @@ def spell(pitch_class: int) -> SpelledPitch:
     return SpelledPitch(FIFTH_INDEX_TABLE[pitch_class])
 
 
-def pitch_position(fifth_index: int, cfg: SpiralConfig = SpiralConfig()) -> SpiralPoint:
+def pitch_position(fifth_index: int) -> np.ndarray:
     """Helix position of a spelled pitch: quarter turn + fixed rise per fifth."""
     angle = fifth_index * math.pi / 2.0
-    return SpiralPoint(
-        x=cfg.radius * math.sin(angle),
-        y=cfg.radius * math.cos(angle),
-        z=fifth_index * cfg.rise,
-    )
+    return np.array([math.sin(angle), math.cos(angle), fifth_index * RISE])
 
 
-@lru_cache(maxsize=8)
-def pitch_class_positions(cfg: SpiralConfig = SpiralConfig()) -> np.ndarray:
-    """(12, 3) array of helix positions for pitch classes C..B (read-only)."""
-    table = np.array(
-        [pitch_position(k, cfg).to_array() for k in FIFTH_INDEX_TABLE]
-    )
-    table.setflags(write=False)
-    return table
+# (12, 3) helix positions of pitch classes C..B, read-only.
+PITCH_CLASS_POSITIONS = np.array([pitch_position(k) for k in FIFTH_INDEX_TABLE])
+PITCH_CLASS_POSITIONS.setflags(write=False)
 
 
-def _member_points(cloud: Cloud, cfg: SpiralConfig) -> np.ndarray:
+def _member_points(cloud: Cloud) -> np.ndarray:
     if not cloud.members:
         raise InvalidInputError("cloud must contain at least one pitch")
-    return np.array([pitch_position(p.fifth_index, cfg).to_array()
-                     for p in cloud.members])
+    return np.array([pitch_position(p.fifth_index) for p in cloud.members])
 
 
 def _weighted_center(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -173,47 +119,39 @@ def cloud_tension(points: np.ndarray, weights: np.ndarray,
     return strain, pair.max(axis=(-2, -1))
 
 
-def _cloud_tension(cloud: Cloud, key_point: np.ndarray,
-                   cfg: SpiralConfig) -> tuple[float, float]:
-    strain, diameter = cloud_tension(_member_points(cloud, cfg),
+def _cloud_tension(cloud: Cloud, key_point: np.ndarray) -> tuple[float, float]:
+    strain, diameter = cloud_tension(_member_points(cloud),
                                      cloud.effective_weights(), key_point)
     return float(strain), float(diameter)
 
 
-def cloud_diameter(cloud: Cloud, cfg: SpiralConfig = SpiralConfig()) -> float:
+def cloud_diameter(cloud: Cloud) -> float:
     """Largest pairwise distance among the cloud's helix points (0 for singletons)."""
-    return _cloud_tension(cloud, np.zeros(3), cfg)[1]
+    return _cloud_tension(cloud, np.zeros(3))[1]
 
 
-def center_of_effect(cloud: Cloud, cfg: SpiralConfig = SpiralConfig()) -> SpiralPoint:
+def center_of_effect(cloud: Cloud) -> np.ndarray:
     """Weight-normalized centroid of the cloud's helix points."""
-    c = _weighted_center(_member_points(cloud, cfg),
-                         np.asarray(cloud.effective_weights(), dtype=float))
-    return SpiralPoint(float(c[0]), float(c[1]), float(c[2]))
+    return _weighted_center(_member_points(cloud),
+                            np.asarray(cloud.effective_weights(), dtype=float))
 
 
-def _major_chord_center(tonic_fifth: int, cfg: SpiralConfig) -> np.ndarray:
-    w1, w2, w3 = cfg.chord_weights
+def _major_chord_center(tonic_fifth: int) -> np.ndarray:
+    w1, w2, w3 = CHORD_WEIGHTS
     # Root, fifth (one step up the line), major third (four steps up).
-    return (w1 * pitch_position(tonic_fifth, cfg).to_array()
-            + w2 * pitch_position(tonic_fifth + 1, cfg).to_array()
-            + w3 * pitch_position(tonic_fifth + 4, cfg).to_array())
+    return (w1 * pitch_position(tonic_fifth)
+            + w2 * pitch_position(tonic_fifth + 1)
+            + w3 * pitch_position(tonic_fifth + 4))
 
 
-def key_center(tonic_fifth: int, cfg: SpiralConfig = SpiralConfig(),
-               mode: str = "major") -> KeyCenter:
+def key_center(tonic_fifth: int) -> np.ndarray:
     """Center of effect of a major key: tonic, dominant and subdominant chords."""
-    if mode != "major":
-        raise UnsupportedModeError(
-            f"only major-key centers are supported, got mode {mode!r}")
-    o1, o2, o3 = cfg.key_weights
-    c = (o1 * _major_chord_center(tonic_fifth, cfg)
-         + o2 * _major_chord_center(tonic_fifth + 1, cfg)
-         + o3 * _major_chord_center(tonic_fifth - 1, cfg))
-    return KeyCenter(SpiralPoint(float(c[0]), float(c[1]), float(c[2])))
+    o1, o2, o3 = KEY_WEIGHTS
+    return (o1 * _major_chord_center(tonic_fifth)
+            + o2 * _major_chord_center(tonic_fifth + 1)
+            + o3 * _major_chord_center(tonic_fifth - 1))
 
 
-def tensile_strain(cloud: Cloud, key: KeyCenter,
-                   cfg: SpiralConfig = SpiralConfig()) -> float:
-    """Distance between the cloud's center of effect and the key center."""
-    return _cloud_tension(cloud, key.point.to_array(), cfg)[0]
+def tensile_strain(cloud: Cloud, key_point: np.ndarray) -> float:
+    """Distance between the cloud's center of effect and ``key_point``."""
+    return _cloud_tension(cloud, key_point)[0]

@@ -19,11 +19,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..atomic import atomic_write
+from ..corpus import read_input
 from ..errors import CheckpointError, InvalidInputError
 from .config import ModelConfig
 from .network import param_shapes
@@ -107,7 +107,7 @@ def _tensor_entries(manifest: dict, path) -> list[dict]:
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
     """Read and verify a checkpoint; refuses mismatched or damaged files."""
-    raw = Path(path).read_bytes()
+    raw = read_input(path, "checkpoint")
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file")
     if len(raw) < 8:

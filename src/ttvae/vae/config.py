@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
+from ..corpus import read_json
 from ..errors import InvalidInputError
 from ..pianoroll import N_STEPS
 
@@ -123,8 +122,4 @@ class ModelConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ModelConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as err:
-            raise InvalidInputError(f"cannot read config {path}: {err}") from err
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, "config"))

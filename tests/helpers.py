@@ -82,7 +82,7 @@ from ttvae.pianoroll import (
     encode_roll,
     melody_pitch_classes,
 )
-from ttvae.spiral import SpiralConfig, cloud_tension, key_center, pitch_class_positions
+from ttvae.spiral import PITCH_CLASS_POSITIONS, cloud_tension, key_center
 from ttvae.tension import moving_average, tension_curves
 from ttvae.vae.network import HEAD_SPECS, sample_latent
 
@@ -444,12 +444,17 @@ def allocating_decoder_heads(params, flat_h, batch):
     return outputs, head_caches
 
 
-def direct_tension_curves(roll, key, cfg=SpiralConfig(), window=4):
-    """Smoothed (strain, diameter) with one kernel call per step of every roll."""
+def direct_step_tension(roll):
+    """Raw per-step (strain, diameter) in C major, with one kernel call per
+    step of every roll."""
     pcs = np.stack((melody_pitch_classes(roll), bass_pitch_classes(roll)), axis=-1)
-    strain, diameter = cloud_tension(pitch_class_positions(cfg)[np.clip(pcs, 0, 11)],
-                                     (pcs >= 0).astype(float), key.point.to_array())
-    return moving_average(strain, window), moving_average(diameter, window)
+    return cloud_tension(PITCH_CLASS_POSITIONS[np.clip(pcs, 0, 11)],
+                         (pcs >= 0).astype(float), key_center(0))
+
+
+def direct_tension_curves(roll):
+    """:func:`direct_step_tension`, smoothed."""
+    return tuple(moving_average(curve) for curve in direct_step_tension(roll))
 
 
 # --------------------------------------------------------- reference MIDI reader
@@ -898,8 +903,8 @@ def reference_song_fragments(score, melody_name=None, bass_name=None):
     rolls = np.stack([reference_encode_roll(window) for _, window in windows])
     strain, diameter = tension_curves(rolls)
     return FragmentDataset(
-        rolls=rolls, tensile=strain.values.astype(np.float32),
-        diameter=diameter.values.astype(np.float32),
+        rolls=rolls, tensile=strain.astype(np.float32),
+        diameter=diameter.astype(np.float32),
         source_ids=[""] * len(windows),
         bar_offsets=[bar_offset for bar_offset, _ in windows]), key, warnings
 
@@ -1107,17 +1112,14 @@ def _level_params(vector: AttributeVector) -> tuple[float, float]:
             float(thresholds.get("class_a_min_magnitude", 0.0)))
 
 
-def reference_decode_hardened(model, z, spiral_cfg=SpiralConfig()):
+def reference_decode_hardened(model, z):
     """``evaluation.decode_hardened`` as it was before each chunk's halves ran
     on two threads: every chunk decoded whole on the calling thread."""
-    reference = key_center(0, spiral_cfg)
     parts = []
     for start in range(0, len(z), evaluation.DECODE_CHUNK):
         out = model.decode(z[start:start + evaluation.DECODE_CHUNK])
         rolls = evaluation.roll_from_output(out)
-        strain, diameter = tension_curves(rolls, reference, spiral_cfg)
-        parts.append((rolls, out.tensile, out.diameter,
-                      strain.values, diameter.values))
+        parts.append((rolls, out.tensile, out.diameter, *tension_curves(rolls)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -1129,12 +1131,12 @@ def reference_pair_metrics(original_rolls: np.ndarray, modified_rolls: np.ndarra
 
 def reference_sweep(model, vector, scales, n: int,
                     rng_seed: int, ratio_fn, ratio_kind: str, thresholds: dict,
-                    spiral_cfg: SpiralConfig, untrained: bool) -> SweepReport:
+                    untrained: bool) -> SweepReport:
     _pair_metrics = reference_pair_metrics
     if n < 1:
         raise InvalidInputError("sweep needs n >= 1 samples")
     z = sample_latent(n, model.cfg.latent_dim, rng_seed).astype(model.dtype)
-    original = reference_decode_hardened(model, z, spiral_cfg)
+    original = reference_decode_hardened(model, z)
     measured = _measured_curve(vector.name)
     rows = []
     for scale in scales:
@@ -1142,7 +1144,7 @@ def reference_sweep(model, vector, scales, n: int,
             rolls, pred_t, pred_d, rec_t, rec_d = original
         else:
             rolls, pred_t, pred_d, rec_t, rec_d = reference_decode_hardened(
-                model, apply_vector(z, vector, scale), spiral_cfg)
+                model, apply_vector(z, vector, scale))
         recomputed = rec_t if measured == "tensile" else rec_d
         predicted = pred_t if measured == "tensile" else pred_d
         metrics = _pair_metrics(original[0], rolls)
@@ -1165,7 +1167,6 @@ def reference_interaction_grid(model, vector_a,
                                taus: dict[str, float] | None = None,
                                mode: str = "upward",
                                level_params: dict[str, dict[str, float]] | None = None,
-                               spiral_cfg: SpiralConfig = SpiralConfig(),
                                trained_batches: int | None = None) -> InteractionReport:
     if mode not in ("upward", "high"):
         raise InvalidInputError(f"unknown interaction mode {mode!r}")
@@ -1193,7 +1194,7 @@ def reference_interaction_grid(model, vector_a,
             "diameter": one_ratio("diameter", rec_d),
         }
 
-    base = reference_decode_hardened(model, z, spiral_cfg)
+    base = reference_decode_hardened(model, z)
     base_ratios = both_ratios(base[3], base[4])
     for vector in vectors:
         rows[vector.name] = {}
@@ -1202,7 +1203,7 @@ def reference_interaction_grid(model, vector_a,
                 rows[vector.name][float(scale)] = dict(base_ratios)
                 continue
             _, _, _, rec_t, rec_d = reference_decode_hardened(
-                model, apply_vector(z, vector, scale), spiral_cfg)
+                model, apply_vector(z, vector, scale))
             rows[vector.name][float(scale)] = both_ratios(rec_t, rec_d)
         baselines[vector.name] = base_ratios
 

@@ -27,7 +27,6 @@ from ttvae.pianoroll import decode_roll, encode_roll
 from ttvae.spiral import (
     Cloud,
     SpelledPitch,
-    SpiralConfig,
     cloud_diameter,
     key_center,
     pitch_position,
@@ -45,8 +44,6 @@ from ttvae.vae import (
     loss,
 )
 from ttvae.vae.training import LEDGER_COLUMNS
-
-CFG = SpiralConfig()
 
 # Slow KL ramp to a strong ceiling: the model memorizes the corpus early
 # (criterion 7) and then compresses the latent space enough that scaled
@@ -114,8 +111,7 @@ def chain(tmp_path_factory):
 
 def test_criterion_01_spiral_geometry_exactness():
     def dist(a, b):
-        return float(np.linalg.norm(pitch_position(a, CFG).to_array()
-                                    - pitch_position(b, CFG).to_array()))
+        return float(np.linalg.norm(pitch_position(a) - pitch_position(b)))
 
     d_cg = dist(0, 1)       # C to G
     d_ce = dist(0, 4)       # C to E
@@ -127,15 +123,14 @@ def test_criterion_01_spiral_geometry_exactness():
 
 
 def test_criterion_02_tension_oracle_equivalence(rng):
-    reference = key_center(0, CFG)
-    key_point = reference.point.to_array()
+    key_point = key_center(0)
     checked = 0
     for _ in range(120):
         roll = random_roll(rng)
-        strain, diameter = tension_curves(roll, reference, CFG)
+        strain, diameter = tension_curves(roll)
         ref_strain, ref_diameter = brute_force_tension(roll, key_point)
-        np.testing.assert_allclose(strain.values, ref_strain, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(diameter.values, ref_diameter, rtol=0,
+        np.testing.assert_allclose(strain, ref_strain, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(diameter, ref_diameter, rtol=0,
                                    atol=1e-12)
         checked += 1
     report(2, f"{checked} random fragments match the brute-force oracle at 1e-12")
@@ -151,10 +146,10 @@ def test_criterion_03_isometry_property_suite(rng):
         cloud = Cloud(tuple(SpelledPitch(int(k)) for k in fifths))
         moved = Cloud(tuple(SpelledPitch(int(k) + shift) for k in fifths))
         worst_diameter = max(worst_diameter, abs(
-            cloud_diameter(cloud, CFG) - cloud_diameter(moved, CFG)))
+            cloud_diameter(cloud) - cloud_diameter(moved)))
         worst_strain = max(worst_strain, abs(
-            tensile_strain(cloud, key_center(0, CFG), CFG)
-            - tensile_strain(moved, key_center(shift, CFG), CFG)))
+            tensile_strain(cloud, key_center(0))
+            - tensile_strain(moved, key_center(shift))))
     assert worst_diameter < 1e-9
     assert worst_strain < 1e-9
     report(3, f"1000 clouds: max diameter drift {worst_diameter:.2e}, "

@@ -16,10 +16,10 @@ from helpers import brute_force_tension
 from toy import toy_song, write_toy_corpus
 import ttvae
 from ttvae.cli import main
-from ttvae.corpus import RECORD_DTYPE, load_dataset
+from ttvae.corpus import RECORD_DTYPE, load_dataset, save_dataset, song_fragments
 from ttvae.latent import VectorsFile, save_vectors
 from ttvae.midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
-from ttvae.spiral import SpiralConfig, key_center
+from ttvae.spiral import key_center
 from ttvae.vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint
 
 TOY_CONFIG = dict(latent_dim=8, hidden=24, gru_layers=1, batch_size=8,
@@ -77,7 +77,7 @@ class TestAnalyze:
         from ttvae.corpus import song_fragments
         fragments, _, _ = song_fragments(parse_midi(path.read_bytes()))
         ref_strain, ref_diam = brute_force_tension(
-            fragments.rolls[0], key_center(0, SpiralConfig()).point.to_array())
+            fragments.rolls[0], key_center(0))
         for i, row in enumerate(rows):
             assert float(row[1]) == pytest.approx(ref_strain[i], abs=1e-6)
             assert float(row[2]) == pytest.approx(ref_diam[i], abs=1e-6)
@@ -712,12 +712,15 @@ def run_cli_probe(argv):
 
 @pytest.fixture(scope="module")
 def tiny_model(tmp_path_factory):
-    """An untrained checkpoint, a vectors file without vectors and a plan."""
+    """An untrained checkpoint, a vectors file without vectors, a plan and a
+    one-fragment dataset."""
     root = tmp_path_factory.mktemp("tiny")
     cfg = ModelConfig(latent_dim=4, hidden=8, gru_layers=1, rng_seed=1)
     save_checkpoint(root / "model.ttv", TensionVae.initialize(cfg).params, cfg)
     save_vectors(root / "vectors.json", VectorsFile(4, "", {}))
     (root / "plan.json").write_text(json.dumps({"sections": [{"bars": 4}]}))
+    fragments, _, _ = song_fragments(parse_midi(write_midi(fixture_song(4))))
+    save_dataset(fragments, root / "data.ttd")
     return root
 
 
@@ -766,6 +769,80 @@ class TestMidiInputsReadCapped:
         assert int(out.splitlines()[-1]) * 1024 < BIG_MIDI_BYTES * 3 // 4
         assert not (tmp_path / "g.mid").exists()
         assert not (tmp_path / "c.mid").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestInputFilesReadAsRegular:
+    """Every other input file is read as a MIDI file is: a missing path, a
+    directory or a FIFO exits 2 with an ``error:`` line naming it, unread
+    and without blocking."""
+
+    @staticmethod
+    def argv(flag, path, tiny, out):
+        model, vectors = str(tiny / "model.ttv"), str(tiny / "vectors.json")
+        dataset = str(tiny / "data.ttd")
+        return {
+            "--dataset": ["train", "--dataset", path, "--out", out],
+            "--config": ["train", "--dataset", dataset, "--config", path,
+                         "--out", out],
+            "--model": ["vectors", "--model", path, "--dataset", dataset,
+                        "--out", out],
+            "--vectors": ["generate", "--model", model, "--vectors", path,
+                          "--out", out],
+            "--plan": ["compose-chain", "--model", model, "--vectors", vectors,
+                       "--plan", path, "--out", out],
+            "--template": ["shape-vector", "--model", model, "--dataset",
+                           dataset, "--template", path, "--out", out],
+        }[flag]
+
+    @staticmethod
+    def make(kind, path):
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "directory":
+            path.mkdir()
+
+    def check(self, argv, path, kind, out):
+        code, _, err = run_cli_probe(argv)
+        assert code == 2, err
+        assert err.startswith("error: ") and str(path) in err, err
+        assert "internal error" not in err and "Traceback" not in err
+        if kind != "missing":
+            assert "not a regular file" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
+    @pytest.mark.parametrize("flag", ["--dataset", "--config", "--model",
+                                      "--vectors", "--plan", "--template"])
+    def test_exits_two_unread(self, flag, kind, tiny_model, tmp_path):
+        path = tmp_path / "input"
+        self.make(kind, path)
+        out = tmp_path / "out"
+        self.check(self.argv(flag, str(path), tiny_model, str(out)), path, kind, out)
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe\xfa", b"[" * 100_000],
+                             ids=["not-utf8", "deep"])
+    @pytest.mark.parametrize("flag", ["--config", "--vectors", "--plan",
+                                      "--template"])
+    def test_json_that_does_not_decode_exits_two(self, flag, text, tiny_model,
+                                                 tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(self.argv(flag, str(path), tiny_model, str(out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and str(path) in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_dataset_sidecar(self, kind, tiny_model, tmp_path):
+        dataset = tmp_path / "data.ttd"
+        dataset.write_bytes((tiny_model / "data.ttd").read_bytes())
+        path = tmp_path / "data.ttd.json"
+        self.make(kind, path)
+        out = tmp_path / "out"
+        self.check(self.argv("--dataset", str(dataset), tiny_model, str(out)),
+                   path, kind, out)
 
 
 SUBCOMMANDS = ("analyze", "preprocess", "train", "vectors", "shape-vector",

@@ -39,8 +39,8 @@ from ttvae.corpus import (
     save_dataset,
     segment,
     song_fragments,
+    _clamp_pitches,
     transpose_pair,
-    transpose_to_c,
     transposition_shift,
 )
 from ttvae.errors import (
@@ -211,25 +211,27 @@ class TestTranspose:
         assert transposition_shift(Key(6, Mode.MAJOR)) == 6  # tie resolves up
 
     def test_score_transposition(self):
-        score = two_track_score(SCALE_UP, LOW_LINE)
-        out = transpose_to_c(score, Key(2, Mode.MAJOR))
-        assert [n.pitch for n in out.tracks[0].notes] == [p - 2 for p in SCALE_UP]
+        song = extract_tracks(two_track_score(SCALE_UP, LOW_LINE))
+        out = transpose_pair(song, transposition_shift(Key(2, Mode.MAJOR)))
+        assert [n.pitch for n in out.melody] == [p - 2 for p in SCALE_UP]
+        assert [n.pitch for n in out.bass] == [p - 2 for p in LOW_LINE]
 
     def test_octave_clamp(self):
         score = Score(tracks=[MidiTrack(notes=[MidiNote(1, 0, 1.0)])])
-        out = transpose_to_c(score, Key(7, Mode.MAJOR))  # +5 would be fine
-        assert out.tracks[0].notes[0].pitch == 6
-        out = transpose_to_c(score, Key(5, Mode.MAJOR))  # -5 underflows
-        assert out.tracks[0].notes[0].pitch == 8  # 1 - 5 = -4, up an octave
+        pitch = read_tracks(score)[0].pitch
+        shift = transposition_shift(Key(7, Mode.MAJOR))  # +5 would be fine
+        assert _clamp_pitches(pitch + shift).tolist() == [6]
+        shift = transposition_shift(Key(5, Mode.MAJOR))  # -5 underflows
+        assert _clamp_pitches(pitch + shift).tolist() == [8]  # -4, up an octave
 
     def test_redetection_after_transposition(self):
         # Detect, transpose, re-detect: must land on C major or A minor.
         for shift in range(12):
             melody = [p + shift for p in SCALE_UP]
-            score = two_track_score(melody, [p - 24 for p in melody])
-            key = detect_key(read_tracks(score))
-            again = detect_key(read_tracks(transpose_to_c(score, key)))
-            assert again in (Key(0, Mode.MAJOR), Key(9, Mode.MINOR))
+            tracks = read_tracks(two_track_score(melody, [p - 24 for p in melody]))
+            up = transposition_shift(detect_key(tracks))
+            moved = [t._replace(pitch=_clamp_pitches(t.pitch + up)) for t in tracks]
+            assert detect_key(moved) in (Key(0, Mode.MAJOR), Key(9, Mode.MINOR))
 
 
 def steady_pair(bars, melody_pitch=60, bass_pitch=36):
@@ -527,12 +529,11 @@ class TestBuildDataset:
     def test_curves_match_pipeline(self, tmp_path, rng):
         write_song(tmp_path / "a.mid", bars=4)
         dataset = build_dataset(tmp_path)
-        from ttvae.spiral import SpiralConfig, key_center
         from ttvae.tension import tension_curves
         for f in dataset.fragments:
-            strain, diam = tension_curves(f.roll, key_center(0, SpiralConfig()))
-            np.testing.assert_allclose(f.tensile, strain.values, atol=1e-6)
-            np.testing.assert_allclose(f.diameter, diam.values, atol=1e-6)
+            strain, diam = tension_curves(f.roll)
+            np.testing.assert_allclose(f.tensile, strain, atol=1e-6)
+            np.testing.assert_allclose(f.diameter, diam, atol=1e-6)
 
 
 class TestDatasetFile:

@@ -40,7 +40,6 @@ from ttvae.evaluation import (
     write_sweep_csv,
 )
 from ttvae.latent import AttributeVector
-from ttvae.spiral import SpiralConfig
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     MELODY_ONSET_COL,
@@ -399,7 +398,6 @@ class TestInteraction:
 
 class TestDecodeHardened:
     def test_recomputed_curves_come_from_rolls(self, rng):
-        from ttvae.spiral import SpiralConfig, key_center
         from ttvae.tension import tension_curves
         model = untrained_model()
         rolls, pred_t, pred_d, rec_t, rec_d = decode_hardened(
@@ -408,9 +406,9 @@ class TestDecodeHardened:
         assert rolls.shape == (3, N_STEPS, 89)
         # Recomputed curves come from the spiral geometry, not the heads.
         for roll, tensile, diameter in zip(rolls, rec_t, rec_d):
-            strain, diam = tension_curves(roll, key_center(0, SpiralConfig()))
-            np.testing.assert_array_equal(tensile, strain.values)
-            np.testing.assert_array_equal(diameter, diam.values)
+            strain, diam = tension_curves(roll)
+            np.testing.assert_array_equal(tensile, strain)
+            np.testing.assert_array_equal(diameter, diam)
         assert not np.allclose(pred_t, rec_t)
 
     def test_chunks_match_one_call(self, rng, monkeypatch):
@@ -540,7 +538,7 @@ def reference_sweep_summary(model, vector, ratio_kind, scales, n, seed):
         ratio_fn, thresholds = (lambda curves: high_ratio(curves, threshold, tau),
                                 {"threshold": threshold, "tau_level": tau})
     return sweep_summary(reference_sweep(model, vector, scales, n, seed, ratio_fn,
-                                         ratio_kind, thresholds, SpiralConfig(),
+                                         ratio_kind, thresholds,
                                          untrained=True))
 
 

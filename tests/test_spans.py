@@ -1,0 +1,48 @@
+"""The traced benchmark's span targets: ``perfbench/spans.py`` wraps program
+functions by name, so deleting or renaming one breaks the traced run.
+
+Some of them (``pianoroll.encode_roll``, ``latent.attribute_vector``,
+``evaluation.direction_sweep`` and ``level_sweep``,
+``training.evaluate_split``) have no caller in ``src/`` and must stay.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from ttvae import corpus, evaluation, latent, pianoroll, tension
+from ttvae.pianoroll import TrackPair, encode_roll
+from ttvae.vae import training
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+UNCALLED = [(pianoroll, "encode_roll"), (latent, "attribute_vector"),
+            (evaluation, "direction_sweep"), (evaluation, "level_sweep"),
+            (training, "evaluate_split")]
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_wraps_every_target_and_switches_back():
+    spans = load_spans()
+    imported = [(corpus, "tension_curves"), (evaluation, "tension_curves")]
+    targets = UNCALLED + [(tension, "tension_curves")] + imported
+    originals = [getattr(module, name) for module, name in targets]
+    tracer = spans.Tracer()
+    switch = spans.install(tracer)
+    try:
+        for (module, name), original in zip(targets, originals):
+            assert getattr(module, name) is not original, f"{module.__name__}.{name}"
+        strain, diameter = corpus.tension_curves(encode_roll(TrackPair()))
+        assert np.array_equal(strain, np.zeros(64))
+        assert [span[1] for span in tracer.spans] == ["tension.curves"]
+    finally:
+        switch(False)
+    for (module, name), original in zip(targets, originals):
+        assert getattr(module, name) is original

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_tension, direct_tension_curves, random_roll
+from helpers import brute_force_tension, direct_step_tension, direct_tension_curves, random_roll
 from ttvae.errors import InvalidInputError, InvalidRollError
 from ttvae.pianoroll import (
     MELODY_REST_COL,
@@ -17,7 +17,6 @@ from ttvae.pianoroll import (
 from ttvae.spiral import (
     Cloud,
     SpelledPitch,
-    SpiralConfig,
     center_of_effect,
     cloud_diameter,
     cloud_tension,
@@ -26,10 +25,9 @@ from ttvae.spiral import (
     spell,
     tensile_strain,
 )
-from ttvae.tension import TensionCurve, TensionKind, moving_average, tension_curves
+from ttvae.tension import DIAMETER_TABLE, STRAIN_TABLE, moving_average, tension_curves
 
-CFG = SpiralConfig()
-C_MAJOR = key_center(0, CFG)
+C_MAJOR = key_center(0)
 
 
 class TestMovingAverage:
@@ -83,97 +81,75 @@ class TestMovingAverage:
                 assert abs(out[i] - v[lo:hi].mean()) < 1e-12
 
 
-class TestTensionCurveType:
-    def test_rejects_wrong_length(self):
-        with pytest.raises(InvalidInputError):
-            TensionCurve(TensionKind.TENSILE_STRAIN, np.zeros(63))
-
-    def test_rejects_negative(self):
-        v = np.zeros(64)
-        v[5] = -0.1
-        with pytest.raises(InvalidInputError):
-            TensionCurve(TensionKind.CLOUD_DIAMETER, v)
-
-    def test_rejects_non_finite(self):
-        v = np.zeros(64)
-        v[5] = np.nan
-        with pytest.raises(InvalidInputError):
-            TensionCurve(TensionKind.CLOUD_DIAMETER, v)
-
-
 class TestTensionCurves:
     def test_all_rest_fragment(self):
         roll = encode_roll(TrackPair())
-        strain, diam = tension_curves(roll, C_MAJOR, CFG)
-        np.testing.assert_array_equal(strain.values, np.zeros(64))
-        np.testing.assert_array_equal(diam.values, np.zeros(64))
+        strain, diam = tension_curves(roll)
+        assert strain.dtype == diam.dtype == np.float64
+        np.testing.assert_array_equal(strain, np.zeros(64))
+        np.testing.assert_array_equal(diam, np.zeros(64))
 
     def test_constant_melody_only(self):
         pair = TrackPair(melody=[NoteEvent(60, 0, 64)])
-        strain, diam = tension_curves(encode_roll(pair), C_MAJOR, CFG)
-        expected = tensile_strain(Cloud((spell(0),)), C_MAJOR, CFG)
-        np.testing.assert_allclose(strain.values, np.full(64, expected), atol=1e-12)
-        np.testing.assert_array_equal(diam.values, np.zeros(64))
+        strain, diam = tension_curves(encode_roll(pair))
+        expected = tensile_strain(Cloud((spell(0),)), C_MAJOR)
+        np.testing.assert_allclose(strain, np.full(64, expected), atol=1e-12)
+        np.testing.assert_array_equal(diam, np.zeros(64))
 
     def test_malformed_roll_rejected(self):
         roll = encode_roll(TrackPair())
         roll[3, MELODY_REST_COL] = 0  # no melody column set at step 3
         with pytest.raises(InvalidInputError):
-            tension_curves(roll, C_MAJOR, CFG)
+            tension_curves(roll)
 
     def test_matches_brute_force_on_random_fragments(self, rng):
-        key_point = C_MAJOR.point.to_array()
         for _ in range(120):
             roll = random_roll(rng)
-            strain, diam = tension_curves(roll, C_MAJOR, CFG)
-            ref_strain, ref_diam = brute_force_tension(roll, key_point)
-            np.testing.assert_allclose(strain.values, ref_strain, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(diam.values, ref_diam, atol=1e-12, rtol=0)
+            strain, diam = tension_curves(roll)
+            ref_strain, ref_diam = brute_force_tension(roll, C_MAJOR)
+            np.testing.assert_allclose(strain, ref_strain, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(diam, ref_diam, atol=1e-12, rtol=0)
 
     def test_sustained_notes_count_every_step(self):
         # A whole-note C against a sustained G: every step has the same cloud.
         pair = TrackPair(melody=[NoteEvent(60, 0, 64)], bass=[NoteEvent(43, 0, 64)])
-        strain, diam = tension_curves(encode_roll(pair), C_MAJOR, CFG)
-        d = np.linalg.norm(pitch_position(0, CFG).to_array()
-                           - pitch_position(1, CFG).to_array())
-        np.testing.assert_allclose(diam.values, np.full(64, d), atol=1e-12)
+        strain, diam = tension_curves(encode_roll(pair))
+        d = np.linalg.norm(pitch_position(0) - pitch_position(1))
+        np.testing.assert_allclose(diam, np.full(64, d), atol=1e-12)
 
     def test_smoothing_covers_rests(self):
         # One quarter note then silence: smoothing spreads mass across edges.
         pair = TrackPair(melody=[NoteEvent(60, 8, 4)])
-        strain, _ = tension_curves(encode_roll(pair), C_MAJOR, CFG)
-        raw = tensile_strain(Cloud((spell(0),)), C_MAJOR, CFG)
-        assert strain.values[8] == pytest.approx(raw / 2)   # window covers 6..9
-        assert strain.values[9] == pytest.approx(raw * 3 / 4)  # window covers 7..10
-        assert strain.values[20] == 0.0
+        strain, _ = tension_curves(encode_roll(pair))
+        raw = tensile_strain(Cloud((spell(0),)), C_MAJOR)
+        assert strain[8] == pytest.approx(raw / 2)   # window covers 6..9
+        assert strain[9] == pytest.approx(raw * 3 / 4)  # window covers 7..10
+        assert strain[20] == 0.0
 
     def test_stack_equals_per_roll(self, rng):
         rolls = np.stack([random_roll(rng) for _ in range(40)])
-        strain, diam = tension_curves(rolls, C_MAJOR, CFG)
-        assert strain.values.shape == diam.values.shape == (40, 64)
-        for roll, s_row, d_row in zip(rolls, strain.values, diam.values):
-            one_strain, one_diam = tension_curves(roll, C_MAJOR, CFG)
-            assert np.array_equal(s_row, one_strain.values)
-            assert np.array_equal(d_row, one_diam.values)
+        strain, diam = tension_curves(rolls)
+        assert strain.shape == diam.shape == (40, 64)
+        for roll, s_row, d_row in zip(rolls, strain, diam):
+            one_strain, one_diam = tension_curves(roll)
+            assert np.array_equal(s_row, one_strain)
+            assert np.array_equal(d_row, one_diam)
 
     def test_stack_with_one_malformed_roll_rejected(self, rng):
         rolls = np.stack([random_roll(rng) for _ in range(3)])
         rolls[2, 5, MELODY_REST_COL] = 1 - rolls[2, 5, MELODY_REST_COL]
         with pytest.raises(InvalidInputError):
-            tension_curves(rolls, C_MAJOR, CFG)
+            tension_curves(rolls)
 
 
-    @pytest.mark.parametrize("tonic", range(12))
-    def test_step_table_equals_direct_kernel(self, rng, tonic):
-        # every major key (as a line-of-fifths index -5..6); random rolls have
-        # melody and bass rests, and one roll rests throughout
-        key = key_center(tonic - 5, CFG)
+    def test_step_table_equals_direct_kernel(self, rng):
+        # random rolls have melody and bass rests, and one roll rests throughout
         rolls = np.stack([random_roll(rng) for _ in range(60)]
                          + [encode_roll(TrackPair())])
-        strain, diam = tension_curves(rolls, key, CFG)
-        ref_strain, ref_diam = direct_tension_curves(rolls, key, CFG)
-        assert np.array_equal(strain.values, ref_strain)
-        assert np.array_equal(diam.values, ref_diam)
+        strain, diam = tension_curves(rolls)
+        ref_strain, ref_diam = direct_tension_curves(rolls)
+        assert np.array_equal(strain, ref_strain)
+        assert np.array_equal(diam, ref_diam)
 
     def test_step_table_covers_every_pair(self):
         # 169 fragments, each holding one (melody, bass) pair of the 13 x 13
@@ -182,11 +158,13 @@ class TestTensionCurves:
         rolls = np.stack([encode_roll(TrackPair(
             melody=[] if m < 0 else [NoteEvent(60 + m, 0, 64)],
             bass=[] if b < 0 else [NoteEvent(36 + b, 0, 64)])) for m, b in pairs])
-        for window in (1, 4):
-            got = tension_curves(rolls, C_MAJOR, CFG, window)
-            want = direct_tension_curves(rolls, C_MAJOR, CFG, window)
-            for curve, ref in zip(got, want):
-                assert np.array_equal(curve.values, ref)
+        # raw per-step values: each table entry held for all 64 steps
+        cells = tuple(np.array(column) + 1 for column in zip(*pairs))
+        for table, ref in zip((STRAIN_TABLE, DIAMETER_TABLE),
+                              direct_step_tension(rolls)):
+            assert np.array_equal(np.repeat(table[cells][:, None], 64, axis=1), ref)
+        for curve, ref in zip(tension_curves(rolls), direct_tension_curves(rolls)):
+            assert np.array_equal(curve, ref)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_entries_other_than_zero_and_one_rejected(self, bad):
@@ -201,34 +179,30 @@ class TestCloudTensionKernel:
             fifths = rng.integers(-12, 13, size=int(rng.integers(1, 7)))
             weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, len(fifths)))
             cloud = Cloud(tuple(SpelledPitch(int(k)) for k in fifths), weights)
-            key = key_center(int(rng.integers(-6, 7)), CFG)
-            points = np.array([pitch_position(int(k), CFG).to_array()
-                               for k in fifths])
-            strain, diameter = cloud_tension(points, np.array(weights),
-                                             key.point.to_array())
-            assert tensile_strain(cloud, key, CFG) == strain
-            assert cloud_diameter(cloud, CFG) == diameter
-            center = center_of_effect(cloud, CFG)
-            center = np.array([center.x, center.y, center.z])
-            assert np.linalg.norm(center - key.point.to_array(), axis=-1) == strain
+            key = key_center(int(rng.integers(-6, 7)))
+            points = np.array([pitch_position(int(k)) for k in fifths])
+            strain, diameter = cloud_tension(points, np.array(weights), key)
+            assert tensile_strain(cloud, key) == strain
+            assert cloud_diameter(cloud) == diameter
+            center = center_of_effect(cloud)
+            assert np.linalg.norm(center - key, axis=-1) == strain
 
     def test_absent_members_are_ignored(self):
-        points = np.array([pitch_position(k, CFG).to_array() for k in (0, 6, 1)])
-        key = C_MAJOR.point.to_array()
+        points = np.array([pitch_position(k) for k in (0, 6, 1)])
+        key = C_MAJOR
         strain, diameter = cloud_tension(points, np.array([1.0, 0.0, 1.0]), key)
         alone, pair = cloud_tension(points[[0, 2]], np.ones(2), key)
         assert (strain, diameter) == (alone, pair)
 
     def test_weightless_cloud_is_zero(self):
-        points = np.array([pitch_position(k, CFG).to_array() for k in (0, 6)])
-        strain, diameter = cloud_tension(points, np.zeros(2),
-                                         C_MAJOR.point.to_array())
+        points = np.array([pitch_position(k) for k in (0, 6)])
+        strain, diameter = cloud_tension(points, np.zeros(2), C_MAJOR)
         assert (strain, diameter) == (0.0, 0.0)
 
     def test_stacked_clouds_match_one_at_a_time(self, rng):
         points = rng.normal(size=(4, 5, 3, 3))
         weights = rng.integers(0, 3, size=(4, 5, 3)).astype(float)
-        key = C_MAJOR.point.to_array()
+        key = C_MAJOR
         strain, diameter = cloud_tension(points, weights, key)
         assert strain.shape == diameter.shape == (4, 5)
         for index in np.ndindex(4, 5):
