@@ -30,15 +30,13 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate, compress
-from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .atomic import atomic_write, write_atomic
 from .errors import InvalidInputError, InvalidRollError, InvalidSongError, NoKeyError, TtvaeError
-from .midi import Score, parse_midi
+from .midi import MidiTrack, Score, parse_midi
 from .pianoroll import (
     N_FEATURES,
     N_STEPS,
@@ -139,35 +137,15 @@ class FragmentDataset:
                          self.source_ids, self.bar_offsets))
 
 
-class TrackColumns(NamedTuple):
-    """One MIDI track's notes as columns, in note order."""
-
-    name: str
-    pitch: np.ndarray       # MIDI pitch, int64
-    onset: np.ndarray       # quarter-note beats
-    duration: np.ndarray    # quarter-note beats
-
-
-def read_tracks(score: Score) -> list[TrackColumns]:
-    """Every non-drum track of ``score`` as columns, each note read once."""
-    def column(notes, name, dtype):
-        return np.fromiter(map(attrgetter(name), notes), dtype, len(notes))
-
-    return [TrackColumns(t.name, column(t.notes, "pitch", np.int64),
-                         column(t.notes, "onset", np.float64),
-                         column(t.notes, "duration", np.float64))
-            for t in score.non_drum_tracks()]
-
-
 @dataclass(frozen=True, eq=False)
 class SongSteps:
     """A song's melody and bass on the 16th grid: ``pitch`` and ``onset`` are
     (2, steps), melody then bass, as :func:`ttvae.pianoroll.encode_steps`
-    reads them.  ``tracks`` are the song's non-drum tracks as columns."""
+    reads them.  ``tracks`` are the song's tracks, drum tracks left out."""
 
     pitch: np.ndarray
     onset: np.ndarray
-    tracks: list[TrackColumns]
+    tracks: list[MidiTrack]
 
     @property
     def melody(self) -> list[NoteEvent]:
@@ -197,7 +175,7 @@ def _skyline(pitch: np.ndarray, onset: np.ndarray, end: np.ndarray,
     return np.append(pitch, -1)[owner], starts & (owner >= 0)
 
 
-def _pick_named(tracks: list[TrackColumns], name: str) -> TrackColumns:
+def _pick_named(tracks: list[MidiTrack], name: str) -> MidiTrack:
     for track in tracks:
         if track.name.lower() == name.lower():
             return track
@@ -212,10 +190,9 @@ def extract_tracks(score: Score, melody_name: str | None = None,
     The song's extent is checked against :data:`MAX_SONG_STEPS` before any
     per-step array is made.
     """
-    tracks = read_tracks(score)
-    candidates = [t for t in tracks if len(t.pitch) >= MIN_TRACK_NOTES]
-    melody = _pick_named(tracks, melody_name) if melody_name else None
-    bass = _pick_named(tracks, bass_name) if bass_name else None
+    candidates = [t for t in score.tracks if len(t.pitch) >= MIN_TRACK_NOTES]
+    melody = _pick_named(score.tracks, melody_name) if melody_name else None
+    bass = _pick_named(score.tracks, bass_name) if bass_name else None
     if melody is None or bass is None:
         if len(candidates) < 2:
             raise InvalidSongError(
@@ -242,7 +219,7 @@ def extract_tracks(score: Score, melody_name: str | None = None,
                       extent, keep_high)
              for t, onset, end, keep_high in zip((melody, bass), onsets, ends,
                                                  (True, False))]
-    return SongSteps(*map(np.stack, zip(*lines)), tracks)
+    return SongSteps(*map(np.stack, zip(*lines)), score.tracks)
 
 
 def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
@@ -256,9 +233,9 @@ def _profile_correlations(histogram: np.ndarray) -> np.ndarray:
     return dots / (h_norm * _KEY_PROFILE_NORMS)
 
 
-def detect_key(tracks: list[TrackColumns]) -> Key:
+def detect_key(tracks: list[MidiTrack]) -> Key:
     """Krumhansl-Schmuckler detection on the duration-weighted pc histogram
-    of ``tracks``, a song's non-drum tracks (:func:`read_tracks`).
+    of ``tracks``, a song's tracks (:attr:`Score.tracks`).
 
     Ties break toward major, then toward the lower tonic pitch class.
     """

@@ -20,7 +20,7 @@ from .corpus import MAX_SONG_BARS, read_midi_file, song_fragments
 from .errors import InvalidInputError
 from .evaluation import decode_hardened
 from .latent import VectorsFile, apply_vector
-from .midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
+from .midi import MidiTrack, Score, parse_midi, write_midi
 from .pianoroll import BARS_PER_FRAGMENT, TrackPair, decode_roll
 from .vae.network import TensionVae, sample_latent
 
@@ -135,13 +135,13 @@ def apply_edits(z: np.ndarray, vectors: VectorsFile,
 def pair_to_score(pair: TrackPair, markers: list[tuple[float, str]] | None = None,
                   ) -> Score:
     """Render a (possibly multi-fragment) track pair at 120 BPM, 4/4."""
-    def notes(events):
-        return [MidiNote(n.pitch, n.onset / 4.0, n.duration / 4.0,
-                         OUTPUT_VELOCITY) for n in events]
+    def track(name, channel, events):
+        n = np.array([(e.pitch, e.onset, e.duration, OUTPUT_VELOCITY) for e in events],
+                     np.int64).reshape(-1, 4)
+        return MidiTrack(name, channel, n[:, 0], n[:, 1] / 4.0, n[:, 2] / 4.0, n[:, 3])
 
     return Score(
-        tracks=[MidiTrack(name="melody", channel=0, notes=notes(pair.melody)),
-                MidiTrack(name="bass", channel=1, notes=notes(pair.bass))],
+        tracks=[track("melody", 0, pair.melody), track("bass", 1, pair.bass)],
         tempos=[(0.0, OUTPUT_BPM)],
         meters=[(0.0, 4, 4)],
         markers=list(markers or []),

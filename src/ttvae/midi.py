@@ -6,15 +6,19 @@ other events are skipped.  SMPTE divisions and format 2 files are rejected.
 The reader is one pass over the bytes: each chunk is read by one loop over
 an index into the file, every read checked against the file length, and a
 malformed file raises :class:`MidiParseError` with the offset of the fault.
-The writer is deterministic: identical scores serialize to identical bytes,
-which the generation pipeline relies on for reproducible output.
+Each track is read into note columns in (onset, pitch) order, with no object
+per note; a drum track (first note-on on channel 9) is checked to its end
+but not paired, and left out.  The writer refuses a note it could not read
+back, and is deterministic: identical scores serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MidiParseError, UnsupportedFormatError
+import numpy as np
+
+from .errors import InvalidInputError, MidiParseError, UnsupportedFormatError
 
 WRITE_PPQN = 480
 DEFAULT_TEMPO_BPM = 120.0
@@ -27,23 +31,16 @@ _META_TEMPO = 0x51
 _META_TIME_SIGNATURE = 0x58
 
 
-@dataclass
-class MidiNote:
-    pitch: int
-    onset: float       # quarter-note beats from track start
-    duration: float    # quarter-note beats
-    velocity: int = 80
-
-
-@dataclass
+@dataclass(eq=False)
 class MidiTrack:
-    name: str = ""
-    channel: int = 0
-    notes: list[MidiNote] = field(default_factory=list)
+    """Note columns: int64 pitch and velocity, float64 onset and duration in beats."""
 
-    @property
-    def is_drum(self) -> bool:
-        return self.channel == DRUM_CHANNEL
+    name: str
+    channel: int
+    pitch: np.ndarray
+    onset: np.ndarray
+    duration: np.ndarray
+    velocity: np.ndarray
 
 
 @dataclass
@@ -52,9 +49,6 @@ class Score:
     tempos: list[tuple[float, float]] = field(default_factory=list)   # (beat, bpm)
     meters: list[tuple[float, int, int]] = field(default_factory=list)  # (beat, num, den)
     markers: list[tuple[float, str]] = field(default_factory=list)
-
-    def non_drum_tracks(self) -> list[MidiTrack]:
-        return [t for t in self.tracks if not t.is_drum]
 
 
 def _end_of_file(what: str, pos: int) -> MidiParseError:
@@ -116,9 +110,8 @@ def parse_midi(data: bytes) -> Score:
         _parse_track(data, pos + 8, end, division, score)
         pos = end
 
-    score.tempos.sort(key=lambda t: t[0])
-    score.meters.sort(key=lambda t: t[0])
-    score.markers.sort(key=lambda t: t[0])
+    for events in (score.tempos, score.meters, score.markers):
+        events.sort(key=lambda event: event[0])
     return score
 
 
@@ -128,12 +121,13 @@ def _parse_track(data: bytes, pos: int, end: int, division: int,
 
     Like every read of :func:`parse_midi`, each read here is checked against
     the length of the file: an event that starts before ``end`` may run past it.
+    Open notes queue per ``channel << 7 | pitch`` as flat (tick, velocity) runs.
     """
     size = len(data)
-    track = MidiTrack()
-    notes = track.notes
-    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    first_channel = None
+    name = ""
+    pitches, starts, lengths, velocities = [], [], [], []
+    open_notes: dict[int, list[int]] = {}
+    first_channel = -1
     tick = 0
     status = None
 
@@ -141,6 +135,9 @@ def _parse_track(data: bytes, pos: int, end: int, division: int,
         if pos < size and data[pos] < 0x80:
             tick += data[pos]
             pos += 1
+        elif pos + 1 < size and data[pos + 1] < 0x80:
+            tick += (data[pos] & 0x7F) << 7 | data[pos + 1]
+            pos += 2
         else:
             delta, pos = _varlen(data, pos, "delta time")
             tick += delta
@@ -175,8 +172,8 @@ def _parse_track(data: bytes, pos: int, end: int, division: int,
                 if length < 2:
                     raise MidiParseError("time signature meta too short", event_pos)
                 score.meters.append((tick / division, payload[0], 1 << payload[1]))
-            elif meta == _META_TRACK_NAME and not track.name:
-                track.name = payload.decode("latin-1")
+            elif meta == _META_TRACK_NAME and not name:
+                name = payload.decode("latin-1")
             elif meta == _META_MARKER:
                 score.markers.append((tick / division, payload.decode("latin-1")))
             continue
@@ -206,33 +203,39 @@ def _parse_track(data: bytes, pos: int, end: int, division: int,
         if data2 >= 0x80:
             raise _bad_data_byte(data2, pos)
         pos += 1
-        if kind > 0x90:  # key pressure, controller, pitch bend
+        if kind > 0x90 or first_channel == DRUM_CHANNEL:  # not a note, or a drum's
             continue
-        key = (status & 0x0F, data1)
+        key = (status & 0x0F) << 7 | data1
         stack = open_notes.get(key)
         if kind == 0x90 and data2:
             if stack is None:
-                open_notes[key] = [(tick, data2)]
+                if first_channel < 0:
+                    first_channel = status & 0x0F
+                open_notes[key] = [tick, data2]
             else:
-                stack.append((tick, data2))
-            if first_channel is None:
-                first_channel = key[0]
+                stack += (tick, data2)
         elif stack:
-            start, velocity = stack.pop(0)
-            notes.append(MidiNote(data1, start / division,
-                                  (tick - start) / division, velocity))
+            pitches.append(data1)
+            starts.append(stack[0])
+            lengths.append(tick - stack[0])
+            velocities.append(stack[1])
+            del stack[:2]
 
     # Notes never switched off sound until the final event of the track.
-    for (_, pitch), stack in open_notes.items():
-        for start, velocity in stack:
-            notes.append(MidiNote(pitch, start / division,
-                                  (tick - start) / division, velocity))
-
-    track.notes.sort(key=lambda n: (n.onset, n.pitch))
-    if first_channel is not None:
-        track.channel = first_channel
-    if track.notes or track.name:
-        score.tracks.append(track)
+    for key, stack in open_notes.items():
+        pitches += [key & 0x7F] * (len(stack) // 2)
+        starts += stack[::2]
+        lengths += [tick - start for start in stack[::2]]
+        velocities += stack[1::2]
+    if first_channel == DRUM_CHANNEL or not (pitches or name):
+        return
+    pitch = np.array(pitches, np.int64)
+    onset = np.array(starts, np.float64) / division
+    order = np.lexsort((pitch, onset))
+    score.tracks.append(MidiTrack(
+        name, max(first_channel, 0), pitch[order], onset[order],
+        (np.array(lengths, np.float64) / division)[order],
+        np.array(velocities, np.int64)[order]))
 
 
 def _encode_varlen(value: int) -> bytes:
@@ -259,6 +262,21 @@ def _encode_events(events: list[tuple[int, int, bytes]]) -> bytes:
     return b"MTrk" + len(out).to_bytes(4, "big") + bytes(out)
 
 
+def _check_notes(index: int, t: MidiTrack) -> None:
+    """Refuse a note that would not read back: the pitch must be in 0..127,
+    the velocity in 1..127 (0 reads as a note-off), onset and duration >= 0,
+    and the end tick within the largest 4-byte delta time, 2**28 - 1."""
+    bad = ~((t.pitch >= 0) & (t.pitch <= 127) & (t.velocity >= 1) & (t.velocity <= 127)
+            & (t.onset >= 0) & (t.duration >= 0)
+            & ((t.onset + t.duration) * WRITE_PPQN < (1 << 28) - 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"track {index} ({t.name!r}) note {i} cannot be written: pitch "
+            f"{t.pitch[i]}, velocity {t.velocity[i]}, onset {t.onset[i]}, "
+            f"duration {t.duration[i]}")
+
+
 def write_midi(score: Score) -> bytes:
     """Serialize a score as a format-1 SMF at 480 PPQN, deterministically."""
     def to_tick(beat: float) -> int:
@@ -282,21 +300,23 @@ def write_midi(score: Score) -> bytes:
                             + payload))
 
     chunks = [_encode_events(meta_events)]
-    for track in score.tracks:
+    for index, track in enumerate(score.tracks):
+        _check_notes(index, track)
         events: list[tuple[int, int, bytes]] = []
         if track.name:
             payload = track.name.encode("latin-1")
             events.append((0, 0, bytes((0xFF, _META_TRACK_NAME))
                            + _encode_varlen(len(payload)) + payload))
         channel = track.channel & 0x0F
-        for note in track.notes:
-            on = to_tick(note.onset)
-            off = to_tick(note.onset + note.duration)
-            events.append((on, 2, bytes((0x90 | channel, note.pitch,
-                                         note.velocity & 0x7F))))
+        for pitch, onset, duration, velocity in zip(
+                track.pitch.tolist(), track.onset.tolist(),
+                track.duration.tolist(), track.velocity.tolist()):
+            events.append((to_tick(onset), 2,
+                           bytes((0x90 | channel, pitch, velocity))))
             # note-off sorts ahead of same-tick note-ons so abutting repeats
             # of one pitch stay separate notes
-            events.append((off, 1, bytes((0x80 | channel, note.pitch, 0))))
+            events.append((to_tick(onset + duration), 1,
+                           bytes((0x80 | channel, pitch, 0))))
         chunks.append(_encode_events(events))
 
     header = b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big") \

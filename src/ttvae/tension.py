@@ -35,8 +35,8 @@ def moving_average(values: np.ndarray, window: int = QUARTER_NOTE_STEPS) -> np.n
     """Centered moving average along the last axis, window truncated at both edges.
 
     Index ``i`` averages ``values[..., i - window//2 : i + (window+1)//2]``
-    clipped to the valid range, so a window of 1 is the identity and the
-    output always has the input's shape.
+    clipped to the valid range; the output has the input's shape.  The sums
+    are differences of cumulative sums, so window 1 is not bit for bit the input.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")

@@ -2,6 +2,8 @@
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +60,7 @@ from ttvae.midi import (
     _META_TEMPO,
     _META_TIME_SIGNATURE,
     _META_TRACK_NAME,
-    MidiNote,
-    MidiTrack,
+    DRUM_CHANNEL,
     Score,
     parse_midi,
 )
@@ -493,10 +494,23 @@ class _Reader:
         raise MidiParseError(f"variable-length {what} exceeds 4 bytes", self.pos)
 
 
+# The oracle's own note and track: one object per note, drum tracks kept.
+RefNote = namedtuple("RefNote", "pitch onset duration velocity")
+
+
+@dataclass
+class RefTrack:
+    name: str = ""
+    channel: int = 0
+    notes: list = field(default_factory=list)
+
+
 def reference_parse_midi(data: bytes) -> Score:
     """The byte-at-a-time reader that ``midi.parse_midi`` replaced, kept as
-    its oracle: same scores, same errors.  One change since: a data byte at
-    or above 0x80 is a parse error at its own offset."""
+    its oracle: same errors, and a :class:`Score` of :class:`RefTrack` that
+    :func:`reference_columns` turns into the columns ``parse_midi`` reads.
+    One change since: a data byte at or above 0x80 is a parse error at its
+    own offset."""
     r = _Reader(data)
     if r.bytes(4, "header chunk id") != b"MThd":
         raise MidiParseError("missing MThd header", 0)
@@ -537,7 +551,7 @@ def _reference_data_byte(byte: int, offset: int) -> None:
 
 
 def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) -> None:
-    track = MidiTrack()
+    track = RefTrack()
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     channels: list[int] = []
     tick = 0
@@ -598,7 +612,7 @@ def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) ->
             stack = open_notes.get((channel, data1))
             if stack:
                 start, velocity = stack.pop(0)
-                track.notes.append(MidiNote(
+                track.notes.append(RefNote(
                     pitch=data1,
                     onset=start / division,
                     duration=(tick - start) / division,
@@ -608,7 +622,7 @@ def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) ->
     # Notes never switched off sound until the final event of the track.
     for (channel, pitch), stack in open_notes.items():
         for start, velocity in stack:
-            track.notes.append(MidiNote(
+            track.notes.append(RefNote(
                 pitch=pitch,
                 onset=start / division,
                 duration=(last_tick - start) / division,
@@ -622,7 +636,38 @@ def _reference_parse_track(r: _Reader, end: int, division: int, score: Score) ->
         score.tracks.append(track)
 
 
+def score_content(score):
+    """(tracks, tempos, meters, markers) of a parsed score as plain lists,
+    each track (name, channel, pitch, onset, duration, velocity)."""
+    for t in score.tracks:
+        assert (t.pitch.dtype, t.onset.dtype, t.duration.dtype,
+                t.velocity.dtype) == (np.int64, np.float64, np.float64, np.int64)
+    return ([(t.name, t.channel, t.pitch.tolist(), t.onset.tolist(),
+              t.duration.tolist(), t.velocity.tolist()) for t in score.tracks],
+            score.tempos, score.meters, score.markers)
+
+
+def reference_columns(score):
+    """:func:`score_content` as ``parse_midi`` should give it for the score
+    of :func:`reference_parse_midi`: drum tracks left out, each track's notes
+    as columns sorted by (onset, pitch)."""
+    tracks = []
+    for t in score.tracks:
+        if t.channel == DRUM_CHANNEL:
+            continue
+        notes = sorted(t.notes, key=lambda n: (n.onset, n.pitch))
+        columns = [list(column) for column in zip(*notes)] or [[], [], [], []]
+        tracks.append((t.name, t.channel, *columns))
+    return tracks, score.tempos, score.meters, score.markers
+
+
 # ------------------------------------------------------- reference corpus loops
+
+def _ref_notes(track):
+    """A :class:`ttvae.midi.MidiTrack`'s columns as one note per row."""
+    return list(map(RefNote, track.pitch.tolist(), track.onset.tolist(),
+                    track.duration.tolist(), track.velocity.tolist()))
+
 
 def reference_skyline(quantized, keep_high):
     """Per-step skyline: compares note ranks at every step it covers."""
@@ -654,8 +699,8 @@ def reference_key_scores(score):
     its Krumhansl-Schmuckler correlations with 24 freshly rolled profiles;
     scores is None when no note sounds."""
     histogram = np.zeros(12)
-    for track in score.non_drum_tracks():
-        for note in track.notes:
+    for track in score.tracks:
+        for note in _ref_notes(track):
             histogram[note.pitch % 12] += max(note.duration, 0.0)
     if histogram.sum() <= 0:
         return histogram, None
@@ -738,15 +783,15 @@ def _ref_skyline(quantized, keep_high):
 
 
 def _ref_pick_named(score, name):
-    for track in score.non_drum_tracks():
+    for track in score.tracks:
         if track.name.lower() == name.lower():
             return track
     raise InvalidSongError(f"no track named {name!r}")
 
 
 def reference_extract_tracks(score, melody_name=None, bass_name=None):
-    candidates = [t for t in score.non_drum_tracks()
-                  if len(t.notes) >= MIN_TRACK_NOTES]
+    candidates = [t for t in score.tracks
+                  if len(_ref_notes(t)) >= MIN_TRACK_NOTES]
     melody_track = _ref_pick_named(score, melody_name) if melody_name else None
     bass_track = _ref_pick_named(score, bass_name) if bass_name else None
     if melody_track is None or bass_track is None:
@@ -755,15 +800,16 @@ def reference_extract_tracks(score, melody_name=None, bass_name=None):
                 f"need two non-drum tracks with >= {MIN_TRACK_NOTES} notes, "
                 f"found {len(candidates)}")
         ordered = sorted(range(len(candidates)), key=lambda i: (
-            sum(n.pitch for n in candidates[i].notes) / len(candidates[i].notes), i))
+            sum(n.pitch for n in _ref_notes(candidates[i]))
+            / len(_ref_notes(candidates[i])), i))
         if melody_track is None:
             melody_track = candidates[ordered[-1]]
         if bass_track is None:
             bass_track = candidates[ordered[0]]
     if melody_track is bass_track:
         raise InvalidSongError("melody and bass resolved to the same track")
-    melody = _ref_quantize_notes(melody_track.notes)
-    bass = _ref_quantize_notes(bass_track.notes)
+    melody = _ref_quantize_notes(_ref_notes(melody_track))
+    bass = _ref_quantize_notes(_ref_notes(bass_track))
     extent = max((onset + dur for _, onset, dur in melody + bass), default=0)
     if extent > MAX_SONG_STEPS:
         raise InvalidSongError(
@@ -774,7 +820,7 @@ def reference_extract_tracks(score, melody_name=None, bass_name=None):
 
 
 def reference_detect_key(score):
-    notes = [n for track in score.non_drum_tracks() for n in track.notes]
+    notes = [n for track in score.tracks for n in _ref_notes(track)]
     pcs = np.fromiter((n.pitch % 12 for n in notes), np.intp, len(notes))
     durations = np.fromiter((max(n.duration, 0.0) for n in notes), np.float64,
                             len(notes))

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import make_dataset, random_window
+from toy import midi_track
 from ttvae import atomic, evaluation
 from ttvae.atomic import atomic_write
 from ttvae.cli import main
 from ttvae.corpus import save_dataset
 from ttvae.latent import AttributeVector, VectorsFile, save_vectors
-from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
+from ttvae.midi import Score, write_midi
 from ttvae.pianoroll import encode_roll
 from ttvae.vae import (
     LedgerRow,
@@ -147,12 +148,11 @@ def interaction_report():
 
 
 def song_file(directory):
-    melody = [MidiNote(60 + i % 5, float(i), 1.0) for i in range(16)]
-    bass = [MidiNote(36, 2.0 * i, 2.0) for i in range(8)]
+    melody = [(60 + i % 5, float(i), 1.0) for i in range(16)]
+    bass = [(36, 2.0 * i, 2.0) for i in range(8)]
     path = directory / "song.mid"
     path.write_bytes(write_midi(Score(tracks=[
-        MidiTrack(name="melody", channel=0, notes=melody),
-        MidiTrack(name="bass", channel=1, notes=bass)])))
+        midi_track(melody, "melody", 0), midi_track(bass, "bass", 1)])))
     return path
 
 

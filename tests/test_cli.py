@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from helpers import brute_force_tension
-from toy import toy_song, write_toy_corpus
+from toy import midi_track, toy_song, write_toy_corpus
 import ttvae
 from ttvae.cli import main
 from ttvae.corpus import RECORD_DTYPE, load_dataset, save_dataset, song_fragments
 from ttvae.latent import VectorsFile, save_vectors
-from ttvae.midi import MidiNote, MidiTrack, Score, parse_midi, write_midi
+from ttvae.midi import Score, parse_midi, write_midi
 from ttvae.spiral import key_center
 from ttvae.vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint
 
@@ -58,10 +58,10 @@ def pipeline(tmp_path_factory, corpus_dir):
 def fixture_song(bars):
     """Quarter-note melody over half-note bass, C-major material."""
     cycle = [60, 64, 67, 72, 67, 64]
-    melody = [MidiNote(cycle[i % 6], float(i), 1.0) for i in range(bars * 4)]
-    bass = [MidiNote(36 + 7 * (i % 2), 2.0 * i, 2.0) for i in range(bars * 2)]
-    return Score(tracks=[MidiTrack(name="melody", channel=0, notes=melody),
-                         MidiTrack(name="bass", channel=1, notes=bass)])
+    melody = [(cycle[i % 6], float(i), 1.0) for i in range(bars * 4)]
+    bass = [(36 + 7 * (i % 2), 2.0 * i, 2.0) for i in range(bars * 2)]
+    return Score(tracks=[midi_track(melody, "melody", 0),
+                         midi_track(bass, "bass", 1)])
 
 
 class TestAnalyze:
@@ -93,8 +93,8 @@ class TestAnalyze:
                     if l and not l.startswith(("step", "#"))]) == 128
 
     def test_silent_bass_exits_two(self, tmp_path):
-        score = Score(tracks=[MidiTrack(name="melody", notes=[
-            MidiNote(60 + i % 4, i, 1.0) for i in range(16)])])
+        score = Score(tracks=[midi_track([(60 + i % 4, i, 1.0) for i in range(16)],
+                                         "melody")])
         path = tmp_path / "nobass.mid"
         path.write_bytes(write_midi(score))
         assert main(["analyze", "--in", str(path)]) == 2
@@ -542,7 +542,7 @@ class TestComposeChain:
                      "--out", str(out)]) == 0
         parsed = parse_midi(out.read_bytes())
         assert [m[1] for m in parsed.markers] == ["section 1", "section 2"]
-        end = max(n.onset + n.duration for t in parsed.tracks for n in t.notes)
+        end = max((t.onset + t.duration).max() for t in parsed.tracks)
         assert end <= 64.0  # 16 bars at 4 beats
 
     def test_malformed_plan_exits_two(self, pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Corpus pipeline: extraction, key handling, segmentation, dataset I/O."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     reference_validate_roll,
     song_steps,
 )
+from toy import midi_track
 from ttvae.corpus import (
     KK_MAJOR,
     MAX_SONG_BARS,
@@ -35,7 +37,6 @@ from ttvae.corpus import (
     detect_key,
     extract_tracks,
     load_dataset,
-    read_tracks,
     save_dataset,
     segment,
     song_fragments,
@@ -50,7 +51,7 @@ from ttvae.errors import (
     NoKeyError,
     TtvaeError,
 )
-from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
+from ttvae.midi import Score, parse_midi, write_midi
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_START,
@@ -68,10 +69,10 @@ from ttvae.pianoroll import (
 
 def two_track_score(melody_pitches, bass_pitches, beat_len=1.0):
     return Score(tracks=[
-        MidiTrack(name="flute", channel=0, notes=[
-            MidiNote(p, i * beat_len, beat_len) for i, p in enumerate(melody_pitches)]),
-        MidiTrack(name="bass", channel=1, notes=[
-            MidiNote(p, i * beat_len, beat_len) for i, p in enumerate(bass_pitches)]),
+        midi_track([(p, i * beat_len, beat_len) for i, p in enumerate(melody_pitches)],
+                   "flute", 0),
+        midi_track([(p, i * beat_len, beat_len) for i, p in enumerate(bass_pitches)],
+                   "bass", 1),
     ])
 
 
@@ -86,32 +87,33 @@ class TestExtractTracks:
         assert {n.pitch for n in pair.bass} == set(LOW_LINE)
 
     def test_chordal_track_keeps_highest(self):
-        chord = [MidiNote(p, i, 1.0) for i in range(8) for p in (60, 64, 67)]
+        chord = [(p, i, 1.0) for i in range(8) for p in (60, 64, 67)]
         score = Score(tracks=[
-            MidiTrack(name="keys", notes=chord),
-            MidiTrack(name="bass", notes=[MidiNote(36, i, 1.0) for i in range(8)]),
+            midi_track(chord, "keys"),
+            midi_track([(36, i, 1.0) for i in range(8)], "bass"),
         ])
         pair = extract_tracks(score)
         assert all(n.pitch == 67 for n in pair.melody)
 
     def test_one_track_rejected(self):
-        score = Score(tracks=[MidiTrack(
-            notes=[MidiNote(60, i, 1.0) for i in range(8)])])
+        score = Score(tracks=[midi_track([(60, i, 1.0) for i in range(8)])])
         with pytest.raises(InvalidSongError):
             extract_tracks(score)
 
     def test_short_tracks_do_not_qualify(self):
         score = Score(tracks=[
-            MidiTrack(notes=[MidiNote(60, i, 1.0) for i in range(8)]),
-            MidiTrack(notes=[MidiNote(40, i, 1.0) for i in range(3)]),
+            midi_track([(60, i, 1.0) for i in range(8)]),
+            midi_track([(40, i, 1.0) for i in range(3)]),
         ])
         with pytest.raises(InvalidSongError):
             extract_tracks(score)
 
     def test_drum_tracks_ignored(self):
+        # the reader leaves the drum track out of the score
         score = two_track_score(SCALE_UP, LOW_LINE)
-        score.tracks.append(MidiTrack(name="drums", channel=9, notes=[
-            MidiNote(99, i, 0.5) for i in range(32)]))
+        score.tracks.append(midi_track([(99, i, 0.5) for i in range(32)], "drums", 9))
+        score = parse_midi(write_midi(score))
+        assert [t.name for t in score.tracks] == ["flute", "bass"]
         pair = extract_tracks(score)
         assert max(n.pitch for n in pair.melody) <= 72
 
@@ -128,9 +130,9 @@ class TestExtractTracks:
     def test_overlap_truncation_with_resume(self):
         # A held C4 under a short G4: the skyline resumes the C afterwards.
         score = Score(tracks=[
-            MidiTrack(name="m", notes=[MidiNote(60, 0, 4.0), MidiNote(67, 1.0, 1.0)]
-                      + [MidiNote(62, 4 + i, 1.0) for i in range(6)]),
-            MidiTrack(name="b", notes=[MidiNote(36, i, 1.0) for i in range(10)]),
+            midi_track([(60, 0, 4.0), (67, 1.0, 1.0)]
+                       + [(62, 4 + i, 1.0) for i in range(6)], "m"),
+            midi_track([(36, i, 1.0) for i in range(10)], "b"),
         ])
         pair = extract_tracks(score)
         assert [(n.pitch, n.onset, n.duration) for n in pair.melody[:3]] == [
@@ -155,7 +157,7 @@ def pearson_oracle(histogram):
 class TestDetectKey:
     def test_c_major_scale(self):
         score = two_track_score(SCALE_UP, [p - 24 for p in SCALE_UP])
-        key = detect_key(read_tracks(score))
+        key = detect_key(score.tracks)
         assert key == Key(0, Mode.MAJOR)
         histogram = [0.0] * 12
         for p in SCALE_UP + [p - 24 for p in SCALE_UP]:
@@ -167,12 +169,12 @@ class TestDetectKey:
         for shift in (2, 5, 9):
             shifted = [p + shift for p in SCALE_UP]
             score = two_track_score(shifted, [p - 24 for p in shifted])
-            assert detect_key(read_tracks(score)) == Key(shift % 12, Mode.MAJOR)
+            assert detect_key(score.tracks) == Key(shift % 12, Mode.MAJOR)
 
     def test_natural_minor_scale(self):
         minor = [57, 59, 60, 62, 64, 65, 67, 69]  # A natural minor
         score = two_track_score(minor, [p - 24 for p in minor])
-        key = detect_key(read_tracks(score))
+        key = detect_key(score.tracks)
         histogram = [0.0] * 12
         for p in minor + [p - 24 for p in minor]:
             histogram[p % 12] += 1.0
@@ -182,9 +184,8 @@ class TestDetectKey:
                                          Mode.MAJOR if best < 12 else Mode.MINOR)
 
     def test_single_repeated_note(self):
-        score = Score(tracks=[MidiTrack(notes=[
-            MidiNote(60, i, 1.0) for i in range(8)])])
-        key = detect_key(read_tracks(score))
+        score = Score(tracks=[midi_track([(60, i, 1.0) for i in range(8)])])
+        key = detect_key(score.tracks)
         assert key.tonic == 0
         oracle = pearson_oracle([8.0] + [0.0] * 11)
         best = oracle.index(max(oracle))
@@ -192,7 +193,7 @@ class TestDetectKey:
 
     def test_all_rest_rejected(self):
         with pytest.raises(NoKeyError):
-            detect_key(read_tracks(Score(tracks=[MidiTrack()])))
+            detect_key([midi_track([])])
 
 
 class TestTranspose:
@@ -217,8 +218,7 @@ class TestTranspose:
         assert [n.pitch for n in out.bass] == [p - 2 for p in LOW_LINE]
 
     def test_octave_clamp(self):
-        score = Score(tracks=[MidiTrack(notes=[MidiNote(1, 0, 1.0)])])
-        pitch = read_tracks(score)[0].pitch
+        pitch = midi_track([(1, 0, 1.0)]).pitch
         shift = transposition_shift(Key(7, Mode.MAJOR))  # +5 would be fine
         assert _clamp_pitches(pitch + shift).tolist() == [6]
         shift = transposition_shift(Key(5, Mode.MAJOR))  # -5 underflows
@@ -228,9 +228,9 @@ class TestTranspose:
         # Detect, transpose, re-detect: must land on C major or A minor.
         for shift in range(12):
             melody = [p + shift for p in SCALE_UP]
-            tracks = read_tracks(two_track_score(melody, [p - 24 for p in melody]))
+            tracks = two_track_score(melody, [p - 24 for p in melody]).tracks
             up = transposition_shift(detect_key(tracks))
-            moved = [t._replace(pitch=_clamp_pitches(t.pitch + up)) for t in tracks]
+            moved = [replace(t, pitch=_clamp_pitches(t.pitch + up)) for t in tracks]
             assert detect_key(moved) in (Key(0, Mode.MAJOR), Key(9, Mode.MINOR))
 
 
@@ -455,10 +455,10 @@ class TestValidateRollEqualsReference:
             assert _same_outcome(roll).startswith("roll must be 64x89")
 
 def write_song(path, bars=8, shift=0):
-    melody = [MidiNote(60 + shift + (i % 5), i, 1.0) for i in range(bars * 4)]
-    bass = [MidiNote(36 + shift + (i % 3), i * 2, 2.0) for i in range(bars * 2)]
-    score = Score(tracks=[MidiTrack(name="melody", channel=0, notes=melody),
-                          MidiTrack(name="bass", channel=1, notes=bass)])
+    melody = [(60 + shift + (i % 5), i, 1.0) for i in range(bars * 4)]
+    bass = [(36 + shift + (i % 3), i * 2, 2.0) for i in range(bars * 2)]
+    score = Score(tracks=[midi_track(melody, "melody", 0),
+                          midi_track(bass, "bass", 1)])
     path.write_bytes(write_midi(score))
 
 
@@ -583,10 +583,9 @@ class TestDatasetFile:
 
 class TestSongFragments:
     def test_end_to_end_counts(self):
-        melody = [MidiNote(62 + (i % 7), i, 1.0) for i in range(32)]
-        bass = [MidiNote(38 + (i % 3), 2 * i, 2.0) for i in range(16)]
-        score = Score(tracks=[MidiTrack(name="m", notes=melody),
-                              MidiTrack(name="b", notes=bass)])
+        melody = [(62 + (i % 7), i, 1.0) for i in range(32)]
+        bass = [(38 + (i % 3), 2 * i, 2.0) for i in range(16)]
+        score = Score(tracks=[midi_track(melody, "m"), midi_track(bass, "b")])
         fragments, key, warnings = song_fragments(score)
         assert len(fragments) == 2
         validate_roll(fragments.rolls)
@@ -603,10 +602,10 @@ def random_quantized(rng, n):
 def random_score(rng):
     tracks = []
     for channel in (0, 1, 9):
-        notes = [MidiNote(int(rng.integers(0, 128)), float(rng.integers(0, 64)) / 4,
-                          float(rng.integers(-2, 16)) / 4)
+        notes = [(int(rng.integers(0, 128)), float(rng.integers(0, 64)) / 4,
+                  float(rng.integers(-2, 16)) / 4)
                  for _ in range(int(rng.integers(0, 30)))]
-        tracks.append(MidiTrack(channel=channel, notes=notes))
+        tracks.append(midi_track(notes, "", channel))
     return Score(tracks=tracks)
 
 
@@ -643,11 +642,11 @@ class TestLoopReferences:
             histogram, scores = reference_key_scores(score)
             if histogram.sum() <= 0:
                 with pytest.raises(NoKeyError):
-                    detect_key(read_tracks(score))
+                    detect_key(score.tracks)
                 continue
             assert np.array_equal(_profile_correlations(histogram), scores)
             best = int(np.argmax(scores))
-            assert detect_key(read_tracks(score)) == Key(
+            assert detect_key(score.tracks) == Key(
                 best % 12, Mode.MAJOR if best < 12 else Mode.MINOR)
 
     def test_unchecked_notes_and_windows_pass_the_public_checks(self, rng):
@@ -711,8 +710,8 @@ class TestLoopReferences:
         # Pitches at both ends of 0..127, so that every shift clamps some.
         pitches = [0, 1, 5, 6, 11, 12, 60, 115, 116, 121, 122, 126, 127]
         score = Score(tracks=[
-            MidiTrack(notes=[MidiNote(p, i, 1.0) for i, p in enumerate(pitches)]),
-            MidiTrack(notes=[MidiNote(p, i, 0.5) for i, p in enumerate(pitches)])])
+            midi_track([(p, i, 1.0) for i, p in enumerate(pitches)]),
+            midi_track([(p, i, 0.5) for i, p in enumerate(pitches)])])
         moved = transpose_pair(extract_tracks(score), shift)
         expected = reference_transpose_pair(reference_extract_tracks(score), shift)
         assert (moved.melody, moved.bass) == (expected.melody, expected.bass)
@@ -721,8 +720,8 @@ class TestLoopReferences:
 # Beats on a 1/8 grid put onsets and ends half-way between 16th steps, where
 # rounding goes to the even step.
 beats = st.integers(0, 8 * 64).map(lambda k: k / 8)
-midi_notes = st.builds(MidiNote, pitch=st.integers(0, 127), onset=beats,
-                       duration=st.integers(0, 8 * 12).map(lambda k: k / 8))
+midi_notes = st.tuples(st.integers(0, 127), beats,
+                       st.integers(0, 8 * 12).map(lambda k: k / 8))
 # Regions start on any 16th step, so 4/4 bars often stop short of the next
 # region, and a window across the gap is not contiguous.
 meters = st.lists(st.builds(
@@ -733,14 +732,16 @@ meters = st.lists(st.builds(
 
 @st.composite
 def songs(draw):
-    """Scores of 2-4 tracks, maybe one on the drum channel, with 3/4,
-    unrepresentable and non-contiguous meters, overlapping and re-struck
+    """Scores of 2-4 tracks, maybe one on channel 9 (the reader leaves drum
+    tracks out; a score's tracks are all used, whatever their channel), with
+    3/4, unrepresentable and non-contiguous meters, overlapping and re-struck
     notes, melody pitches outside 24..96, notes crossing window starts and
     windows where one track is silent."""
-    tracks = [MidiTrack(name=f"t{i}",
-                        channel=draw(st.sampled_from([0, 1, 2, 3, 9])),
-                        notes=draw(st.lists(midi_notes, min_size=7, max_size=60)))
-              for i in range(draw(st.integers(2, 4)))]
+    tracks = []
+    for i in range(draw(st.integers(2, 4))):
+        channel = draw(st.sampled_from([0, 1, 2, 3, 9]))
+        notes = draw(st.lists(midi_notes, min_size=7, max_size=60))
+        tracks.append(midi_track(notes, f"t{i}", channel))
     return Score(tracks=tracks, meters=sorted(draw(meters)))
 
 
@@ -764,11 +765,11 @@ class TestColumnarPipeline:
 
 def long_note_song():
     """A usable song whose melody holds one note for 200,000 beats."""
-    melody = [MidiNote(60 + (i % 5), i, 1.0) for i in range(31)]
-    melody.append(MidiNote(67, 31.0, 200_000.0))
-    bass = [MidiNote(36 + (i % 3), i * 2, 2.0) for i in range(16)]
-    return Score(tracks=[MidiTrack(name="melody", channel=0, notes=melody),
-                         MidiTrack(name="bass", channel=1, notes=bass)])
+    melody = [(60 + (i % 5), i, 1.0) for i in range(31)]
+    melody.append((67, 31.0, 200_000.0))
+    bass = [(36 + (i % 3), i * 2, 2.0) for i in range(16)]
+    return Score(tracks=[midi_track(melody, "melody", 0),
+                         midi_track(bass, "bass", 1)])
 
 
 class TestSongLengthCap:
@@ -790,14 +791,13 @@ class TestSongLengthCap:
         assert f"cap of {MAX_SONG_BARS} bars" in skip["reason"]
 
     def test_song_at_the_cap_is_kept(self):
-        melody = [MidiNote(60 + (i % 5), 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
-        bass = [MidiNote(36, 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
-        pair = extract_tracks(Score(tracks=[MidiTrack(notes=melody),
-                                            MidiTrack(notes=bass)]))
+        melody = [(60 + (i % 5), 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
+        bass = [(36, 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
+        pair = extract_tracks(Score(tracks=[midi_track(melody), midi_track(bass)]))
         assert pair.melody[-1].end == MAX_SONG_STEPS
         with pytest.raises(InvalidSongError):
-            extract_tracks(Score(tracks=[MidiTrack(notes=melody),
-                                         MidiTrack(notes=bass + [MidiNote(36, 0.0, 8192.25)])]))
+            extract_tracks(Score(tracks=[
+                midi_track(melody), midi_track(bass + [(36, 0.0, 8192.25)])]))
 
     def test_far_meter_change_builds_bars_only_up_to_the_cap(self):
         warnings = []

@@ -21,6 +21,12 @@ from ttvae.midi import parse_midi, write_midi
 from ttvae.pianoroll import NoteEvent, TrackPair
 from ttvae.vae import ModelConfig, TensionVae
 
+
+def parsed_notes(midi_bytes):
+    """Every (pitch, onset, duration) of a MIDI file, track by track."""
+    return [note for t in parse_midi(midi_bytes).tracks for note in zip(
+        t.pitch.tolist(), t.onset.tolist(), t.duration.tolist())]
+
 CFG = ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2)
 
 
@@ -167,8 +173,7 @@ class TestComposeChain:
         parsed = parse_midi(result.midi_bytes)
         assert [m[1] for m in parsed.markers] == ["section 1", "section 2"]
         assert parsed.markers[1][0] == 32.0  # second section starts at bar 8
-        end = max(n.onset + n.duration for t in parsed.tracks for n in t.notes)
-        assert end <= 16 * 4.0
+        assert max(o + d for _, o, d in parsed_notes(result.midi_bytes)) <= 16 * 4.0
 
     def test_single_section_no_edits_equals_generate(self):
         m = model()
@@ -176,13 +181,7 @@ class TestComposeChain:
         chain = compose_chain(m, vf, ChainPlan(sections=[ChainSection(bars=4)]),
                               GenerationRequest(sample_seed=4))
         plain = generate(m, vf, GenerationRequest(sample_seed=4))
-        chain_notes = [(n.pitch, n.onset, n.duration)
-                       for t in parse_midi(chain.midi_bytes).tracks
-                       for n in t.notes]
-        plain_notes = [(n.pitch, n.onset, n.duration)
-                       for t in parse_midi(plain.midi_bytes).tracks
-                       for n in t.notes]
-        assert chain_notes == plain_notes
+        assert parsed_notes(chain.midi_bytes) == parsed_notes(plain.midi_bytes)
 
     def test_deterministic(self):
         m = model()
@@ -203,14 +202,9 @@ class TestComposeChain:
         ])
         chain = compose_chain(m, vf, plan, GenerationRequest(sample_seed=4))
         plain = generate(m, vf, GenerationRequest(sample_seed=4))
-        parsed = parse_midi(chain.midi_bytes)
-        second_half = [(n.pitch, n.onset - 16.0, n.duration)
-                       for t in parsed.tracks for n in t.notes
-                       if n.onset >= 16.0]
-        plain_notes = [(n.pitch, n.onset, n.duration)
-                       for t in parse_midi(plain.midi_bytes).tracks
-                       for n in t.notes]
-        assert sorted(second_half) == sorted(plain_notes)
+        second_half = [(p, o - 16.0, d) for p, o, d in parsed_notes(chain.midi_bytes)
+                       if o >= 16.0]
+        assert sorted(second_half) == sorted(parsed_notes(plain.midi_bytes))
 
 
 class TestPairToScore:
@@ -219,5 +213,8 @@ class TestPairToScore:
         score = pair_to_score(pair)
         assert score.tempos == [(0.0, 120.0)]
         assert score.meters == [(0.0, 4, 4)]
-        assert score.tracks[0].notes[0].velocity == 80
-        assert score.tracks[0].notes[0].duration == 1.0  # 4 steps = 1 beat
+        melody, bass = score.tracks
+        assert melody.velocity.tolist() == [80]
+        assert melody.duration.tolist() == [1.0]  # 4 steps = 1 beat
+        assert (melody.pitch.dtype, melody.onset.dtype) == (np.int64, np.float64)
+        assert (bass.name, bass.channel, bass.duration.tolist()) == ("bass", 1, [2.0])

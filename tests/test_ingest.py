@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from helpers import reference_build_dataset
-from toy import write_toy_corpus
+from toy import midi_track, write_toy_corpus
 from ttvae import cli, corpus
 from ttvae.corpus import (
     MAX_MIDI_BYTES,
@@ -25,16 +25,16 @@ from ttvae.corpus import (
     build_dataset,
     save_dataset,
 )
-from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
+from ttvae.midi import Score, write_midi
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def song_bytes(bars=8, shift=0, tracks=2):
-    melody = [MidiNote(60 + shift + (i % 5), i, 1.0) for i in range(bars * 4)]
-    bass = [MidiNote(36 + shift + (i % 3), i * 2, 2.0) for i in range(bars * 2)]
-    score = Score(tracks=[MidiTrack(name="melody", channel=0, notes=melody),
-                          MidiTrack(name="bass", channel=1, notes=bass)][:tracks])
+    melody = [(60 + shift + (i % 5), i, 1.0) for i in range(bars * 4)]
+    bass = [(36 + shift + (i % 3), i * 2, 2.0) for i in range(bars * 2)]
+    score = Score(tracks=[midi_track(melody, "melody", 0),
+                          midi_track(bass, "bass", 1)][:tracks])
     return write_midi(score)
 
 

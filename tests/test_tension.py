@@ -47,6 +47,12 @@ class TestMovingAverage:
         v = np.arange(64, dtype=float)
         np.testing.assert_array_equal(moving_average(v, 1), v)
 
+    def test_window_one_is_identity_up_to_rounding(self):
+        # every step-table strain held for 64 steps: the cumulative sums
+        # round, so the values come back close, not bit for bit
+        held = np.repeat(STRAIN_TABLE.reshape(-1, 1), 64, axis=1)
+        assert np.abs(moving_average(held, 1) - held).max() <= 1e-12
+
     def test_edge_truncation(self):
         v = np.zeros(64)
         v[0] = 1.0

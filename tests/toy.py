@@ -11,7 +11,18 @@ shapes.  Variants differ in rhythm, octave, and note order so the corpus is
 memorizable but not degenerate.
 """
 
-from ttvae.midi import MidiNote, MidiTrack, Score, write_midi
+import numpy as np
+
+from ttvae.midi import MidiTrack, Score, write_midi
+
+
+def midi_track(notes, name="", channel=0):
+    """A :class:`MidiTrack` of ``(pitch, onset, duration[, velocity])``
+    notes, in the order given; the velocity defaults to 80."""
+    rows = np.array([(*note, 80)[:4] for note in notes], np.float64).reshape(-1, 4)
+    return MidiTrack(name, channel, rows[:, 0].astype(np.int64), rows[:, 1],
+                     rows[:, 2], rows[:, 3].astype(np.int64))
+
 
 # Two ladders of (melody pitch pair, bass pitch), ordered low -> high
 # tensile strain (bar averages ~0.6 / 0.9 / 1.3 / 1.7).
@@ -77,10 +88,10 @@ def toy_song(index: int) -> Score:
         melody, bass = _fragment_notes(ladder, direction, variant, 64 * block)
         melody_notes.extend(melody)
         bass_notes.extend(bass)
-    to_beats = lambda items: [MidiNote(p, s / 4.0, d / 4.0) for p, s, d in items]
+    to_beats = lambda items: [(p, s / 4.0, d / 4.0) for p, s, d in items]
     return Score(
-        tracks=[MidiTrack(name="melody", channel=0, notes=to_beats(melody_notes)),
-                MidiTrack(name="bass", channel=1, notes=to_beats(bass_notes))],
+        tracks=[midi_track(to_beats(melody_notes), "melody", 0),
+                midi_track(to_beats(bass_notes), "bass", 1)],
         tempos=[(0.0, 120.0)],
         meters=[(0.0, 4, 4)],
     )
