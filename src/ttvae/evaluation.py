@@ -22,13 +22,13 @@ decode's memory is one chunk's whatever n is; the per-example scalars grow
 by about 34 bytes per sample for each vector and scale.
 
 Each chunk is decoded, hardened and scored as two row halves at once, one on
-the calling thread and one on a single helper thread (``decode_hardened``).
-The two halves together are one chunk, so memory is still one chunk's, and
-every output is bitwise that of decoding the chunk whole.  The helper adds
-to BLAS's own threads: with OpenBLAS's default of one thread per core each
-half's matmuls may start more, which oversubscribes a small host and can
-make the decode slower than on one thread; ``OPENBLAS_NUM_THREADS=1`` keeps
-it at two threads.
+the calling thread and one on the process's helper thread
+(``decode_hardened``).  The two halves together are one chunk, so memory is
+still one chunk's, and every output is bitwise that of decoding the chunk
+whole.  While they run, BLAS is held at one thread (:mod:`ttvae.cores`), so
+the decode runs two threads on two cores whatever ``OPENBLAS_NUM_THREADS``
+says: with OpenBLAS's default of one thread per core, each half's matmuls
+would start more, which oversubscribes a small host.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pianoroll
+from . import cores, pianoroll
 from .atomic import write_atomic
 from .errors import InvalidInputError
 from .latent import RAMP_TEMPLATE, AttributeVector, apply_vector, measured_curve, shape_scores
@@ -207,28 +206,6 @@ def _decode_block(model: TensionVae, z: np.ndarray) -> tuple[np.ndarray, ...]:
     return rolls, out.tensile, out.diameter, strain, diameter
 
 
-_helper_pool = None
-_helper_lock = threading.Lock()
-
-
-def _helper():
-    """The executor of the one helper thread, started on first use.
-
-    It is shared by every caller in the process, so that at most one helper
-    thread exists however many threads decode.
-
-    ``concurrent.futures`` is imported here, not with the module: the import
-    takes about 10 ms that ``import ttvae`` need not pay.
-    """
-    global _helper_pool
-    with _helper_lock:
-        if _helper_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _helper_pool = ThreadPoolExecutor(max_workers=1,
-                                              thread_name_prefix="ttvae-decode")
-        return _helper_pool
-
-
 def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """``_decode_block`` of one chunk's two row halves, run on two threads.
 
@@ -243,7 +220,7 @@ def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, .
     half = (len(z) + 1) // 2
     if len(z) - half < 2:
         return [_decode_block(model, z)]
-    second = _helper().submit(_decode_block, model, z[half:])
+    second = cores.helper().submit(_decode_block, model, z[half:])
     try:
         first = _decode_block(model, z[:half])
     finally:
@@ -260,12 +237,15 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
     decoded at once on the calling thread and the one helper thread (see
     ``_decode_halves``), so at most one chunk's rows are in flight and memory
     is that of one chunk's decode.  The outputs are bitwise those of decoding
-    each chunk whole on one thread.  BLAS threads add to the helper's: each
-    half's matmuls may use BLAS's own threads as well.
+    each chunk whole on one thread.  Meanwhile BLAS is held at one thread
+    (``cores.one_blas_thread``).  That setting is process-global: BLAS calls
+    that other threads make during the decode run on one thread too.  The
+    previous count comes back when the decode ends, also on error.
     """
     parts = []
-    for start in range(0, len(z), DECODE_CHUNK):
-        parts += _decode_halves(model, z[start:start + DECODE_CHUNK])
+    with cores.one_blas_thread():
+        for start in range(0, len(z), DECODE_CHUNK):
+            parts += _decode_halves(model, z[start:start + DECODE_CHUNK])
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -147,15 +147,6 @@ def direction_score(curve: np.ndarray) -> float:
     return shape_score(curve, RAMP_TEMPLATE)
 
 
-def level_score(curve: np.ndarray, threshold: float) -> tuple[int, float]:
-    """(sign, magnitude): side of the threshold and 2-norm distance from it."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != (N_STEPS,):
-        raise InvalidInputError(f"curve must have {N_STEPS} values")
-    signs, magnitudes = level_scores(curve[None], threshold)
-    return int(signs[0]), float(magnitudes[0])
-
-
 def shape_score(curve: np.ndarray, template: ShapeTemplate) -> float:
     """Correlation with a shape template (ramp template == direction_score)."""
     curve = np.asarray(curve, dtype=float)

@@ -24,6 +24,7 @@ WRITE_PPQN = 480
 DEFAULT_TEMPO_BPM = 120.0
 DRUM_CHANNEL = 9
 
+_DENOMINATORS = (1, 2, 4, 8, 16, 32, 64, 128)   # meter denominators by the log2 byte written
 _META_TRACK_NAME = 0x03
 _META_MARKER = 0x06
 _META_END_OF_TRACK = 0x2F
@@ -277,25 +278,56 @@ def _check_notes(index: int, t: MidiTrack) -> None:
             f"duration {t.duration[i]}")
 
 
+def _event_tick(beat: float, what: str) -> int:
+    """The tick of a tempo, meter or marker event; refuses one that would
+    not read back, as ``_check_notes`` does a note."""
+    if not 0 <= beat * WRITE_PPQN < (1 << 28) - 1:
+        raise InvalidInputError(f"{what} at beat {beat} cannot be written: its "
+                                f"tick must be in 0..{(1 << 28) - 2}")
+    return round(beat * WRITE_PPQN)
+
+
+def _latin1(text: str, what: str) -> bytes:
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError as err:
+        raise InvalidInputError(f"{what} {text!r} cannot be written: "
+                                f"it is not latin-1") from err
+
+
 def write_midi(score: Score) -> bytes:
-    """Serialize a score as a format-1 SMF at 480 PPQN, deterministically."""
+    """Serialize a score as a format-1 SMF at 480 PPQN, deterministically.
+
+    Raises :class:`InvalidInputError` for what would not read back: a note
+    (see ``_check_notes``), an event at a negative or too late beat, a tempo
+    whose microseconds per quarter do not round to 1..2**24 - 1, a meter whose
+    numerator is not a byte or whose denominator is not a power of two up to
+    128, and a marker or track name outside latin-1.
+    """
     def to_tick(beat: float) -> int:
         return round(beat * WRITE_PPQN)
 
     meta_events: list[tuple[int, int, bytes]] = []
     meters = score.meters or [(0.0, 4, 4)]
     for beat, num, den in meters:
-        dd = max(0, den.bit_length() - 1)
-        meta_events.append((to_tick(beat), 0,
-                            bytes((0xFF, _META_TIME_SIGNATURE, 4, num, dd, 24, 8))))
+        if not (isinstance(num, (int, np.integer)) and 0 <= num <= 255
+                and isinstance(den, (int, np.integer)) and den in _DENOMINATORS):
+            raise InvalidInputError(f"meter {num}/{den} cannot be written: the "
+                                    "numerator must be a byte and the denominator "
+                                    "a power of two up to 128")
+        meta_events.append((_event_tick(beat, "meter"), 0, bytes(
+            (0xFF, _META_TIME_SIGNATURE, 4, num, _DENOMINATORS.index(den), 24, 8))))
     tempos = score.tempos or [(0.0, DEFAULT_TEMPO_BPM)]
     for beat, bpm in tempos:
-        us = round(60e6 / bpm)
-        meta_events.append((to_tick(beat), 1,
-                            bytes((0xFF, _META_TEMPO, 3)) + us.to_bytes(3, "big")))
+        us = 60e6 / bpm if bpm > 0 else 0.0
+        if not 0.5 < us < 0xFFFFFF + 0.5:
+            raise InvalidInputError(f"tempo {bpm} BPM cannot be written: its "
+                                    "microseconds per quarter must round to 1..2**24 - 1")
+        meta_events.append((_event_tick(beat, "tempo"), 1,
+                            bytes((0xFF, _META_TEMPO, 3)) + round(us).to_bytes(3, "big")))
     for beat, label in score.markers:
-        payload = label.encode("latin-1")
-        meta_events.append((to_tick(beat), 2,
+        payload = _latin1(label, "marker")
+        meta_events.append((_event_tick(beat, "marker"), 2,
                             bytes((0xFF, _META_MARKER)) + _encode_varlen(len(payload))
                             + payload))
 
@@ -304,7 +336,7 @@ def write_midi(score: Score) -> bytes:
         _check_notes(index, track)
         events: list[tuple[int, int, bytes]] = []
         if track.name:
-            payload = track.name.encode("latin-1")
+            payload = _latin1(track.name, f"track {index} name")
             events.append((0, 0, bytes((0xFF, _META_TRACK_NAME))
                            + _encode_varlen(len(payload)) + payload))
         channel = track.channel & 0x0F

@@ -69,13 +69,6 @@ class Cloud:
         return self.weights
 
 
-def spell(pitch_class: int) -> SpelledPitch:
-    """Map a pitch class 0..11 to its fixed line-of-fifths spelling."""
-    if not 0 <= pitch_class <= 11:
-        raise InvalidInputError(f"pitch class must be in 0..11, got {pitch_class}")
-    return SpelledPitch(FIFTH_INDEX_TABLE[pitch_class])
-
-
 def pitch_position(fifth_index: int) -> np.ndarray:
     """Helix position of a spelled pitch: quarter turn + fixed rise per fifth."""
     angle = fifth_index * math.pi / 2.0
@@ -128,12 +121,6 @@ def _cloud_tension(cloud: Cloud, key_point: np.ndarray) -> tuple[float, float]:
 def cloud_diameter(cloud: Cloud) -> float:
     """Largest pairwise distance among the cloud's helix points (0 for singletons)."""
     return _cloud_tension(cloud, np.zeros(3))[1]
-
-
-def center_of_effect(cloud: Cloud) -> np.ndarray:
-    """Weight-normalized centroid of the cloud's helix points."""
-    return _weighted_center(_member_points(cloud),
-                            np.asarray(cloud.effective_weights(), dtype=float))
 
 
 def _major_chord_center(tonic_fifth: int) -> np.ndarray:

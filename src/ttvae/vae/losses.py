@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import cores
 from ..errors import InvalidInputError
 from ..pianoroll import (
     BASS_ONSET_COL,
@@ -139,11 +140,29 @@ def _head_logit_gradients(out: DecoderOutput, roll: np.ndarray,
     }
 
 
+def _run_once(work: list):
+    """``fn(*args)`` of a ``[fn, args]`` list, emptied first, so that the
+    operands are let go as soon as the call returns."""
+    fn, args = work
+    work.clear()
+    return fn(*args)
+
+
 def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
                      tensile_target: np.ndarray, diameter_target: np.ndarray,
                      noise: np.ndarray, beta: float,
                      ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """One training pass: losses plus gradients for every parameter tensor."""
+    """One training pass: losses plus gradients for every parameter tensor.
+
+    The backward pass runs its input-gradient chain on the calling thread and
+    its weight gradients on the one helper thread, with BLAS held at one
+    thread meanwhile (:mod:`ttvae.cores`).  Once the chain is done, the
+    calling thread runs the weight tasks that the helper has not started,
+    last first.  It returns or raises only once every started task has
+    finished; the first error of a task is raised if the chain raised none,
+    and after an error no further task starts.  The gradients are bitwise
+    those of ``decoder_backward`` and ``encoder_backward`` run on one thread.
+    """
     dtype = params["enc.mu.w"].dtype
     x = np.asarray(rolls, dtype=dtype)
     tensile_target = np.asarray(tensile_target, dtype=dtype)
@@ -156,15 +175,39 @@ def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
     breakdown = loss(out, x, tensile_target, diameter_target, beta, posterior)
 
     grads: dict[str, np.ndarray] = {}
-    d_logits = _head_logit_gradients(out, x, tensile_target, diameter_target)
-    dz = decoder_backward(params, cfg, dec_cache, d_logits, grads)
+    tasks = []      # (names, [fn, args], future), in the order handed over
+    done_here = {}  # task index -> result, for tasks this thread ran
+    pool = cores.helper()
 
-    batch = x.shape[0]
-    sigma = np.exp(0.5 * posterior.logvar)
-    d_mu = dz + (beta / batch) * posterior.mu
-    d_logvar = (dz * noise * 0.5 * sigma
-                + (beta / batch) * 0.5 * (np.exp(posterior.logvar) - 1.0))
-    encoder_backward(params, cfg, enc_cache, d_mu, d_logvar, grads)
+    def put(names, fn, *args):
+        work = [fn, args]
+        tasks.append((names, work, pool.submit(_run_once, work)))
+
+    with cores.one_blas_thread():
+        try:
+            d_logits = _head_logit_gradients(out, x, tensile_target, diameter_target)
+            dz = decoder_backward(params, cfg, dec_cache, d_logits, grads, put)
+            del dec_cache, d_logits
+
+            batch = x.shape[0]
+            sigma = np.exp(0.5 * posterior.logvar)
+            d_mu = dz + (beta / batch) * posterior.mu
+            d_logvar = (dz * noise * 0.5 * sigma
+                        + (beta / batch) * 0.5 * (np.exp(posterior.logvar) - 1.0))
+            encoder_backward(params, cfg, enc_cache, d_mu, d_logvar, grads, put)
+            # the helper takes the tasks from the front; this thread now
+            # runs, from the back, those it has not started
+            for i in range(len(tasks) - 1, -1, -1):
+                _, work, task = tasks[i]
+                if not task.cancel():
+                    break
+                done_here[i] = _run_once(work)
+        finally:
+            for *_, task in tasks:
+                if not task.cancel():
+                    task.exception()  # wait for every started task whatever happened here
+    for i, (names, _, task) in enumerate(tasks):
+        grads.update(zip(names, done_here[i] if i in done_here else task.result()))
     return breakdown, grads
 
 

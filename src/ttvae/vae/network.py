@@ -36,6 +36,16 @@ Each head adds its biases and takes its tanh and its softmax in place on its
 matmul outputs.  The tests hold the plain versions of the layer and the
 heads, and require the results here to equal them bit for bit.
 
+Each backward pass is split in two.  The input-gradient chain (the GRU
+recurrence, a layer's input gradient, the heads' ``d_hidden`` and
+``d_flat_h``) runs on the calling thread.  The weight gradients need nothing
+more from it, so ``encoder_backward`` and ``decoder_backward`` hand each
+layer's to ``put(names, fn, *args)``: at once into ``grads`` by default, on
+the helper thread from ``losses.forward_backward``, overlapping the chain of
+the next layer.  Either way each gradient is the same NumPy expression on
+the same operands, so the same bits.  The backward passes consume their
+cache's layers and heads, letting go of each once handed over.
+
 Inference keeps no cache.  ``encoder_forward`` and ``decoder_forward`` take
 ``keep_cache=False`` from ``TensionVae`` and ``evaluate_batch``: the same
 operations run in the same order, but a layer's gate buffer and states are
@@ -48,6 +58,7 @@ differences (see ``gradcheck``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,9 +243,9 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
 
 
 def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
-                       cache: dict, input_grad: bool = True,
-                       ) -> tuple[np.ndarray | None, np.ndarray,
-                                  np.ndarray, np.ndarray]:
+                       cache: dict, input_grad: bool = True, weights=None,
+                       ) -> tuple[np.ndarray | None, np.ndarray | None,
+                                  np.ndarray | None, np.ndarray | None]:
     """Backpropagate through one GRU layer.
 
     ``d_states`` carries gradients on every per-step output (None for
@@ -242,6 +253,9 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
     Returns (d_input, dw, du, db); ``d_input`` has one step when the input
     had step stride 0, and is then the gradient summed over the steps.  It
     is None when ``input_grad`` is false, for a caller with no use for it.
+    Given ``weights``, the weight gradients are not computed here: this
+    calls ``weights(_gru_weight_grads, *operands)`` and returns dw, du and db
+    as None.
     """
     x, w, u = cache["x"], cache["w"], cache["u"]
     gates, states = cache["gates"], cache["states"]
@@ -273,6 +287,26 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
         dh_prev += d[:, :two] @ u_gates_t
         dh = dh_prev
 
+    d_proj = d_gates.sum(axis=0) if x.strides[1] == 0 else None
+    operands = (x, u, gates, states, d_gates, d_proj)
+    if input_grad and d_proj is not None:
+        d_input = (d_proj @ w.T)[:, None, :]
+    elif input_grad:
+        d_input = _seq(d_gates.reshape(steps * batch, 3 * h_dim) @ w.T, batch)
+    else:
+        d_input = None
+    if weights is None:
+        return (d_input, *_gru_weight_grads(*operands))
+    weights(_gru_weight_grads, *operands)
+    return d_input, None, None, None
+
+
+def _gru_weight_grads(x, u, gates, states, d_gates, d_proj):
+    """(dw, du, db) of one GRU layer from its cache and gate gradients;
+    ``d_proj`` is the gate gradient summed over the steps of a stride-0
+    input, else None."""
+    steps, batch, h_dim = states.shape
+    two = 2 * h_dim
     rows = steps * batch
     flat_gates = d_gates.reshape(rows, 3 * h_dim)
     du = np.empty_like(u)
@@ -283,16 +317,26 @@ def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
     reset_h = np.zeros_like(states)
     np.multiply(gates[1:, 1], states[:-1], out=reset_h[1:])
     du[:, two:] = reset_h.reshape(rows, h_dim).T @ flat_gates[:, two:]
-    if x.strides[1] == 0:
-        d_proj = d_gates.sum(axis=0)
-        dw = x[:, 0].T @ d_proj
-        db = d_proj.sum(axis=0)
-        d_input = (d_proj @ w.T)[:, None, :] if input_grad else None
-    else:
-        dw = _rows(x).T @ flat_gates
-        db = flat_gates.sum(axis=0)
-        d_input = _seq(flat_gates @ w.T, batch) if input_grad else None
-    return d_input, dw, du, db
+    if d_proj is not None:
+        return x[:, 0].T @ d_proj, du, d_proj.sum(axis=0)
+    return _rows(x).T @ flat_gates, du, flat_gates.sum(axis=0)
+
+
+def _dense_grads(*pairs):
+    """(inputs.T @ d_out, d_out.sum(axis=0)) of each (inputs, d_out) pair of
+    a dense layer, in one flat list."""
+    return [g for inputs, d_out in pairs for g in (inputs.T @ d_out, d_out.sum(axis=0))]
+
+
+def _put_now(grads: dict):
+    """A ``put`` that stores each weight gradient in ``grads`` at once."""
+    def put(names, fn, *args):
+        grads.update(zip(names, fn(*args)))
+    return put
+
+
+def _layer_weights(put, prefix: str):
+    return functools.partial(put, (f"{prefix}.w", f"{prefix}.u", f"{prefix}.b"))
 
 
 def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
@@ -330,23 +374,26 @@ def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
 
 def encoder_backward(params: dict, cfg: ModelConfig, cache: dict,
                      d_mu: np.ndarray, d_logvar: np.ndarray,
-                     grads: dict) -> None:
+                     grads: dict, put=None) -> None:
+    """Posterior gradients -> every encoder gradient, in ``grads``.
+
+    Given ``put``, each weight gradient goes to ``put(names, fn, *args)``
+    instead, to be stored as ``fn(*args)`` under ``names``.  The pass
+    consumes ``cache["layers"]``, letting go of each layer once handed over.
+    """
+    put = put or _put_now(grads)
     d_logvar = d_logvar * cache["clamp_mask"]
     h_last = cache["h_last"]
-    grads["enc.mu.w"] = h_last.T @ d_mu
-    grads["enc.mu.b"] = d_mu.sum(axis=0)
-    grads["enc.logvar.w"] = h_last.T @ d_logvar
-    grads["enc.logvar.b"] = d_logvar.sum(axis=0)
+    put(("enc.mu.w", "enc.mu.b", "enc.logvar.w", "enc.logvar.b"), _dense_grads,
+        (h_last, d_mu), (h_last, d_logvar))
     d_last = d_mu @ params["enc.mu.w"].T + d_logvar @ params["enc.logvar.w"].T
     d_seq = None
+    layers = cache["layers"]
     for i in range(cfg.gru_layers - 1, -1, -1):
         # the roll input of layer 0 takes no gradient
-        d_seq, dw, du, db = gru_layer_backward(
-            d_seq, d_last if i == cfg.gru_layers - 1 else None,
-            cache["layers"][i], input_grad=i > 0)
-        grads[f"enc.gru{i}.w"] = dw
-        grads[f"enc.gru{i}.u"] = du
-        grads[f"enc.gru{i}.b"] = db
+        d_seq = gru_layer_backward(
+            d_seq, d_last if i == cfg.gru_layers - 1 else None, layers.pop(),
+            input_grad=i > 0, weights=_layer_weights(put, f"enc.gru{i}"))[0]
 
 
 def reparameterize(posterior: Posterior, noise: np.ndarray) -> np.ndarray:
@@ -409,29 +456,35 @@ def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
 
 def decoder_backward(params: dict, cfg: ModelConfig, cache: dict,
                      d_logits: dict[str, np.ndarray],
-                     grads: dict) -> np.ndarray:
-    """Head logit gradients -> gradient on z (batch, latent)."""
+                     grads: dict, put=None) -> np.ndarray:
+    """Head logit gradients -> gradient on z (batch, latent).
+
+    The weight gradients go to ``grads``, or to ``put`` as in
+    ``encoder_backward``.  The pass consumes ``cache["heads"]`` and
+    ``cache["layers"]``; ``cache["flat_h"]`` stays.
+    """
+    put = put or _put_now(grads)
     flat_h = cache["flat_h"]
+    heads = cache["heads"]
     batch = d_logits["melody_pitch"].shape[0]
     d_flat_h = np.zeros_like(flat_h)
     for name, width, _ in HEAD_SPECS:
         dl = d_logits[name].reshape(flat_h.shape[0], width)
-        hidden = cache["heads"][name]
+        hidden = heads.pop(name)
         w1 = params[f"dec.head.{name}.l1.w"]
         w2 = params[f"dec.head.{name}.l2.w"]
-        grads[f"dec.head.{name}.l2.w"] = hidden.T @ dl
-        grads[f"dec.head.{name}.l2.b"] = dl.sum(axis=0)
         d_hidden = (dl @ w2.T) * (1.0 - hidden * hidden)
-        grads[f"dec.head.{name}.l1.w"] = flat_h.T @ d_hidden
-        grads[f"dec.head.{name}.l1.b"] = d_hidden.sum(axis=0)
+        put(tuple(f"dec.head.{name}.{part}" for part in ("l2.w", "l2.b", "l1.w", "l1.b")),
+            _dense_grads, (hidden, dl), (flat_h, d_hidden))
         d_flat_h += d_hidden @ w1.T
+    del hidden, d_hidden
 
     d_seq = d_flat_h.reshape(batch, N_STEPS, -1)
+    del d_flat_h
+    layers = cache["layers"]
     for i in range(cfg.gru_layers - 1, -1, -1):
-        d_seq, dw, du, db = gru_layer_backward(d_seq, None, cache["layers"][i])
-        grads[f"dec.gru{i}.w"] = dw
-        grads[f"dec.gru{i}.u"] = du
-        grads[f"dec.gru{i}.b"] = db
+        d_seq = gru_layer_backward(d_seq, None, layers.pop(),
+                                   weights=_layer_weights(put, f"dec.gru{i}"))[0]
     return d_seq.sum(axis=1)
 
 

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles used across the test suite."""
 
+import concurrent.futures
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -52,6 +53,7 @@ from ttvae.latent import (
     ClassSelection,
     VectorsFile,
     apply_vector,
+    level_scores,
     measured_curve,
 )
 from ttvae.midi import (
@@ -83,12 +85,34 @@ from ttvae.pianoroll import (
     encode_roll,
     melody_pitch_classes,
 )
-from ttvae.spiral import PITCH_CLASS_POSITIONS, cloud_tension, key_center
+from ttvae.spiral import (
+    FIFTH_INDEX_TABLE,
+    PITCH_CLASS_POSITIONS,
+    Cloud,
+    SpelledPitch,
+    _member_points,
+    _weighted_center,
+    cloud_tension,
+    key_center,
+)
 from ttvae.tension import moving_average, tension_curves
 from ttvae.vae.network import HEAD_SPECS, sample_latent
 
 RISE = math.sqrt(2.0 / 15.0)
 FIFTHS = (0, -5, 2, -3, 4, -1, 6, 1, -4, 3, -2, 5)
+
+
+class InlineHelper:
+    """An executor whose ``submit`` runs the call at once; it stands in for
+    ``ttvae.cores.helper`` where a test needs the helper's work inline."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
 
 
 def random_track(rng, low, high, rest_prob=0.25, max_len=8):
@@ -161,6 +185,32 @@ def make_dataset(rolls, tensile, diameter, source_ids=None, bar_offsets=None,
         source_ids=[""] * n if source_ids is None else list(source_ids),
         bar_offsets=[0] * n if bar_offsets is None else list(bar_offsets),
         meta={} if meta is None else meta)
+
+
+# --------------------------------------------- test-only spiral and score views
+# Kept here because nothing in ``src`` calls them: a pitch class's spelling,
+# a cloud's center of effect, and one curve's level score.
+
+def spell(pitch_class: int) -> SpelledPitch:
+    """Map a pitch class 0..11 to its fixed line-of-fifths spelling."""
+    if not 0 <= pitch_class <= 11:
+        raise InvalidInputError(f"pitch class must be in 0..11, got {pitch_class}")
+    return SpelledPitch(FIFTH_INDEX_TABLE[pitch_class])
+
+
+def center_of_effect(cloud: Cloud) -> np.ndarray:
+    """Weight-normalized centroid of the cloud's helix points."""
+    return _weighted_center(_member_points(cloud),
+                            np.asarray(cloud.effective_weights(), dtype=float))
+
+
+def level_score(curve: np.ndarray, threshold: float) -> tuple[int, float]:
+    """(sign, magnitude) of one curve, through ``latent.level_scores``."""
+    curve = np.asarray(curve, dtype=float)
+    if curve.shape != (N_STEPS,):
+        raise InvalidInputError(f"curve must have {N_STEPS} values")
+    signs, magnitudes = level_scores(curve[None], threshold)
+    return int(signs[0]), float(magnitudes[0])
 
 
 def _point(pc):

@@ -1,0 +1,182 @@
+"""The thread owner: one helper thread, and BLAS held at one thread while it works."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from helpers import make_dataset, random_roll
+from ttvae import cores, evaluation
+from ttvae.errors import NumericFailureError
+from ttvae.vae import ModelConfig, TensionVae, network, sample_latent, train
+
+
+def openblas():
+    """numpy's OpenBLAS (get, set), or a skip where none is found."""
+    with cores._lock:
+        blas = cores._openblas()
+    if not blas:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    return blas
+
+
+@pytest.fixture
+def two_blas_threads():
+    """BLAS at two threads for the test, the count it had afterwards."""
+    get, set_ = openblas()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def small_dataset(rng, n=12):
+    return make_dataset([random_roll(rng) for _ in range(n)],
+                        rng.uniform(0, 2, (n, 64)), rng.uniform(0, 2, (n, 64)),
+                        source_ids=[f"s{i}" for i in range(n)])
+
+
+TINY = ModelConfig(latent_dim=4, hidden=12, gru_layers=1, batch_size=4,
+                   max_epochs=1, early_stop_patience=5, rng_seed=11)
+
+
+class TestBlasThreads:
+    def test_held_at_one_inside_and_restored_after(self, two_blas_threads):
+        get = two_blas_threads
+        with cores.one_blas_thread():
+            assert get() == 1
+            with cores.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    def test_restored_after_an_error(self, two_blas_threads):
+        with pytest.raises(KeyError):
+            with cores.one_blas_thread():
+                raise KeyError("inside")
+        assert two_blas_threads() == 2
+
+    def test_two_threads_pinning_at_once_keep_the_original(self, two_blas_threads):
+        get = two_blas_threads
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with cores.one_blas_thread():
+                first_in.set()
+                second_in.wait(10)
+            seen["after first left"] = get()
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with cores.one_blas_thread():
+                second_in.set()
+                first_out.wait(10)
+                seen["second still inside"] = get()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == {"after first left": 1, "second still inside": 1}
+        assert get() == 2
+
+    def test_many_threads_entering_and_leaving(self, two_blas_threads):
+        get = two_blas_threads
+        wrong = []
+        together = threading.Barrier(6)
+
+        def churn():
+            together.wait(10)
+            for _ in range(200):
+                with cores.one_blas_thread():
+                    if get() != 1:
+                        wrong.append(get())
+
+        threads = [threading.Thread(target=churn) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert cores._pins == 0 and get() == 2
+
+    def test_train_restores_the_count(self, two_blas_threads, rng, monkeypatch):
+        get = two_blas_threads
+        inside = []
+        real = network._dense_grads
+
+        def spy(*pairs):
+            inside.append(get())
+            return real(*pairs)
+
+        monkeypatch.setattr(network, "_dense_grads", spy)
+        train(small_dataset(rng), TINY)
+        assert inside and set(inside) == {1}
+        assert get() == 2
+
+    def test_train_restores_the_count_on_numeric_failure(self, two_blas_threads, rng,
+                                                         monkeypatch):
+        def failing(*pairs):
+            raise NumericFailureError("non-finite weight gradient", "test")
+
+        monkeypatch.setattr(network, "_dense_grads", failing)
+        with pytest.raises(NumericFailureError):
+            train(small_dataset(rng), TINY)
+        assert two_blas_threads() == 2
+
+    def test_decode_restores_the_count(self, two_blas_threads, monkeypatch):
+        get = two_blas_threads
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
+        z = sample_latent(40, 6, 1).astype(model.dtype)
+        inside = []
+        real = evaluation._decode_block
+
+        def spy(model, z):
+            inside.append(get())
+            return real(model, z)
+
+        monkeypatch.setattr(evaluation, "_decode_block", spy)
+        evaluation.decode_hardened(model, z)
+        assert inside == [1, 1]
+        assert get() == 2
+        z[30] = np.nan  # in the helper's half
+        with pytest.raises(NumericFailureError):
+            evaluation.decode_hardened(model, z)
+        assert get() == 2
+
+    @pytest.mark.parametrize("maps", [
+        "",
+        "7f0000000000-7f0000001000 r--p 00000000 fe:00 1  /usr/lib/libc.so.6\n",
+        # a mapping that names the library but cannot be opened
+        "7f0000000000-7f0000001000 r--p 00000000 fe:00 1  /nonexistent/libscipy_openblas64_.so\n",
+    ], ids=["no maps", "no openblas", "unloadable"])
+    def test_does_nothing_without_openblas(self, two_blas_threads, monkeypatch, maps):
+        get = two_blas_threads
+        monkeypatch.setattr(cores, "_read_maps", lambda: maps)
+        monkeypatch.setattr(cores, "_blas", None)
+        with cores.one_blas_thread():
+            assert get() == 2
+        assert get() == 2
+        assert cores._blas == ()
+
+
+class TestOneHelper:
+    def test_training_and_decoding_share_one_helper(self, rng):
+        train(small_dataset(rng), TINY)
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
+        evaluation.decode_hardened(model, sample_latent(40, 6, 1).astype(model.dtype))
+        helpers = [t for t in threading.enumerate() if t.name.startswith("ttvae-helper")]
+        assert len(helpers) == 1
+        assert cores.helper() is cores.helper()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    InlineHelper,
     _direction_tau,
     _level_params,
     random_roll,
@@ -18,7 +19,7 @@ from helpers import (
     reference_pitch_distribution,
     reference_sweep,
 )
-from ttvae import evaluation
+from ttvae import cores, evaluation
 from ttvae.errors import InvalidInputError, NumericFailureError
 from ttvae.evaluation import (
     decode_hardened,
@@ -479,9 +480,9 @@ class TestTwoThreadDecode:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         # start with no helper, so that the callers race to start it
-        if evaluation._helper_pool is not None:
-            evaluation._helper_pool.shutdown()
-            evaluation._helper_pool = None
+        if cores._pool is not None:
+            cores._pool.shutdown()
+            cores._pool = None
         before = set(threading.enumerate())
         results = [None] * 6
         together = threading.Barrier(6)
@@ -614,24 +615,12 @@ class TestStreamedEqualsReference:
             sweeps(reference_model(), [], "sideways", (1.0,), 4)
 
 
-class InlineHelper:
-    """An executor whose ``submit`` runs the call at once."""
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as err:
-            future.set_exception(err)
-        return future
-
-
 class TestStreamedMemory:
     def test_sweep_peak_does_not_grow_with_n(self, monkeypatch):
         # The helper's half runs inline: whether the two halves' peaks
         # overlap would otherwise depend on thread timing, with more chances
         # to at larger n.
-        monkeypatch.setattr(evaluation, "_helper", InlineHelper)
+        monkeypatch.setattr(cores, "helper", InlineHelper)
         model = TensionVae.initialize(
             ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
         vector = skewed_vector("tensile_strain_direction", 0)
@@ -651,7 +640,7 @@ class TestStreamedMemory:
         # A wide latent and a tiny decoder: drawing all n latents at once
         # (float64, then a float32 copy) holds 2048 * 512 * 12 bytes, 12 MiB,
         # about twice the peak of the whole run at n = 256.
-        monkeypatch.setattr(evaluation, "_helper", InlineHelper)
+        monkeypatch.setattr(cores, "helper", InlineHelper)
         model = TensionVae.initialize(
             ModelConfig(latent_dim=512, hidden=4, gru_layers=1, rng_seed=2))
         vector = AttributeVector("tensile_strain_direction", np.zeros(512), (2, 2))

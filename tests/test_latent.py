@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    level_score,
     make_dataset,
     random_roll,
     reference_attribute_vector,
@@ -28,7 +29,6 @@ from ttvae.latent import (
     attribute_vector,
     build_vectors,
     direction_score,
-    level_score,
     level_scores,
     load_vectors,
     measured_curve,

@@ -1,5 +1,6 @@
 """SMF codec: parsing, rejection paths, and write/parse round trips."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,95 @@ class TestWriteChecks:
                               midi_track([(62, 0.0, 1.0), note], "lead")])
         with pytest.raises(InvalidInputError, match=r"track 1 \('lead'\) note 1"):
             write_midi(score)
+
+
+    @pytest.mark.parametrize("score, message", [
+        (Score(tempos=[(-1.0, 120.0)]), r"tempo at beat -1\.0"),
+        (Score(meters=[(-0.5, 4, 4)]), r"meter at beat -0\.5"),
+        (Score(markers=[(-2.0, "A")]), r"marker at beat -2\.0"),
+        (Score(markers=[(float("nan"), "A")]), r"marker at beat nan"),
+        (Score(markers=[(559241.0, "A")]), r"marker at beat 559241"),
+        (Score(tempos=[(0.0, 0.0)]), r"tempo 0\.0 BPM"),
+        (Score(tempos=[(0.0, -90.0)]), r"tempo -90\.0 BPM"),
+        (Score(tempos=[(0.0, 1.0)]), r"tempo 1\.0 BPM"),      # 6e7 us: 4 bytes
+        (Score(tempos=[(0.0, float("inf"))]), r"tempo inf BPM"),  # 0 us
+        (Score(tempos=[(0.0, 5e-324)]), r"tempo 5e-324 BPM"),
+        (Score(meters=[(0.0, 300, 4)]), r"meter 300/4"),
+        (Score(meters=[(0.0, -1, 4)]), r"meter -1/4"),
+        (Score(meters=[(0.0, 4, 300)]), r"meter 4/300"),
+        (Score(meters=[(0.0, 4, 3)]), r"meter 4/3"),          # reads back as 4/2
+        (Score(meters=[(0.0, 4, 0)]), r"meter 4/0"),
+        (Score(markers=[(0.0, "\u0394")]), r"marker '\u0394'"),
+        (Score(tracks=[midi_track([(60, 0.0, 1.0)], "\u266b")]), r"track 0 name"),
+    ])
+    def test_bad_score_event_is_refused(self, score, message):
+        with pytest.raises(InvalidInputError, match=message):
+            write_midi(score)
+
+    def test_numpy_integer_meter_reads_back(self):
+        score = Score(meters=[(0.0, np.int64(3), np.int64(8))])
+        assert parse_midi(write_midi(score)).meters == [(0.0, 3, 8)]
+
+    def test_slowest_and_fastest_tempos_read_back(self):
+        for us in (1, 0xFFFFFF):
+            score = Score(tempos=[(0.0, 60e6 / us)])
+            assert parse_midi(write_midi(score)).tempos == score.tempos
+
+
+def _by_tick(events):
+    return sorted(events, key=lambda event: round(event[0] * 480))
+
+
+def written_content(score):
+    """:func:`score_content` of what ``parse_midi`` should read back from
+    ``write_midi(score)``, for a score on the 480-PPQN grid with no two
+    notes of one pitch in one track overlapping: the events of each kind in
+    tick order, the default tempo and meter where the score has none, each
+    track's notes by (onset, pitch), and no track for a drum track or an
+    unnamed one without notes (an empty track reads as channel 0)."""
+    tracks = []
+    for t in score.tracks:
+        if (len(t.pitch) and t.channel == 9) or not (len(t.pitch) or t.name):
+            continue
+        order = np.lexsort((t.pitch, t.onset))
+        tracks.append((t.name, t.channel if len(t.pitch) else 0,
+                       *(column[order].tolist()
+                         for column in (t.pitch, t.onset, t.duration, t.velocity))))
+    return (tracks, _by_tick(score.tempos or [(0.0, 120.0)]),
+            _by_tick(score.meters or [(0.0, 4, 4)]), _by_tick(score.markers))
+
+
+beats = st.integers(0, 20_000).map(lambda tick: tick / 480)
+latin1 = st.text(st.characters(max_codepoint=255), max_size=6)
+
+
+@st.composite
+def grid_tracks(draw):
+    """A track of notes on the 480-PPQN grid; a note that would overlap an
+    earlier one of its pitch is dropped."""
+    kept, ends = [], {}
+    for pitch, onset, length, velocity in draw(st.lists(st.tuples(
+            st.integers(0, 127), st.integers(0, 4000), st.integers(1, 2000),
+            st.integers(1, 127)), max_size=12)):
+        if all(onset >= end or onset + length <= start
+               for start, end in ends.get(pitch, [])):
+            ends.setdefault(pitch, []).append((onset, onset + length))
+            kept.append((pitch, onset / 480, length / 480, velocity))
+    return midi_track(kept, draw(latin1), draw(st.integers(0, 15)))
+
+
+class TestRoundTripProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.builds(
+        Score,
+        tracks=st.lists(grid_tracks(), max_size=3),
+        tempos=st.lists(st.tuples(beats, st.integers(1, 0xFFFFFF).map(lambda us: 60e6 / us)),
+                        max_size=3),
+        meters=st.lists(st.tuples(beats, st.integers(0, 255),
+                                  st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128])), max_size=3),
+        markers=st.lists(st.tuples(beats, latin1), max_size=3)))
+    def test_parse_gives_back_what_write_accepts(self, score):
+        assert score_content(parse_midi(write_midi(score))) == written_content(score)
 
 
 def smf(*tracks, fmt=1, division=96):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import center_of_effect, spell
 from ttvae.errors import InvalidInputError
 from ttvae.spiral import (
     CHORD_WEIGHTS,
@@ -15,11 +16,9 @@ from ttvae.spiral import (
     RISE,
     Cloud,
     SpelledPitch,
-    center_of_effect,
     cloud_diameter,
     key_center,
     pitch_position,
-    spell,
     tensile_strain,
 )
 

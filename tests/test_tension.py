@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_tension, direct_step_tension, direct_tension_curves, random_roll
+from helpers import (
+    brute_force_tension,
+    center_of_effect,
+    direct_step_tension,
+    direct_tension_curves,
+    random_roll,
+    spell,
+)
 from ttvae.errors import InvalidInputError, InvalidRollError
 from ttvae.pianoroll import (
     MELODY_REST_COL,
@@ -17,12 +24,10 @@ from ttvae.pianoroll import (
 from ttvae.spiral import (
     Cloud,
     SpelledPitch,
-    center_of_effect,
     cloud_diameter,
     cloud_tension,
     key_center,
     pitch_position,
-    spell,
     tensile_strain,
 )
 from ttvae.tension import DIAMETER_TABLE, STRAIN_TABLE, moving_average, tension_curves

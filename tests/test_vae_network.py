@@ -1,12 +1,16 @@
 """Encoder/decoder contracts, loss closed forms, and the KL schedule."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
+    InlineHelper,
     allocating_decoder_heads,
     interleaved_gru_backward,
     interleaved_gru_forward,
@@ -14,15 +18,17 @@ from helpers import (
     reference_gru_backward,
     reference_gru_forward,
 )
+from ttvae import cores
 from ttvae.errors import InvalidInputError
 from ttvae.pianoroll import N_STEPS
-from ttvae.vae import network
+from ttvae.vae import losses, network
 from ttvae.vae import (
     DecoderOutput,
     ModelConfig,
     Posterior,
     TensionVae,
     beta_schedule,
+    forward_backward,
     init_params,
     kl_divergence,
     loss,
@@ -517,3 +523,150 @@ class TestMemoryBudget:
             ModelConfig(batch_size=fits + 1)
         with pytest.raises(InvalidInputError, match="gru_layers"):
             ModelConfig(gru_layers=10**9)
+
+
+def _step_inputs(cfg, seed=7):
+    """Seeded parameters (biases nonzero) and one batch for ``forward_backward``."""
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    for value in params.values():
+        value += rng.normal(0, 0.05, value.shape).astype(np.float32)
+    batch = cfg.batch_size
+    rolls = np.stack([random_roll(rng) for _ in range(batch)]).astype(np.float32)
+    tensile, diameter = rng.uniform(0, 2, (2, batch, N_STEPS))
+    noise = rng.standard_normal((batch, cfg.latent_dim))
+    return params, cfg, rolls, tensile, diameter, noise, 0.05
+
+
+class RecordingHelper:
+    """The real helper, each task slowed by ``delay`` seconds; records every
+    future and how many tasks are running."""
+
+    def __init__(self, delay=0.0):
+        self.pool = cores.helper()
+        self.delay = delay
+        self.futures = []
+        self.running = 0
+        self.lock = threading.Lock()
+
+    def submit(self, fn, *args):
+        def run():
+            with self.lock:
+                self.running += 1
+            try:
+                time.sleep(self.delay)
+                return fn(*args)
+            finally:
+                with self.lock:
+                    self.running -= 1
+        future = self.pool.submit(run)
+        self.futures.append(future)
+        return future
+
+
+class TestSplitBackward:
+    """``forward_backward`` runs its weight gradients on the helper thread."""
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(latent_dim=16, hidden=128, gru_layers=2, batch_size=4),   # acceptance
+        ModelConfig(latent_dim=96, hidden=256, gru_layers=2, batch_size=64),  # paper default
+        ModelConfig(latent_dim=4, hidden=8, gru_layers=2, batch_size=4),
+        ModelConfig(latent_dim=8, hidden=24, gru_layers=1, batch_size=8),
+        ModelConfig(latent_dim=6, hidden=24, gru_layers=3, batch_size=5),
+    ], ids=["acceptance", "paper", "hidden8", "hidden24", "hidden24x3"])
+    def test_gradients_equal_the_helper_inlined(self, cfg, monkeypatch):
+        inputs = _step_inputs(cfg)
+        threaded = [forward_backward(*inputs) for _ in range(2)]
+        monkeypatch.setattr(cores, "helper", InlineHelper)
+        breakdown, inline = forward_backward(*inputs)
+        for got_breakdown, got in threaded:
+            assert got_breakdown == breakdown
+            assert list(got) == list(inline)
+            assert sorted(got) == sorted(network.param_shapes(cfg))
+            for name in inline:
+                assert got[name].dtype == inline[name].dtype
+                np.testing.assert_array_equal(got[name], inline[name])
+
+    def test_gradients_equal_direct_backward_calls(self):
+        params, cfg, rolls, tensile, diameter, noise, beta = _step_inputs(TINY)
+        _, got = forward_backward(params, cfg, rolls, tensile, diameter, noise, beta)
+        x, noise = rolls.astype(np.float32), noise.astype(np.float32)
+        posterior, enc_cache = network.encoder_forward(params, cfg, x)
+        out, dec_cache = network.decoder_forward(
+            params, cfg, reparameterize(posterior, noise))
+        d_logits = losses._head_logit_gradients(
+            out, x, tensile.astype(np.float32), diameter.astype(np.float32))
+        want = {}
+        dz = network.decoder_backward(params, cfg, dec_cache, d_logits, want)
+        d_mu = dz + (beta / len(x)) * posterior.mu
+        d_logvar = (dz * noise * 0.5 * np.exp(0.5 * posterior.logvar)
+                    + (beta / len(x)) * 0.5 * (np.exp(posterior.logvar) - 1.0))
+        network.encoder_backward(params, cfg, enc_cache, d_mu, d_logvar, want)
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        cfg = ModelConfig(latent_dim=6, hidden=16, gru_layers=2, batch_size=3)
+        inputs = [_step_inputs(cfg, seed) for seed in range(6)]
+        results = [None] * 6
+        together = threading.Barrier(6)
+
+        def call(i):
+            together.wait(timeout=60)
+            results[i] = forward_backward(*inputs[i])
+
+        before = set(threading.enumerate())
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(set(threading.enumerate()) - before) <= 1
+        monkeypatch.setattr(cores, "helper", InlineHelper)
+        for got, step in zip(results, inputs):
+            breakdown, want = forward_backward(*step)
+            assert got[0] == breakdown
+            for name in want:
+                np.testing.assert_array_equal(got[1][name], want[name])
+
+    @pytest.mark.parametrize("where", ["helper task", "calling thread"])
+    def test_error_comes_out_after_every_task(self, where, monkeypatch):
+        inputs = _step_inputs(ModelConfig(latent_dim=16, hidden=32, gru_layers=2,
+                                          batch_size=8))
+        recorder = RecordingHelper(delay=0.02)
+        before = set(threading.enumerate())
+        if where == "helper task":
+            real, calls = network._dense_grads, []
+
+            def failing(*pairs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise FloatingPointError("in a task")
+                return real(*pairs)
+            monkeypatch.setattr(network, "_dense_grads", failing)
+        else:
+            real, calls = network.gru_layer_backward, []
+
+            def failing(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise FloatingPointError("in the chain")
+                return real(*args, **kwargs)
+            monkeypatch.setattr(network, "gru_layer_backward", failing)
+        monkeypatch.setattr(cores, "helper", lambda: recorder)
+        with pytest.raises(FloatingPointError, match="in a task|in the chain"):
+            forward_backward(*inputs)
+        assert len(recorder.futures) >= 7  # six heads' tasks and a layer's at least
+        assert recorder.running == 0
+        assert all(future.done() for future in recorder.futures)
+        assert len(set(threading.enumerate()) - before) <= 1
+        monkeypatch.undo()
+        forward_backward(*inputs)  # the helper still works after an error
+        assert len(set(threading.enumerate()) - before) <= 1
