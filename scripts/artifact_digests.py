@@ -16,10 +16,15 @@ script also preprocesses the benchmark's seed-1 ``ingest`` corpus
 depend on where ``OUT_DIR`` is.  It takes about 10 s on two cores.
 
 Every artifact is byte-identical under a fixed seed, so two checkouts that
-print the same lines make the same artifacts.  To compare a change with its
-parent, run the script from both checkouts and ``diff`` the outputs.  Like
-the benchmark, it imports ``ttvae`` from this checkout's ``src`` and runs
-BLAS on one thread.
+print the same lines make the same artifacts.  The script imports ``ttvae``
+from this checkout's ``src`` and runs in the caller's environment.  Parts
+of the chain, the class means of ``ttv vectors`` among them, run outside
+``cores.one_blas_thread`` on as many BLAS threads as the environment gives.
+So compare a change with its parent twice, running the script from both
+checkouts and ``diff``-ing the outputs each time:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/artifact_digests.py OUT_DIR
+    env -u OPENBLAS_NUM_THREADS python3 scripts/artifact_digests.py OUT_DIR
 """
 
 import contextlib
@@ -31,7 +36,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
@@ -77,7 +81,7 @@ def main() -> None:
         "--config", "config.json")
     run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "8",
         "--out", "vectors.json")
-    # classes of one fragment: each is encoded as a 1-row batch (gemv)
+    # classes of one fragment: each mean is one row of a 64-row encode
     run("vectors", *model[:2], "--dataset", "toy.ds", "--target-n", "1",
         "--out", "vectors_n1.json")
     run("shape-vector", *model[:2], "--dataset", "toy.ds", "--target-n", "8",

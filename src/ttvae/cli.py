@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, latent
-from .atomic import write_atomic
+from .atomic import output_dir, write_atomic
 from .corpus import (
     build_dataset,
     load_dataset,
@@ -28,6 +28,7 @@ from .errors import InvalidInputError, TtvaeError
 from .generate import (
     ChainPlan,
     GenerationRequest,
+    check_compatibility,
     compose_chain,
     generate,
 )
@@ -314,8 +315,8 @@ _SWEEPS = {
 def cmd_eval(args) -> int:
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    check_compatibility(model, vectors, ckpt.ident)
+    out_dir = output_dir(args.out)
     seed = args.rng_seed or 0
     trained = ckpt.schedule.get("global_batches")
     outputs: dict[str, str] = {}

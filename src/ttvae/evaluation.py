@@ -386,6 +386,8 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
     """
     if mode not in ("upward", "high"):
         raise InvalidInputError(f"unknown interaction mode {mode!r}")
+    if not any(scales):
+        raise InvalidInputError("interaction needs a scale other than 0")
     vectors = (vector_a, vector_b)
     kinds = ("tensile", "diameter")
     measuring = {measured_curve(v.name): v for v in vectors}

@@ -32,8 +32,7 @@ DIRECTION_KINDS = ("tensile_strain_direction", "cloud_diameter_direction")
 LEVEL_KINDS = ("tensile_strain_level", "cloud_diameter_level")
 STANDARD_KINDS = DIRECTION_KINDS + LEVEL_KINDS
 DEFAULT_TARGET_N = 1000
-ENCODE_BLOCK = 256  # most rows per encoder call of the class means
-SHARED_ROWS = 8     # fewest rows of an encoder block that classes share
+ENCODE_BLOCK = 64  # rows of every encoder call of the class means
 
 
 def measured_curve(name: str) -> str:
@@ -142,19 +141,6 @@ def level_scores(curves: np.ndarray,
     return signs, np.sqrt((diffs @ diffs.transpose(0, 2, 1))[:, 0, 0])
 
 
-def direction_score(curve: np.ndarray) -> float:
-    """Correlation with the unit ramp; constant curves score 0 by convention."""
-    return shape_score(curve, RAMP_TEMPLATE)
-
-
-def shape_score(curve: np.ndarray, template: ShapeTemplate) -> float:
-    """Correlation with a shape template (ramp template == direction_score)."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != (N_STEPS,):
-        raise InvalidInputError(f"curve must have {N_STEPS} values")
-    return float(shape_scores(curve[None], template)[0])
-
-
 @dataclass
 class ClassSelection:
     """Fragment ids for the two opposed classes plus selection metadata."""
@@ -185,9 +171,7 @@ def select_classes(curves: np.ndarray, kind: str,
     shrink to half the population (direction/shape) or the side population
     (level), with a warning recorded.
     """
-    curves = np.asarray(curves, dtype=float)
-    if curves.ndim != 2 or curves.shape[1] != N_STEPS:
-        raise InvalidInputError("curves must be (n_fragments, 64)")
+    curves = _curve_rows(curves)
     n = len(curves)
     warnings = []
     if kind in DIRECTION_KINDS:
@@ -240,50 +224,32 @@ def class_means(model: TensionVae, dataset: FragmentDataset,
                 classes: list[list[int]]) -> list[np.ndarray]:
     """Float64 mean encoder code of each (non-empty) class of fragment ids.
 
-    Each fragment is encoded once, in blocks of :data:`SHARED_ROWS` to
-    :data:`ENCODE_BLOCK` rows, however many classes hold it.  A class is
-    summed one ``ENCODE_BLOCK`` chunk at a time, in class order, as one
-    encode per chunk would sum it.  That is bit for bit where the BLAS
-    computes a row of such a block whatever rows surround it.  Fewer rows
-    may take other paths (gemv for one row, small-matrix kernels), so a chunk
-    of fewer than ``SHARED_ROWS`` ids keeps an encode of its own.
+    A fragment's code is its row in an encode of exactly
+    :data:`ENCODE_BLOCK` rows: the sorted union of the class ids is encoded
+    once, in such blocks, the last padded by repeating ids.  Each class sums
+    its rows of that table in class order.  Where the BLAS computes a row of
+    a fixed-shape block whatever rows surround it, a class's mean does not
+    depend on the other classes requested with it.
     """
-    for ids in classes:
-        if not len(ids):
-            raise InvalidInputError("classes must be non-empty")
-        for idx in ids:
-            if not 0 <= idx < len(dataset):
-                raise MissingFragmentError(
-                    f"fragment id {idx} is not in the dataset (size {len(dataset)})")
-    chunks = [[tuple(ids[start:start + ENCODE_BLOCK])
-               for start in range(0, len(ids), ENCODE_BLOCK)] for ids in classes]
-    own = {part: model.encode(dataset.rolls[list(part)]).mu
-           for part in {part for parts in chunks for part in parts
-                        if len(part) < SHARED_ROWS}}
-    shared = np.unique([i for parts in chunks for part in parts
-                        if len(part) >= SHARED_ROWS for i in part]).astype(np.intp)
-    if len(shared):
-        blocks = np.array_split(shared, -(-len(shared) // ENCODE_BLOCK))
-        # np.resize repeats the ids of a block that would be too small (a
-        # chunk of one repeated id), so that it too has SHARED_ROWS rows.
-        table = np.concatenate([
-            model.encode(dataset.rolls[np.resize(block, max(len(block), SHARED_ROWS))])
-            .mu[:len(block)] for block in blocks])
-    means = []
-    for ids, parts in zip(classes, chunks):
-        total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
-        for part in parts:
-            mu = own[part] if part in own else table[np.searchsorted(shared, part)]
-            total += mu.sum(axis=0, dtype=np.float64)
-        means.append(total / len(ids))
-    return means
+    if not all(len(ids) for ids in classes):
+        raise InvalidInputError("classes must be non-empty")
+    union = np.unique(np.concatenate(classes))
+    outside = union[(union < 0) | (union >= len(dataset))]
+    if len(outside):
+        raise MissingFragmentError(f"fragment id {outside[0]} is not in the "
+                                   f"dataset (size {len(dataset)})")
+    padded = np.resize(union, -(-len(union) // ENCODE_BLOCK) * ENCODE_BLOCK)
+    table = np.concatenate([model.encode(dataset.rolls[block]).mu
+                            for block in padded.reshape(-1, ENCODE_BLOCK)])
+    return [table[np.searchsorted(union, ids)].sum(axis=0, dtype=np.float64)
+            / len(ids) for ids in classes]
 
 
 def attribute_vector(model: TensionVae, dataset: FragmentDataset,
                      class_a: list[int], class_b: list[int],
                      name: str) -> AttributeVector:
     """Difference of encoder posterior means between the two classes, each
-    fragment encoded once, in blocks of at most 256 rows (see
+    fragment's code its row of an ``ENCODE_BLOCK``-row encode (see
     :func:`class_means`)."""
     mean_a, mean_b = class_means(model, dataset, [class_a, class_b])
     return AttributeVector(name=name, values=mean_a - mean_b,
@@ -320,9 +286,9 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
     """Label the dataset and extract one attribute vector per kind.
 
     Every kind is labeled first.  Then each fragment of any class is encoded
-    once, in blocks of at most 256 rows, and each class mean is summed as one
-    encode per class chunk sums it (:func:`class_means` says when that is bit
-    for bit).
+    once, in ``ENCODE_BLOCK``-row blocks, and each class mean is summed from
+    those codes (:func:`class_means`), so a kind's vector is the same
+    whichever other kinds are built with it.
     ``restrict_ids`` limits labeling to a subset (normally the training
     split); class ids still refer to dataset positions.
     """

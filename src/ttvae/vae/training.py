@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..atomic import write_atomic
+from ..atomic import output_dir, write_atomic
 from ..corpus import FragmentDataset
 from ..errors import InvalidInputError, NumericFailureError
 from .checkpoint import save_checkpoint
@@ -169,9 +169,7 @@ def train(dataset: FragmentDataset, cfg: ModelConfig,
     rng = np.random.default_rng(loop_seed)
     optimizer = Adam(params, cfg.learning_rate)
 
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out_dir) if out_dir is not None else None
 
     def evaluate(split: str, beta: float) -> LossBreakdown:
         idx = splits[split]

@@ -51,10 +51,12 @@ from ttvae.latent import (
     STANDARD_KINDS,
     AttributeVector,
     ClassSelection,
+    ShapeTemplate,
     VectorsFile,
     apply_vector,
     level_scores,
     measured_curve,
+    shape_scores,
 )
 from ttvae.midi import (
     _META_END_OF_TRACK,
@@ -189,7 +191,8 @@ def make_dataset(rolls, tensile, diameter, source_ids=None, bar_offsets=None,
 
 # --------------------------------------------- test-only spiral and score views
 # Kept here because nothing in ``src`` calls them: a pitch class's spelling,
-# a cloud's center of effect, and one curve's level score.
+# a cloud's center of effect, and one curve's level, shape and direction
+# scores.
 
 def spell(pitch_class: int) -> SpelledPitch:
     """Map a pitch class 0..11 to its fixed line-of-fifths spelling."""
@@ -211,6 +214,19 @@ def level_score(curve: np.ndarray, threshold: float) -> tuple[int, float]:
         raise InvalidInputError(f"curve must have {N_STEPS} values")
     signs, magnitudes = level_scores(curve[None], threshold)
     return int(signs[0]), float(magnitudes[0])
+
+
+def shape_score(curve: np.ndarray, template: ShapeTemplate) -> float:
+    """Correlation with a shape template, through ``latent.shape_scores``."""
+    curve = np.asarray(curve, dtype=float)
+    if curve.shape != (N_STEPS,):
+        raise InvalidInputError(f"curve must have {N_STEPS} values")
+    return float(shape_scores(curve[None], template)[0])
+
+
+def direction_score(curve: np.ndarray) -> float:
+    """Correlation with the unit ramp; constant curves score 0 by convention."""
+    return shape_score(curve, RAMP_TEMPLATE)
 
 
 def _point(pc):
@@ -1135,9 +1151,9 @@ def reference_upward_ratio(curves, tau):
 
 
 # -------------------------------------------------- reference class means
-# ``latent.attribute_vector`` and ``build_vectors`` as they were before
-# ``latent.class_means`` encoded each labeled fragment once: every class
-# encoded on its own, 256 ids at a time, kept verbatim.
+# ``latent.attribute_vector`` and ``build_vectors`` with every class encoded
+# on its own: a fragment's code is its row in an encode of exactly 64 rows,
+# so each class is encoded in 64-row blocks, the last padded with its last id.
 
 def reference_attribute_vector(model, dataset, class_a, class_b, name):
     if not class_a or not class_b:
@@ -1147,12 +1163,12 @@ def reference_attribute_vector(model, dataset, class_a, class_b, name):
             raise MissingFragmentError(
                 f"fragment id {idx} is not in the dataset (size {len(dataset)})")
 
-    def class_mean(ids, chunk=256):
-        total = np.zeros(model.cfg.latent_dim, dtype=np.float64)
-        for start in range(0, len(ids), chunk):
-            rolls = dataset.rolls[ids[start:start + chunk]]
-            total += model.encode(rolls).mu.sum(axis=0, dtype=np.float64)
-        return total / len(ids)
+    def class_mean(ids, block=64):
+        padded = list(ids) + [ids[-1]] * (-len(ids) % block)
+        codes = np.concatenate([
+            model.encode(dataset.rolls[padded[start:start + block]]).mu
+            for start in range(0, len(padded), block)])
+        return codes[:len(ids)].sum(axis=0, dtype=np.float64) / len(ids)
 
     values = class_mean(class_a) - class_mean(class_b)
     return AttributeVector(name=name, values=values.astype(np.float64),

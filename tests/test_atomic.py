@@ -1,6 +1,7 @@
 """Artifact writes are atomic: a failed write leaves the old file as it was."""
 
 import builtins
+import errno
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from ttvae import atomic, evaluation
 from ttvae.atomic import atomic_write
 from ttvae.cli import main
 from ttvae.corpus import save_dataset
+from ttvae.errors import InvalidInputError
 from ttvae.latent import AttributeVector, VectorsFile, save_vectors
 from ttvae.midi import Score, write_midi
 from ttvae.pianoroll import encode_roll
@@ -122,6 +124,42 @@ class TestAtomicWrite:
         with pytest.raises(ValueError):
             save_dataset(broken, path)
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory",
+                                       "under a file"])
+    def test_unwritable_path_is_invalid_input(self, tmp_path, where):
+        (tmp_path / "afile").write_bytes(b"kept")
+        (tmp_path / "adir").mkdir()
+        target = {"missing directory": tmp_path / "nodir" / "x",
+                  "directory": tmp_path / "adir",
+                  "under a file": tmp_path / "afile" / "x"}[where]
+        with pytest.raises(InvalidInputError, match=str(target)):
+            with atomic_write(target) as fh:
+                fh.write(b"new")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+        assert (tmp_path / "afile").read_bytes() == b"kept"
+
+    def test_full_disk_while_writing_stays_an_os_error(self, tmp_path):
+        target = tmp_path / "artifact.bin"
+        with pytest.raises(OSError) as raised:
+            with atomic_write(target) as fh:
+                fh.write(b"new")
+                raise OSError(errno.ENOSPC, "No space left on device")
+        assert not isinstance(raised.value, InvalidInputError)
+        assert snapshot(tmp_path) == {}
+
+    @pytest.mark.parametrize("where", ["file", "under a file"])
+    def test_output_dir_that_cannot_be_a_directory(self, tmp_path, where):
+        (tmp_path / "afile").write_bytes(b"kept")
+        target = tmp_path / "afile" / ("sub" if where == "under a file" else "")
+        with pytest.raises(InvalidInputError, match=str(target)):
+            atomic.output_dir(target)
+        assert snapshot(tmp_path) == {"afile": b"kept"}
+
+    def test_output_dir_makes_parents(self, tmp_path):
+        target = tmp_path / "a" / "b"
+        assert atomic.output_dir(target) == target and target.is_dir()
+        assert atomic.output_dir(target) == target
 
     @pytest.mark.parametrize("kind", sorted(SAVERS))
     def test_save_leaves_only_the_artifact(self, tmp_path, rng, kind):

@@ -17,7 +17,7 @@ from toy import midi_track, toy_song, write_toy_corpus
 import ttvae
 from ttvae.cli import main
 from ttvae.corpus import RECORD_DTYPE, load_dataset, save_dataset, song_fragments
-from ttvae.latent import VectorsFile, save_vectors
+from ttvae.latent import AttributeVector, VectorsFile, load_vectors, save_vectors
 from ttvae.midi import Score, parse_midi, write_midi
 from ttvae.spiral import key_center
 from ttvae.vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint
@@ -590,6 +590,18 @@ class TestEval:
             "tensile_strain_direction_on_diameter",
             "cloud_diameter_direction_on_tensile"}
 
+    @pytest.mark.parametrize("scales", ["0", "0,-0,0"])
+    def test_interaction_needs_a_nonzero_scale(self, pipeline, tmp_path,
+                                               scales, capsys):
+        out = tmp_path / "reports"
+        assert main(["eval", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--experiment", "interaction", "--n", "5",
+                     f"--scales={scales}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "other than 0" in err
+        assert not any(out.iterdir())
+
     def test_pitch_dist_experiment(self, pipeline, tmp_path):
         out = tmp_path / "reports"
         assert main(["eval", "--model", str(pipeline["checkpoint"]),
@@ -677,6 +689,80 @@ class TestVectorModelMismatch:
         assert main(["generate", "--model", str(other_dir / "checkpoint.ttv"),
                      "--vectors", str(pipeline["vectors"]),
                      "--out", str(tmp_path / "g.mid")]) == 2
+
+
+    @pytest.mark.parametrize("mismatch", ["checkpoint id", "latent size"])
+    def test_eval_refuses_vectors_of_another_model(self, pipeline, tmp_path,
+                                                   mismatch, capsys):
+        vectors = load_vectors(pipeline["vectors"])
+        if mismatch == "checkpoint id":
+            vectors.checkpoint_id = "0" * 64
+        else:
+            vectors = VectorsFile(4, vectors.checkpoint_id, {
+                name: AttributeVector(name, v.values[:4], v.class_sizes,
+                                      v.effective_thresholds)
+                for name, v in vectors.vectors.items()})
+        path = tmp_path / "vectors.json"
+        save_vectors(path, vectors)
+        out = tmp_path / "reports"
+        assert main(["eval", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(path), "--experiment", "direction",
+                     "--n", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vectors file is incompatible")
+        assert not out.exists()
+
+
+class TestUnwritableOut:
+    """Every subcommand's ``--out`` that cannot be written exits 2 with an
+    ``error:`` line naming it, and leaves no temporary file behind."""
+
+    FILE_OUTS = ["analyze", "preprocess", "vectors", "shape-vector",
+                 "generate", "compose-chain"]
+    DIR_OUTS = ["train", "eval"]
+
+    @staticmethod
+    def argv(command, pipeline, corpus_dir, tmp_path):
+        model = ["--model", str(pipeline["checkpoint"])]
+        with_vectors = model + ["--vectors", str(pipeline["vectors"])]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"sections": [{"bars": 4}]}))
+        return {
+            "analyze": ["analyze", "--in", str(corpus_dir / "song00.mid")],
+            "preprocess": ["preprocess", "--in", str(corpus_dir)],
+            "train": ["train", "--dataset", str(pipeline["dataset"]),
+                      "--config", str(pipeline["root"] / "config.json")],
+            "vectors": ["vectors", *model, "--dataset",
+                        str(pipeline["dataset"]), "--target-n", "8"],
+            "shape-vector": ["shape-vector", *model, "--dataset",
+                             str(pipeline["dataset"]), "--target-n", "8"],
+            "generate": ["generate", *with_vectors, "--rng-seed", "3"],
+            "compose-chain": ["compose-chain", *with_vectors,
+                              "--plan", str(plan)],
+            "eval": ["eval", *with_vectors, "--experiment", "direction",
+                     "--n", "4"],
+        }[command]
+
+    @pytest.mark.parametrize("command, where", [
+        *[(c, w) for c in FILE_OUTS
+          for w in ("missing directory", "directory", "under a file")],
+        *[(c, w) for c in DIR_OUTS for w in ("file", "under a file")]])
+    def test_exits_two(self, pipeline, corpus_dir, tmp_path, command, where,
+                       capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "afile").write_bytes(b"kept")
+        (work / "adir").mkdir()
+        out = {"missing directory": work / "nodir" / "x",
+               "directory": work / "adir",
+               "file": work / "afile",
+               "under a file": work / "afile" / "x"}[where]
+        argv = self.argv(command, pipeline, corpus_dir, tmp_path)
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert sorted(p.name for p in work.rglob("*")) == ["adir", "afile"]
+        assert (work / "afile").read_bytes() == b"kept"
 
 
 # Runs ``ttv`` in a child process and prints its peak RSS in KiB, so a read

@@ -238,7 +238,7 @@ class TestRatios:
     def test_counting_oracle(self, rng):
         curves = rng.uniform(0, 2, size=(50, 64))
         tau = 0.2
-        from ttvae.latent import direction_score
+        from helpers import direction_score
         expected = np.mean([direction_score(c) > tau for c in curves])
         assert upward_ratio(curves, tau) == pytest.approx(expected)
 

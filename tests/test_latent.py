@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    direction_score,
     level_score,
     make_dataset,
     random_roll,
@@ -16,10 +17,12 @@ from helpers import (
     reference_shape_score,
     reference_top_ids,
     reference_upward_ratio,
+    shape_score,
 )
 from ttvae.evaluation import upward_ratio
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
+    ENCODE_BLOCK,
     RAMP_TEMPLATE,
     STANDARD_KINDS,
     AttributeVector,
@@ -28,13 +31,12 @@ from ttvae.latent import (
     _top_ids,
     attribute_vector,
     build_vectors,
-    direction_score,
+    class_means,
     level_scores,
     load_vectors,
     measured_curve,
     save_vectors,
     select_classes,
-    shape_score,
     shape_scores,
     triangle_template,
 )
@@ -520,9 +522,9 @@ class TestClassMeansEqualPerClass:
 
 
 class TestEncodeOnce:
-    """Each labeled fragment goes through the encoder once, in blocks of 8 to
-    256 rows; only a class chunk of fewer than 8 ids (a 1-row chunk among
-    them) gets an encode of its own."""
+    """Every encoder call of the class means has exactly ``ENCODE_BLOCK`` =
+    64 rows; the sorted union of the class ids fills them once, and the last
+    block is padded with ids of the union."""
 
     def encoded_rows(self, monkeypatch, model, dataset):
         row_id = {roll.tobytes(): i for i, roll in enumerate(dataset.rolls)}
@@ -536,31 +538,80 @@ class TestEncodeOnce:
         monkeypatch.setattr(model, "encode", counting)
         return calls
 
+    @staticmethod
+    def assert_blocks(calls, union):
+        rows = [i for ids in calls for i in ids]
+        assert ENCODE_BLOCK == 64
+        assert all(len(ids) == ENCODE_BLOCK for ids in calls)
+        assert len(calls) == -(-len(union) // ENCODE_BLOCK)
+        assert rows[:len(union)] == union
+        assert set(rows[len(union):]) <= set(union)
+
     @pytest.mark.parametrize("target_n", [5, 32, 256, 257, 263])
     def test_each_fragment_once(self, monkeypatch, wide_dataset, target_n):
         model = encoder(8)
         calls = self.encoded_rows(monkeypatch, model, wide_dataset)
         build_vectors(model, wide_dataset, target_n=target_n)
-        classes = []
+        union = set()
         for kind in STANDARD_KINDS:
             curves = getattr(wide_dataset, measured_curve(kind))
             selection = select_classes(curves, kind, target_n)
-            classes += [selection.class_a, selection.class_b]
-        chunks = [ids[start:start + 256] for ids in classes
-                  for start in range(0, len(ids), 256)]
-        shared = sorted({i for c in chunks if len(c) >= 8 for i in c})
-        small = {tuple(c) for c in chunks if len(c) < 8}
-        blocks = [ids for ids in calls if len(ids) >= 8]
-        assert sorted(i for ids in blocks for i in ids) == shared
-        assert all(len(ids) <= 256 for ids in blocks)
-        assert len(blocks) == -(-len(shared) // 256)
-        assert sorted(tuple(ids) for ids in calls if len(ids) < 8) == sorted(small)
-        assert bool(small) == (0 < target_n % 256 < 8)
+            union.update(selection.class_a + selection.class_b)
+        self.assert_blocks(calls, sorted(union))
 
     def test_one_call_for_a_small_training_split(self, monkeypatch, wide_dataset):
         model = encoder(8)
         calls = self.encoded_rows(monkeypatch, model, wide_dataset)
         build_vectors(model, wide_dataset, target_n=1000,
                       restrict_ids=list(range(64)))
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) <= 64
+        self.assert_blocks(calls, list(range(64)))
+
+
+@pytest.fixture(scope="module")
+def fragments_300():
+    rng = np.random.default_rng(31)
+    n = 300
+    return make_dataset(rng.integers(0, 2, size=(n, 64, 89)),
+                        rng.normal(1.0, 0.5, size=(n, 64)),
+                        rng.normal(2.0, 0.5, size=(n, 64)))
+
+
+class TestClassMeansInvariant:
+    """A class's mean is a function of the class alone: the same bytes
+    whatever other classes are requested with it and in whatever order.
+    The (hidden, latent) widths include 6, 20 and 24, where this BLAS rounds
+    a row of the head matmul by the block that holds it; at target 40 and
+    100 one kind's union and all four kinds' unions differ in size."""
+
+    @pytest.fixture(scope="class", params=[(128, 6), (256, 20), (256, 24),
+                                           (24, 8)], ids=str)
+    def model(self, request):
+        hidden, latent_dim = request.param
+        return TensionVae.initialize(ModelConfig(
+            latent_dim=latent_dim, hidden=hidden, gru_layers=1, rng_seed=7))
+
+    @pytest.mark.parametrize("target_n", [40, 100])
+    def test_other_classes_move_no_mean(self, model, fragments_300, target_n):
+        classes = []
+        for kind in STANDARD_KINDS:
+            curves = getattr(fragments_300, measured_curve(kind))
+            selection = select_classes(curves, kind, target_n)
+            classes += [selection.class_a, selection.class_b]
+        together = class_means(model, fragments_300, classes)
+        order = np.random.default_rng(target_n).permutation(len(classes))
+        shuffled = class_means(model, fragments_300,
+                               [classes[i] for i in order])
+        for i, ids in enumerate(classes):
+            (alone,) = class_means(model, fragments_300, [ids])
+            assert alone.tobytes() == together[i].tobytes()
+        assert [shuffled[np.flatnonzero(order == i)[0]].tobytes()
+                for i in range(len(classes))] == [m.tobytes() for m in together]
+
+    @pytest.mark.parametrize("target_n", [40, 100])
+    def test_one_kind_as_with_all(self, model, fragments_300, target_n):
+        every = build_vectors(model, fragments_300, target_n=target_n)
+        for kind in STANDARD_KINDS:
+            one = build_vectors(model, fragments_300, kinds=[kind],
+                                target_n=target_n)
+            assert vector_bytes(one) == [
+                entry for entry in vector_bytes(every) if entry[0] == kind]

@@ -2,8 +2,9 @@
 functions by name, so deleting or renaming one breaks the traced run.
 
 Some of them (``pianoroll.encode_roll``, ``latent.attribute_vector``,
-``evaluation.direction_sweep`` and ``level_sweep``,
-``training.evaluate_split``) have no caller in ``src/`` and must stay.
+``evaluation.direction_sweep`` and ``level_sweep``) have no caller in
+``src/`` and must stay.  ``training.evaluate_split``, which ``train`` calls,
+is checked with them.
 """
 
 import importlib.util
