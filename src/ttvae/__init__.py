@@ -13,7 +13,7 @@ The ``ttv`` command line (:mod:`ttvae.cli`) drives all of it.
 from .corpus import Fragment, FragmentDataset, Key, Mode, build_dataset, load_dataset, save_dataset
 from .errors import TtvaeError
 from .latent import AttributeVector, ShapeTemplate, VectorsFile, apply_vector, build_vectors
-from .pianoroll import NoteEvent, TrackPair, decode_roll, encode_roll
+from .pianoroll import decode_roll, encode_roll
 from .spiral import Cloud, SpelledPitch
 from .tension import moving_average, tension_curves
 from .vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint, train
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeVector", "Cloud", "Fragment", "FragmentDataset", "Key", "Mode",
-    "ModelConfig", "NoteEvent", "ShapeTemplate", "SpelledPitch", "TensionVae",
-    "TrackPair", "TtvaeError", "VectorsFile",
+    "ModelConfig", "ShapeTemplate", "SpelledPitch", "TensionVae",
+    "TtvaeError", "VectorsFile",
     "apply_vector", "build_dataset", "build_vectors", "decode_roll",
     "encode_roll", "load_checkpoint", "load_dataset", "moving_average",
     "save_checkpoint", "save_dataset", "tension_curves", "train",

@@ -6,7 +6,8 @@ old file or the new one, never a partial write.  A writer that raises leaves
 the old file byte-identical and removes its temporary file.  (The data is not
 fsync'ed: this guards against a failing or killed writer, not against a
 power cut.)  An output path that cannot hold the file raises
-InvalidInputError; a full disk while writing stays an OSError.
+InvalidInputError; a full disk while writing stays an OSError.  Commands run
+:func:`check_output` on their output files before their work.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ def write_atomic(path, data: bytes | str) -> None:
     """Replace ``path`` with ``data``; a str is written as UTF-8."""
     with atomic_write(path) as fh:
         fh.write(data.encode() if isinstance(data, str) else data)
+
+
+def check_output(path) -> Path:
+    """``path`` as a Path, once it can take a file: InvalidInputError names
+    it if a directory stands there or its directory does not exist."""
+    path = Path(path)
+    if path.is_dir():
+        raise InvalidInputError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise InvalidInputError(
+            f"cannot write {path}: {path.parent} is not a directory")
+    return path
 
 
 def output_dir(path) -> Path:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation, latent
-from .atomic import output_dir, write_atomic
+from .atomic import check_output, output_dir, write_atomic
 from .corpus import (
     build_dataset,
     load_dataset,
@@ -67,7 +67,16 @@ def _fragment_csv(fragments, keys_line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _outputs(path, suffix: str) -> tuple[Path, Path]:
+    """``--out`` and the file written beside it, ``<out><suffix>``, both
+    checked by :func:`check_output` before the command's work."""
+    out = check_output(path)
+    return out, check_output(out.with_name(out.name + suffix))
+
+
 def cmd_analyze(args) -> int:
+    if args.out:
+        check_output(args.out)
     score = parse_midi(read_midi_file(args.infile))
     fragments, key, warnings = song_fragments(
         score, args.melody_track, args.bass_track)
@@ -100,6 +109,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    _outputs(args.out, ".json")
     dataset = build_dataset(args.indir, args.melody_track, args.bass_track)
     save_dataset(dataset, args.out)
     summary = {
@@ -155,6 +165,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    check_output(args.out)
     model, ckpt = _load_model(args.model)
     dataset = load_dataset(args.dataset)
     kinds = list(STANDARD_KINDS) if args.kinds == "all" \
@@ -197,6 +208,7 @@ def _load_template(args) -> ShapeTemplate:
 
 
 def cmd_shape_vector(args) -> int:
+    out = check_output(args.out)
     model, ckpt = _load_model(args.model)
     dataset = load_dataset(args.dataset)
     template = _load_template(args)
@@ -210,7 +222,6 @@ def cmd_shape_vector(args) -> int:
     vector = built.vectors.pop(kind)
     vector.name = name
     built.vectors[name] = vector
-    out = Path(args.out)
     if out.exists():
         existing = load_vectors(out)
         if existing.latent_dim == built.latent_dim \
@@ -259,13 +270,12 @@ def _request_from_args(args) -> GenerationRequest:
 
 
 def cmd_generate(args) -> int:
+    out, report_path = _outputs(args.out, ".tension.json")
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
     request = _request_from_args(args)
     result = generate(model, vectors, request, checkpoint_id=ckpt.ident)
-    out = Path(args.out)
     write_atomic(out, result.midi_bytes)
-    report_path = out.with_name(out.name + ".tension.json")
     evaluation.write_json(report_path, result.report)
     if args.json:
         _print_json({"midi": str(out), "report": str(report_path),
@@ -276,15 +286,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compose_chain(args) -> int:
+    out, report_path = _outputs(args.out, ".tension.json")
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
     plan = ChainPlan.from_dict(read_json(args.plan, "plan"))
     request = _request_from_args(args)
     result = compose_chain(model, vectors, plan, request,
                            checkpoint_id=ckpt.ident)
-    out = Path(args.out)
     write_atomic(out, result.midi_bytes)
-    report_path = out.with_name(out.name + ".tension.json")
     evaluation.write_json(report_path, result.report)
     if args.json:
         _print_json({"midi": str(out), "report": str(report_path),

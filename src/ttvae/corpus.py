@@ -41,9 +41,7 @@ from .pianoroll import (
     N_FEATURES,
     N_STEPS,
     STEPS_PER_BAR,
-    NoteEvent,
-    decode_track,
-    encode_steps,
+    encode_roll,
     validate_roll,
 )
 from .tension import tension_curves
@@ -140,20 +138,12 @@ class FragmentDataset:
 @dataclass(frozen=True, eq=False)
 class SongSteps:
     """A song's melody and bass on the 16th grid: ``pitch`` and ``onset`` are
-    (2, steps), melody then bass, as :func:`ttvae.pianoroll.encode_steps`
+    (2, steps), melody then bass, as :func:`ttvae.pianoroll.encode_roll`
     reads them.  ``tracks`` are the song's tracks, drum tracks left out."""
 
     pitch: np.ndarray
     onset: np.ndarray
     tracks: list[MidiTrack]
-
-    @property
-    def melody(self) -> list[NoteEvent]:
-        return decode_track(self.pitch[0], self.onset[0], -1, int)
-
-    @property
-    def bass(self) -> list[NoteEvent]:
-        return decode_track(self.pitch[1], self.onset[1], -1, int)
 
 
 def _skyline(pitch: np.ndarray, onset: np.ndarray, end: np.ndarray,
@@ -330,7 +320,7 @@ def segment(song: SongSteps, meters: list[tuple[float, int, int]] | None = None,
     pitch, onset = pitch[:, steps], onset[:, steps]
     kept = (pitch >= 0).any(axis=2).all(axis=0)
     return (list(compress(offsets, kept)),
-            encode_steps(pitch[:, kept], onset[:, kept]), warnings)
+            encode_roll(pitch[:, kept], onset[:, kept]), warnings)
 
 
 def _song_rolls(score: Score, melody_name: str | None, bass_name: str | None,

@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 from .evaluation import decode_hardened
 from .latent import VectorsFile, apply_vector
 from .midi import MidiTrack, Score, parse_midi, write_midi
-from .pianoroll import BARS_PER_FRAGMENT, TrackPair, decode_roll
+from .pianoroll import BARS_PER_FRAGMENT, decode_roll
 from .vae.network import TensionVae, sample_latent
 
 OUTPUT_BPM = 120.0
@@ -132,19 +132,33 @@ def apply_edits(z: np.ndarray, vectors: VectorsFile,
     return z
 
 
-def pair_to_score(pair: TrackPair, markers: list[tuple[float, str]] | None = None,
-                  ) -> Score:
-    """Render a (possibly multi-fragment) track pair at 120 BPM, 4/4."""
-    def track(name, channel, events):
-        n = np.array([(e.pitch, e.onset, e.duration, OUTPUT_VELOCITY) for e in events],
-                     np.int64).reshape(-1, 4)
-        return MidiTrack(name, channel, n[:, 0], n[:, 1] / 4.0, n[:, 2] / 4.0, n[:, 3])
+def _line_track(name: str, channel: int, pitch: np.ndarray,
+                onset: np.ndarray) -> MidiTrack:
+    """One per-step line, pitch (-1 where silent) and onset flags, as note
+    columns.  A note starts where a pitch sounds after silence or after
+    another pitch, or on an onset flag; it ends at the next start or rest."""
+    sounding = pitch >= 0
+    starts = sounding & (onset | (pitch != np.append(-1, pitch[:-1])))
+    edges = np.append(np.flatnonzero(starts | ~sounding), len(pitch))
+    notes = starts[edges[:-1]]
+    begin, end = edges[:-1][notes], edges[1:][notes]
+    return MidiTrack(name, channel, pitch[begin].astype(np.int64), begin / 4.0,
+                     (end - begin) / 4.0,
+                     np.full(len(begin), OUTPUT_VELOCITY, np.int64))
 
+
+def steps_to_score(pitch: np.ndarray, onset: np.ndarray,
+                   markers: list[tuple[float, str]] = ()) -> Score:
+    """Render the melody and bass lines of :func:`ttvae.pianoroll.decode_roll`,
+    (2, ..., 64) each and read in order as one run of steps, at 120 BPM in
+    4/4."""
+    pitch, onset = pitch.reshape(2, -1), onset.reshape(2, -1)
     return Score(
-        tracks=[track("melody", 0, pair.melody), track("bass", 1, pair.bass)],
+        tracks=[_line_track("melody", 0, pitch[0], onset[0]),
+                _line_track("bass", 1, pitch[1], onset[1])],
         tempos=[(0.0, OUTPUT_BPM)],
         meters=[(0.0, 4, 4)],
-        markers=list(markers or []),
+        markers=list(markers),
     )
 
 
@@ -173,7 +187,6 @@ def generate(model: TensionVae, vectors: VectorsFile,
     z, seed_info = seed_latent(model, request)
     original = decode_hardened(model, z[None])
     edited = decode_hardened(model, apply_edits(z, vectors, request.edits)[None])
-    pair = decode_roll(edited[0][0])
     report = {
         "seed": seed_info,
         "edits": [[name, float(scale)] for name, scale in request.edits],
@@ -181,8 +194,9 @@ def generate(model: TensionVae, vectors: VectorsFile,
         "original": _curve_report(original),
         "modified": _curve_report(edited),
     }
-    return GenerationResult(midi_bytes=write_midi(pair_to_score(pair)),
-                            report=report)
+    return GenerationResult(
+        midi_bytes=write_midi(steps_to_score(*decode_roll(edited[0]))),
+        report=report)
 
 
 def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
@@ -190,39 +204,34 @@ def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
     """Concatenate 4-bar blocks decoded from cumulatively edited seeds.
 
     Every section re-edits the previous section's latent (edits accumulate),
-    and all blocks within a section decode the same latent.  Section starts
-    carry MIDI markers.
+    and its decoded block repeats for the section's length.  The blocks
+    decode as one stack, whose lines are read block after block; each
+    block's step 0 starts the notes sounding there, so no note runs across
+    a block boundary.  Section starts carry MIDI markers.
     """
     check_compatibility(model, vectors, checkpoint_id)
     z, seed_info = seed_latent(model, request)
-    melody, bass = [], []
-    markers = []
-    sections_report = []
+    blocks, markers, sections_report = [], [], []
     bar_cursor = 0
     for number, section in enumerate(plan.sections, start=1):
         z = apply_edits(z, vectors, section.edits)
         hardened = decode_hardened(model, z[None])
-        block_pair = decode_roll(hardened[0][0])
+        blocks.append(hardened[0])
         markers.append((bar_cursor * 4.0, f"section {number}"))
+        bar_cursor += section.bars
         sections_report.append({
             "section": number,
             "bars": section.bars,
             "edits": [[name, float(scale)] for name, scale in section.edits],
             **_curve_report(hardened),
         })
-        for _ in range(section.bars // BARS_PER_FRAGMENT):
-            offset = bar_cursor * 16
-            melody.extend(type(n)(n.pitch, n.onset + offset, n.duration)
-                          for n in block_pair.melody)
-            bass.extend(type(n)(n.pitch, n.onset + offset, n.duration)
-                        for n in block_pair.bass)
-            bar_cursor += BARS_PER_FRAGMENT
-    pair = TrackPair(melody=melody, bass=bass)
+    rolls = np.repeat(np.concatenate(blocks), [
+        section.bars // BARS_PER_FRAGMENT for section in plan.sections], axis=0)
+    score = steps_to_score(*decode_roll(rolls), markers)
     report = {
         "seed": seed_info,
         "checkpoint_id": checkpoint_id,
         "total_bars": plan.total_bars(),
         "sections": sections_report,
     }
-    return GenerationResult(
-        midi_bytes=write_midi(pair_to_score(pair, markers)), report=report)
+    return GenerationResult(midi_bytes=write_midi(score), report=report)

@@ -17,11 +17,9 @@ decode it is realized in the octave rooted at C2 (MIDI 36).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRollError
+from .errors import InvalidRollError
 
 N_STEPS = 64
 N_FEATURES = 89
@@ -39,42 +37,6 @@ BASS_DECODE_BASE = 36         # C2; the roll stores no bass octave
 
 MELODY_PITCH_COLS = slice(0, MELODY_REST_COL + 1)
 BASS_PITCH_COLS = slice(BASS_PITCH_START, BASS_REST_COL + 1)
-
-
-@dataclass(frozen=True)
-class NoteEvent:
-    """A note on the 16th-note grid: MIDI pitch, onset step, duration in steps."""
-
-    pitch: int
-    onset: int
-    duration: int
-
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise InvalidInputError(f"pitch must be in 0..127, got {self.pitch}")
-        if self.onset < 0:
-            raise InvalidInputError(f"onset must be >= 0, got {self.onset}")
-        if self.duration < 1:
-            raise InvalidInputError(f"duration must be >= 1, got {self.duration}")
-
-    @property
-    def end(self) -> int:
-        return self.onset + self.duration
-
-
-@dataclass
-class TrackPair:
-    """Monophonic melody and bass tracks, sorted and non-overlapping."""
-
-    melody: list[NoteEvent] = field(default_factory=list)
-    bass: list[NoteEvent] = field(default_factory=list)
-
-    def __post_init__(self):
-        for name, notes in (("melody", self.melody), ("bass", self.bass)):
-            for a, b in zip(notes, notes[1:]):
-                if b.onset < a.end:
-                    raise InvalidInputError(
-                        f"{name} notes overlap or are unsorted at step {b.onset}")
 
 
 # reduceat starts of the column runs that ``validate_roll`` sums per step:
@@ -116,7 +78,7 @@ def validate_roll(roll: np.ndarray) -> None:
         raise InvalidRollError("bass onset flagged on a rest step")
 
 
-def encode_steps(pitch: np.ndarray, onset: np.ndarray) -> np.ndarray:
+def encode_roll(pitch: np.ndarray, onset: np.ndarray) -> np.ndarray:
     """Encode per-step tracks into rolls (..., 64, 89) in one pass.
 
     ``pitch`` and ``onset`` are (2, ..., 64), melody then bass: the MIDI
@@ -138,64 +100,24 @@ def encode_steps(pitch: np.ndarray, onset: np.ndarray) -> np.ndarray:
     return rolls
 
 
-def encode_roll(pair: TrackPair) -> np.ndarray:
-    """Encode a quantized 4-bar window into the 64x89 binary matrix.
+def decode_roll(rolls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`encode_roll`: ``(pitch, onset)``, each (2, ..., 64).
 
-    Total over its inputs: melody notes outside MIDI 24..96 become rests, and
-    notes are cropped to the 64-step window (see :func:`encode_steps`).
+    ``rolls`` is one (64, 89) roll or a stack (n, 64, 89).  Rests read as
+    pitch -1, the bass is realized in the C2-rooted octave, and a pitch
+    sounding at step 0 starts there.
     """
-    pitch = np.full((2, N_STEPS), -1)
-    onset = np.zeros((2, N_STEPS), dtype=bool)
-    for row, notes in enumerate((pair.melody, pair.bass)):
-        for note in notes:
-            if note.onset < N_STEPS:
-                pitch[row, note.onset:note.end] = note.pitch
-                onset[row, note.onset] = True
-    return encode_steps(pitch, onset)
-
-
-def decode_track(pitches: np.ndarray, onsets: np.ndarray, rest_value: int,
-                 to_pitch) -> list[NoteEvent]:
-    """Segment per-step pitch/onset columns, of any length, into note events.
-
-    A note starts where the onset flag is set, or where the pitch value
-    changes without one (legato split); it sustains while the pitch column
-    stays put and no new onset occurs.
-    """
-    notes: list[NoteEvent] = []
-    current_pitch = None
-    current_start = 0
-    for step in range(len(pitches)):
-        value = int(pitches[step])
-        sounding = value != rest_value
-        starts_new = sounding and (
-            bool(onsets[step]) or current_pitch is None or value != current_pitch)
-        if (not sounding or starts_new) and current_pitch is not None:
-            notes.append(NoteEvent(to_pitch(current_pitch), current_start,
-                                   step - current_start))
-            current_pitch = None
-        if starts_new:
-            current_pitch = value
-            current_start = step
-    if current_pitch is not None:
-        notes.append(NoteEvent(to_pitch(current_pitch), current_start,
-                               len(pitches) - current_start))
-    return notes
-
-
-def decode_roll(roll: np.ndarray) -> TrackPair:
-    """Invert :func:`encode_roll`; bass realized in the C2-rooted octave."""
-    validate_roll(roll)
-    if roll.ndim != 2:
-        raise InvalidRollError("decode_roll takes one roll, not a stack")
-    melody_cols = roll[:, MELODY_PITCH_COLS].argmax(axis=1)
-    bass_cols = roll[:, BASS_PITCH_COLS].argmax(axis=1)
-    melody = decode_track(melody_cols, roll[:, MELODY_ONSET_COL],
-                          MELODY_REST_COL, lambda c: c + MELODY_LOW)
-    bass = decode_track(bass_cols, roll[:, BASS_ONSET_COL],
-                        BASS_REST_COL - BASS_PITCH_START,
-                        lambda c: BASS_DECODE_BASE + c)
-    return TrackPair(melody=melody, bass=bass)
+    validate_roll(rolls)
+    melody = rolls[..., MELODY_PITCH_COLS].argmax(axis=-1)
+    bass = rolls[..., BASS_PITCH_COLS].argmax(axis=-1)
+    pitch = np.stack([
+        np.where(melody == MELODY_REST_COL, -1, melody + MELODY_LOW),
+        np.where(bass == BASS_REST_COL - BASS_PITCH_START, -1,
+                 bass + BASS_DECODE_BASE)])
+    onset = np.stack([rolls[..., MELODY_ONSET_COL],
+                      rolls[..., BASS_ONSET_COL]]) == 1
+    onset[..., 0] |= pitch[..., 0] >= 0
+    return pitch, onset
 
 
 def melody_pitch_classes(roll: np.ndarray) -> np.ndarray:

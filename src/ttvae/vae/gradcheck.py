@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InvalidInputError
 from ..pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_START,
@@ -91,7 +92,8 @@ def _sample_coordinates(params: dict, n_weights: int,
 def gradient_check(hidden: int = 8, latent: int = 4, gru_layers: int = 2,
                    batch: int = 3, n_weights: int = 200, step: float = 1e-4,
                    beta: float = 0.004, seed: int = 0) -> GradCheckResult:
-    """Compare analytic and central-difference gradients on a tiny model.
+    """Compare analytic and central-difference gradients on a tiny model,
+    at ``n_weights`` distinct weights, at most the model's weight count.
 
     The relative error denominator is floored at 1e-5: central differences
     at this step size carry ~1e-11 of rounding noise on the derivative, so
@@ -103,6 +105,10 @@ def gradient_check(hidden: int = 8, latent: int = 4, gru_layers: int = 2,
     rng = np.random.default_rng(seed)
     params = {k: v.astype(np.float64)
               for k, v in init_params(cfg, rng, dtype=np.float64).items()}
+    n_params = sum(p.size for p in params.values())
+    if n_weights > n_params:
+        raise InvalidInputError(f"cannot sample {n_weights} weights: the "
+                                f"model has {n_params}")
     rolls = synthetic_rolls(rng, batch)
     tensile = rng.uniform(0.0, 2.0, size=(batch, N_STEPS))
     diameter = rng.uniform(0.0, 2.0, size=(batch, N_STEPS))

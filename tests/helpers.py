@@ -43,6 +43,7 @@ from ttvae.evaluation import (
     rhythm_fscore,
     upward_ratio,
 )
+from ttvae.generate import OUTPUT_BPM, OUTPUT_VELOCITY
 from ttvae.latent import (
     DEFAULT_TARGET_N,
     DIRECTION_KINDS,
@@ -65,6 +66,7 @@ from ttvae.midi import (
     _META_TIME_SIGNATURE,
     _META_TRACK_NAME,
     DRUM_CHANNEL,
+    MidiTrack,
     Score,
     parse_midi,
 )
@@ -80,9 +82,8 @@ from ttvae.pianoroll import (
     MELODY_REST_COL,
     N_FEATURES,
     N_STEPS,
+    BASS_DECODE_BASE,
     STEPS_PER_BAR,
-    NoteEvent,
-    TrackPair,
     bass_pitch_classes,
     encode_roll,
     melody_pitch_classes,
@@ -117,6 +118,43 @@ class InlineHelper:
         return future
 
 
+class Note(namedtuple("Note", "pitch onset duration")):
+    """A note on the 16th-note grid: MIDI pitch, onset step, duration in steps."""
+
+    __slots__ = ()
+
+    @property
+    def end(self):
+        return self.onset + self.duration
+
+
+# A melody and a bass as lists of notes, as the per-note references hold them.
+NotePair = namedtuple("NotePair", "melody bass")
+
+
+def window(melody=(), bass=(), steps=N_STEPS):
+    """``(pitch, onset)`` step grids, (2, steps), of melody and bass notes
+    given as (pitch, onset, duration) triples: -1 where silent, onset set
+    where a note starts.  Notes paint their steps in order, cropped to the
+    grid."""
+    pitch = np.full((2, steps), -1)
+    onset = np.zeros((2, steps), dtype=bool)
+    for row, notes in enumerate((melody, bass)):
+        for note_pitch, start, duration in notes:
+            if start < steps:
+                pitch[row, start:start + duration] = note_pitch
+                onset[row, start] = True
+    return pitch, onset
+
+
+def song_steps(melody=(), bass=()):
+    """The :class:`ttvae.corpus.SongSteps` of melody and bass notes, as
+    ``extract_tracks`` would hold them: the grid ends with the last note."""
+    total = max((start + duration for _, start, duration in [*melody, *bass]),
+                default=0)
+    return SongSteps(*window(melody, bass, total), [])
+
+
 def random_track(rng, low, high, rest_prob=0.25, max_len=8):
     """Random monophonic quantized track covering 64 steps."""
     notes = []
@@ -126,34 +164,34 @@ def random_track(rng, low, high, rest_prob=0.25, max_len=8):
         length = min(length, N_STEPS - step)
         if rng.random() > rest_prob:
             pitch = int(rng.integers(low, high + 1))
-            notes.append(NoteEvent(pitch, step, length))
+            notes.append(Note(pitch, step, length))
         step += length
     return notes
 
 
-def random_window(rng, bass_low=36, bass_high=47):
+def random_notes(rng, bass_low=36, bass_high=47):
     """Random in-range 4-bar window (melody 24..96, bass decodable octave)."""
-    return TrackPair(
-        melody=random_track(rng, MELODY_LOW, 96),
-        bass=random_track(rng, bass_low, bass_high, rest_prob=0.2),
-    )
+    return NotePair(random_track(rng, MELODY_LOW, 96),
+                    random_track(rng, bass_low, bass_high, rest_prob=0.2))
 
 
-def song_steps(pair):
-    """The :class:`ttvae.corpus.SongSteps` of a :class:`TrackPair`, as
-    ``extract_tracks`` would hold its notes."""
-    total = max((n.end for n in pair.melody + pair.bass), default=0)
-    pitch = np.full((2, total), -1)
-    onset = np.zeros((2, total), dtype=bool)
-    for row, notes in enumerate((pair.melody, pair.bass)):
-        for note in notes:
-            pitch[row, note.onset:note.end] = note.pitch
-            onset[row, note.onset] = True
-    return SongSteps(pitch, onset, [])
+def random_window(rng):
+    """The step grids of :func:`random_notes`."""
+    return window(*random_notes(rng))
 
 
 def random_roll(rng):
-    return encode_roll(random_window(rng))
+    return encode_roll(*random_window(rng))
+
+
+def check_notes(notes):
+    """Assert that ``notes`` form one valid monophonic track: pitches in
+    0..127, onsets from 0, durations of a step or more, sorted and not
+    overlapping."""
+    for note in notes:
+        assert 0 <= note.pitch <= 127 and note.onset >= 0 and note.duration >= 1
+    for a, b in zip(notes, notes[1:]):
+        assert b.onset >= a.end
 
 
 def reference_validate_roll(roll: np.ndarray) -> None:
@@ -751,12 +789,12 @@ def reference_skyline(quantized, keep_high):
     for step, chosen in enumerate(best):
         identity = None if chosen is None else chosen[2]
         if current is not None and identity != current[0]:
-            notes.append(NoteEvent(current[1], current[2], step - current[2]))
+            notes.append(Note(current[1], current[2], step - current[2]))
             current = None
         if chosen is not None and current is None:
             current = (identity, chosen[3], step)
     if current is not None:
-        notes.append(NoteEvent(current[1], current[2], total - current[2]))
+        notes.append(Note(current[1], current[2], total - current[2]))
     return notes
 
 
@@ -790,7 +828,7 @@ def reference_slice_track(notes, start, end):
         if n.onset < end and n.end > start:
             lo = max(n.onset, start)
             hi = min(n.end, end)
-            out.append(NoteEvent(n.pitch, lo - start, hi - lo))
+            out.append(Note(n.pitch, lo - start, hi - lo))
     return out
 
 
@@ -805,20 +843,6 @@ def _ref_empty():
     return FragmentDataset(np.zeros((0, N_STEPS, N_FEATURES), np.uint8),
                            np.zeros((0, N_STEPS), np.float32),
                            np.zeros((0, N_STEPS), np.float32), [], [])
-
-
-def _ref_unchecked_note(pitch, onset, duration):
-    note = object.__new__(NoteEvent)
-    object.__setattr__(note, "__dict__",
-                       {"pitch": pitch, "onset": onset, "duration": duration})
-    return note
-
-
-def _ref_unchecked_pair(melody, bass):
-    pair = object.__new__(TrackPair)
-    pair.melody = melody
-    pair.bass = bass
-    return pair
 
 
 def _ref_quantize_notes(notes):
@@ -843,7 +867,7 @@ def _ref_skyline(quantized, keep_high):
         owner[onset:onset + dur] = idx
     starts = np.flatnonzero(np.diff(owner, prepend=-2)).tolist()
     ends = starts[1:] + [total]
-    return [_ref_unchecked_note(quantized[idx][0], start, end - start)
+    return [Note(quantized[idx][0], start, end - start)
             for idx, start, end in zip(owner[starts].tolist(), starts, ends)
             if idx >= 0]
 
@@ -881,7 +905,7 @@ def reference_extract_tracks(score, melody_name=None, bass_name=None):
         raise InvalidSongError(
             f"melody and bass run {extent} 16th steps, past the cap of "
             f"{MAX_SONG_BARS} bars of 4/4")
-    return _ref_unchecked_pair(_ref_skyline(melody, keep_high=True),
+    return NotePair(_ref_skyline(melody, keep_high=True),
                                _ref_skyline(bass, keep_high=False))
 
 
@@ -909,10 +933,10 @@ def _ref_clamp_pitch(pitch):
 def reference_transpose_pair(pair, shift):
     if shift == 0:
         return pair
-    return _ref_unchecked_pair(
-        [_ref_unchecked_note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+    return NotePair(
+        [Note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
          for n in pair.melody],
-        [_ref_unchecked_note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
+        [Note(_ref_clamp_pitch(n.pitch + shift), n.onset, n.duration)
          for n in pair.bass])
 
 
@@ -942,7 +966,7 @@ def _ref_slice_track(notes, ends, start, end):
             break
         lo = max(n.onset, start)
         hi = min(ends[i], end)
-        out.append(_ref_unchecked_note(n.pitch, lo - start, hi - lo))
+        out.append(Note(n.pitch, lo - start, hi - lo))
     return out
 
 
@@ -969,7 +993,7 @@ def reference_segment(pair, meters=None):
         bass = _ref_slice_track(pair.bass, bass_ends, start, start + N_STEPS)
         if not melody or not bass:
             continue
-        fragments.append((first, _ref_unchecked_pair(melody, bass)))
+        fragments.append((first, NotePair(melody, bass)))
     return fragments, warnings
 
 
@@ -1002,6 +1026,81 @@ def reference_encode_roll(pair):
         roll[start:end, col] = 1
         roll[start, BASS_ONSET_COL] = 1
     return roll
+
+
+def reference_decode_track(pitches, onsets, rest_value=-1, to_pitch=int):
+    """Segment per-step pitch/onset columns, of any length, into notes: the
+    per-step loop that decoded rolls before they decoded to step grids.
+
+    A note starts where the onset flag is set, or where the pitch value
+    changes without one (legato split); it sustains while the pitch column
+    stays put and no new onset occurs.
+    """
+    notes = []
+    current_pitch = None
+    current_start = 0
+    for step in range(len(pitches)):
+        value = int(pitches[step])
+        sounding = value != rest_value
+        starts_new = sounding and (
+            bool(onsets[step]) or current_pitch is None or value != current_pitch)
+        if (not sounding or starts_new) and current_pitch is not None:
+            notes.append(Note(to_pitch(current_pitch), current_start,
+                              step - current_start))
+            current_pitch = None
+        if starts_new:
+            current_pitch = value
+            current_start = step
+    if current_pitch is not None:
+        notes.append(Note(to_pitch(current_pitch), current_start,
+                          len(pitches) - current_start))
+    return notes
+
+
+def song_notes(pitch, onset):
+    """The :class:`NotePair` of (2, steps) step grids."""
+    return NotePair(*map(reference_decode_track, pitch, onset))
+
+
+def reference_decode_roll(roll):
+    """The notes of one roll, read from its columns by
+    :func:`reference_decode_track`; the bass in the C2-rooted octave."""
+    melody_cols = roll[:, MELODY_PITCH_COLS].argmax(axis=1)
+    bass_cols = roll[:, BASS_PITCH_COLS].argmax(axis=1)
+    return NotePair(
+        reference_decode_track(melody_cols, roll[:, MELODY_ONSET_COL],
+                               MELODY_REST_COL, lambda c: c + MELODY_LOW),
+        reference_decode_track(bass_cols, roll[:, BASS_ONSET_COL],
+                               BASS_REST_COL - BASS_PITCH_START,
+                               lambda c: BASS_DECODE_BASE + c))
+
+
+def reference_chain_score(blocks):
+    """The score of a chain of ``blocks``, (roll, repeats) pairs, built one
+    note at a time: each roll's notes are decoded, copied to every repeat
+    shifted by its 64-step offset, and packed one row per note at 120 BPM in
+    4/4, with a ``section N`` marker at the start of block N."""
+    melody, bass, markers = [], [], []
+    offset = 0
+    for number, (roll, repeats) in enumerate(blocks, start=1):
+        pair = reference_decode_roll(roll)
+        markers.append((offset / 4.0, f"section {number}"))
+        for _ in range(repeats):
+            melody.extend(Note(n.pitch, n.onset + offset, n.duration)
+                          for n in pair.melody)
+            bass.extend(Note(n.pitch, n.onset + offset, n.duration)
+                        for n in pair.bass)
+            offset += N_STEPS
+
+    def track(name, channel, notes):
+        n = np.array([(e.pitch, e.onset, e.duration, OUTPUT_VELOCITY)
+                      for e in notes], np.int64).reshape(-1, 4)
+        return MidiTrack(name, channel, n[:, 0], n[:, 1] / 4.0,
+                         n[:, 2] / 4.0, n[:, 3])
+
+    return Score(tracks=[track("melody", 0, melody), track("bass", 1, bass)],
+                 tempos=[(0.0, OUTPUT_BPM)], meters=[(0.0, 4, 4)],
+                 markers=markers)
 
 
 def reference_song_fragments(score, melody_name=None, bass_name=None):

@@ -31,7 +31,7 @@ CFG = ModelConfig(latent_dim=4, hidden=8, gru_layers=1, rng_seed=1)
 
 
 def dataset(rng, n=3):
-    return make_dataset([encode_roll(random_window(rng)) for _ in range(n)],
+    return make_dataset([encode_roll(*random_window(rng)) for _ in range(n)],
                         np.zeros((n, 64)), np.ones((n, 64)),
                         source_ids=[f"s{i}.mid" for i in range(n)],
                         bar_offsets=[4 * i for i in range(n)])

@@ -677,6 +677,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--samples", "40", "--rng-seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_more_samples_than_weights_exits_two(self, capsys):
+        # hidden 8 and latent 4 make 4,803 weights
+        assert main(["gradcheck", "--samples", "4804"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot sample 4804 weights: the model "
+                              "has 4803")
+
 
 class TestVectorModelMismatch:
     def test_vectors_from_other_model_rejected(self, pipeline, tmp_path):
@@ -763,6 +770,43 @@ class TestUnwritableOut:
         assert err.startswith("error:") and str(out) in err
         assert sorted(p.name for p in work.rglob("*")) == ["adir", "afile"]
         assert (work / "afile").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("command, companion", [
+        ("preprocess", ".json"), ("generate", ".tension.json"),
+        ("compose-chain", ".tension.json")])
+    def test_companion_in_the_way_leaves_out_unchanged(
+            self, pipeline, corpus_dir, tmp_path, command, companion, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "old.out"
+        out.write_bytes(b"old")
+        blocked = work / f"old.out{companion}"
+        blocked.mkdir()
+        argv = self.argv(command, pipeline, corpus_dir, tmp_path)
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocked}: ")
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in work.iterdir()) == [
+            "old.out", blocked.name]
+
+    @pytest.mark.parametrize("where", [
+        "missing directory", "directory", "under a file", "sidecar directory"])
+    def test_preprocess_checks_out_before_building(
+            self, corpus_dir, tmp_path, monkeypatch, where, capsys):
+        def build_dataset(*args):
+            raise AssertionError("build_dataset ran")
+
+        monkeypatch.setattr(ttvae.cli, "build_dataset", build_dataset)
+        (tmp_path / "afile").write_bytes(b"kept")
+        (tmp_path / "a.ds.json").mkdir()
+        out = {"missing directory": tmp_path / "nodir" / "a.ds",
+               "directory": tmp_path / "a.ds.json",
+               "under a file": tmp_path / "afile" / "a.ds",
+               "sidecar directory": tmp_path / "a.ds"}[where]
+        assert main(["preprocess", "--in", str(corpus_dir),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 # Runs ``ttv`` in a child process and prints its peak RSS in KiB, so a read

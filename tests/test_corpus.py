@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Note,
+    NotePair,
+    check_notes,
     make_dataset,
+    random_notes,
     random_window,
+    reference_decode_track,
     reference_encode_roll,
     reference_extract_tracks,
     reference_key_scores,
@@ -19,7 +24,9 @@ from helpers import (
     reference_song_fragments,
     reference_transpose_pair,
     reference_validate_roll,
+    song_notes,
     song_steps,
+    window,
 )
 from toy import midi_track
 from ttvae.corpus import (
@@ -58,10 +65,7 @@ from ttvae.pianoroll import (
     BASS_REST_COL,
     MELODY_ONSET_COL,
     MELODY_REST_COL,
-    NoteEvent,
-    TrackPair,
     decode_roll,
-    decode_track,
     encode_roll,
     validate_roll,
 )
@@ -76,13 +80,19 @@ def two_track_score(melody_pitches, bass_pitches, beat_len=1.0):
     ])
 
 
+def extracted_notes(score, *names):
+    """The melody and bass notes ``extract_tracks`` holds for ``score``."""
+    song = extract_tracks(score, *names)
+    return song_notes(song.pitch, song.onset)
+
+
 SCALE_UP = [60, 62, 64, 65, 67, 69, 71, 72]
 LOW_LINE = [36, 43, 38, 45, 40, 47, 41, 36]
 
 
 class TestExtractTracks:
     def test_mean_pitch_ordering(self):
-        pair = extract_tracks(two_track_score(SCALE_UP, LOW_LINE))
+        pair = extracted_notes(two_track_score(SCALE_UP, LOW_LINE))
         assert {n.pitch for n in pair.melody} == set(SCALE_UP)
         assert {n.pitch for n in pair.bass} == set(LOW_LINE)
 
@@ -92,7 +102,7 @@ class TestExtractTracks:
             midi_track(chord, "keys"),
             midi_track([(36, i, 1.0) for i in range(8)], "bass"),
         ])
-        pair = extract_tracks(score)
+        pair = extracted_notes(score)
         assert all(n.pitch == 67 for n in pair.melody)
 
     def test_one_track_rejected(self):
@@ -114,12 +124,12 @@ class TestExtractTracks:
         score.tracks.append(midi_track([(99, i, 0.5) for i in range(32)], "drums", 9))
         score = parse_midi(write_midi(score))
         assert [t.name for t in score.tracks] == ["flute", "bass"]
-        pair = extract_tracks(score)
+        pair = extracted_notes(score)
         assert max(n.pitch for n in pair.melody) <= 72
 
     def test_name_override(self):
         score = two_track_score(SCALE_UP, LOW_LINE)
-        pair = extract_tracks(score, melody_name="bass", bass_name="flute")
+        pair = extracted_notes(score, "bass", "flute")
         assert {n.pitch for n in pair.melody} == set(LOW_LINE)
 
     def test_unknown_name_rejected(self):
@@ -134,7 +144,7 @@ class TestExtractTracks:
                        + [(62, 4 + i, 1.0) for i in range(6)], "m"),
             midi_track([(36, i, 1.0) for i in range(10)], "b"),
         ])
-        pair = extract_tracks(score)
+        pair = extracted_notes(score)
         assert [(n.pitch, n.onset, n.duration) for n in pair.melody[:3]] == [
             (60, 0, 4), (67, 4, 4), (60, 8, 8)]
 
@@ -213,7 +223,8 @@ class TestTranspose:
 
     def test_score_transposition(self):
         song = extract_tracks(two_track_score(SCALE_UP, LOW_LINE))
-        out = transpose_pair(song, transposition_shift(Key(2, Mode.MAJOR)))
+        moved = transpose_pair(song, transposition_shift(Key(2, Mode.MAJOR)))
+        out = song_notes(moved.pitch, moved.onset)
         assert [n.pitch for n in out.melody] == [p - 2 for p in SCALE_UP]
         assert [n.pitch for n in out.bass] == [p - 2 for p in LOW_LINE]
 
@@ -236,28 +247,27 @@ class TestTranspose:
 
 def steady_pair(bars, melody_pitch=60, bass_pitch=36):
     steps = bars * 16
-    melody = [NoteEvent(melody_pitch, s, 4) for s in range(0, steps, 4)]
-    bass = [NoteEvent(bass_pitch, s, 8) for s in range(0, steps, 8)]
-    return TrackPair(melody=melody, bass=bass)
+    melody = [(melody_pitch, s, 4) for s in range(0, steps, 4)]
+    bass = [(bass_pitch, s, 8) for s in range(0, steps, 8)]
+    return NotePair(melody, bass)
 
 
 class TestSegment:
     def test_eight_bars_two_fragments(self):
-        offsets, rolls, warnings = segment(song_steps(steady_pair(8)))
+        offsets, rolls, warnings = segment(song_steps(*steady_pair(8)))
         assert offsets == [0, 4] and len(rolls) == 2
         assert warnings == []
 
     def test_ten_bars_drops_tail(self):
-        offsets, _, _ = segment(song_steps(steady_pair(10)))
+        offsets, _, _ = segment(song_steps(*steady_pair(10)))
         assert len(offsets) == 2
 
     def test_silent_bass_discards_window(self):
-        pair = TrackPair(melody=steady_pair(4).melody, bass=[])
-        offsets, rolls, _ = segment(song_steps(pair))
+        offsets, rolls, _ = segment(song_steps(steady_pair(4).melody))
         assert offsets == [] and rolls.shape == (0, 64, 89)
 
     def test_non_44_region_skipped(self):
-        offsets, _, warnings = segment(song_steps(steady_pair(12)), meters=[
+        offsets, _, warnings = segment(song_steps(*steady_pair(12)), meters=[
             (0.0, 4, 4), (16.0, 3, 4), (28.0, 4, 4)])
         assert len(warnings) >= 1
         # Bars 4..7 sit in the 3/4 region, so only the windows at bar 0 and
@@ -271,20 +281,17 @@ class TestSegment:
             "meter 0/4 not representable on the 16th grid; region at step 0 skipped"]
 
     def test_notes_crossing_window_boundary_split(self):
-        melody = [NoteEvent(60, 0, 128)]
-        bass = [NoteEvent(36, 0, 128)]
-        offsets, rolls, _ = segment(song_steps(TrackPair(melody=melody, bass=bass)))
+        offsets, rolls, _ = segment(song_steps([(60, 0, 128)], [(36, 0, 128)]))
         assert len(offsets) == 2
         for roll in rolls:
-            window = decode_roll(roll)
-            assert window.melody[0].onset == 0
-            assert window.melody[0].duration == 64
+            pitch, onset = decode_roll(roll)
+            assert (pitch == [[60], [36]]).all()
+            assert onset[:, 0].all() and not onset[:, 1:].any()
 
 
 class TestEncodeRoll:
     def test_c4_layout(self):
-        pair = TrackPair(melody=[NoteEvent(60, 0, 4)], bass=[NoteEvent(36, 0, 4)])
-        roll = encode_roll(pair)
+        roll = encode_roll(*window([(60, 0, 4)], [(36, 0, 4)]))
         assert roll[0:4, 36].all()
         assert roll[0, MELODY_ONSET_COL] == 1
         assert roll[1:4, MELODY_ONSET_COL].sum() == 0
@@ -292,51 +299,59 @@ class TestEncodeRoll:
         validate_roll(roll)
 
     def test_out_of_range_melody_becomes_rest(self):
-        pair = TrackPair(melody=[NoteEvent(20, 0, 4)], bass=[NoteEvent(36, 0, 4)])
-        roll = encode_roll(pair)
+        roll = encode_roll(*window([(20, 0, 4)], [(36, 0, 4)]))
         assert roll[0:4, MELODY_REST_COL].all()
         assert roll[0, MELODY_ONSET_COL] == 0
         validate_roll(roll)
 
     def test_invariants_on_random_windows(self, rng):
         for _ in range(200):
-            validate_roll(encode_roll(random_window(rng)))
+            validate_roll(encode_roll(*random_window(rng)))
 
 
 class TestDecodeRoll:
     def test_inverse_of_simple_encoding(self):
-        pair = TrackPair(melody=[NoteEvent(60, 0, 4)], bass=[NoteEvent(36, 0, 4)])
-        decoded = decode_roll(encode_roll(pair))
-        assert decoded.melody == [NoteEvent(60, 0, 4)]
-        assert decoded.bass == [NoteEvent(36, 0, 4)]
+        pitch, onset = window([(60, 0, 4)], [(36, 0, 4)])
+        decoded = decode_roll(encode_roll(pitch, onset))
+        assert np.array_equal(decoded[0], pitch)
+        assert np.array_equal(decoded[1], onset)
+        assert song_notes(*decoded) == ([(60, 0, 4)], [(36, 0, 4)])
 
     def test_all_rest(self):
-        decoded = decode_roll(encode_roll(TrackPair()))
-        assert decoded.melody == [] and decoded.bass == []
+        pitch, onset = decode_roll(encode_roll(*window()))
+        assert (pitch == -1).all() and not onset.any()
 
-    def test_stack_rejected(self):
-        roll = encode_roll(TrackPair())
-        validate_roll(np.stack([roll, roll]))
-        with pytest.raises(InvalidInputError):
-            decode_roll(np.stack([roll, roll]))
+    def test_stack_decodes_row_by_row(self, rng):
+        rolls = np.stack([encode_roll(*random_window(rng)) for _ in range(5)])
+        rolls[1, 0, MELODY_ONSET_COL] = 0  # step 0 starts a note anyway
+        pitch, onset = decode_roll(rolls)
+        assert pitch.shape == onset.shape == (2, 5, 64)
+        assert onset.dtype == np.bool_
+        for i, roll in enumerate(rolls):
+            row_pitch, row_onset = decode_roll(roll)
+            assert np.array_equal(pitch[:, i], row_pitch)
+            assert np.array_equal(onset[:, i], row_onset)
+        assert onset[0, 1, 0] == (pitch[0, 1, 0] >= 0)
 
     def test_legato_split_without_onset(self):
-        roll = encode_roll(TrackPair(melody=[NoteEvent(60, 0, 16)],
-                                     bass=[NoteEvent(36, 0, 16)]))
+        roll = encode_roll(*window([(60, 0, 16)], [(36, 0, 16)]))
         # Flip the melody pitch at step 8 without an onset flag.
         roll[8:16, 36] = 0
         roll[8:16, 38] = 1
-        decoded = decode_roll(roll)
-        assert decoded.melody == [NoteEvent(60, 0, 8), NoteEvent(62, 8, 8)]
+        pitch, onset = decode_roll(roll)
+        assert pitch[0, :16].tolist() == [60] * 8 + [62] * 8
+        assert np.flatnonzero(onset[0]).tolist() == [0]
+        assert song_notes(pitch, onset).melody == [(60, 0, 8), (62, 8, 8)]
 
     def test_round_trip_on_random_windows(self, rng):
         for _ in range(1000):
-            window = random_window(rng)
-            decoded = decode_roll(encode_roll(window))
-            assert decoded == window
+            pitch, onset = random_window(rng)
+            decoded = decode_roll(encode_roll(pitch, onset))
+            assert np.array_equal(decoded[0], pitch)
+            assert np.array_equal(decoded[1], onset)
 
     def test_invalid_roll_rejected(self):
-        roll = encode_roll(TrackPair())
+        roll = encode_roll(*window())
         roll[0, MELODY_ONSET_COL] = 1  # onset on a rest step
         from ttvae.errors import InvalidRollError
         with pytest.raises(InvalidRollError):
@@ -399,7 +414,7 @@ class TestValidateRollEqualsReference:
 
     @pytest.fixture
     def stack(self, rng):
-        return np.stack([encode_roll(random_window(rng)) for _ in range(5)])
+        return np.stack([encode_roll(*random_window(rng)) for _ in range(5)])
 
     @pytest.mark.parametrize("dtype", ROLL_DTYPES)
     @pytest.mark.parametrize("kind", BREAKS)
@@ -439,7 +454,7 @@ class TestValidateRollEqualsReference:
     @pytest.mark.parametrize("dtype", ROLL_DTYPES)
     def test_random_flips(self, rng, dtype):
         for _ in range(150):
-            rolls = np.stack([encode_roll(random_window(rng)) for _ in range(3)])
+            rolls = np.stack([encode_roll(*random_window(rng)) for _ in range(3)])
             for _ in range(int(rng.integers(0, 3))):
                 index = tuple(int(rng.integers(0, size)) for size in rolls.shape)
                 rolls[index] = 1 - rolls[index]
@@ -540,7 +555,7 @@ class TestDatasetFile:
     def test_round_trip(self, tmp_path, rng):
         rolls, tensile, diameter = [], [], []
         for _ in range(5):
-            rolls.append(encode_roll(random_window(rng)))
+            rolls.append(encode_roll(*random_window(rng)))
             tensile.append(rng.uniform(0, 2, 64))
             diameter.append(rng.uniform(0, 2, 64))
         ds = make_dataset(rolls, tensile, diameter,
@@ -558,7 +573,7 @@ class TestDatasetFile:
             assert (a.source_id, a.bar_offset) == (b.source_id, b.bar_offset)
 
     def test_truncated_rejected(self, tmp_path, rng):
-        ds = make_dataset([encode_roll(random_window(rng))],
+        ds = make_dataset([encode_roll(*random_window(rng))],
                           np.zeros((1, 64)), np.zeros((1, 64)))
         path = tmp_path / "mini.ds"
         save_dataset(ds, path)
@@ -567,7 +582,7 @@ class TestDatasetFile:
             load_dataset(path)
 
     def test_first_bad_roll_is_named_across_chunks(self, rng):
-        rolls = np.stack([encode_roll(random_window(rng)) for _ in range(10)])
+        rolls = np.stack([encode_roll(*random_window(rng)) for _ in range(10)])
         _validate_rolls(rolls, chunk=4)
         rolls[6, 3, 80] = 7
         rolls[9, 0, 0] = 7
@@ -614,7 +629,7 @@ def skyline_notes(quantized, keep_high):
     pitch, onset, duration = np.array(quantized, np.int64).reshape(-1, 3).T
     end = onset + duration
     steps = int(end.max(initial=0))
-    return decode_track(*_skyline(pitch, onset, end, steps, keep_high), -1, int)
+    return reference_decode_track(*_skyline(pitch, onset, end, steps, keep_high))
 
 
 class TestLoopReferences:
@@ -631,8 +646,7 @@ class TestLoopReferences:
     def test_skyline_restrike_truncates_and_resumes(self):
         quantized = [(60, 0, 8), (60, 2, 2), (67, 3, 1), (55, 0, 12)]
         assert skyline_notes(quantized, keep_high=True) == [
-            NoteEvent(60, 0, 2), NoteEvent(60, 2, 1), NoteEvent(67, 3, 1),
-            NoteEvent(60, 4, 4), NoteEvent(55, 8, 4)]
+            (60, 0, 2), (60, 2, 1), (67, 3, 1), (60, 4, 4), (55, 8, 4)]
         assert skyline_notes(quantized, keep_high=True) \
             == reference_skyline(quantized, keep_high=True)
 
@@ -651,8 +665,8 @@ class TestLoopReferences:
 
     def test_unchecked_notes_and_windows_pass_the_public_checks(self, rng):
         # extract_tracks, transpose_pair and segment make their steps and
-        # rolls without per-note checks; the notes they hold must pass the
-        # checking constructors, and every roll validate_roll.
+        # rolls without per-note checks; the notes they hold must form valid
+        # monophonic tracks, and every roll must pass validate_roll.
         checked = 0
         for _ in range(300):
             score = random_score(rng)
@@ -665,12 +679,8 @@ class TestLoopReferences:
                 _, rolls, _ = segment(moved)
                 validate_roll(rolls)
                 for s in (song, moved):
-                    pair = TrackPair(melody=s.melody, bass=s.bass)
-                    assert pair == TrackPair(
-                        melody=[NoteEvent(n.pitch, n.onset, n.duration)
-                                for n in pair.melody],
-                        bass=[NoteEvent(n.pitch, n.onset, n.duration)
-                              for n in pair.bass])
+                    for notes in song_notes(s.pitch, s.onset):
+                        check_notes(notes)
                     checked += 1
         assert checked > 500
 
@@ -680,30 +690,31 @@ class TestLoopReferences:
         for _ in range(100):
             notes, step = [], int(rng.integers(0, 10))
             for _ in range(int(rng.integers(0, 40))):
-                notes.append(NoteEvent(int(rng.integers(30, 90)), step,
-                                       int(rng.integers(1, 40))))
+                notes.append(Note(int(rng.integers(30, 90)), step,
+                                  int(rng.integers(1, 40))))
                 step = notes[-1].end + int(rng.integers(0, 3))
-            song = song_steps(TrackPair(melody=notes, bass=notes))
+            song = song_steps(notes, notes)
             for start in range(0, step + 80, 16):
                 offsets, rolls, _ = segment(
                     song, meters=[(start / 4, 4, 4), (1e6, 4, 4)])
-                window = reference_slice_track(notes, start, start + 64)
-                if not window:
+                cut = reference_slice_track(notes, start, start + 64)
+                if not cut:
                     assert offsets[:1] != [0]
                     continue
                 assert offsets[0] == 0
                 assert np.array_equal(rolls[0], reference_encode_roll(
-                    TrackPair(melody=window, bass=window)))
+                    NotePair(cut, cut)))
 
     def test_encode_roll_equals_per_note_loop(self, rng):
         for _ in range(300):
-            window = random_window(rng)
-            assert np.array_equal(encode_roll(window),
-                                  reference_encode_roll(window))
-        edge = TrackPair(melody=[NoteEvent(23, 0, 4), NoteEvent(24, 4, 4),
-                                 NoteEvent(96, 8, 60), NoteEvent(97, 70, 4)],
-                         bass=[NoteEvent(0, 2, 3), NoteEvent(127, 60, 30)])
-        assert np.array_equal(encode_roll(edge), reference_encode_roll(edge))
+            notes = random_notes(rng)
+            assert np.array_equal(encode_roll(*window(*notes)),
+                                  reference_encode_roll(notes))
+        edge = NotePair([Note(23, 0, 4), Note(24, 4, 4), Note(96, 8, 60),
+                         Note(97, 70, 4)],
+                        [Note(0, 2, 3), Note(127, 60, 30)])
+        assert np.array_equal(encode_roll(*window(*edge)),
+                              reference_encode_roll(edge))
 
     @pytest.mark.parametrize("shift", range(-6, 7))
     def test_transpose_pair_equals_per_note_clamp(self, shift):
@@ -714,7 +725,7 @@ class TestLoopReferences:
             midi_track([(p, i, 0.5) for i, p in enumerate(pitches)])])
         moved = transpose_pair(extract_tracks(score), shift)
         expected = reference_transpose_pair(reference_extract_tracks(score), shift)
-        assert (moved.melody, moved.bass) == (expected.melody, expected.bass)
+        assert song_notes(moved.pitch, moved.onset) == expected
 
 
 # Beats on a 1/8 grid put onsets and ends half-way between 16th steps, where
@@ -793,7 +804,7 @@ class TestSongLengthCap:
     def test_song_at_the_cap_is_kept(self):
         melody = [(60 + (i % 5), 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
         bass = [(36, 4.0 * i, 4.0) for i in range(MAX_SONG_BARS)]
-        pair = extract_tracks(Score(tracks=[midi_track(melody), midi_track(bass)]))
+        pair = extracted_notes(Score(tracks=[midi_track(melody), midi_track(bass)]))
         assert pair.melody[-1].end == MAX_SONG_STEPS
         with pytest.raises(InvalidSongError):
             extract_tracks(Score(tracks=[

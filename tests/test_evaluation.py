@@ -18,6 +18,7 @@ from helpers import (
     reference_interaction_grid,
     reference_pitch_distribution,
     reference_sweep,
+    window,
 )
 from ttvae import cores, evaluation
 from ttvae.errors import InvalidInputError, NumericFailureError
@@ -45,8 +46,6 @@ from ttvae.pianoroll import (
     BASS_ONSET_COL,
     MELODY_ONSET_COL,
     N_STEPS,
-    NoteEvent,
-    TrackPair,
     encode_roll,
     validate_roll,
 )
@@ -83,7 +82,7 @@ class TestRollFromOutput:
         assert hardened[:, MELODY_ONSET_COL].sum() == 0
 
     def test_onset_on_rest_step_cleared(self):
-        roll = encode_roll(TrackPair())  # all rest
+        roll = encode_roll(*window())  # all rest
         out = soft_output_from_roll(roll)
         out.melody_onset[...] = 0.9
         out.bass_onset[...] = 0.9
@@ -101,7 +100,7 @@ class TestRollFromOutput:
         np.testing.assert_array_equal(roll_from_output(out), rolls)
 
     def test_argmax_tie_takes_lowest_index(self):
-        roll = encode_roll(TrackPair())
+        roll = encode_roll(*window())
         out = soft_output_from_roll(roll)
         out.melody_pitch[...] = 1.0 / 74  # all ties
         hardened = roll_from_output(out)
@@ -114,8 +113,7 @@ class TestPitchAccuracy:
         assert pitch_accuracy(roll, roll) == (1.0, 1.0)
 
     def test_counting_case(self):
-        a = encode_roll(TrackPair(melody=[NoteEvent(60, 0, 64)],
-                                  bass=[NoteEvent(36, 0, 64)]))
+        a = encode_roll(*window([(60, 0, 64)], [(36, 0, 64)]))
         b = a.copy()
         # Change melody pitch on 16 of the 64 steps.
         b[0:16, 36] = 0
@@ -123,7 +121,7 @@ class TestPitchAccuracy:
         assert pitch_accuracy(a, b) == (0.75, 1.0)
 
     def test_all_rest_matches(self):
-        a = encode_roll(TrackPair())
+        a = encode_roll(*window())
         assert pitch_accuracy(a, a.copy()) == (1.0, 1.0)
 
     def test_shape_mismatch(self, rng):
@@ -132,8 +130,7 @@ class TestPitchAccuracy:
 
 
 def roll_with_onsets(melody_steps, bass_steps=()):
-    roll = encode_roll(TrackPair(melody=[NoteEvent(60, 0, 64)],
-                                 bass=[NoteEvent(36, 0, 64)]))
+    roll = encode_roll(*window([(60, 0, 64)], [(36, 0, 64)]))
     roll[:, MELODY_ONSET_COL] = 0
     roll[:, BASS_ONSET_COL] = 0
     for s in melody_steps:
@@ -193,7 +190,7 @@ def _pair_metrics_one_by_one(original_rolls, modified_rolls):
 class TestBatchedPairMetrics:
     def test_stack_equals_per_pair(self, rng):
         original = np.stack([random_roll(rng) for _ in range(30)]
-                            + [encode_roll(TrackPair())] * 2)
+                            + [encode_roll(*window())] * 2)
         modified = original.copy()
         modified[:10] = np.stack([random_roll(rng) for _ in range(10)])
         modified[10:20, ::3, MELODY_ONSET_COL] ^= 1
@@ -260,29 +257,23 @@ class TestRatios:
 
 class TestPitchClassHistogram:
     def test_all_c_fragment(self):
-        roll = encode_roll(TrackPair(melody=[NoteEvent(60, 0, 64)],
-                                     bass=[NoteEvent(36, 0, 64)]))
+        roll = encode_roll(*window([(60, 0, 64)], [(36, 0, 64)]))
         counts = pitch_class_histogram(roll, (0, 4))
         assert counts[0] == 128  # 64 melody + 64 bass steps, all C
         assert counts[1:].sum() == 0
 
     def test_default_bar_range_is_back_half(self):
-        melody = [NoteEvent(60, 0, 32), NoteEvent(62, 32, 32)]
-        roll = encode_roll(TrackPair(melody=melody, bass=[NoteEvent(36, 0, 64)]))
+        roll = encode_roll(*window([(60, 0, 32), (62, 32, 32)], [(36, 0, 64)]))
         counts = pitch_class_histogram(roll)
         assert counts[2] == 32 and counts[0] == 32  # D melody + C bass only
 
     def test_rotation_equivariance(self, rng):
-        window = TrackPair(
-            melody=[NoteEvent(60 + (i % 5), 4 * i, 4) for i in range(16)],
-            bass=[NoteEvent(38, 0, 64)])
-        roll = encode_roll(window)
-        shifted = TrackPair(
-            melody=[NoteEvent(n.pitch + 7, n.onset, n.duration)
-                    for n in window.melody],
-            bass=[NoteEvent(45, 0, 64)])
+        melody = [(60 + (i % 5), 4 * i, 4) for i in range(16)]
+        roll = encode_roll(*window(melody, [(38, 0, 64)]))
+        shifted = window([(p + 7, onset, duration) for p, onset, duration in melody],
+                         [(45, 0, 64)])
         counts = pitch_class_histogram(roll, (0, 4))
-        counts_shifted = pitch_class_histogram(encode_roll(shifted), (0, 4))
+        counts_shifted = pitch_class_histogram(encode_roll(*shifted), (0, 4))
         np.testing.assert_array_equal(np.roll(counts, 7), counts_shifted)
 
     def test_bad_bar_range(self, rng):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import random_track, reference_chain_score, window
 from toy import toy_song
 from ttvae.corpus import MAX_SONG_BARS
+from ttvae import generate as generate_module
 from ttvae.errors import InvalidInputError
 from ttvae.generate import (
     ChainPlan,
@@ -13,12 +15,16 @@ from ttvae.generate import (
     check_compatibility,
     compose_chain,
     generate,
-    pair_to_score,
     seed_latent,
+    steps_to_score,
 )
 from ttvae.latent import AttributeVector, VectorsFile
 from ttvae.midi import parse_midi, write_midi
-from ttvae.pianoroll import NoteEvent, TrackPair
+from ttvae.pianoroll import (
+    BASS_ONSET_COL,
+    MELODY_ONSET_COL,
+    encode_roll,
+)
 from ttvae.vae import ModelConfig, TensionVae
 
 
@@ -207,10 +213,9 @@ class TestComposeChain:
         assert sorted(second_half) == sorted(parsed_notes(plain.midi_bytes))
 
 
-class TestPairToScore:
+class TestStepsToScore:
     def test_render_settings(self):
-        pair = TrackPair(melody=[NoteEvent(60, 0, 4)], bass=[NoteEvent(36, 0, 8)])
-        score = pair_to_score(pair)
+        score = steps_to_score(*window([(60, 0, 4)], [(36, 0, 8)]))
         assert score.tempos == [(0.0, 120.0)]
         assert score.meters == [(0.0, 4, 4)]
         melody, bass = score.tracks
@@ -218,3 +223,89 @@ class TestPairToScore:
         assert melody.duration.tolist() == [1.0]  # 4 steps = 1 beat
         assert (melody.pitch.dtype, melody.onset.dtype) == (np.int64, np.float64)
         assert (bass.name, bass.channel, bass.duration.tolist()) == ("bass", 1, [2.0])
+
+    def test_notes_from_step_lines(self):
+        # a legato pitch change and a re-struck pitch split notes; a held
+        # pitch without an onset and a rest do not start one
+        pitch = np.array([[60, 60, 62, 62, 62, -1, 62, 64],
+                          [-1, 36, 36, 36, 43, 43, -1, -1]])
+        onset = np.zeros_like(pitch, dtype=bool)
+        onset[0, 3] = True
+        melody, bass = steps_to_score(pitch, onset).tracks
+        assert list(zip(melody.pitch.tolist(), (melody.onset * 4).tolist(),
+                        (melody.duration * 4).tolist())) == [
+            (60, 0, 2), (62, 2, 1), (62, 3, 2), (62, 6, 1), (64, 7, 1)]
+        assert list(zip(bass.pitch.tolist(), (bass.onset * 4).tolist(),
+                        (bass.duration * 4).tolist())) == [(36, 1, 3), (43, 4, 2)]
+
+    def test_silent_lines_have_no_notes(self):
+        melody, bass = steps_to_score(*window()).tracks
+        assert len(melody.pitch) == len(bass.pitch) == 0
+        assert (melody.pitch.dtype, melody.duration.dtype) == (np.int64, np.float64)
+
+
+def random_block(rng):
+    """A valid roll that often holds one pitch across steps, blocks and
+    sections: two melody and two bass pitches and rests, about half the
+    onsets dropped, and step 0's onset flags cleared at random."""
+    pitch, onset = window(random_track(rng, 60, 61), random_track(rng, 36, 37))
+    roll = encode_roll(pitch, onset & (rng.random(onset.shape) < 0.5))
+    for col in (MELODY_ONSET_COL, BASS_ONSET_COL):
+        if rng.random() < 0.5:
+            roll[0, col] = 0
+    return roll
+
+
+class TestMidiEqualsPerNoteReference:
+    """``generate`` and ``compose_chain`` write the bytes of the per-note
+    reference: notes decoded from each roll, copied and shifted to each
+    repeat of a block, and packed one row per note."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """Make ``decode_hardened`` return the rolls put in the list it
+        yields, one per call, with zero curves."""
+        queue = []
+
+        def decode(model, z):
+            curve = np.zeros((1, 64))
+            return queue.pop(0)[None], curve, curve, curve, curve
+
+        monkeypatch.setattr(generate_module, "decode_hardened", decode)
+        return queue
+
+    def test_compose_chain(self, rng, decoded):
+        m, vf = model(), vectors_file()
+        repeated = 0
+        for _ in range(1000):
+            repeats = rng.integers(1, 4, size=int(rng.integers(1, 5))).tolist()
+            blocks = [(random_block(rng), r) for r in repeats]
+            decoded.extend(roll for roll, _ in blocks)
+            plan = ChainPlan(sections=[ChainSection(bars=4 * r) for r in repeats])
+            result = compose_chain(m, vf, plan, GenerationRequest(sample_seed=0))
+            assert result.midi_bytes == write_midi(reference_chain_score(blocks))
+            repeated += max(repeats) > 1
+        assert not decoded and repeated > 500
+
+    def test_generate(self, rng, decoded):
+        m, vf = model(), vectors_file()
+        for _ in range(1000):
+            roll = random_block(rng)
+            decoded.extend([roll, roll])
+            result = generate(m, vf, GenerationRequest(sample_seed=0))
+            expected = reference_chain_score([(roll, 1)])
+            expected.markers = []
+            assert result.midi_bytes == write_midi(expected)
+
+    def test_block_boundaries_split_held_pitches(self, decoded):
+        # one pitch held through the whole block and no onset at step 0:
+        # each repeat and each section is its own note
+        roll = encode_roll(*window([(60, 0, 64)], [(36, 0, 64)]))
+        roll[0, [MELODY_ONSET_COL, BASS_ONSET_COL]] = 0
+        decoded.extend([roll, roll])
+        plan = ChainPlan(sections=[ChainSection(bars=8), ChainSection(bars=4)])
+        result = compose_chain(model(), vectors_file(), plan,
+                               GenerationRequest(sample_seed=0))
+        assert parsed_notes(result.midi_bytes) == [
+            (60, 16.0 * k, 16.0) for k in range(3)] + [
+            (36, 16.0 * k, 16.0) for k in range(3)]

@@ -1,10 +1,14 @@
 """Finite-difference verification of the analytic gradients."""
 
-import numpy as np
+import time
 
+import numpy as np
+import pytest
+
+from ttvae.errors import InvalidInputError
 from ttvae.pianoroll import N_STEPS
 from ttvae.vae import ModelConfig, forward_backward, gradient_check
-from ttvae.vae.gradcheck import synthetic_rolls
+from ttvae.vae.gradcheck import _sample_coordinates, synthetic_rolls
 from ttvae.vae.network import init_params
 
 
@@ -30,6 +34,22 @@ class TestGradientCheck:
     def test_different_seed_still_passes(self):
         result = gradient_check(n_weights=200, step=1e-4, seed=12345)
         assert result.max_rel_error < 1e-4
+
+    def test_more_weights_than_the_model_has_refused(self):
+        _, params, *_ = tiny_setup()
+        count = sum(p.size for p in params.values())
+        began = time.perf_counter()
+        with pytest.raises(InvalidInputError, match=f"model has {count}"):
+            gradient_check(n_weights=count + 1)
+        assert time.perf_counter() - began < 5
+
+    def test_the_weight_count_samples_every_weight(self):
+        _, params, *_ = tiny_setup()
+        count = sum(p.size for p in params.values())
+        coords = _sample_coordinates(params, count, np.random.default_rng(0))
+        assert sorted(coords) == sorted(
+            (name, index) for name in params
+            for index in np.ndindex(params[name].shape))
 
     def test_synthetic_rolls_are_valid(self):
         from ttvae.pianoroll import validate_roll

@@ -12,12 +12,11 @@ from helpers import (
     direct_tension_curves,
     random_roll,
     spell,
+    window,
 )
 from ttvae.errors import InvalidInputError, InvalidRollError
 from ttvae.pianoroll import (
     MELODY_REST_COL,
-    NoteEvent,
-    TrackPair,
     encode_roll,
     validate_roll,
 )
@@ -94,21 +93,20 @@ class TestMovingAverage:
 
 class TestTensionCurves:
     def test_all_rest_fragment(self):
-        roll = encode_roll(TrackPair())
+        roll = encode_roll(*window())
         strain, diam = tension_curves(roll)
         assert strain.dtype == diam.dtype == np.float64
         np.testing.assert_array_equal(strain, np.zeros(64))
         np.testing.assert_array_equal(diam, np.zeros(64))
 
     def test_constant_melody_only(self):
-        pair = TrackPair(melody=[NoteEvent(60, 0, 64)])
-        strain, diam = tension_curves(encode_roll(pair))
+        strain, diam = tension_curves(encode_roll(*window([(60, 0, 64)])))
         expected = tensile_strain(Cloud((spell(0),)), C_MAJOR)
         np.testing.assert_allclose(strain, np.full(64, expected), atol=1e-12)
         np.testing.assert_array_equal(diam, np.zeros(64))
 
     def test_malformed_roll_rejected(self):
-        roll = encode_roll(TrackPair())
+        roll = encode_roll(*window())
         roll[3, MELODY_REST_COL] = 0  # no melody column set at step 3
         with pytest.raises(InvalidInputError):
             tension_curves(roll)
@@ -123,15 +121,14 @@ class TestTensionCurves:
 
     def test_sustained_notes_count_every_step(self):
         # A whole-note C against a sustained G: every step has the same cloud.
-        pair = TrackPair(melody=[NoteEvent(60, 0, 64)], bass=[NoteEvent(43, 0, 64)])
-        strain, diam = tension_curves(encode_roll(pair))
+        strain, diam = tension_curves(
+            encode_roll(*window([(60, 0, 64)], [(43, 0, 64)])))
         d = np.linalg.norm(pitch_position(0) - pitch_position(1))
         np.testing.assert_allclose(diam, np.full(64, d), atol=1e-12)
 
     def test_smoothing_covers_rests(self):
         # One quarter note then silence: smoothing spreads mass across edges.
-        pair = TrackPair(melody=[NoteEvent(60, 8, 4)])
-        strain, _ = tension_curves(encode_roll(pair))
+        strain, _ = tension_curves(encode_roll(*window([(60, 8, 4)])))
         raw = tensile_strain(Cloud((spell(0),)), C_MAJOR)
         assert strain[8] == pytest.approx(raw / 2)   # window covers 6..9
         assert strain[9] == pytest.approx(raw * 3 / 4)  # window covers 7..10
@@ -156,7 +153,7 @@ class TestTensionCurves:
     def test_step_table_equals_direct_kernel(self, rng):
         # random rolls have melody and bass rests, and one roll rests throughout
         rolls = np.stack([random_roll(rng) for _ in range(60)]
-                         + [encode_roll(TrackPair())])
+                         + [encode_roll(*window())])
         strain, diam = tension_curves(rolls)
         ref_strain, ref_diam = direct_tension_curves(rolls)
         assert np.array_equal(strain, ref_strain)
@@ -166,9 +163,9 @@ class TestTensionCurves:
         # 169 fragments, each holding one (melody, bass) pair of the 13 x 13
         # grid of pitch classes and rests for all 64 steps
         pairs = [(m, b) for m in range(-1, 12) for b in range(-1, 12)]
-        rolls = np.stack([encode_roll(TrackPair(
-            melody=[] if m < 0 else [NoteEvent(60 + m, 0, 64)],
-            bass=[] if b < 0 else [NoteEvent(36 + b, 0, 64)])) for m, b in pairs])
+        rolls = np.stack([encode_roll(*window(
+            [] if m < 0 else [(60 + m, 0, 64)],
+            [] if b < 0 else [(36 + b, 0, 64)])) for m, b in pairs])
         # raw per-step values: each table entry held for all 64 steps
         cells = tuple(np.array(column) + 1 for column in zip(*pairs))
         for table, ref in zip((STRAIN_TABLE, DIAMETER_TABLE),
@@ -179,7 +176,7 @@ class TestTensionCurves:
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_entries_other_than_zero_and_one_rejected(self, bad):
-        roll = encode_roll(TrackPair()).astype(float)
+        roll = encode_roll(*window()).astype(float)
         roll[7, 80] = bad
         with pytest.raises(InvalidRollError, match="0 or 1"):
             validate_roll(roll)
