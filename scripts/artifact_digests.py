@@ -5,7 +5,7 @@
 Runs analyze (one song, as CSV and as JSON) -> preprocess -> train ->
 vectors (at ``--target-n`` 8, and at 1, where every class is one fragment)
 -> shape-vector (the default triangle, in its own ``shape_vectors.json``) ->
-generate -> compose-chain -> eval (the direction, level, interaction and
+generate -> compose-chain (without and with an ``--edit``) -> eval (the direction, level, interaction and
 pitch-dist experiments) under fixed seeds, writing everything under
 ``OUT_DIR``, then prints one ``<sha256>  <path>`` line per file, sorted by
 path relative to ``OUT_DIR``.  The toy corpus is all C major in 4/4, so the
@@ -93,6 +93,9 @@ def main() -> None:
         "--out", "seeded.mid")
     run("compose-chain", *model, "--plan", "plan.json", "--rng-seed", "2",
         "--out", "chain.mid")
+    # the request's edit applies to the seed before section 1
+    run("compose-chain", *model, "--plan", "plan.json", "--rng-seed", "2",
+        "--edit", "cloud_diameter_direction=4", "--out", "chain_edit.mid")
     for experiment in ("direction", "level", "interaction", "pitch-dist"):
         run("eval", *model, "--experiment", experiment, "--n", SAMPLES,
             "--rng-seed", "4", "--charts", "--out", f"eval/{experiment}")

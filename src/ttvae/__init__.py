@@ -10,7 +10,7 @@ vector edits do; :mod:`ttvae.generate` renders edited latents back to MIDI.
 The ``ttv`` command line (:mod:`ttvae.cli`) drives all of it.
 """
 
-from .corpus import Fragment, FragmentDataset, Key, Mode, build_dataset, load_dataset, save_dataset
+from .corpus import FragmentDataset, Key, Mode, build_dataset, load_dataset, save_dataset
 from .errors import TtvaeError
 from .latent import AttributeVector, ShapeTemplate, VectorsFile, apply_vector, build_vectors
 from .pianoroll import decode_roll, encode_roll
@@ -21,7 +21,7 @@ from .vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint, trai
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeVector", "Cloud", "Fragment", "FragmentDataset", "Key", "Mode",
+    "AttributeVector", "Cloud", "FragmentDataset", "Key", "Mode",
     "ModelConfig", "ShapeTemplate", "SpelledPitch", "TensionVae",
     "TtvaeError", "VectorsFile",
     "apply_vector", "build_dataset", "build_vectors", "decode_roll",

@@ -270,36 +270,27 @@ def _request_from_args(args) -> GenerationRequest:
 
 
 def cmd_generate(args) -> int:
+    """``generate``, and ``compose-chain``, which also takes a ``--plan``."""
     out, report_path = _outputs(args.out, ".tension.json")
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
     request = _request_from_args(args)
-    result = generate(model, vectors, request, checkpoint_id=ckpt.ident)
+    if args.command == "compose-chain":
+        plan = ChainPlan.from_dict(read_json(args.plan, "plan"))
+        result = compose_chain(model, vectors, plan, request,
+                               checkpoint_id=ckpt.ident)
+        summary = {"total_bars": result.report["total_bars"]}
+        message = f"wrote {summary['total_bars']}-bar chain to {out}"
+    else:
+        result = generate(model, vectors, request, checkpoint_id=ckpt.ident)
+        summary = {"edits": result.report["edits"]}
+        message = f"wrote {out} and {report_path}"
     write_atomic(out, result.midi_bytes)
     evaluation.write_json(report_path, result.report)
     if args.json:
-        _print_json({"midi": str(out), "report": str(report_path),
-                     "edits": result.report["edits"]})
+        _print_json({"midi": str(out), "report": str(report_path), **summary})
     else:
-        print(f"wrote {out} and {report_path}")
-    return 0
-
-
-def cmd_compose_chain(args) -> int:
-    out, report_path = _outputs(args.out, ".tension.json")
-    model, ckpt = _load_model(args.model)
-    vectors = load_vectors(args.vectors)
-    plan = ChainPlan.from_dict(read_json(args.plan, "plan"))
-    request = _request_from_args(args)
-    result = compose_chain(model, vectors, plan, request,
-                           checkpoint_id=ckpt.ident)
-    write_atomic(out, result.midi_bytes)
-    evaluation.write_json(report_path, result.report)
-    if args.json:
-        _print_json({"midi": str(out), "report": str(report_path),
-                     "total_bars": result.report["total_bars"]})
-    else:
-        print(f"wrote {result.report['total_bars']}-bar chain to {out}")
+        print(message)
     return 0
 
 
@@ -429,13 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tonal-tension curves, tension-predicting VAE, and "
                     "tension-controlled music generation.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rng-seed", type=_int_from(0), default=None,
-                        help="seed for all randomized behavior")
-    common.add_argument("--config", default=None,
-                        help="JSON file of model/training settings")
     common.add_argument("--verbose", action="store_true")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--rng-seed", type=_int_from(0), default=None,
+                        help="seed for all randomized behavior")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -454,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bass-track", default=None)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", parents=[common], help="train the model")
+    p = sub.add_parser("train", parents=[seeded], help="train the model")
+    p.add_argument("--config", default=None,
+                   help="JSON file of model/training settings")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -480,29 +472,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shape_vector)
 
-    p = sub.add_parser("generate", parents=[common],
+    # the flags of generate and compose-chain
+    rendered = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    rendered.add_argument("--model", required=True)
+    rendered.add_argument("--vectors", required=True)
+    rendered.add_argument("--seed-midi", default=None)
+    rendered.add_argument("--fragment-index", type=int, default=0)
+    rendered.add_argument("--edit", action="append", metavar="NAME=SCALE",
+                          help="edit applied to the seed (before section 1 "
+                               "of a chain)")
+    rendered.add_argument("--out", required=True)
+
+    p = sub.add_parser("generate", parents=[rendered],
                        help="decode an edited seed into MIDI")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--seed-midi", default=None)
-    p.add_argument("--fragment-index", type=int, default=0)
-    p.add_argument("--edit", action="append", metavar="NAME=SCALE")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("compose-chain", parents=[common],
+    p = sub.add_parser("compose-chain", parents=[rendered],
                        help="chain 4-bar blocks with cumulative edits")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vectors", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--seed-midi", default=None)
-    p.add_argument("--fragment-index", type=int, default=0)
-    p.add_argument("--edit", action="append", metavar="NAME=SCALE",
-                   help="extra edits applied to the seed before section 1")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compose_chain)
+    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[seeded],
                        help="run a latent-edit experiment suite")
     p.add_argument("--model", required=True)
     p.add_argument("--vectors", required=True)
@@ -519,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seeded],
                        help="verify analytic gradients on a tiny model")
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--latent", type=int, default=4)

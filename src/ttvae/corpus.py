@@ -105,7 +105,8 @@ class Key:
 
 @dataclass(frozen=True)
 class Fragment:
-    """One 4-bar training example: a row of a :class:`FragmentDataset`."""
+    """One 4-bar training example: a row of a :class:`FragmentDataset`, read
+    only by the benchmark's ingest check (``perfbench/worker.py``)."""
 
     roll: np.ndarray          # (64, 89) uint8
     tensile: np.ndarray       # (64,) float32

@@ -43,7 +43,8 @@ import numpy as np
 from . import cores, pianoroll
 from .atomic import write_atomic
 from .errors import InvalidInputError
-from .latent import RAMP_TEMPLATE, AttributeVector, apply_vector, measured_curve, shape_scores
+from .latent import (RAMP_TEMPLATE, AttributeVector, apply_vector, level_scores,
+                     measured_curve, shape_scores)
 from .pianoroll import (
     BASS_ONSET_COL,
     BASS_PITCH_COLS,
@@ -185,16 +186,16 @@ def upward_ratio(curves: np.ndarray, tau: float, per_example: bool = False):
 
 def high_ratio(curves: np.ndarray, threshold: float, tau: float,
                per_example: bool = False):
-    """Fraction with mean above ``threshold`` and 2-norm distance over ``tau``.
+    """Fraction with mean above ``threshold`` and 2-norm distance over ``tau``,
+    each scored by :func:`ttvae.latent.level_scores`, as labeling scores them.
 
     With ``per_example`` the per-curve flags come back instead.
     """
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[0] < 1:
         raise InvalidInputError("high_ratio needs at least one curve")
-    means = curves.mean(axis=1)
-    magnitudes = np.linalg.norm(curves - threshold, axis=1)
-    flags = (means > threshold) & (magnitudes > tau)
+    signs, magnitudes = level_scores(curves, threshold)
+    flags = (signs > 0) & (magnitudes > tau)
     return flags if per_example else float(np.mean(flags))
 
 
@@ -211,14 +212,14 @@ def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, .
 
     The helper thread takes the last ``floor(k/2)`` of the chunk's k rows
     while the calling thread takes the first ``ceil(k/2)``; NumPy's ufuncs
-    and BLAS release the GIL, so the halves run on two cores.  A block of two
-    or more rows decodes to the same bits as inside a larger batch, but a
-    one-row matmul goes through gemv and rounds differently, so a chunk whose
-    halves would not both have two rows is decoded whole.  An error in the
-    helper's half is raised once the caller's half has finished.
+    and BLAS release the GIL, so the halves run on two cores.  Each half's
+    rows decode to their bits in any call (:meth:`TensionVae.decode`), so
+    the split moves no output.  A one-row chunk has no second half and
+    decodes on the calling thread.  An error in the helper's half is raised
+    once the caller's half has finished.
     """
     half = (len(z) + 1) // 2
-    if len(z) - half < 2:
+    if half == len(z):
         return [_decode_block(model, z)]
     second = cores.helper().submit(_decode_block, model, z[half:])
     try:
@@ -231,13 +232,13 @@ def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, .
 def decode_hardened(model: TensionVae, z: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray, np.ndarray]:
-    """Decode latents to rolls plus predicted and recomputed curves.
+    """Decode a stack of latents to rolls plus predicted and recomputed curves.
 
     The latents go ``DECODE_CHUNK`` at a time, each chunk as two row halves
     decoded at once on the calling thread and the one helper thread (see
     ``_decode_halves``), so at most one chunk's rows are in flight and memory
-    is that of one chunk's decode.  The outputs are bitwise those of decoding
-    each chunk whole on one thread.  Meanwhile BLAS is held at one thread
+    is that of one chunk's decode.  A latent's outputs are the same bits
+    whatever other latents share the call, down to a call of one row.  Meanwhile BLAS is held at one thread
     (``cores.one_blas_thread``).  That setting is process-global: BLAS calls
     that other threads make during the decode run on one thread too.  The
     previous count comes back when the decode ends, also on error.

@@ -1,11 +1,12 @@
 """Seeded generation: decode a latent code, apply edits, render MIDI.
 
-A seed latent comes either from sampling the prior or from encoding the
-first valid 4-bar fragment of a seed MIDI file (posterior mean).  Edits are
-named attribute vectors with scales, applied additively in order.  Every
-generated MIDI is accompanied by a tension report carrying the model's
-predicted curves and the curves recomputed from the decoded rolls, for both
-the unedited and edited versions.
+A seed latent comes either from sampling the prior or from encoding one
+4-bar fragment of a seed MIDI file (posterior mean).  Edits are named
+attribute vectors with scales, applied additively in order.  ``generate``
+and ``compose_chain`` decode all their latents in one call, and the model
+gives each row the bits it has in any call: a sampled seed decodes as its
+row of ``ttv eval``, a MIDI seed's code is its ``ttv vectors`` code.  Every
+MIDI comes with a report of the predicted and recomputed tension curves.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def seed_latent(model: TensionVae, request: GenerationRequest) -> tuple[np.ndarr
         raise InvalidInputError(
             f"fragment index {request.fragment_index} out of range "
             f"(file has {len(fragments)} fragments)")
-    z = model.encode(fragments.rolls[request.fragment_index]).mu
+    z = model.encode(fragments.rolls[[request.fragment_index]]).mu[0]
     return z, {"kind": "seed_midi", "path": str(request.seed_midi),
                "fragment_index": request.fragment_index,
                "bar_offset": fragments.bar_offsets[request.fragment_index]}
@@ -162,16 +163,8 @@ def steps_to_score(pitch: np.ndarray, onset: np.ndarray,
     )
 
 
-def _curve_report(hardened) -> dict:
-    """The curves of a one-row :func:`decode_hardened` output."""
-    def listed(column):
-        return [round(float(v), 6) for v in column[0]]
-    return {
-        "predicted_tensile": listed(hardened[1]),
-        "predicted_diameter": listed(hardened[2]),
-        "recomputed_tensile": listed(hardened[3]),
-        "recomputed_diameter": listed(hardened[4]),
-    }
+def _listed(edits: list[tuple[str, float]]) -> list:
+    return [[name, float(scale)] for name, scale in edits]
 
 
 @dataclass
@@ -180,22 +173,38 @@ class GenerationResult:
     report: dict
 
 
-def generate(model: TensionVae, vectors: VectorsFile,
-             request: GenerationRequest, checkpoint_id: str = "") -> GenerationResult:
-    """Decode the edited seed into a 4-bar MIDI plus tension report."""
+def _decode_edits(model: TensionVae, vectors: VectorsFile,
+                  request: GenerationRequest, edit_lists: list,
+                  checkpoint_id: str):
+    """Resolve the request's seed, apply each edit list on top of the
+    previous latent and decode every latent in one ``decode_hardened`` call:
+    (report header, hardened rolls, each latent's curve report)."""
     check_compatibility(model, vectors, checkpoint_id)
     z, seed_info = seed_latent(model, request)
-    original = decode_hardened(model, z[None])
-    edited = decode_hardened(model, apply_edits(z, vectors, request.edits)[None])
-    report = {
-        "seed": seed_info,
-        "edits": [[name, float(scale)] for name, scale in request.edits],
-        "checkpoint_id": checkpoint_id,
-        "original": _curve_report(original),
-        "modified": _curve_report(edited),
-    }
+    latents = []
+    for edits in edit_lists:
+        z = apply_edits(z, vectors, edits)
+        latents.append(z)
+    rolls, *curves = decode_hardened(model, np.stack(latents))
+    names = ("predicted_tensile", "predicted_diameter", "recomputed_tensile",
+             "recomputed_diameter")
+    reports = [{name: [round(float(v), 6) for v in column[row]]
+                for name, column in zip(names, curves)}
+               for row in range(len(latents))]
+    header = {"seed": seed_info, "edits": _listed(request.edits),
+              "checkpoint_id": checkpoint_id}
+    return header, rolls, reports
+
+
+def generate(model: TensionVae, vectors: VectorsFile,
+             request: GenerationRequest, checkpoint_id: str = "") -> GenerationResult:
+    """Decode the seed and its edit into a 4-bar MIDI of the edit, with the
+    curves of both in the report."""
+    report, rolls, (original, modified) = _decode_edits(
+        model, vectors, request, [[], request.edits], checkpoint_id)
+    report.update(original=original, modified=modified)
     return GenerationResult(
-        midi_bytes=write_midi(steps_to_score(*decode_roll(edited[0]))),
+        midi_bytes=write_midi(steps_to_score(*decode_roll(rolls[1]))),
         report=report)
 
 
@@ -203,35 +212,26 @@ def compose_chain(model: TensionVae, vectors: VectorsFile, plan: ChainPlan,
                   request: GenerationRequest, checkpoint_id: str = "") -> GenerationResult:
     """Concatenate 4-bar blocks decoded from cumulatively edited seeds.
 
-    Every section re-edits the previous section's latent (edits accumulate),
-    and its decoded block repeats for the section's length.  The blocks
-    decode as one stack, whose lines are read block after block; each
-    block's step 0 starts the notes sounding there, so no note runs across
-    a block boundary.  Section starts carry MIDI markers.
+    The request's edits apply to the seed before section 1, and every
+    section re-edits the previous section's latent (edits accumulate).  Each
+    section's decoded block repeats for the section's length, and the blocks
+    are read block after block; each block's step 0 starts the notes
+    sounding there, so no note runs across a block boundary.  Section starts
+    carry MIDI markers.
     """
-    check_compatibility(model, vectors, checkpoint_id)
-    z, seed_info = seed_latent(model, request)
-    blocks, markers, sections_report = [], [], []
-    bar_cursor = 0
-    for number, section in enumerate(plan.sections, start=1):
-        z = apply_edits(z, vectors, section.edits)
-        hardened = decode_hardened(model, z[None])
-        blocks.append(hardened[0])
-        markers.append((bar_cursor * 4.0, f"section {number}"))
-        bar_cursor += section.bars
-        sections_report.append({
-            "section": number,
-            "bars": section.bars,
-            "edits": [[name, float(scale)] for name, scale in section.edits],
-            **_curve_report(hardened),
-        })
-    rolls = np.repeat(np.concatenate(blocks), [
-        section.bars // BARS_PER_FRAGMENT for section in plan.sections], axis=0)
+    sections = plan.sections
+    report, rolls, curves = _decode_edits(
+        model, vectors, request,
+        [request.edits + sections[0].edits] + [s.edits for s in sections[1:]],
+        checkpoint_id)
+    starts = np.cumsum([0] + [s.bars for s in sections]).tolist()
+    markers = [(4.0 * bar, f"section {i}") for i, bar in enumerate(starts[:-1], 1)]
+    rolls = np.repeat(rolls, [s.bars // BARS_PER_FRAGMENT for s in sections],
+                      axis=0)
+    report.update(total_bars=plan.total_bars(), sections=[
+        {"section": number, "bars": section.bars,
+         "edits": _listed(section.edits), **section_curves}
+        for number, (section, section_curves)
+        in enumerate(zip(sections, curves), start=1)])
     score = steps_to_score(*decode_roll(rolls), markers)
-    report = {
-        "seed": seed_info,
-        "checkpoint_id": checkpoint_id,
-        "total_bars": plan.total_bars(),
-        "sections": sections_report,
-    }
     return GenerationResult(midi_bytes=write_midi(score), report=report)

@@ -32,7 +32,6 @@ DIRECTION_KINDS = ("tensile_strain_direction", "cloud_diameter_direction")
 LEVEL_KINDS = ("tensile_strain_level", "cloud_diameter_level")
 STANDARD_KINDS = DIRECTION_KINDS + LEVEL_KINDS
 DEFAULT_TARGET_N = 1000
-ENCODE_BLOCK = 64  # rows of every encoder call of the class means
 
 
 def measured_curve(name: str) -> str:
@@ -224,12 +223,10 @@ def class_means(model: TensionVae, dataset: FragmentDataset,
                 classes: list[list[int]]) -> list[np.ndarray]:
     """Float64 mean encoder code of each (non-empty) class of fragment ids.
 
-    A fragment's code is its row in an encode of exactly
-    :data:`ENCODE_BLOCK` rows: the sorted union of the class ids is encoded
-    once, in such blocks, the last padded by repeating ids.  Each class sums
-    its rows of that table in class order.  Where the BLAS computes a row of
-    a fixed-shape block whatever rows surround it, a class's mean does not
-    depend on the other classes requested with it.
+    The sorted union of the class ids is encoded once, by
+    :meth:`TensionVae.encode`, which gives a fragment the code it has in any
+    encode; each class sums its rows of that table in class order.  So a
+    class's mean does not depend on the other classes requested with it.
     """
     if not all(len(ids) for ids in classes):
         raise InvalidInputError("classes must be non-empty")
@@ -238,9 +235,7 @@ def class_means(model: TensionVae, dataset: FragmentDataset,
     if len(outside):
         raise MissingFragmentError(f"fragment id {outside[0]} is not in the "
                                    f"dataset (size {len(dataset)})")
-    padded = np.resize(union, -(-len(union) // ENCODE_BLOCK) * ENCODE_BLOCK)
-    table = np.concatenate([model.encode(dataset.rolls[block]).mu
-                            for block in padded.reshape(-1, ENCODE_BLOCK)])
+    table = model.encode(dataset.rolls[union]).mu
     return [table[np.searchsorted(union, ids)].sum(axis=0, dtype=np.float64)
             / len(ids) for ids in classes]
 
@@ -248,8 +243,7 @@ def class_means(model: TensionVae, dataset: FragmentDataset,
 def attribute_vector(model: TensionVae, dataset: FragmentDataset,
                      class_a: list[int], class_b: list[int],
                      name: str) -> AttributeVector:
-    """Difference of encoder posterior means between the two classes, each
-    fragment's code its row of an ``ENCODE_BLOCK``-row encode (see
+    """Difference of encoder posterior means between the two classes (see
     :func:`class_means`)."""
     mean_a, mean_b = class_means(model, dataset, [class_a, class_b])
     return AttributeVector(name=name, values=mean_a - mean_b,
@@ -286,9 +280,9 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
     """Label the dataset and extract one attribute vector per kind.
 
     Every kind is labeled first.  Then each fragment of any class is encoded
-    once, in ``ENCODE_BLOCK``-row blocks, and each class mean is summed from
-    those codes (:func:`class_means`), so a kind's vector is the same
-    whichever other kinds are built with it.
+    once, and each class mean is summed from those codes
+    (:func:`class_means`), so a kind's vector is the same whichever other
+    kinds are built with it.
     ``restrict_ids`` limits labeling to a subset (normally the training
     split); class ids still refer to dataset positions.
     """

@@ -70,6 +70,7 @@ from .config import ModelConfig
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 PROB_FLOOR = 1e-10
+ENCODE_BLOCK = 64  # rows of every encoder call of ``TensionVae.encode``
 
 # (name, output width, activation); softmax heads emit per-step rows.
 HEAD_SPECS = (
@@ -92,7 +93,7 @@ class Posterior:
 
 @dataclass
 class DecoderOutput:
-    """The six head outputs; leading batch axis present iff the input had one."""
+    """The six head outputs, of one example or with a leading batch axis."""
 
     melody_pitch: np.ndarray   # (..., 64, 74) rows sum to 1
     melody_onset: np.ndarray   # (..., 64) in (0, 1)
@@ -488,21 +489,13 @@ def decoder_backward(params: dict, cfg: ModelConfig, cache: dict,
     return d_seq.sum(axis=1)
 
 
-def _as_batch(roll: np.ndarray) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(roll)
-    if arr.shape == (N_STEPS, N_FEATURES):
-        return arr[None, ...], True
-    if arr.ndim == 3 and arr.shape[1:] == (N_STEPS, N_FEATURES):
-        return arr, False
-    raise InvalidInputError(
-        f"expected a ({N_STEPS}, {N_FEATURES}) roll or batch, got {arr.shape}")
-
-
 class TensionVae:
-    """Config + parameters with convenience entry points.
+    """Config + parameters with the inference entry points.
 
-    ``encode``/``decode`` accept single examples or batches and mirror the
-    shape on output.  All methods are pure with respect to the parameters.
+    ``encode`` and ``decode`` take stacks only and give each row the bits it
+    has in any other call: a one-row matmul goes through gemv and rounds
+    differently, so neither makes one.  All methods are pure with respect to
+    the parameters.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
@@ -518,29 +511,40 @@ class TensionVae:
     def dtype(self):
         return self.params["enc.mu.w"].dtype
 
-    def encode(self, roll: np.ndarray) -> Posterior:
-        batch, squeeze = _as_batch(roll)
-        posterior, _ = encoder_forward(self.params, self.cfg,
-                                       batch.astype(self.dtype), keep_cache=False)
-        if squeeze:
-            return Posterior(mu=posterior.mu[0], logvar=posterior.logvar[0])
-        return posterior
+    def encode(self, rolls: np.ndarray) -> Posterior:
+        """Posterior of each roll of a non-empty (n, 64, 89) stack, encoded
+        in blocks of exactly ``ENCODE_BLOCK`` rows, the last padded by
+        repeating rows: the BLAS gives a row of a fixed-shape block the same
+        bits whatever rows surround it."""
+        rolls = np.asarray(rolls)
+        if rolls.ndim != 3 or rolls.shape[1:] != (N_STEPS, N_FEATURES) \
+                or not len(rolls):
+            raise InvalidInputError(
+                f"expected a non-empty (n, {N_STEPS}, {N_FEATURES}) roll "
+                f"stack, got {rolls.shape}")
+        n = len(rolls)
+        rows = np.resize(np.arange(n), -(-n // ENCODE_BLOCK) * ENCODE_BLOCK)
+        parts = [encoder_forward(self.params, self.cfg,
+                                 rolls[block].astype(self.dtype),
+                                 keep_cache=False)[0]
+                 for block in rows.reshape(-1, ENCODE_BLOCK)]
+        return Posterior(mu=np.concatenate([p.mu for p in parts])[:n],
+                         logvar=np.concatenate([p.logvar for p in parts])[:n])
 
     def decode(self, z: np.ndarray) -> DecoderOutput:
+        """The six head outputs of each code of an (n, latent) stack; a
+        single code decodes as two copies of itself."""
         z = np.asarray(z, dtype=self.dtype)
-        squeeze = z.ndim == 1
-        if squeeze:
-            z = z[None, :]
-        if z.shape[1] != self.cfg.latent_dim:
+        if z.ndim != 2 or z.shape[1] != self.cfg.latent_dim:
             raise InvalidInputError(
-                f"latent size {z.shape[1]} does not match model "
-                f"latent_dim {self.cfg.latent_dim}")
-        out, _ = decoder_forward(self.params, self.cfg, z, keep_cache=False)
-        if squeeze:
-            return DecoderOutput(*(getattr(out, f)[0] for f in (
-                "melody_pitch", "melody_onset", "bass_pitch", "bass_onset",
-                "tensile", "diameter")))
-        return out
+                f"expected an (n, {self.cfg.latent_dim}) latent stack, got "
+                f"{z.shape}")
+        n = len(z)
+        out, _ = decoder_forward(self.params, self.cfg,
+                                 np.repeat(z, 2, axis=0) if n == 1 else z,
+                                 keep_cache=False)
+        return DecoderOutput(**{name: value[:n]
+                                for name, value in vars(out).items()})
 
 
 def sample_latent(n: int, latent_dim: int,

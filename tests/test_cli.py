@@ -564,6 +564,35 @@ class TestComposeChain:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+    def chain(self, pipeline, tmp_path, name, *edits):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"sections": [{"bars": 4}, {"bars": 4}]}))
+        out = tmp_path / name
+        code = main(["compose-chain", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]), "--plan", str(plan),
+                     "--rng-seed", "2", *(f"--edit={e}" for e in edits),
+                     "--out", str(out)])
+        return code, out
+
+    def test_edit_applies_before_section_one(self, pipeline, tmp_path):
+        _, plain = self.chain(pipeline, tmp_path, "plain.mid")
+        code, edited = self.chain(pipeline, tmp_path, "edited.mid",
+                                  "tensile_strain_direction=8")
+        assert code == 0
+        assert edited.read_bytes() != plain.read_bytes()
+        report = json.loads(Path(f"{edited}.tension.json").read_text())
+        assert report["edits"] == [["tensile_strain_direction", 8.0]]
+        plain_report = json.loads(Path(f"{plain}.tension.json").read_text())
+        assert plain_report["edits"] == []
+        assert report["sections"][0]["recomputed_tensile"] \
+            != plain_report["sections"][0]["recomputed_tensile"]
+
+    def test_unknown_edit_name_exits_two(self, pipeline, tmp_path, capsys):
+        code, out = self.chain(pipeline, tmp_path, "c.mid", "x=8")
+        assert code == 2 and not out.exists()
+        assert "no vector named 'x'" in capsys.readouterr().err
+
+
 class TestEval:
     def test_direction_experiment(self, pipeline, tmp_path):
         out = tmp_path / "reports"
@@ -977,6 +1006,45 @@ class TestInputFilesReadAsRegular:
 
 SUBCOMMANDS = ("analyze", "preprocess", "train", "vectors", "shape-vector",
                "generate", "compose-chain", "eval", "gradcheck")
+SEEDED = ("train", "generate", "compose-chain", "eval", "gradcheck")
+
+
+class TestFlagsOnlyWhereRead:
+    """``--rng-seed`` goes only to the subcommands that read it and
+    ``--config`` only to ``train``; anywhere else argparse refuses it."""
+
+    REQUIRED = {
+        "analyze": ["--in", "i"], "preprocess": ["--in", "i", "--out", "o"],
+        "train": ["--dataset", "d", "--out", "o"],
+        "vectors": ["--model", "m", "--dataset", "d", "--out", "o"],
+        "shape-vector": ["--model", "m", "--dataset", "d", "--out", "o"],
+        "generate": ["--model", "m", "--vectors", "v", "--out", "o"],
+        "compose-chain": ["--model", "m", "--vectors", "v", "--out", "o",
+                          "--plan", "p"],
+        "eval": ["--model", "m", "--vectors", "v", "--out", "o",
+                 "--experiment", "direction"],
+        "gradcheck": []}
+
+    @pytest.mark.parametrize("flag", ["--rng-seed", "--config"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_flag_parses_only_where_read(self, flag, command, capsys):
+        argv = [command, *self.REQUIRED[command], "--verbose", "--json",
+                flag, "5"]
+        if command in (SEEDED if flag == "--rng-seed" else ("train",)):
+            args = ttvae.cli.build_parser().parse_args(argv)
+            assert getattr(args, flag[2:].replace("-", "_")) in (5, "5")
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            ttvae.cli.build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    def test_analyze_refuses_them_before_any_work(self, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--in", str(corpus_dir / "song00.mid"),
+                  "--config", "/nonexistent.json", "--rng-seed", "5"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestIntegerFlagsCheckedOnParse:
@@ -993,7 +1061,7 @@ class TestIntegerFlagsCheckedOnParse:
         assert "error: argument " + message in err
         assert "Traceback" not in err and "internal error" not in err
 
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("command", SEEDED)
     def test_negative_rng_seed(self, command, capsys):
         self._refused([command, "--rng-seed", "-1"], capsys,
                       "--rng-seed: must be >= 0, got -1")
@@ -1019,7 +1087,12 @@ class TestIntegerFlagsCheckedOnParse:
                       f"--step: must be finite and > 0, got {value}")
 
     def test_zero_seed_and_one_per_class_still_parse(self):
-        args = ttvae.cli.build_parser().parse_args(
+        parser = ttvae.cli.build_parser()
+        args = parser.parse_args(
             ["vectors", "--model", "m", "--dataset", "d", "--out", "o",
-             "--rng-seed", "0", "--target-n", "1"])
-        assert (args.rng_seed, args.target_n) == (0, 1)
+             "--target-n", "1"])
+        assert args.target_n == 1
+        args = parser.parse_args(
+            ["eval", "--model", "m", "--vectors", "v", "--out", "o",
+             "--experiment", "direction", "--rng-seed", "0"])
+        assert args.rng_seed == 0

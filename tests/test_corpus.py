@@ -483,9 +483,8 @@ class TestBuildDataset:
         write_song(tmp_path / "b.mid", bars=8, shift=2)
         dataset = build_dataset(tmp_path)
         assert len(dataset) == 4
-        assert [f.source_id for f in dataset.fragments] == [
-            "a.mid", "a.mid", "b.mid", "b.mid"]
-        assert [f.bar_offset for f in dataset.fragments] == [0, 4, 0, 4]
+        assert dataset.source_ids == ["a.mid", "a.mid", "b.mid", "b.mid"]
+        assert dataset.bar_offsets == [0, 4, 0, 4]
 
     def test_corrupt_file_skipped(self, tmp_path):
         write_song(tmp_path / "good.mid", bars=8)
@@ -545,10 +544,9 @@ class TestBuildDataset:
         write_song(tmp_path / "a.mid", bars=4)
         dataset = build_dataset(tmp_path)
         from ttvae.tension import tension_curves
-        for f in dataset.fragments:
-            strain, diam = tension_curves(f.roll)
-            np.testing.assert_allclose(f.tensile, strain, atol=1e-6)
-            np.testing.assert_allclose(f.diameter, diam, atol=1e-6)
+        strain, diam = tension_curves(dataset.rolls)
+        np.testing.assert_allclose(dataset.tensile, strain, atol=1e-6)
+        np.testing.assert_allclose(dataset.diameter, diam, atol=1e-6)
 
 
 class TestDatasetFile:
@@ -566,11 +564,11 @@ class TestDatasetFile:
         save_dataset(ds, path)
         loaded = load_dataset(path)
         assert len(loaded) == 5
-        for a, b in zip(ds.fragments, loaded.fragments):
-            np.testing.assert_array_equal(a.roll, b.roll)
-            np.testing.assert_array_equal(a.tensile, b.tensile)
-            np.testing.assert_array_equal(a.diameter, b.diameter)
-            assert (a.source_id, a.bar_offset) == (b.source_id, b.bar_offset)
+        for column in ("rolls", "tensile", "diameter"):
+            np.testing.assert_array_equal(getattr(ds, column),
+                                          getattr(loaded, column))
+        assert (ds.source_ids, ds.bar_offsets) \
+            == (loaded.source_ids, loaded.bar_offsets)
 
     def test_truncated_rejected(self, tmp_path, rng):
         ds = make_dataset([encode_roll(*random_window(rng))],
@@ -795,8 +793,7 @@ class TestSongLengthCap:
         began = time.perf_counter()
         dataset = build_dataset(tmp_path)
         assert time.perf_counter() - began < 0.5
-        assert [f.source_id for f in dataset.fragments] == [
-            "a.mid", "a.mid", "c.mid", "c.mid"]
+        assert dataset.source_ids == ["a.mid", "a.mid", "c.mid", "c.mid"]
         (skip,) = dataset.meta["skips"]
         assert skip["file"] == "b.mid"
         assert f"cap of {MAX_SONG_BARS} bars" in skip["reason"]

@@ -41,7 +41,7 @@ from ttvae.evaluation import (
     write_ratio_chart_svg,
     write_sweep_csv,
 )
-from ttvae.latent import AttributeVector
+from ttvae.latent import AttributeVector, level_scores
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     MELODY_ONSET_COL,
@@ -246,6 +246,17 @@ class TestRatios:
     def test_high_ratio_at_threshold_is_zero(self):
         curves = np.full((4, 64), 2.0)
         assert high_ratio(curves, 2.0, tau=0.0) == 0.0
+
+    def test_high_ratio_scores_as_labeling(self, rng):
+        # tau at each curve's own labeling magnitude: no curve is over it,
+        # though np.linalg.norm rounds some of those distances higher
+        curves = rng.uniform(0, 3, size=(400, 64))
+        signs, magnitudes = level_scores(curves, 1.0)
+        flags = [high_ratio(curve[None], 1.0, tau, per_example=True)[0]
+                 for curve, tau in zip(curves, magnitudes)]
+        assert not any(flags)
+        assert (high_ratio(curves, 1.0, 0.0, per_example=True)
+                == (signs > 0)).all()
 
     def test_high_ratio_count_oracle(self, rng):
         curves = rng.uniform(0, 3, size=(40, 64))

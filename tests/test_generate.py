@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_track, reference_chain_score, window
 from toy import toy_song
-from ttvae.corpus import MAX_SONG_BARS
+from ttvae.corpus import MAX_SONG_BARS, song_fragments
 from ttvae import generate as generate_module
 from ttvae.errors import InvalidInputError
 from ttvae.generate import (
@@ -18,14 +18,15 @@ from ttvae.generate import (
     seed_latent,
     steps_to_score,
 )
-from ttvae.latent import AttributeVector, VectorsFile
+from ttvae.evaluation import decode_hardened
+from ttvae.latent import AttributeVector, VectorsFile, class_means
 from ttvae.midi import parse_midi, write_midi
 from ttvae.pianoroll import (
     BASS_ONSET_COL,
     MELODY_ONSET_COL,
     encode_roll,
 )
-from ttvae.vae import ModelConfig, TensionVae
+from ttvae.vae import ModelConfig, TensionVae, sample_latent
 
 
 def parsed_notes(midi_bytes):
@@ -213,6 +214,75 @@ class TestComposeChain:
         assert sorted(second_half) == sorted(parsed_notes(plain.midi_bytes))
 
 
+class TestRequestEdits:
+    def test_apply_to_the_seed_before_section_one(self):
+        m, vf = model(), vectors_file()
+        edit = [("tensile_strain_direction", 8.0)]
+        plan = ChainPlan(sections=[
+            ChainSection(bars=4),
+            ChainSection(bars=4, edits=[("cloud_diameter_level", 1.0)])])
+        plain = compose_chain(m, vf, plan, GenerationRequest(sample_seed=4))
+        edited = compose_chain(m, vf, plan, GenerationRequest(
+            sample_seed=4, edits=edit))
+        in_plan = compose_chain(m, vf, ChainPlan(sections=[
+            ChainSection(bars=4, edits=edit), plan.sections[1]]),
+            GenerationRequest(sample_seed=4))
+        assert edited.midi_bytes == in_plan.midi_bytes
+        for a, b in zip(edited.report["sections"], in_plan.report["sections"]):
+            assert {**a, "edits": []} == {**b, "edits": []}
+        assert edited.report["sections"][0]["recomputed_tensile"] \
+            != plain.report["sections"][0]["recomputed_tensile"]
+        assert edited.report["edits"] == [["tensile_strain_direction", 8.0]]
+        assert plain.report["edits"] == []
+
+    def test_unknown_vector_rejected(self):
+        with pytest.raises(InvalidInputError, match="no vector named"):
+            compose_chain(model(), vectors_file(),
+                          ChainPlan(sections=[ChainSection(bars=4)]),
+                          GenerationRequest(sample_seed=4, edits=[("x", 8.0)]))
+
+
+class TestSameBitsAsEvalAndVectors:
+    """At hidden 128 a one-row encode or decode rounds differently from the
+    same row in a block; generation gets the bits of ``ttv eval``'s decode
+    and of ``ttv vectors``' class means."""
+
+    CFG = ModelConfig(latent_dim=16, hidden=128, gru_layers=2, rng_seed=3)
+
+    @staticmethod
+    def vectors():
+        return VectorsFile(latent_dim=16, checkpoint_id="", vectors={})
+
+    def test_sampled_seed_decodes_as_its_eval_row(self, monkeypatch):
+        m = TensionVae.initialize(self.CFG)
+        seen = []
+
+        def spy(model, z):
+            seen.append(decode_hardened(model, z))
+            return seen[-1]
+
+        monkeypatch.setattr(generate_module, "decode_hardened", spy)
+        result = generate(m, self.vectors(), GenerationRequest(sample_seed=6))
+        want = decode_hardened(m, sample_latent(256, 16, 6).astype(m.dtype))
+        for got, column in zip(seen[0], want):
+            assert got[0].tobytes() == column[0].tobytes()
+        assert result.report["original"]["predicted_tensile"] == [
+            round(float(v), 6) for v in want[1][0]]
+        assert result.report["original"]["recomputed_diameter"] == [
+            round(float(v), 6) for v in want[4][0]]
+
+    def test_seed_midi_code_is_its_class_means_row(self, tmp_path):
+        path = tmp_path / "seed.mid"
+        path.write_bytes(write_midi(toy_song(0)))
+        fragments, _, _ = song_fragments(parse_midi(path.read_bytes()))
+        m = TensionVae.initialize(self.CFG)
+        means = class_means(m, fragments, [[i] for i in range(len(fragments))])
+        for index in range(len(fragments)):
+            z, _ = seed_latent(m, GenerationRequest(seed_midi=path,
+                                                    fragment_index=index))
+            assert z.astype(np.float64).tobytes() == means[index].tobytes()
+
+
 class TestStepsToScore:
     def test_render_settings(self):
         score = steps_to_score(*window([(60, 0, 4)], [(36, 0, 8)]))
@@ -264,12 +334,12 @@ class TestMidiEqualsPerNoteReference:
     @pytest.fixture
     def decoded(self, monkeypatch):
         """Make ``decode_hardened`` return the rolls put in the list it
-        yields, one per call, with zero curves."""
+        yields, one per latent of a call, with zero curves."""
         queue = []
 
         def decode(model, z):
-            curve = np.zeros((1, 64))
-            return queue.pop(0)[None], curve, curve, curve, curve
+            curve = np.zeros((len(z), 64))
+            return np.stack([queue.pop(0) for _ in z]), curve, curve, curve, curve
 
         monkeypatch.setattr(generate_module, "decode_hardened", decode)
         return queue

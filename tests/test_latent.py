@@ -22,7 +22,6 @@ from helpers import (
 from ttvae.evaluation import upward_ratio
 from ttvae.errors import InvalidInputError, MissingFragmentError
 from ttvae.latent import (
-    ENCODE_BLOCK,
     RAMP_TEMPLATE,
     STANDARD_KINDS,
     AttributeVector,
@@ -40,7 +39,8 @@ from ttvae.latent import (
     shape_scores,
     triangle_template,
 )
-from ttvae.vae import ModelConfig, TensionVae
+from ttvae.vae import ModelConfig, TensionVae, network
+from ttvae.vae.network import ENCODE_BLOCK
 
 RAMP = np.arange(64) / 63
 
@@ -323,8 +323,7 @@ class TestAttributeVector:
         ds = tiny_dataset(rng)
         model = tiny_model()
         v = attribute_vector(model, ds, [3], [7], "x")
-        mu_a = model.encode(ds.fragments[3].roll).mu
-        mu_b = model.encode(ds.fragments[7].roll).mu
+        mu_a, mu_b = model.encode(ds.rolls[[3, 7]]).mu
         np.testing.assert_allclose(v.values, mu_a - mu_b, atol=1e-7)
 
     def test_antisymmetry(self, rng):
@@ -529,13 +528,13 @@ class TestEncodeOnce:
     def encoded_rows(self, monkeypatch, model, dataset):
         row_id = {roll.tobytes(): i for i, roll in enumerate(dataset.rolls)}
         calls = []
-        encode = model.encode
+        encoder_forward = network.encoder_forward
 
-        def counting(rolls):
-            calls.append([row_id[roll.tobytes()] for roll in rolls])
-            return encode(rolls)
+        def counting(params, cfg, x, **kwargs):
+            calls.append([row_id[roll.astype(np.uint8).tobytes()] for roll in x])
+            return encoder_forward(params, cfg, x, **kwargs)
 
-        monkeypatch.setattr(model, "encode", counting)
+        monkeypatch.setattr(network, "encoder_forward", counting)
         return calls
 
     @staticmethod

@@ -20,6 +20,7 @@ from helpers import (
 )
 from ttvae import cores
 from ttvae.errors import InvalidInputError
+from ttvae.evaluation import decode_hardened
 from ttvae.pianoroll import N_STEPS
 from ttvae.vae import losses, network
 from ttvae.vae import (
@@ -53,12 +54,12 @@ def zeroed_model():
 class TestEncode:
     def test_zero_weights_give_zero_posterior(self, rng):
         model = zeroed_model()
-        post = model.encode(random_roll(rng))
-        np.testing.assert_array_equal(post.mu, np.zeros(4))
-        np.testing.assert_array_equal(post.logvar, np.zeros(4))
+        post = model.encode(random_roll(rng)[None])
+        np.testing.assert_array_equal(post.mu, np.zeros((1, 4)))
+        np.testing.assert_array_equal(post.logvar, np.zeros((1, 4)))
 
     def test_deterministic_across_runs(self, rng):
-        roll = random_roll(rng)
+        roll = random_roll(rng)[None]
         a = tiny_model().encode(roll)
         b = tiny_model().encode(roll)
         np.testing.assert_allclose(a.mu, b.mu, atol=1e-12, rtol=0)
@@ -74,8 +75,8 @@ class TestEncode:
         cols = np.flatnonzero(changed[step, :74])
         changed[step, cols[0]] = 0.0
         changed[step, (cols[0] + 1) % 74] = 1.0
-        a = model.encode(roll)
-        b = model.encode(changed)
+        a = model.encode(roll[None])
+        b = model.encode(changed[None])
         assert np.abs(a.mu - b.mu).max() > 0
 
     def test_batch_shape(self, rng):
@@ -83,17 +84,20 @@ class TestEncode:
         batch = np.stack([random_roll(rng) for _ in range(3)])
         post = model.encode(batch)
         assert post.mu.shape == (3, 4)
-        single = model.encode(batch[1])
-        np.testing.assert_allclose(single.mu, post.mu[1], atol=1e-6)
+        single = model.encode(batch[1:2])
+        assert single.mu.shape == (1, 4)
+        np.testing.assert_array_equal(single.mu[0], post.mu[1])
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tiny_model().encode(np.zeros((10, 89)))
+        # a single roll is refused too: encode takes non-empty stacks only
+        for shape in [(10, 89), (64, 89), (0, 64, 89)]:
+            with pytest.raises(InvalidInputError):
+                tiny_model().encode(np.zeros(shape))
 
     def test_logvar_clamped(self, rng):
         model = tiny_model()
         model.params["enc.logvar.b"][...] = 50.0
-        post = model.encode(random_roll(rng))
+        post = model.encode(random_roll(rng)[None])
         assert post.logvar.max() <= 10.0
 
 
@@ -291,31 +295,87 @@ class TestReparameterize:
 class TestDecode:
     def test_zero_weights_give_flat_heads(self):
         model = zeroed_model()
-        out = model.decode(np.zeros(4))
-        np.testing.assert_allclose(out.melody_pitch, np.full((64, 74), 1 / 74),
+        out = model.decode(np.zeros((1, 4)))
+        np.testing.assert_allclose(out.melody_pitch, np.full((1, 64, 74), 1 / 74),
                                    atol=1e-7)
-        np.testing.assert_allclose(out.bass_pitch, np.full((64, 13), 1 / 13),
+        np.testing.assert_allclose(out.bass_pitch, np.full((1, 64, 13), 1 / 13),
                                    atol=1e-7)
-        np.testing.assert_allclose(out.melody_onset, np.full(64, 0.5), atol=1e-7)
-        np.testing.assert_array_equal(out.tensile, np.zeros(64))
+        np.testing.assert_allclose(out.melody_onset, np.full((1, 64), 0.5),
+                                   atol=1e-7)
+        np.testing.assert_array_equal(out.tensile, np.zeros((1, 64)))
 
     def test_rows_normalized_for_random_params(self, rng):
         model = tiny_model(seed=11)
-        out = model.decode(rng.standard_normal(4))
-        np.testing.assert_allclose(out.melody_pitch.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(out.bass_pitch.sum(axis=1), 1.0, atol=1e-6)
+        out = model.decode(rng.standard_normal((1, 4)))
+        np.testing.assert_allclose(out.melody_pitch.sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(out.bass_pitch.sum(axis=-1), 1.0, atol=1e-6)
         assert ((out.melody_onset > 0) & (out.melody_onset < 1)).all()
 
     def test_deterministic(self, rng):
-        z = rng.standard_normal(4)
+        z = rng.standard_normal((1, 4))
         a = tiny_model().decode(z)
         b = tiny_model().decode(z)
         np.testing.assert_array_equal(a.melody_pitch, b.melody_pitch)
         np.testing.assert_array_equal(a.diameter, b.diameter)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tiny_model().decode(np.zeros(7))
+        # a single code is refused too: decode takes stacks only
+        for shape in [(1, 7), (4,)]:
+            with pytest.raises(InvalidInputError):
+                tiny_model().decode(np.zeros(shape))
+
+
+class TestRowRule:
+    """A roll's code from ``TensionVae.encode`` and a latent's outputs from
+    ``decode_hardened`` are the same bits in every call that holds them: of
+    one row or many, in any order, whatever the other rows are.  A one-row
+    matmul goes through gemv and rounds differently, which the model's
+    64-row encoder blocks and two-copy decode of one latent keep out.  The
+    test fails on a BLAS that computes a row of a fixed-shape block
+    differently with the rows around it."""
+
+    @pytest.fixture(scope="class", params=[(128, 16), (256, 96), (24, 8)],
+                    ids=str)
+    def model(self, request):
+        hidden, latent_dim = request.param
+        return TensionVae.initialize(ModelConfig(
+            latent_dim=latent_dim, hidden=hidden, gru_layers=2, rng_seed=9))
+
+    @staticmethod
+    def assert_rows(got, want, what):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), (
+                f"{what}: a row differs from the same row in another call")
+
+    def test_encode(self, model):
+        rng = np.random.default_rng(model.cfg.hidden)
+        rolls = np.stack([random_roll(rng) for _ in range(200)])
+        others = np.stack([random_roll(rng) for _ in range(200)])
+        want = model.encode(rolls).mu
+        for n in (1, 2, 64, 65, 200):
+            self.assert_rows(model.encode(rolls[:n]).mu, want[:n],
+                             f"{n}-row encode")
+        for i in (5, 64, 199):
+            self.assert_rows(model.encode(rolls[i:i + 1]).mu, want[i:i + 1],
+                             f"1-row encode of row {i}")
+        order = rng.permutation(200)
+        self.assert_rows(model.encode(rolls[order]).mu, want[order],
+                         "permuted encode")
+        kept = rng.random(200) < 0.3
+        mixed = np.where(kept[:, None, None], rolls, others)
+        self.assert_rows(model.encode(mixed).mu[kept], want[kept],
+                         "encode among replaced rows")
+
+    def test_decode_hardened(self, model):
+        z = sample_latent(257, model.cfg.latent_dim, 3).astype(model.dtype)
+        want = decode_hardened(model, z)
+        for n in (1, 2, 3, 256, 257):
+            for got, column in zip(decode_hardened(model, z[:n]), want):
+                self.assert_rows(got, column[:n], f"{n}-row decode")
+        for i in (7, 256):
+            for got, column in zip(decode_hardened(model, z[i:i + 1]), want):
+                self.assert_rows(got, column[i:i + 1],
+                                 f"1-row decode of row {i}")
 
 
 HEAD_FIELDS = ("melody_pitch", "melody_onset", "bass_pitch", "bass_onset",
@@ -429,8 +489,8 @@ class TestLoss:
     def test_total_matches_component_sum(self, rng):
         roll = random_roll(rng)
         model = tiny_model()
-        out = model.decode(rng.standard_normal(4))
-        post = model.encode(roll)
+        out = model.decode(rng.standard_normal((1, 4)))
+        post = model.encode(roll[None])
         lb = loss(out, roll, rng.uniform(0, 2, 64), rng.uniform(0, 2, 64),
                   beta=0.004, posterior=post)
         expected = (lb.melody_pitch + lb.melody_rhythm + lb.bass_pitch
