@@ -10,21 +10,36 @@ vector edits do; :mod:`ttvae.generate` renders edited latents back to MIDI.
 The ``ttv`` command line (:mod:`ttvae.cli`) drives all of it.
 """
 
-from .corpus import FragmentDataset, Key, Mode, build_dataset, load_dataset, save_dataset
-from .errors import TtvaeError
-from .latent import AttributeVector, ShapeTemplate, VectorsFile, apply_vector, build_vectors
-from .pianoroll import decode_roll, encode_roll
-from .spiral import Cloud, SpelledPitch
-from .tension import moving_average, tension_curves
-from .vae import ModelConfig, TensionVae, load_checkpoint, save_checkpoint, train
+import importlib
+
+# Each exported name -> the submodule that defines it.  A name is looked up
+# in its module on every access (PEP 562), so ``import ttvae`` loads no
+# submodule, and an exported name always reads its module's current value.
+_EXPORTS = {name: module for module, names in {
+    "corpus": ("FragmentDataset", "Key", "Mode", "build_dataset",
+               "load_dataset", "save_dataset"),
+    "errors": ("TtvaeError",),
+    "latent": ("AttributeVector", "ShapeTemplate", "VectorsFile",
+               "apply_vector", "build_vectors"),
+    "pianoroll": ("decode_roll", "encode_roll"),
+    "spiral": ("Cloud", "SpelledPitch"),
+    "tension": ("moving_average", "tension_curves"),
+    "vae.checkpoint": ("load_checkpoint", "save_checkpoint"),
+    "vae.config": ("ModelConfig",),
+    "vae.network": ("TensionVae",),
+    "vae.training": ("train",),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeVector", "Cloud", "FragmentDataset", "Key", "Mode",
-    "ModelConfig", "ShapeTemplate", "SpelledPitch", "TensionVae",
-    "TtvaeError", "VectorsFile",
-    "apply_vector", "build_dataset", "build_vectors", "decode_roll",
-    "encode_roll", "load_checkpoint", "load_dataset", "moving_average",
-    "save_checkpoint", "save_dataset", "tension_curves", "train",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

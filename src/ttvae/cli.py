@@ -4,6 +4,8 @@ Subcommands: analyze, preprocess, train, vectors, shape-vector, generate,
 compose-chain, eval, gradcheck.  Exit codes: 0 on success (the requested
 artifact was fully written), 1 for internal errors, 2 for invalid input.
 All randomized subcommands are deterministic under a fixed ``--rng-seed``.
+Each handler imports only the modules it runs, so a subcommand's start-up
+loads only what that subcommand calls.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import evaluation, latent
 from .atomic import check_output, output_dir, write_atomic
 from .corpus import (
     build_dataset,
@@ -25,24 +26,7 @@ from .corpus import (
     song_fragments,
 )
 from .errors import InvalidInputError, TtvaeError
-from .generate import (
-    ChainPlan,
-    GenerationRequest,
-    check_compatibility,
-    compose_chain,
-    generate,
-)
-from .latent import (
-    STANDARD_KINDS,
-    ShapeTemplate,
-    build_vectors,
-    load_vectors,
-    save_vectors,
-    triangle_template,
-)
 from .midi import parse_midi
-from .vae import ModelConfig, TensionVae, gradient_check, load_checkpoint, train
-from .vae.training import training_split
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -52,6 +36,7 @@ def _print_json(payload: dict) -> None:
 
 
 def _load_model(path, expected_config=None):
+    from .vae import TensionVae, load_checkpoint
     ckpt = load_checkpoint(path, expected_config)
     return TensionVae(ckpt.config, ckpt.params), ckpt
 
@@ -128,7 +113,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ModelConfig:
+def _config_from_args(args):
+    from .vae import ModelConfig
     cfg = ModelConfig.from_json_file(args.config) if args.config \
         else ModelConfig()
     if args.rng_seed is not None:
@@ -137,6 +123,7 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
+    from .vae import train
     cfg = _config_from_args(args)
     dataset = load_dataset(args.dataset)
     progress = None
@@ -165,6 +152,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_vectors(args) -> int:
+    from .latent import STANDARD_KINDS, build_vectors, save_vectors
+    from .vae.training import training_split
     check_output(args.out)
     model, ckpt = _load_model(args.model)
     dataset = load_dataset(args.dataset)
@@ -192,7 +181,8 @@ def cmd_vectors(args) -> int:
     return 0
 
 
-def _load_template(args) -> ShapeTemplate:
+def _load_template(args):
+    from .latent import ShapeTemplate, triangle_template
     if args.template == "triangle":
         return triangle_template(args.peak_step)
     path = Path(args.template)
@@ -208,8 +198,14 @@ def _load_template(args) -> ShapeTemplate:
 
 
 def cmd_shape_vector(args) -> int:
+    from .latent import build_vectors, check_compatibility, load_vectors, save_vectors
+    from .vae.training import training_split
     out = check_output(args.out)
     model, ckpt = _load_model(args.model)
+    # An existing --out gains the vector, and only if it is this model's.
+    existing = load_vectors(out) if out.exists() else None
+    if existing is not None:
+        check_compatibility(model, existing, ckpt.ident)
     dataset = load_dataset(args.dataset)
     template = _load_template(args)
     name = args.name or f"shape_{template.name}"
@@ -221,14 +217,9 @@ def cmd_shape_vector(args) -> int:
                           checkpoint_id=ckpt.ident)
     vector = built.vectors.pop(kind)
     vector.name = name
-    built.vectors[name] = vector
-    if out.exists():
-        existing = load_vectors(out)
-        if existing.latent_dim == built.latent_dim \
-                and existing.checkpoint_id == built.checkpoint_id:
-            existing.vectors[name] = vector
-            built = existing
-    save_vectors(out, built)
+    kept = built if existing is None else existing
+    kept.vectors[name] = vector
+    save_vectors(out, kept)
     if args.json:
         _print_json({"vector": name, "out": str(out),
                      "class_sizes": list(vector.class_sizes)})
@@ -260,7 +251,8 @@ def _parse_edits(pairs: list[str]) -> list[tuple[str, float]]:
     return edits
 
 
-def _request_from_args(args) -> GenerationRequest:
+def _request_from_args(args):
+    from .generate import GenerationRequest
     if args.seed_midi:
         return GenerationRequest(seed_midi=Path(args.seed_midi),
                                  fragment_index=args.fragment_index,
@@ -271,6 +263,9 @@ def _request_from_args(args) -> GenerationRequest:
 
 def cmd_generate(args) -> int:
     """``generate``, and ``compose-chain``, which also takes a ``--plan``."""
+    from .evaluation import write_json
+    from .generate import ChainPlan, compose_chain, generate
+    from .latent import load_vectors
     out, report_path = _outputs(args.out, ".tension.json")
     model, ckpt = _load_model(args.model)
     vectors = load_vectors(args.vectors)
@@ -286,7 +281,7 @@ def cmd_generate(args) -> int:
         summary = {"edits": result.report["edits"]}
         message = f"wrote {out} and {report_path}"
     write_atomic(out, result.midi_bytes)
-    evaluation.write_json(report_path, result.report)
+    write_json(report_path, result.report)
     if args.json:
         _print_json({"midi": str(out), "report": str(report_path), **summary})
     else:
@@ -304,18 +299,22 @@ def _parse_scales(text: str | None, default) -> tuple[float, ...]:
 
 
 # The sweep experiments, each also a pair of the interaction experiment:
-# experiment -> (vector kinds, ratio kind, default scales).
+# experiment -> (vector kinds in ``latent``, ratio kind, default scales in
+# ``evaluation``), by name, so that building the parser imports neither.
 _SWEEPS = {
-    "direction": (latent.DIRECTION_KINDS, "upward",
-                  evaluation.DEFAULT_DIRECTION_SCALES),
-    "level": (latent.LEVEL_KINDS, "high", evaluation.DEFAULT_LEVEL_SCALES),
+    "direction": ("DIRECTION_KINDS", "upward", "DEFAULT_DIRECTION_SCALES"),
+    "level": ("LEVEL_KINDS", "high", "DEFAULT_LEVEL_SCALES"),
 }
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation, latent
+    sweeps = {experiment: (getattr(latent, kinds), ratio_kind,
+                           getattr(evaluation, scales))
+              for experiment, (kinds, ratio_kind, scales) in _SWEEPS.items()}
     model, ckpt = _load_model(args.model)
-    vectors = load_vectors(args.vectors)
-    check_compatibility(model, vectors, ckpt.ident)
+    vectors = latent.load_vectors(args.vectors)
+    latent.check_compatibility(model, vectors, ckpt.ident)
     out_dir = output_dir(args.out)
     seed = args.rng_seed or 0
     trained = ckpt.schedule.get("global_batches")
@@ -329,8 +328,8 @@ def cmd_eval(args) -> int:
         if args.charts:
             evaluation.write_ratio_chart_svg(out_dir / f"{stem}.svg", report)
 
-    if args.experiment in _SWEEPS:
-        kinds, ratio_kind, default = _SWEEPS[args.experiment]
+    if args.experiment in sweeps:
+        kinds, ratio_kind, default = sweeps[args.experiment]
         scales = _parse_scales(args.scales, default)
         kinds = [kind for kind in kinds if kind in vectors.vectors]
         if kinds:
@@ -341,7 +340,7 @@ def cmd_eval(args) -> int:
                 emit_sweep(report, f"{args.experiment}_{kind}")
     elif args.experiment == "interaction":
         scales = _parse_scales(args.scales, evaluation.DEFAULT_DIRECTION_SCALES)
-        for label, (kinds, mode, _) in _SWEEPS.items():
+        for label, (kinds, mode, _) in sweeps.items():
             if not all(k in vectors.vectors for k in kinds):
                 continue
             report = evaluation.interaction_grid(
@@ -379,6 +378,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .vae import gradient_check
     result = gradient_check(hidden=args.hidden, latent=args.latent,
                             n_weights=args.samples, step=args.step,
                             seed=args.rng_seed or 0)

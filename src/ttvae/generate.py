@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import MAX_SONG_BARS, read_midi_file, song_fragments
 from .errors import InvalidInputError
 from .evaluation import decode_hardened
-from .latent import VectorsFile, apply_vector
+from .latent import VectorsFile, apply_vector, check_compatibility
 from .midi import MidiTrack, Score, parse_midi, write_midi
 from .pianoroll import BARS_PER_FRAGMENT, decode_roll
 from .vae.network import TensionVae, sample_latent
@@ -86,23 +86,6 @@ class ChainPlan:
 
     def total_bars(self) -> int:
         return sum(s.bars for s in self.sections)
-
-
-def check_compatibility(model: TensionVae, vectors: VectorsFile,
-                        checkpoint_id: str = "") -> None:
-    """Refuse vector files that were built against a different model."""
-    problems = []
-    if vectors.latent_dim != model.cfg.latent_dim:
-        problems.append(f"latent_dim {vectors.latent_dim} != model "
-                        f"{model.cfg.latent_dim}")
-    if vectors.checkpoint_id and checkpoint_id \
-            and vectors.checkpoint_id != checkpoint_id:
-        problems.append(f"checkpoint id {vectors.checkpoint_id!r} != "
-                        f"model {checkpoint_id!r}")
-    if problems:
-        raise InvalidInputError(
-            "vectors file is incompatible with this model: "
-            + "; ".join(problems))
 
 
 def seed_latent(model: TensionVae, request: GenerationRequest) -> tuple[np.ndarray, dict]:

@@ -108,6 +108,23 @@ class VectorsFile:
         return self.vectors[name]
 
 
+def check_compatibility(model: TensionVae, vectors: VectorsFile,
+                        checkpoint_id: str = "") -> None:
+    """Refuse vector files that were built against a different model."""
+    problems = []
+    if vectors.latent_dim != model.cfg.latent_dim:
+        problems.append(f"latent_dim {vectors.latent_dim} != model "
+                        f"{model.cfg.latent_dim}")
+    if vectors.checkpoint_id and checkpoint_id \
+            and vectors.checkpoint_id != checkpoint_id:
+        problems.append(f"checkpoint id {vectors.checkpoint_id!r} != "
+                        f"model {checkpoint_id!r}")
+    if problems:
+        raise InvalidInputError(
+            "vectors file is incompatible with this model: "
+            + "; ".join(problems))
+
+
 def _curve_rows(curves: np.ndarray) -> np.ndarray:
     curves = np.ascontiguousarray(curves, dtype=float)
     if curves.ndim != 2 or curves.shape[1] != N_STEPS:

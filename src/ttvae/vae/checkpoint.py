@@ -26,7 +26,6 @@ from ..atomic import atomic_write
 from ..corpus import read_input
 from ..errors import CheckpointError, InvalidInputError
 from .config import ModelConfig
-from .network import param_shapes
 
 CHECKPOINT_MAGIC = b"TTVC"
 CHECKPOINT_FORMAT = 1
@@ -154,6 +153,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
             raise CheckpointError(
                 "checkpoint does not match the requested config: "
                 + "; ".join(diffs))
+    from .network import param_shapes  # here: importing checkpoints loads no network
     shapes = {t["name"]: tuple(t["shape"]) for t in tensors}
     if len(shapes) != len(tensors) or shapes != param_shapes(cfg):
         raise CheckpointError(

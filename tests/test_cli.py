@@ -275,14 +275,36 @@ class TestShapeVector:
         payload = json.loads(out.read_text())
         assert payload["vectors"][0]["name"] == "shape_triangle"
 
-    def test_merges_into_existing_file(self, pipeline):
-        before = json.loads(pipeline["vectors"].read_text())
+    def test_merges_into_existing_file(self, pipeline, tmp_path):
+        out = tmp_path / "vectors.json"
+        out.write_bytes(pipeline["vectors"].read_bytes())
+        before = load_vectors(out)
         assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
                      "--dataset", str(pipeline["dataset"]),
                      "--template", "triangle", "--target-n", "6",
-                     "--out", str(pipeline["vectors"])]) == 0
-        after = json.loads(pipeline["vectors"].read_text())
-        assert len(after["vectors"]) == len(before["vectors"]) + 1
+                     "--out", str(out)]) == 0
+        after = load_vectors(out)
+        assert after.checkpoint_id == before.checkpoint_id
+        assert sorted(after.vectors) == sorted([*before.vectors, "shape_triangle"])
+        for name, vector in before.vectors.items():
+            assert after.vectors[name].values.tobytes() == vector.values.tobytes()
+            assert after.vectors[name].class_sizes == vector.class_sizes
+
+    def test_merges_into_file_without_checkpoint_id(self, pipeline, tmp_path):
+        # The old vectors' model is unknown, so the merged file names none.
+        payload = json.loads(pipeline["vectors"].read_text())
+        payload["checkpoint_id"] = ""
+        out = tmp_path / "vectors.json"
+        out.write_text(json.dumps(payload))
+        assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
+                     "--dataset", str(pipeline["dataset"]),
+                     "--template", "triangle", "--target-n", "6",
+                     "--out", str(out)]) == 0
+        after = json.loads(out.read_text())
+        assert after["checkpoint_id"] == ""
+        assert [v for v in after["vectors"] if v["name"] != "shape_triangle"] \
+            == payload["vectors"]
+        assert len(after["vectors"]) == len(payload["vectors"]) + 1
 
     def test_json_file_template(self, pipeline, tmp_path):
         template = tmp_path / "dip.json"
@@ -726,6 +748,32 @@ class TestVectorModelMismatch:
                      "--vectors", str(pipeline["vectors"]),
                      "--out", str(tmp_path / "g.mid")]) == 2
 
+    def test_shape_vector_refuses_another_models_file(self, pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(TOY_CONFIG, rng_seed=321,
+                                          max_epochs=1)))
+        other = tmp_path / "other"
+        assert main(["train", "--dataset", str(pipeline["dataset"]),
+                     "--out", str(other), "--config", str(config)]) == 0
+        out = tmp_path / "vectors.json"
+        out.write_bytes(pipeline["vectors"].read_bytes())
+        before = out.read_bytes()
+        capsys.readouterr()
+
+        def build_vectors(*args, **kwargs):
+            raise AssertionError("encoded before checking --out")
+
+        monkeypatch.setattr("ttvae.latent.build_vectors", build_vectors)
+        other_ckpt = other / "checkpoint.ttv"
+        assert main(["shape-vector", "--model", str(other_ckpt),
+                     "--dataset", str(pipeline["dataset"]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vectors file is incompatible")
+        assert load_vectors(out).checkpoint_id in err
+        assert load_checkpoint(other_ckpt).ident in err
+        assert out.read_bytes() == before
 
     @pytest.mark.parametrize("mismatch", ["checkpoint id", "latent size"])
     def test_eval_refuses_vectors_of_another_model(self, pipeline, tmp_path,
