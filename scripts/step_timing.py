@@ -11,9 +11,11 @@ layers, on seeded random rolls, targets and noise; ``--config`` picks one.  The 
 rounds; a round starts one fresh process per config, ``SRC`` and
 environment, the ``SRC`` in alternating order, once with
 ``OPENBLAS_NUM_THREADS=1`` and once with it and ``OMP_NUM_THREADS`` unset.
-Each process makes one untimed call and then ``C`` timed ones.  It prints,
-per config, environment and ``SRC``, the fastest and the median over the
-rounds of each process's fastest call, in ms, and the SHA-256 of the
+Each process makes one untimed call and then ``C`` timed ones, and counts
+the minor page faults of the timed calls (``getrusage``'s ``ru_minflt``).
+It prints, per config, environment and ``SRC``, the fastest and the median
+over the rounds of each process's fastest call, in ms, the median over the
+rounds of each process's minor faults per timed call, and the SHA-256 of the
 gradients, which every row of a config should share.
 """
 
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,14 +51,17 @@ def time_steps(src: str, config: str, calls: int) -> dict:
     noise = rng.standard_normal((batch, cfg.latent_dim)).astype(np.float32)
     best = float("inf")
     for call in range(calls + 1):
+        if call == 1:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         began = time.perf_counter()
         _, grads = forward_backward(params, cfg, rolls, tensile, diameter, noise, 0.01)
         if call:
             best = min(best, time.perf_counter() - began)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     digest = hashlib.sha256()
     for name in sorted(grads):
         digest.update(name.encode() + grads[name].tobytes())
-    return {"seconds": best, "digest": digest.hexdigest()}
+    return {"seconds": best, "faults": faults / calls, "digest": digest.hexdigest()}
 
 
 def environment(label: str) -> dict:
@@ -83,6 +89,7 @@ def main() -> None:
     configs = args.config or list(CONFIGS)
     runs = {(config, env, src): [] for config in configs for env in ENVS
             for src in args.src}
+    faults = {key: [] for key in runs}
     digests = {}
     for round_ in range(args.rounds):
         order = args.src if round_ % 2 == 0 else args.src[::-1]
@@ -95,13 +102,14 @@ def main() -> None:
                         command, env=environment(env), check=True, text=True,
                         capture_output=True).stdout)
                     runs[config, env, src].append(out["seconds"] * 1e3)
+                    faults[config, env, src].append(out["faults"])
                     digests[config, env, src] = out["digest"][:16]
     print(f"{'config':<11} {'environment':<23} {'fastest ms':>10} {'median ms':>10}"
-          f"  {'gradients':<16}  src")
+          f" {'faults/call':>11}  {'gradients':<16}  src")
     for key, ms in runs.items():
         config, env, src = key
         print(f"{config:<11} {env:<23} {min(ms):>10.1f} {statistics.median(ms):>10.1f}"
-              f"  {digests[key]}  {src}")
+              f" {statistics.median(faults[key]):>11.0f}  {digests[key]}  {src}")
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
 
 def cmd_vectors(args) -> int:
     from .latent import STANDARD_KINDS, build_vectors, save_vectors
-    from .vae.training import training_split
+    from .vae.config import training_split
     check_output(args.out)
     model, ckpt = _load_model(args.model)
     dataset = load_dataset(args.dataset)
@@ -199,7 +199,7 @@ def _load_template(args):
 
 def cmd_shape_vector(args) -> int:
     from .latent import build_vectors, check_compatibility, load_vectors, save_vectors
-    from .vae.training import training_split
+    from .vae.config import training_split
     out = check_output(args.out)
     model, ckpt = _load_model(args.model)
     # An existing --out gains the vector, and only if it is this model's.

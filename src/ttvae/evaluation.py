@@ -23,9 +23,9 @@ by about 34 bytes per sample for each vector and scale.
 
 Each chunk is decoded, hardened and scored as two row halves at once, one on
 the calling thread and one on the process's helper thread
-(``decode_hardened``).  The two halves together are one chunk, so memory is
-still one chunk's, and every output is bitwise that of decoding the chunk
-whole.  While they run, BLAS is held at one thread (:mod:`ttvae.cores`), so
+(``decode_hardened``), where ``cores.splits`` rules that the halves pay.
+The two halves together are one chunk, so memory is still one chunk's, and
+every output is bitwise that of decoding the chunk whole.  While they run, BLAS is held at one thread (:mod:`ttvae.cores`), so
 the decode runs two threads on two cores whatever ``OPENBLAS_NUM_THREADS``
 says: with OpenBLAS's default of one thread per core, each half's matmuls
 would start more, which oversubscribes a small host.
@@ -208,25 +208,16 @@ def _decode_block(model: TensionVae, z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """``_decode_block`` of one chunk's two row halves, run on two threads.
-
-    The helper thread takes the last ``floor(k/2)`` of the chunk's k rows
-    while the calling thread takes the first ``ceil(k/2)``; NumPy's ufuncs
-    and BLAS release the GIL, so the halves run on two cores.  Each half's
-    rows decode to their bits in any call (:meth:`TensionVae.decode`), so
-    the split moves no output.  A one-row chunk has no second half and
-    decodes on the calling thread.  An error in the helper's half is raised
-    once the caller's half has finished.
+    """``_decode_block`` of one chunk: as two row halves run on two threads
+    (``cores.row_halves``) where ``cores.splits`` says so for the chunk's
+    rows and the model's sizes, else whole on the calling thread.  NumPy's
+    ufuncs and BLAS release the GIL, so the halves run on two cores.  Where
+    the rule splits, a row decodes to the same bits in either half as in
+    the whole chunk, so the split moves no output.
     """
-    half = (len(z) + 1) // 2
-    if half == len(z):
+    if not cores.splits(len(z), model.cfg.hidden, model.cfg.latent_dim):
         return [_decode_block(model, z)]
-    second = cores.helper().submit(_decode_block, model, z[half:])
-    try:
-        first = _decode_block(model, z[:half])
-    finally:
-        second.exception()  # wait for the helper whatever happened here
-    return [first, second.result()]
+    return cores.row_halves(lambda rows: _decode_block(model, z[rows]), len(z))
 
 
 def decode_hardened(model: TensionVae, z: np.ndarray,
@@ -235,10 +226,11 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
     """Decode a stack of latents to rolls plus predicted and recomputed curves.
 
     The latents go ``DECODE_CHUNK`` at a time, each chunk as two row halves
-    decoded at once on the calling thread and the one helper thread (see
-    ``_decode_halves``), so at most one chunk's rows are in flight and memory
-    is that of one chunk's decode.  A latent's outputs are the same bits
-    whatever other latents share the call, down to a call of one row.  Meanwhile BLAS is held at one thread
+    decoded at once on the calling thread and the one helper thread, or
+    whole where it is too small to pay (see ``_decode_halves``), so at most
+    one chunk's rows are in flight and memory is that of one chunk's decode.
+    A latent's outputs are the same bits whatever other latents share the
+    call, down to a call of one row.  Meanwhile BLAS is held at one thread
     (``cores.one_blas_thread``).  That setting is process-global: BLAS calls
     that other threads make during the decode run on one thread too.  The
     previous count comes back when the decode ends, also on error.

@@ -6,14 +6,13 @@ import importlib
 # access as in the ``ttvae`` package, so ``import ttvae.vae`` loads none.
 _EXPORTS = {name: module for module, names in {
     "checkpoint": ("Checkpoint", "load_checkpoint", "save_checkpoint"),
-    "config": ("ModelConfig",),
+    "config": ("ModelConfig", "split_dataset"),
     "gradcheck": ("GradCheckResult", "gradient_check"),
     "losses": ("LOSS_FIELDS", "LossBreakdown", "beta_schedule",
                "evaluate_batch", "forward_backward", "kl_divergence", "loss"),
     "network": ("DecoderOutput", "Posterior", "TensionVae", "init_params",
                 "reparameterize", "sample_latent"),
-    "training": ("Adam", "LedgerRow", "TrainResult", "split_dataset", "train",
-                 "write_ledger"),
+    "training": ("Adam", "LedgerRow", "TrainResult", "train", "write_ledger"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from ..corpus import read_json
 from ..errors import InvalidInputError
 from ..pianoroll import N_STEPS
@@ -20,6 +22,7 @@ MEMORY_BUDGET_BYTES = 2**30
 # ``param_shapes`` lists every layer, so a deeper stack is refused before
 # its layers are listed.
 MAX_GRU_LAYERS = 64
+MIN_DATASET_SIZE = 10
 
 _INT_FIELDS = ("latent_dim", "hidden", "gru_layers", "batch_size",
                "early_stop_patience", "max_epochs", "rng_seed")
@@ -123,3 +126,32 @@ class ModelConfig:
     @classmethod
     def from_json_file(cls, path) -> "ModelConfig":
         return cls.from_dict(read_json(path, "config"))
+
+
+def split_dataset(n: int, split: tuple[float, float, float],
+                  rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded shuffle into train/val/test index arrays (each non-empty)."""
+    if n < MIN_DATASET_SIZE:
+        raise InvalidInputError(
+            f"training needs at least {MIN_DATASET_SIZE} fragments, got {n}")
+    order = rng.permutation(n)
+    n_train = max(1, int(n * split[0]))
+    n_val = max(1, int(n * split[1]))
+    if n_train + n_val >= n:
+        n_train = n - n_val - 1
+    return {
+        "train": np.sort(order[:n_train]),
+        "val": np.sort(order[n_train:n_train + n_val]),
+        "test": np.sort(order[n_train + n_val:]),
+    }
+
+
+def _seed_streams(cfg: ModelConfig):
+    init_seed, split_seed, loop_seed = np.random.SeedSequence(cfg.rng_seed).spawn(3)
+    return init_seed, split_seed, loop_seed
+
+
+def training_split(cfg: ModelConfig, n: int) -> dict[str, np.ndarray]:
+    """The exact split a training run with this config and size produced."""
+    _, split_seed, _ = _seed_streams(cfg)
+    return split_dataset(n, cfg.split, np.random.default_rng(split_seed))

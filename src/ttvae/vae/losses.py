@@ -148,42 +148,55 @@ def _run_once(work: list):
     return fn(*args)
 
 
+def _row_runner(rows: int, cfg: ModelConfig):
+    """``cores.row_halves`` where ``cores.splits`` halves ``rows`` batch rows
+    of this model, else None: one block on the calling thread."""
+    return cores.row_halves if cores.splits(rows, cfg.hidden, cfg.latent_dim) else None
+
+
 def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
                      tensile_target: np.ndarray, diameter_target: np.ndarray,
                      noise: np.ndarray, beta: float,
                      ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """One training pass: losses plus gradients for every parameter tensor.
 
-    The backward pass runs its input-gradient chain on the calling thread and
-    its weight gradients on the one helper thread, with BLAS held at one
-    thread meanwhile (:mod:`ttvae.cores`).  Once the chain is done, the
-    calling thread runs the weight tasks that the helper has not started,
-    last first.  It returns or raises only once every started task has
-    finished; the first error of a task is raised if the chain raised none,
-    and after an error no further task starts.  The gradients are bitwise
-    those of ``decoder_backward`` and ``encoder_backward`` run on one thread.
+    Where ``cores.splits`` says so for the batch and the model, the step
+    runs on two threads (:mod:`ttvae.cores`).  The encoder and the decoder
+    forward each run their second row half on the helper thread, into the
+    same whole-batch caches.  The backward pass runs its input-gradient
+    chain on the calling thread and hands its weight gradients to the
+    helper; once the chain is done, the calling thread runs the weight tasks
+    that the helper has not started, last first.  It returns or raises only
+    once every started task has finished; the first error of a task is
+    raised if the chain raised none, and after an error no further task
+    starts.  Below the rule, the whole step runs on the calling thread.
+    BLAS is held at one thread throughout.  The gradients are bitwise those
+    of ``decoder_backward`` and ``encoder_backward`` run on one thread after
+    a whole-batch forward.
     """
     dtype = params["enc.mu.w"].dtype
     x = np.asarray(rolls, dtype=dtype)
     tensile_target = np.asarray(tensile_target, dtype=dtype)
     diameter_target = np.asarray(diameter_target, dtype=dtype)
     noise = np.asarray(noise, dtype=dtype)
-
-    posterior, enc_cache = encoder_forward(params, cfg, x)
-    z = reparameterize(posterior, noise)
-    out, dec_cache = decoder_forward(params, cfg, z)
-    breakdown = loss(out, x, tensile_target, diameter_target, beta, posterior)
+    run_rows = _row_runner(len(x), cfg)
 
     grads: dict[str, np.ndarray] = {}
     tasks = []      # (names, [fn, args], future), in the order handed over
     done_here = {}  # task index -> result, for tasks this thread ran
-    pool = cores.helper()
+    pool = cores.helper() if run_rows else None
 
-    def put(names, fn, *args):
+    def handover(names, fn, *args):
         work = [fn, args]
         tasks.append((names, work, pool.submit(_run_once, work)))
 
+    put = handover if pool else None  # None: each gradient computed in place
+
     with cores.one_blas_thread():
+        posterior, enc_cache = encoder_forward(params, cfg, x, run_rows=run_rows)
+        z = reparameterize(posterior, noise)
+        out, dec_cache = decoder_forward(params, cfg, z, run_rows=run_rows)
+        breakdown = loss(out, x, tensile_target, diameter_target, beta, posterior)
         try:
             d_logits = _head_logit_gradients(out, x, tensile_target, diameter_target)
             dz = decoder_backward(params, cfg, dec_cache, d_logits, grads, put)
@@ -214,11 +227,16 @@ def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
 def evaluate_batch(params: dict, cfg: ModelConfig, rolls: np.ndarray,
                    tensile_target: np.ndarray, diameter_target: np.ndarray,
                    beta: float) -> tuple[LossBreakdown, DecoderOutput]:
-    """Deterministic evaluation pass decoding from the posterior mean."""
+    """Deterministic evaluation pass decoding from the posterior mean; as two
+    row halves on two threads where ``cores.splits`` says so, with the same
+    result."""
     dtype = params["enc.mu.w"].dtype
     x = np.asarray(rolls, dtype=dtype)
-    posterior, _ = encoder_forward(params, cfg, x, keep_cache=False)
-    out, _ = decoder_forward(params, cfg, posterior.mu, keep_cache=False)
+    run_rows = _row_runner(len(x), cfg)
+    posterior, _ = encoder_forward(params, cfg, x, keep_cache=False,
+                                   run_rows=run_rows)
+    out, _ = decoder_forward(params, cfg, posterior.mu, keep_cache=False,
+                             run_rows=run_rows)
     breakdown = loss(out, x, np.asarray(tensile_target, dtype=dtype),
                      np.asarray(diameter_target, dtype=dtype), beta, posterior)
     return breakdown, out

@@ -15,14 +15,16 @@ candidate) order, so the update and reset gates take one recurrent matmul
 
 Buffer layout of a layer call.  The input projection ``x W + b`` is one
 matmul into an interleaved ``(steps, batch, 3h)`` buffer (a per-gate split
-rounds differently at some widths, e.g. h = 8 or 24).  The same buffer then
-holds the gate activations, step-major ``(steps, 3, batch, h)``: step t adds
-the recurrent products to its interleaved block, takes the tanh-form sigmoid,
-the candidate tanh and h' = u * h + (1 - u) * c on contiguous ``(2, batch,
-h)`` and ``(batch, h)`` scratch arrays allocated once per call, and then
-copies (update, reset, candidate) over the block it has read.  (A repeated
-input, below, projects into a small buffer, so its gates get their own.)
-The cache keeps the gates and the states but not ``r * h``, which the
+rounds differently at some widths, e.g. h = 8 or 24).  The gate activations
+are step-major ``(steps, 3, batch, h)``: step t adds the recurrent products
+to its interleaved block, takes the tanh-form sigmoid, the candidate tanh
+and h' = u * h + (1 - u) * c on contiguous ``(2, batch, h)`` and ``(batch,
+h)`` scratch arrays allocated once per call, and then copies (update, reset,
+candidate) to step t of the gate buffer.  A layer that allocates its own
+gate buffer uses the projection buffer for it, each step overwriting the
+block it has read; a layer handed views of a shared cache (below), or fed a
+repeated input, which projects into a small buffer, writes into a separate
+one.  The cache keeps the gates and the states but not ``r * h``, which the
 backward pass recomputes for ``dU`` from the same two factors.  The backward
 pass reads ``gates[t]`` and keeps its gate gradients interleaved,
 ``(steps, batch, 3h)``, so ``dW``, ``dU`` and the input gradient stay single
@@ -35,6 +37,18 @@ input gradient it returns summed over the steps, shape ``(batch, 1, .)``.
 Each head adds its biases and takes its tanh and its softmax in place on its
 matmul outputs.  The tests hold the plain versions of the layer and the
 heads, and require the results here to equal them bit for bit.
+
+The forward passes run the batch as row blocks: ``run_rows(fn, batch)``
+calls ``fn(rows)`` on slices that cover the batch, one block by default,
+two row halves on two threads from ``cores.row_halves``.  A block runs its
+rows through the whole encoder or decoder.  Two halves write their outputs
+and, with a cache, their gates, states, ``flat_h`` rows and head hidden rows
+into views of whole-batch buffers, so the cache and the backward pass are
+the same whatever the blocks; without a cache, each half allocates and
+frees its own GRU buffers.  One block allocates everything itself, in the
+order the one-thread forward always has.  Where ``cores.splits`` halves a
+batch, a row gets the same bits in either half as in the whole batch, so
+the blocks move no output.
 
 Each backward pass is split in two.  The input-gradient chain (the GRU
 recurrence, a layer's input gradient, the heads' ``d_hidden`` and
@@ -196,12 +210,15 @@ def _seq(rows: np.ndarray, batch: int) -> np.ndarray:
 
 
 def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
-                      b: np.ndarray) -> tuple[np.ndarray, dict]:
+                      b: np.ndarray, gates: np.ndarray | None = None,
+                      states: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """Run one GRU layer over (batch, steps, input); returns states + cache.
 
     The states come back as a (batch, steps, hidden) view of a time-major
     buffer.  An input whose step stride is 0 (one vector repeated over the
-    steps) is projected through ``w`` once.
+    steps) is projected through ``w`` once.  Given ``gates`` and ``states``,
+    (steps, 3, batch, hidden) and (steps, batch, hidden) views into which
+    the layer writes, its projection gets a temporary of its own.
     """
     batch, steps, _ = x.shape
     h_dim = u.shape[0]
@@ -209,14 +226,15 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
     u_gates, u_cand = u[:, :two], u[:, two:]
     if x.strides[1] == 0:
         proj = np.broadcast_to(x[:, 0] @ w + b, (steps, batch, 3 * h_dim))
-        gates = np.empty((steps, 3, batch, h_dim), dtype=x.dtype)
     else:
-        # the projection buffer becomes the gate buffer: step t reads its
-        # interleaved block, then overwrites it with the step's activations
         proj = (_rows(x) @ w).reshape(steps, batch, 3 * h_dim)
         proj += b
-        gates = proj.reshape(steps, 3, batch, h_dim)
-    states = np.empty((steps, batch, h_dim), dtype=x.dtype)
+    if gates is None:
+        # the projection buffer becomes the gate buffer: step t reads its
+        # interleaved block, then overwrites it with the step's activations
+        gates = (np.empty((steps, 3, batch, h_dim), dtype=x.dtype)
+                 if x.strides[1] == 0 else proj.reshape(steps, 3, batch, h_dim))
+        states = np.empty((steps, batch, h_dim), dtype=x.dtype)
     h = np.zeros((batch, h_dim), dtype=x.dtype)
     act = np.empty((3, batch, h_dim), dtype=x.dtype)
     update, reset, cand = act
@@ -240,7 +258,7 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
         s += keep
         h = s
     cache = {"x": x, "w": w, "u": u, "gates": gates, "states": states}
-    return _seq(states.reshape(steps * batch, h_dim), batch), cache
+    return states.transpose(1, 0, 2), cache
 
 
 def gru_layer_backward(d_states: np.ndarray | None, d_last: np.ndarray | None,
@@ -340,33 +358,81 @@ def _layer_weights(put, prefix: str):
     return functools.partial(put, (f"{prefix}.w", f"{prefix}.u", f"{prefix}.b"))
 
 
+def _whole(fn, rows: int) -> list:
+    """``[fn(slice(0, rows))]``: a batch of ``rows`` rows as one block."""
+    return [fn(slice(0, rows))]
+
+
+def _layer_caches(params: dict, cfg: ModelConfig, part: str,
+                  x: np.ndarray) -> list[dict]:
+    """Each GRU layer's cache over the whole batch ``x``, its gate and
+    state buffers empty for the row blocks to fill."""
+    batch, steps, _ = x.shape
+    caches = []
+    for i in range(cfg.gru_layers):
+        states = np.empty((steps, batch, cfg.hidden), dtype=x.dtype)
+        caches.append({"x": x, "w": params[f"{part}.gru{i}.w"],
+                       "u": params[f"{part}.gru{i}.u"], "states": states,
+                       "gates": np.empty((steps, 3, batch, cfg.hidden),
+                                         dtype=x.dtype)})
+        x = states.transpose(1, 0, 2)
+    return caches
+
+
+def _gru_stack(params: dict, cfg: ModelConfig, part: str, x: np.ndarray,
+               rows: slice, caches: list[dict] | None, shared: bool) -> np.ndarray:
+    """Run the rows ``x`` of a batch through the GRU stack; returns the top
+    layer's states, (rows, steps, hidden).  With ``shared``, each layer
+    writes its gates and states into the ``rows`` of the whole-batch
+    ``caches``; else it appends its own cache to ``caches``, or, given None,
+    its buffers are freed once the next layer has read them."""
+    where = "encoder" if part == "enc" else "decoder"
+    h_seq = x
+    for i in range(cfg.gru_layers):
+        out = (caches[i]["gates"][:, :, rows], caches[i]["states"][:, rows]
+               ) if shared else ()
+        h_seq, cache = gru_layer_forward(
+            h_seq, params[f"{part}.gru{i}.w"], params[f"{part}.gru{i}.u"],
+            params[f"{part}.gru{i}.b"], *out)
+        _check_finite(h_seq, f"{where} gru{i}")
+        if caches is not None and not shared:
+            caches.append(cache)
+        del cache
+    return h_seq
+
+
 def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
-                    keep_cache: bool = True) -> tuple[Posterior, dict | None]:
+                    keep_cache: bool = True, run_rows=None,
+                    ) -> tuple[Posterior, dict | None]:
     """Roll batch (batch, 64, 89) -> posterior; cache for backward.
 
     With ``keep_cache`` false the cache is None, and each layer's gate buffer
-    and states are freed once the next layer has read them.
+    and states are freed once the next layer has read them.  ``run_rows(fn,
+    batch)`` runs ``fn`` over row slices that cover the batch, such as
+    ``cores.row_halves``; by default the batch is one block.
     """
-    h_seq = x
-    layer_caches = []
-    for i in range(cfg.gru_layers):
-        h_seq, cache = gru_layer_forward(
-            h_seq, params[f"enc.gru{i}.w"], params[f"enc.gru{i}.u"],
-            params[f"enc.gru{i}.b"])
-        _check_finite(h_seq, f"encoder gru{i}")
-        if keep_cache:
-            layer_caches.append(cache)
-        del cache
-    h_last = h_seq[:, -1, :]
-    mu = h_last @ params["enc.mu.w"] + params["enc.mu.b"]
-    logvar_raw = h_last @ params["enc.logvar.w"] + params["enc.logvar.b"]
+    batch = len(x)
+    shared = keep_cache and run_rows is not None
+    layers = _layer_caches(params, cfg, "enc", x) if shared else [] if keep_cache else None
+    heads = [(np.empty((batch, cfg.latent_dim), dtype=x.dtype),
+              params[f"enc.{name}.w"], params[f"enc.{name}.b"])
+             for name in ("mu", "logvar")]
+
+    def block(rows):
+        h_last = _gru_stack(params, cfg, "enc", x[rows], rows, layers, shared)[:, -1, :]
+        for out, w, b in heads:
+            np.matmul(h_last, w, out=out[rows])
+            out[rows] += b
+
+    (run_rows or _whole)(block, batch)
+    mu, logvar_raw = (out for out, _, _ in heads)
     logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite(mu, "encoder mu head")
     if not keep_cache:
         return Posterior(mu=mu, logvar=logvar), None
     cache = {
-        "layers": layer_caches,
-        "h_last": h_last,
+        "layers": layers,
+        "h_last": layers[-1]["states"][-1],
         "clamp_mask": ((logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
                        ).astype(x.dtype),
     }
@@ -403,54 +469,70 @@ def reparameterize(posterior: Posterior, noise: np.ndarray) -> np.ndarray:
 
 
 def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
-                    keep_cache: bool = True) -> tuple[DecoderOutput, dict | None]:
+                    keep_cache: bool = True, run_rows=None,
+                    ) -> tuple[DecoderOutput, dict | None]:
     """Latent batch (batch, latent) -> six heads; cache for backward.
 
     With ``keep_cache`` false the cache is None: each layer's gate buffer
     and states are freed once the next layer (or the heads' batch-major
     copy) has read them, and each head's hidden array after its second
-    matmul.
+    matmul.  ``run_rows`` runs row blocks as in ``encoder_forward``.
     """
-    batch = z.shape[0]
-    h_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
-    layer_caches = []
-    for i in range(cfg.gru_layers):
-        h_seq, cache = gru_layer_forward(
-            h_seq, params[f"dec.gru{i}.w"], params[f"dec.gru{i}.u"],
-            params[f"dec.gru{i}.b"])
-        _check_finite(h_seq, f"decoder gru{i}")
+    batch, hidden = z.shape[0], cfg.hidden
+    z_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
+    flat = batch * N_STEPS
+    shared = keep_cache and run_rows is not None
+    layers = _layer_caches(params, cfg, "dec", z_seq) if shared else [] if keep_cache else None
+    # whole-batch arrays for row halves to fill; one block makes its own, in
+    # the order a one-block forward always has
+    whole = {}
+    if run_rows is not None:
+        whole = {name: np.empty((flat, width), dtype=z.dtype)
+                 for name, width, _ in HEAD_SPECS}
         if keep_cache:
-            layer_caches.append(cache)
-        del cache
-    flat_h = h_seq.reshape(batch * N_STEPS, -1)
-    del h_seq
+            whole.update({key: np.empty((flat, hidden), dtype=z.dtype) for key in
+                          ["flat_h"] + [f"{name}.hidden" for name, _, _ in HEAD_SPECS]})
 
-    outputs = {}
-    head_caches = {}
-    for name, width, activation in HEAD_SPECS:
-        w1 = params[f"dec.head.{name}.l1.w"]
-        b1 = params[f"dec.head.{name}.l1.b"]
-        w2 = params[f"dec.head.{name}.l2.w"]
-        b2 = params[f"dec.head.{name}.l2.b"]
-        hidden = flat_h @ w1
-        hidden += b1
-        np.tanh(hidden, out=hidden)
-        logits = hidden @ w2
-        if keep_cache:
-            head_caches[name] = hidden
-        del hidden
-        logits += b2
-        if activation == "softmax":
-            value = _softmax(logits).reshape(batch, N_STEPS, width)
-        elif activation == "sigmoid":
-            value = _sigmoid(logits).reshape(batch, N_STEPS)
+    def rows_of(key, steps):
+        return whole[key][steps] if key in whole else None
+
+    def block(rows):
+        top = _gru_stack(params, cfg, "dec", z_seq[rows], rows, layers, shared)
+        steps = slice(rows.start * N_STEPS, rows.stop * N_STEPS)
+        block_h = rows_of("flat_h", steps)
+        if block_h is None:
+            block_h = top.reshape(-1, hidden)
         else:
-            value = logits.reshape(batch, N_STEPS)
-        _check_finite(value, f"decoder head {name}")
-        outputs[name] = value
+            block_h.reshape(top.shape)[...] = top
+        del top
+        made = {"flat_h": block_h}
+        for name, _, activation in HEAD_SPECS:
+            hidden_rows = np.matmul(block_h, params[f"dec.head.{name}.l1.w"],
+                                    out=rows_of(f"{name}.hidden", steps))
+            hidden_rows += params[f"dec.head.{name}.l1.b"]
+            np.tanh(hidden_rows, out=hidden_rows)
+            out = made[name] = np.matmul(hidden_rows, params[f"dec.head.{name}.l2.w"],
+                                         out=rows_of(name, steps))
+            if keep_cache:
+                made[f"{name}.hidden"] = hidden_rows
+            del hidden_rows
+            out += params[f"dec.head.{name}.l2.b"]
+            if activation == "softmax":
+                _softmax(out)
+            elif activation == "sigmoid":
+                _sigmoid(out)
+            _check_finite(out, f"decoder head {name}")
+        return made
+
+    made = (run_rows or _whole)(block, batch)
+    arrays = whole or made[0]
+    outputs = {name: arrays[name].reshape(
+        (batch, N_STEPS, width) if activation == "softmax" else (batch, N_STEPS))
+        for name, width, activation in HEAD_SPECS}
     if not keep_cache:
         return DecoderOutput(**outputs), None
-    cache = {"layers": layer_caches, "flat_h": flat_h, "heads": head_caches,
+    cache = {"layers": layers, "flat_h": arrays["flat_h"],
+             "heads": {name: arrays[f"{name}.hidden"] for name, _, _ in HEAD_SPECS},
              "latent_dim": z.shape[1]}
     return DecoderOutput(**outputs), cache
 

@@ -21,15 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import cores
 from ..atomic import output_dir, write_atomic
 from ..corpus import FragmentDataset
-from ..errors import InvalidInputError, NumericFailureError
+from ..errors import NumericFailureError
 from .checkpoint import save_checkpoint
-from .config import ModelConfig
+# the split functions live beside ModelConfig, so that inference stages need
+# not import training; they stay importable from here
+from .config import (MIN_DATASET_SIZE, ModelConfig, _seed_streams,  # noqa: F401
+                     split_dataset, training_split)
 from .losses import LOSS_FIELDS, LossBreakdown, beta_schedule, evaluate_batch, forward_backward
 from .network import init_params
-
-MIN_DATASET_SIZE = 10
 
 LEDGER_COLUMNS = ("epoch", "split") + LOSS_FIELDS
 
@@ -94,35 +96,6 @@ class TrainResult:
                 "epochs_run": self.epochs_run}
 
 
-def split_dataset(n: int, split: tuple[float, float, float],
-                  rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Seeded shuffle into train/val/test index arrays (each non-empty)."""
-    if n < MIN_DATASET_SIZE:
-        raise InvalidInputError(
-            f"training needs at least {MIN_DATASET_SIZE} fragments, got {n}")
-    order = rng.permutation(n)
-    n_train = max(1, int(n * split[0]))
-    n_val = max(1, int(n * split[1]))
-    if n_train + n_val >= n:
-        n_train = n - n_val - 1
-    return {
-        "train": np.sort(order[:n_train]),
-        "val": np.sort(order[n_train:n_train + n_val]),
-        "test": np.sort(order[n_train + n_val:]),
-    }
-
-
-def _seed_streams(cfg: ModelConfig):
-    init_seed, split_seed, loop_seed = np.random.SeedSequence(cfg.rng_seed).spawn(3)
-    return init_seed, split_seed, loop_seed
-
-
-def training_split(cfg: ModelConfig, n: int) -> dict[str, np.ndarray]:
-    """The exact split a training run with this config and size produced."""
-    _, split_seed, _ = _seed_streams(cfg)
-    return split_dataset(n, cfg.split, np.random.default_rng(split_seed))
-
-
 EVAL_CHUNK = 256
 
 
@@ -158,9 +131,14 @@ def train(dataset: FragmentDataset, cfg: ModelConfig,
           out_dir=None, progress=None) -> TrainResult:
     """Fit the model; optionally write ``checkpoint.ttv`` and ``ledger.csv``.
 
+    The first call sets the process's allocator so that the step buffers
+    stay mapped between steps (``cores.keep_buffers_mapped``); the setting
+    is process-wide and stays after the call returns.
+
     Aborts with :class:`NumericFailureError` if the loss goes non-finite,
     saving the best parameters seen so far when ``out_dir`` is given.
     """
+    cores.keep_buffers_mapped()
     rolls, tensile, diameter = dataset.rolls, dataset.tensile, dataset.diameter
     init_seed, split_seed, loop_seed = _seed_streams(cfg)
     params = init_params(cfg, np.random.default_rng(init_seed))

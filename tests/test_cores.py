@@ -136,9 +136,10 @@ class TestBlasThreads:
 
     def test_decode_restores_the_count(self, two_blas_threads, monkeypatch):
         get = two_blas_threads
+        # 80 rows at hidden 128 are past the split rule, so the chunk is halved
         model = TensionVae.initialize(
-            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
-        z = sample_latent(40, 6, 1).astype(model.dtype)
+            ModelConfig(latent_dim=6, hidden=128, gru_layers=1, rng_seed=2))
+        z = sample_latent(80, 6, 1).astype(model.dtype)
         inside = []
         real = evaluation._decode_block
 
@@ -150,7 +151,7 @@ class TestBlasThreads:
         evaluation.decode_hardened(model, z)
         assert inside == [1, 1]
         assert get() == 2
-        z[30] = np.nan  # in the helper's half
+        z[60] = np.nan  # in the helper's half
         with pytest.raises(NumericFailureError):
             evaluation.decode_hardened(model, z)
         assert get() == 2
@@ -171,12 +172,70 @@ class TestBlasThreads:
         assert cores._blas == ()
 
 
+class TestSplitRule:
+    @pytest.mark.parametrize("rows, hidden, latent, split", [
+        (4, 128, 16, False),     # the acceptance config
+        (63, 128, 16, False),
+        (64, 128, 16, True),     # the first batch past the rule at hidden 128
+        (64, 256, 96, True),     # the paper default
+        (16, 256, 96, True),
+        (15, 256, 96, False),
+        (3, 448, 96, False),     # a half of one row would go through gemv
+        (64, 512, 96, False),    # past the widths whose rows split exactly
+        (64, 256, 512, False),
+    ])
+    def test_splits(self, rows, hidden, latent, split):
+        assert cores.splits(rows, hidden, latent) is split
+
+    def test_row_halves_cover_the_rows_in_order(self):
+        assert cores.row_halves(lambda rows: rows, 7) == [slice(0, 4), slice(4, 7)]
+
+
 class TestOneHelper:
     def test_training_and_decoding_share_one_helper(self, rng):
-        train(small_dataset(rng), TINY)
+        # both past the split rule: batch 64 and 80 rows at hidden 128
+        train(small_dataset(rng, n=80),
+              ModelConfig(latent_dim=4, hidden=128, gru_layers=1, batch_size=64,
+                          max_epochs=1, rng_seed=11))
         model = TensionVae.initialize(
-            ModelConfig(latent_dim=6, hidden=16, gru_layers=1, rng_seed=2))
-        evaluation.decode_hardened(model, sample_latent(40, 6, 1).astype(model.dtype))
+            ModelConfig(latent_dim=6, hidden=128, gru_layers=1, rng_seed=2))
+        evaluation.decode_hardened(model, sample_latent(80, 6, 1).astype(model.dtype))
         helpers = [t for t in threading.enumerate() if t.name.startswith("ttvae-helper")]
         assert len(helpers) == 1
         assert cores.helper() is cores.helper()
+
+
+class TestKeepBuffersMapped:
+    @pytest.fixture
+    def unset(self, monkeypatch):
+        """The allocator setting not yet made, and mallopt recorded, not called."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cores, "_heap_set", False)
+        monkeypatch.setattr(cores, "_mallopt", lambda: mallopt)
+        return calls
+
+    def test_sets_both_thresholds_once(self, unset):
+        cores.keep_buffers_mapped()
+        assert unset == [(-3, 64 << 20), (-1, 2**31 - 1)]
+        cores.keep_buffers_mapped()
+        assert len(unset) == 2
+
+    def test_nothing_without_mallopt(self, unset, monkeypatch):
+        monkeypatch.setattr(cores, "_mallopt", lambda: None)
+        cores.keep_buffers_mapped()
+        cores.keep_buffers_mapped()
+        assert unset == [] and cores._heap_set
+
+    def test_train_sets_it(self, unset, rng):
+        train(small_dataset(rng), TINY)
+        assert len(unset) == 2
+
+    def test_finds_the_c_librarys_mallopt(self):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("glibc's mallopt is looked for on Linux only")
+        assert cores._mallopt() is not None

@@ -445,8 +445,9 @@ class TestTwoThreadDecode:
 
     @pytest.mark.parametrize("bad_rows", ["param", "caller half", "helper half"])
     def test_numeric_failure_raised_like_reference(self, bad_rows):
+        # 256 rows at hidden 64 are past the split rule, so the chunk is halved
         model = TensionVae.initialize(
-            ModelConfig(latent_dim=6, hidden=16, gru_layers=2, rng_seed=2))
+            ModelConfig(latent_dim=6, hidden=64, gru_layers=2, rng_seed=2))
         z = sample_latent(300, 6, 1).astype(model.dtype)
         if bad_rows == "param":
             model.params["dec.gru0.w"][0, 0] = np.nan
@@ -469,9 +470,10 @@ class TestTwoThreadDecode:
         assert len(set(threading.enumerate()) - before) <= 1
 
     def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        # 80 rows at hidden 128 are past the split rule, so each call halves
         model = TensionVae.initialize(
-            ModelConfig(latent_dim=6, hidden=16, gru_layers=2, rng_seed=4))
-        z = sample_latent(40, 6, 9).astype(model.dtype)
+            ModelConfig(latent_dim=6, hidden=128, gru_layers=2, rng_seed=4))
+        z = sample_latent(80, 6, 9).astype(model.dtype)
         want = reference_decode_hardened(model, z)
         started = []
 

@@ -95,6 +95,28 @@ class TestStartUp:
             "ttvae.vae.gradcheck")] == []
 
 
+    def test_vectors_and_shape_vector_load_no_training(self, corpus_dir, tmp_path):
+        from ttvae.cli import main
+        dataset, model = tmp_path / "toy.ds", tmp_path / "m"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(latent_dim=4, hidden=8, gru_layers=1,
+                                          batch_size=8, max_epochs=1)))
+        assert main(["preprocess", "--in", str(corpus_dir), "--out", str(dataset)]) == 0
+        assert main(["train", "--dataset", str(dataset), "--config", str(config),
+                     "--out", str(model)]) == 0
+        common = ["--model", str(model / "checkpoint.ttv"), "--dataset", str(dataset)]
+        for argv in (["vectors", *common, "--target-n", "2",
+                      "--out", str(tmp_path / "v.json")],
+                     ["shape-vector", *common, "--target-n", "2",
+                      "--out", str(tmp_path / "s.json")]):
+            loaded = loaded_after(
+                f"from ttvae.cli import main\nassert main({argv!r}) == 0\n"
+                "import sys\nassert 'csv' not in sys.modules")
+            assert "ttvae.latent" in loaded
+            assert [m for m in loaded if m in (
+                "ttvae.vae.training", "ttvae.vae.losses", "ttvae.cores")] == []
+
+
 @pytest.mark.parametrize("package", [ttvae, ttvae.vae], ids=lambda p: p.__name__)
 class TestLazyExports:
     def test_names_are_the_defining_modules_objects(self, package):

@@ -20,7 +20,7 @@ from helpers import (
 )
 from ttvae import cores
 from ttvae.errors import InvalidInputError
-from ttvae.evaluation import decode_hardened
+from ttvae.evaluation import _decode_halves, decode_hardened
 from ttvae.pianoroll import N_STEPS
 from ttvae.vae import losses, network
 from ttvae.vae import (
@@ -606,10 +606,13 @@ class RecordingHelper:
         self.pool = cores.helper()
         self.delay = delay
         self.futures = []
+        self.calls = []  # (fn, args) of every submit
         self.running = 0
         self.lock = threading.Lock()
 
     def submit(self, fn, *args):
+        self.calls.append((fn, args))
+
         def run():
             with self.lock:
                 self.running += 1
@@ -648,23 +651,39 @@ class TestSplitBackward:
                 np.testing.assert_array_equal(got[name], inline[name])
 
     def test_gradients_equal_direct_backward_calls(self):
-        params, cfg, rolls, tensile, diameter, noise, beta = _step_inputs(TINY)
+        """The step, halved or not, equals a whole-batch forward and the
+        backward passes called on one thread."""
+        for cfg in (TINY,
+                    ModelConfig(latent_dim=96, hidden=256, gru_layers=2, batch_size=64),
+                    # the smallest batches the split rule halves at hidden 128 and 24
+                    ModelConfig(latent_dim=16, hidden=128, gru_layers=2, batch_size=64),
+                    ModelConfig(latent_dim=8, hidden=24, gru_layers=1, batch_size=1821)):
+            assert cores.splits(cfg.batch_size, cfg.hidden, cfg.latent_dim) \
+                == (cfg is not TINY)
+            self.assert_step_equals_direct_calls(*_step_inputs(cfg))
+
+    @staticmethod
+    def assert_step_equals_direct_calls(params, cfg, rolls, tensile, diameter, noise,
+                                        beta):
         _, got = forward_backward(params, cfg, rolls, tensile, diameter, noise, beta)
         x, noise = rolls.astype(np.float32), noise.astype(np.float32)
-        posterior, enc_cache = network.encoder_forward(params, cfg, x)
-        out, dec_cache = network.decoder_forward(
-            params, cfg, reparameterize(posterior, noise))
-        d_logits = losses._head_logit_gradients(
-            out, x, tensile.astype(np.float32), diameter.astype(np.float32))
-        want = {}
-        dz = network.decoder_backward(params, cfg, dec_cache, d_logits, want)
-        d_mu = dz + (beta / len(x)) * posterior.mu
-        d_logvar = (dz * noise * 0.5 * np.exp(0.5 * posterior.logvar)
-                    + (beta / len(x)) * 0.5 * (np.exp(posterior.logvar) - 1.0))
-        network.encoder_backward(params, cfg, enc_cache, d_mu, d_logvar, want)
-        assert list(got) == list(want)
+        # one BLAS thread, as in the step: at some shapes BLAS's own threads
+        # round a weight gradient differently
+        with cores.one_blas_thread():
+            posterior, enc_cache = network.encoder_forward(params, cfg, x)
+            out, dec_cache = network.decoder_forward(
+                params, cfg, reparameterize(posterior, noise))
+            d_logits = losses._head_logit_gradients(
+                out, x, tensile.astype(np.float32), diameter.astype(np.float32))
+            want = {}
+            dz = network.decoder_backward(params, cfg, dec_cache, d_logits, want)
+            d_mu = dz + (beta / len(x)) * posterior.mu
+            d_logvar = (dz * noise * 0.5 * np.exp(0.5 * posterior.logvar)
+                        + (beta / len(x)) * 0.5 * (np.exp(posterior.logvar) - 1.0))
+            network.encoder_backward(params, cfg, enc_cache, d_mu, d_logvar, want)
+        assert list(got) == list(want), cfg
         for name in want:
-            np.testing.assert_array_equal(got[name], want[name])
+            assert got[name].tobytes() == want[name].tobytes(), (cfg, name)
 
     def test_concurrent_callers_share_the_helper(self, monkeypatch):
         cfg = ModelConfig(latent_dim=6, hidden=16, gru_layers=2, batch_size=3)
@@ -698,8 +717,9 @@ class TestSplitBackward:
 
     @pytest.mark.parametrize("where", ["helper task", "calling thread"])
     def test_error_comes_out_after_every_task(self, where, monkeypatch):
-        inputs = _step_inputs(ModelConfig(latent_dim=16, hidden=32, gru_layers=2,
-                                          batch_size=8))
+        # batch 64 at hidden 128 is past the split rule, so tasks are handed over
+        inputs = _step_inputs(ModelConfig(latent_dim=16, hidden=128, gru_layers=2,
+                                          batch_size=64))
         recorder = RecordingHelper(delay=0.02)
         before = set(threading.enumerate())
         if where == "helper task":
@@ -730,3 +750,48 @@ class TestSplitBackward:
         monkeypatch.undo()
         forward_backward(*inputs)  # the helper still works after an error
         assert len(set(threading.enumerate()) - before) <= 1
+
+
+class TestSplitRule:
+    """``cores.splits`` decides, per section, whether rows go to the helper."""
+
+    def test_below_the_rule_nothing_is_submitted(self, monkeypatch):
+        cfg = ModelConfig(latent_dim=16, hidden=128, gru_layers=2, batch_size=63)
+        assert not cores.splits(cfg.batch_size, cfg.hidden, cfg.latent_dim)
+        recorder = RecordingHelper()
+        monkeypatch.setattr(cores, "helper", lambda: recorder)
+        forward_backward(*_step_inputs(cfg))
+        model = TensionVae.initialize(cfg)
+        _decode_halves(model, sample_latent(63, 16, 1).astype(model.dtype))
+        assert recorder.futures == []
+
+    def test_above_the_rule_each_forward_section_hands_over_one_half(
+            self, monkeypatch):
+        cfg = ModelConfig(latent_dim=16, hidden=128, gru_layers=2, batch_size=64)
+        assert cores.splits(cfg.batch_size, cfg.hidden, cfg.latent_dim)
+        recorder = RecordingHelper()
+        monkeypatch.setattr(cores, "helper", lambda: recorder)
+        forward_backward(*_step_inputs(cfg))
+        halves = [args for fn, args in recorder.calls if fn is not losses._run_once]
+        assert halves == [(slice(32, 64),), (slice(32, 64),)]  # encoder, decoder
+        # the weight tasks: six heads, the encoder heads and four GRU layers
+        assert len(recorder.calls) - len(halves) == 11
+        model = TensionVae.initialize(cfg)
+        recorder.calls.clear()
+        _decode_halves(model, sample_latent(65, 16, 1).astype(model.dtype))
+        assert [args for _, args in recorder.calls] == [(slice(33, 65),)]
+
+    def test_evaluate_batch_equals_the_whole_batch(self, monkeypatch):
+        cfg = ModelConfig(latent_dim=16, hidden=128, gru_layers=2, batch_size=72)
+        params, _, rolls, tensile, diameter, _, beta = _step_inputs(cfg)
+        assert cores.splits(len(rolls), cfg.hidden, cfg.latent_dim)
+        recorder = RecordingHelper()
+        monkeypatch.setattr(cores, "helper", lambda: recorder)
+        split = losses.evaluate_batch(params, cfg, rolls, tensile, diameter, beta)
+        assert len(recorder.futures) == 2
+        monkeypatch.setattr(cores, "splits", lambda *sizes: False)
+        whole = losses.evaluate_batch(params, cfg, rolls, tensile, diameter, beta)
+        assert len(recorder.futures) == 2
+        assert split[0] == whole[0]
+        for field in HEAD_FIELDS:
+            assert getattr(split[1], field).tobytes() == getattr(whole[1], field).tobytes()
