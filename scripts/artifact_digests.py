@@ -11,9 +11,17 @@ pitch-dist experiments) under fixed seeds, writing everything under
 path relative to ``OUT_DIR``.  The toy corpus is all C major in 4/4, so the
 script also preprocesses the benchmark's seed-1 ``ingest`` corpus
 (transposed songs, 3/4 regions and three files to skip), written by
-``perfbench/gen.py`` outside ``OUT_DIR``, into ``ingest.ds``.  The chain runs in
-``OUT_DIR`` on relative paths, so reports that record an input path do not
-depend on where ``OUT_DIR`` is.  It takes about 10 s on two cores.
+``perfbench/gen.py`` outside ``OUT_DIR``, into ``ingest.ds``.  The toy chain
+trains at hidden 24, where no batch is split into row halves
+(``ttvae.cores.splits``), so a second chain under ``paper/`` trains the
+paper default (latent 96, hidden 256, batch 64) for one epoch on
+``ingest.ds``: 313 training fragments in batches of 64 and 57, and
+validation and test splits of 39 and 40, all of which split.  Its vectors
+(``--target-n`` 8) and its direction eval (``--n`` 520 at scales 0 and 4:
+two 256-row chunks, which split, and an 8-row tail, which does not) follow.
+The chains run in ``OUT_DIR`` on relative paths, so reports that record an
+input path do not depend on where ``OUT_DIR`` is.  It takes about 9 s on two
+shared vCPUs, 5 s of it the paper chain.
 
 Every artifact is byte-identical under a fixed seed, so two checkouts that
 print the same lines make the same artifacts.  The script imports ``ttvae``
@@ -42,6 +50,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 CONFIG = dict(latent_dim=8, hidden=24, gru_layers=1, batch_size=8,
               learning_rate=0.002, beta_step=1e-4, beta_max=0.006,
               early_stop_patience=50, max_epochs=3, rng_seed=5)
+PAPER_CONFIG = dict(latent_dim=96, hidden=256, gru_layers=2, batch_size=64,
+                    max_epochs=1, rng_seed=5)
 SAMPLES = "520"
 
 
@@ -99,6 +109,17 @@ def main() -> None:
     for experiment in ("direction", "level", "interaction", "pitch-dist"):
         run("eval", *model, "--experiment", experiment, "--n", SAMPLES,
             "--rng-seed", "4", "--charts", "--out", f"eval/{experiment}")
+
+    Path("paper").mkdir()
+    Path("paper/config.json").write_text(json.dumps(PAPER_CONFIG))
+    paper = ("--model", "paper/model/checkpoint.ttv")
+    run("train", "--dataset", "ingest.ds", "--out", "paper/model",
+        "--config", "paper/config.json")
+    run("vectors", *paper, "--dataset", "ingest.ds", "--target-n", "8",
+        "--out", "paper/vectors.json")
+    run("eval", *paper, "--vectors", "paper/vectors.json", "--experiment",
+        "direction", "--n", SAMPLES, "--scales", "0,4", "--rng-seed", "4",
+        "--out", "paper/eval/direction")
 
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")

@@ -4,13 +4,14 @@ split rule and the allocator setting of training.
 :func:`helper` is the executor of the process's one helper thread, started on
 first use and shared by every caller.  :func:`splits` is the one rule for
 whether a section of batch rows runs as two row halves, the second on the
-helper (:func:`row_halves`), or whole on the calling thread.  Four sections
-ask it: the forward pass of a training step (``vae.losses.forward_backward``:
-encoder and decoder each hand one half over), the step's backward weight
-gradients (handed to the helper task by task, overlapping the input-gradient
-chain; below the rule, computed in place with no handover), the evaluation
-pass of ``vae.losses.evaluate_batch`` and the eval decode of one chunk
-(``evaluation._decode_halves``).
+helper, or whole on the calling thread; :func:`by_rows` takes it and runs
+the section.  Three sections run through it: the forward pass of a training
+step (``encoder_forward`` and ``decoder_forward`` with a cache), the
+evaluation pass of ``vae.losses.evaluate_batch`` and the eval decode of one
+chunk (``evaluation.decode_hardened``), the last two one cache-free forward
+per half.  The step's backward weight gradients ask :func:`splits` too:
+above the rule they go to the helper task by task, overlapping the
+input-gradient chain, and below it they are computed in place.
 
 The rule splits from ``SPLIT_WORK`` rows x hidden**2, in proportion to the
 work of one recurrent step, where each half keeps at least two rows and
@@ -43,8 +44,8 @@ would split hidden 64 at batch 64 and hidden 128 at batch 32.
 
 :func:`one_blas_thread` holds BLAS at one thread while the helper works, so
 that the two threads do not each start BLAS threads on top, which
-oversubscribes the host; :func:`row_halves` holds it, and a training step
-holds it throughout.  It finds numpy's bundled OpenBLAS in
+oversubscribes the host; :func:`by_rows` holds it while it splits, and a
+training step holds it throughout.  It finds numpy's bundled OpenBLAS in
 ``/proc/self/maps`` and calls its thread-count getter and setter through
 ``ctypes``, as threadpoolctl does, and does nothing where it finds no such
 library or symbol.  The count is process-global: while any section holds
@@ -107,11 +108,14 @@ def splits(rows: int, hidden: int, latent: int) -> bool:
             and rows * hidden * hidden >= SPLIT_WORK)
 
 
-def row_halves(fn, rows: int) -> list:
-    """``[fn(first), fn(second)]`` of the two halves of ``rows`` batch rows,
-    as slices: the first ``ceil(rows/2)`` on the calling thread, the rest on
-    the helper, with BLAS held at one thread.  An error in the helper's half
-    is raised once the caller's half has finished."""
+def by_rows(fn, rows: int, hidden: int, latent: int) -> list:
+    """``[fn(slice(0, rows))]`` of a section over ``rows`` batch rows, or,
+    where :func:`splits` says so for the model's sizes, ``[fn(first),
+    fn(second)]`` of its two halves: the first ``ceil(rows/2)`` rows on the
+    calling thread, the rest on the helper, with BLAS held at one thread.
+    An error in the helper's half is raised once the caller's half is done."""
+    if not splits(rows, hidden, latent):
+        return [fn(slice(0, rows))]
     half = (rows + 1) // 2
     with one_blas_thread():
         second = helper().submit(fn, slice(half, rows))

@@ -19,14 +19,17 @@ scale 0.  The sweeps keep only per-example scalars of each chunk -- ratio
 flags and pair metrics -- and take every mean once, over the concatenated
 per-example arrays, so the reports do not depend on the chunking.  The
 decode's memory is one chunk's whatever n is; the per-example scalars grow
-by about 34 bytes per sample for each vector and scale.
+by about 34 bytes per sample for each vector and scale; a sweep or grid
+whose scalars would pass ``vae.config.MEMORY_BUDGET_BYTES`` is refused
+before its first decode.
 
-Each chunk is decoded, hardened and scored as two row halves at once, one on
-the calling thread and one on the process's helper thread
-(``decode_hardened``), where ``cores.splits`` rules that the halves pay.
-The two halves together are one chunk, so memory is still one chunk's, and
-every output is bitwise that of decoding the chunk whole.  While they run, BLAS is held at one thread (:mod:`ttvae.cores`), so
-the decode runs two threads on two cores whatever ``OPENBLAS_NUM_THREADS``
+``decode_hardened`` runs each chunk through ``cores.by_rows``: decoded,
+hardened and scored as two row halves at once, one on the calling thread
+and one on the process's helper thread, where ``cores.splits`` rules that
+the halves pay.  The two halves together are one chunk, so memory is still
+one chunk's, and every output is bitwise that of decoding the chunk whole.
+While they run, BLAS is held at one thread (:mod:`ttvae.cores`), so the
+decode runs two threads on two cores whatever ``OPENBLAS_NUM_THREADS``
 says: with OpenBLAS's default of one thread per core, each half's matmuls
 would start more, which oversubscribes a small host.
 """
@@ -55,6 +58,7 @@ from .pianoroll import (
     MELODY_REST_COL,
 )
 from .tension import tension_curves
+from .vae.config import MEMORY_BUDGET_BYTES
 from .vae.network import DecoderOutput, TensionVae, sample_latent
 
 DEFAULT_DIRECTION_SCALES = (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0)
@@ -207,38 +211,29 @@ def _decode_block(model: TensionVae, z: np.ndarray) -> tuple[np.ndarray, ...]:
     return rolls, out.tensile, out.diameter, strain, diameter
 
 
-def _decode_halves(model: TensionVae, z: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """``_decode_block`` of one chunk: as two row halves run on two threads
-    (``cores.row_halves``) where ``cores.splits`` says so for the chunk's
-    rows and the model's sizes, else whole on the calling thread.  NumPy's
-    ufuncs and BLAS release the GIL, so the halves run on two cores.  Where
-    the rule splits, a row decodes to the same bits in either half as in
-    the whole chunk, so the split moves no output.
-    """
-    if not cores.splits(len(z), model.cfg.hidden, model.cfg.latent_dim):
-        return [_decode_block(model, z)]
-    return cores.row_halves(lambda rows: _decode_block(model, z[rows]), len(z))
-
-
 def decode_hardened(model: TensionVae, z: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray, np.ndarray]:
     """Decode a stack of latents to rolls plus predicted and recomputed curves.
 
-    The latents go ``DECODE_CHUNK`` at a time, each chunk as two row halves
-    decoded at once on the calling thread and the one helper thread, or
-    whole where it is too small to pay (see ``_decode_halves``), so at most
-    one chunk's rows are in flight and memory is that of one chunk's decode.
-    A latent's outputs are the same bits whatever other latents share the
-    call, down to a call of one row.  Meanwhile BLAS is held at one thread
-    (``cores.one_blas_thread``).  That setting is process-global: BLAS calls
-    that other threads make during the decode run on one thread too.  The
-    previous count comes back when the decode ends, also on error.
+    The latents go ``DECODE_CHUNK`` at a time, each chunk through
+    ``cores.by_rows``: as two row halves decoded at once on the calling
+    thread and the one helper thread, or whole where it is too small to pay,
+    so at most one chunk's rows are in flight and memory is that of one
+    chunk's decode.  A latent's outputs are the same bits whatever other
+    latents share the call, down to a call of one row, while the hidden and
+    latent sizes are at most ``cores.ROW_EXACT_WIDTH`` (see ``TensionVae``).
+    Meanwhile BLAS is held at one thread (``cores.one_blas_thread``).  That
+    setting is process-global: BLAS calls that other threads make during the
+    decode run on one thread too.  The previous count comes back when the
+    decode ends, also on error.
     """
     parts = []
     with cores.one_blas_thread():
         for start in range(0, len(z), DECODE_CHUNK):
-            parts += _decode_halves(model, z[start:start + DECODE_CHUNK])
+            chunk = z[start:start + DECODE_CHUNK]
+            parts += cores.by_rows(lambda rows: _decode_block(model, chunk[rows]),
+                                   len(chunk), model.cfg.hidden, model.cfg.latent_dim)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -268,6 +263,14 @@ def _decode_stream(model: TensionVae, vectors, scales, n: int, rng_seed: int,
                 visit(v, s, base, edited)
                 del edited
         del base
+
+
+def _check_kept(n: int, per_sample: int) -> None:
+    """Refuse n samples whose kept values, ``per_sample`` bytes each, would
+    pass ``MEMORY_BUDGET_BYTES``."""
+    if n * per_sample > MEMORY_BUDGET_BYTES:
+        raise InvalidInputError(f"n = {n:,} would keep {n * per_sample:,} bytes, "
+                                f"past the budget of {MEMORY_BUDGET_BYTES:,}")
 
 
 def _mean(chunks) -> float:
@@ -312,6 +315,8 @@ def sweeps(model: TensionVae, vectors, ratio_kind: str, scales,
         raise InvalidInputError(f"unknown ratio kind {ratio_kind!r}")
     if n < 1:
         raise InvalidInputError("sweep needs n >= 1 samples")
+    # two bool flags and four float64 pair metrics per vector and scale
+    _check_kept(n, len(vectors) * len(scales) * (2 + 4 * 8))
     ratings = [_rating(ratio_kind, vector, tau) for vector in vectors]
     measured = [measured_curve(vector.name) for vector in vectors]
     # [vector][scale] -> six columns of per-chunk arrays: recomputed and
@@ -390,6 +395,7 @@ def interaction_grid(model: TensionVae, vector_a: AttributeVector,
     # edit under its (vector, scale) indices; scale 0 reads the baseline's
     columns = {key: {kind: [] for kind in kinds} for key in [(None, None)] + [
         (v, s) for v in range(2) for s, scale in enumerate(scales) if scale != 0.0]}
+    _check_kept(n, len(columns) * len(kinds))  # one bool flag each
 
     def visit(v, s, base, edited):
         if (v, s) in columns:

@@ -4,8 +4,9 @@ A seed latent comes either from sampling the prior or from encoding one
 4-bar fragment of a seed MIDI file (posterior mean).  Edits are named
 attribute vectors with scales, applied additively in order.  ``generate``
 and ``compose_chain`` decode all their latents in one call, and the model
-gives each row the bits it has in any call: a sampled seed decodes as its
-row of ``ttv eval``, a MIDI seed's code is its ``ttv vectors`` code.  Every
+gives each row the bits it has in any call (for hidden and latent sizes up
+to ``cores.ROW_EXACT_WIDTH``, see ``TensionVae``): a sampled seed decodes as
+its row of ``ttv eval``, a MIDI seed's code is its ``ttv vectors`` code.  Every
 MIDI comes with a report of the predicted and recomputed tension curves.
 """
 

@@ -148,12 +148,6 @@ def _run_once(work: list):
     return fn(*args)
 
 
-def _row_runner(rows: int, cfg: ModelConfig):
-    """``cores.row_halves`` where ``cores.splits`` halves ``rows`` batch rows
-    of this model, else None: one block on the calling thread."""
-    return cores.row_halves if cores.splits(rows, cfg.hidden, cfg.latent_dim) else None
-
-
 def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
                      tensile_target: np.ndarray, diameter_target: np.ndarray,
                      noise: np.ndarray, beta: float,
@@ -179,12 +173,11 @@ def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
     tensile_target = np.asarray(tensile_target, dtype=dtype)
     diameter_target = np.asarray(diameter_target, dtype=dtype)
     noise = np.asarray(noise, dtype=dtype)
-    run_rows = _row_runner(len(x), cfg)
 
     grads: dict[str, np.ndarray] = {}
     tasks = []      # (names, [fn, args], future), in the order handed over
     done_here = {}  # task index -> result, for tasks this thread ran
-    pool = cores.helper() if run_rows else None
+    pool = cores.helper() if cores.splits(len(x), cfg.hidden, cfg.latent_dim) else None
 
     def handover(names, fn, *args):
         work = [fn, args]
@@ -193,9 +186,9 @@ def forward_backward(params: dict, cfg: ModelConfig, rolls: np.ndarray,
     put = handover if pool else None  # None: each gradient computed in place
 
     with cores.one_blas_thread():
-        posterior, enc_cache = encoder_forward(params, cfg, x, run_rows=run_rows)
+        posterior, enc_cache = encoder_forward(params, cfg, x)
         z = reparameterize(posterior, noise)
-        out, dec_cache = decoder_forward(params, cfg, z, run_rows=run_rows)
+        out, dec_cache = decoder_forward(params, cfg, z)
         breakdown = loss(out, x, tensile_target, diameter_target, beta, posterior)
         try:
             d_logits = _head_logit_gradients(out, x, tensile_target, diameter_target)
@@ -228,15 +221,20 @@ def evaluate_batch(params: dict, cfg: ModelConfig, rolls: np.ndarray,
                    tensile_target: np.ndarray, diameter_target: np.ndarray,
                    beta: float) -> tuple[LossBreakdown, DecoderOutput]:
     """Deterministic evaluation pass decoding from the posterior mean; as two
-    row halves on two threads where ``cores.splits`` says so, with the same
+    row halves, each encoded and decoded cache-free on its own thread
+    (``cores.by_rows``), where ``cores.splits`` says so, with the same
     result."""
     dtype = params["enc.mu.w"].dtype
     x = np.asarray(rolls, dtype=dtype)
-    run_rows = _row_runner(len(x), cfg)
-    posterior, _ = encoder_forward(params, cfg, x, keep_cache=False,
-                                   run_rows=run_rows)
-    out, _ = decoder_forward(params, cfg, posterior.mu, keep_cache=False,
-                             run_rows=run_rows)
+
+    def block(rows):
+        posterior, _ = encoder_forward(params, cfg, x[rows], keep_cache=False)
+        out, _ = decoder_forward(params, cfg, posterior.mu, keep_cache=False)
+        return posterior.mu, posterior.logvar, *vars(out).values()
+
+    parts = cores.by_rows(block, len(x), cfg.hidden, cfg.latent_dim)
+    mu, logvar, *heads = (np.concatenate(column) for column in zip(*parts))
+    posterior, out = Posterior(mu, logvar), DecoderOutput(*heads)
     breakdown = loss(out, x, np.asarray(tensile_target, dtype=dtype),
                      np.asarray(diameter_target, dtype=dtype), beta, posterior)
     return breakdown, out

@@ -38,17 +38,18 @@ Each head adds its biases and takes its tanh and its softmax in place on its
 matmul outputs.  The tests hold the plain versions of the layer and the
 heads, and require the results here to equal them bit for bit.
 
-The forward passes run the batch as row blocks: ``run_rows(fn, batch)``
-calls ``fn(rows)`` on slices that cover the batch, one block by default,
-two row halves on two threads from ``cores.row_halves``.  A block runs its
-rows through the whole encoder or decoder.  Two halves write their outputs
-and, with a cache, their gates, states, ``flat_h`` rows and head hidden rows
-into views of whole-batch buffers, so the cache and the backward pass are
-the same whatever the blocks; without a cache, each half allocates and
-frees its own GRU buffers.  One block allocates everything itself, in the
-order the one-thread forward always has.  Where ``cores.splits`` halves a
-batch, a row gets the same bits in either half as in the whole batch, so
-the blocks move no output.
+A forward with a cache allocates the whole-batch buffers first (each GRU
+layer's gates and states, ``flat_h``, each head's hidden rows and the
+outputs) and fills them from the row blocks of ``cores.by_rows``: the whole
+batch on the calling thread, or two row halves on two threads where
+``cores.splits`` says so.  A block runs its rows through the whole encoder
+or decoder and writes into views of those buffers, so the cache and the
+backward pass are the same whatever the blocks; where the rule halves a
+batch, a row gets the same bits in either half as in the whole batch, so the
+blocks move no output.  A forward without a cache runs its batch as one
+block that allocates and frees its own buffers; a caller that splits
+inference (``losses.evaluate_batch``, ``evaluation.decode_hardened``) does so
+around it, one forward per half.
 
 Each backward pass is split in two.  The input-gradient chain (the GRU
 recurrence, a layer's input gradient, the heads' ``d_hidden`` and
@@ -358,11 +359,6 @@ def _layer_weights(put, prefix: str):
     return functools.partial(put, (f"{prefix}.w", f"{prefix}.u", f"{prefix}.b"))
 
 
-def _whole(fn, rows: int) -> list:
-    """``[fn(slice(0, rows))]``: a batch of ``rows`` rows as one block."""
-    return [fn(slice(0, rows))]
-
-
 def _layer_caches(params: dict, cfg: ModelConfig, part: str,
                   x: np.ndarray) -> list[dict]:
     """Each GRU layer's cache over the whole batch ``x``, its gate and
@@ -380,51 +376,51 @@ def _layer_caches(params: dict, cfg: ModelConfig, part: str,
 
 
 def _gru_stack(params: dict, cfg: ModelConfig, part: str, x: np.ndarray,
-               rows: slice, caches: list[dict] | None, shared: bool) -> np.ndarray:
+               caches: list[dict] | None, rows: slice) -> np.ndarray:
     """Run the rows ``x`` of a batch through the GRU stack; returns the top
-    layer's states, (rows, steps, hidden).  With ``shared``, each layer
-    writes its gates and states into the ``rows`` of the whole-batch
-    ``caches``; else it appends its own cache to ``caches``, or, given None,
-    its buffers are freed once the next layer has read them."""
+    layer's states, (rows, steps, hidden).  Given the whole-batch
+    ``caches``, each layer writes its gates and states into their ``rows``;
+    else a layer's buffers are freed once the next layer has read them."""
     where = "encoder" if part == "enc" else "decoder"
     h_seq = x
     for i in range(cfg.gru_layers):
         out = (caches[i]["gates"][:, :, rows], caches[i]["states"][:, rows]
-               ) if shared else ()
-        h_seq, cache = gru_layer_forward(
+               ) if caches else ()
+        # index the result, so that the layer's own cache is let go at once
+        h_seq = gru_layer_forward(
             h_seq, params[f"{part}.gru{i}.w"], params[f"{part}.gru{i}.u"],
-            params[f"{part}.gru{i}.b"], *out)
+            params[f"{part}.gru{i}.b"], *out)[0]
         _check_finite(h_seq, f"{where} gru{i}")
-        if caches is not None and not shared:
-            caches.append(cache)
-        del cache
     return h_seq
 
 
 def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
-                    keep_cache: bool = True, run_rows=None,
+                    keep_cache: bool = True,
                     ) -> tuple[Posterior, dict | None]:
     """Roll batch (batch, 64, 89) -> posterior; cache for backward.
 
-    With ``keep_cache`` false the cache is None, and each layer's gate buffer
-    and states are freed once the next layer has read them.  ``run_rows(fn,
-    batch)`` runs ``fn`` over row slices that cover the batch, such as
-    ``cores.row_halves``; by default the batch is one block.
+    With ``keep_cache`` the rows run through ``cores.by_rows`` into the
+    whole-batch cache.  Without it the cache is None, the batch runs as one
+    block, and each layer's gate buffer and states are freed once the next
+    layer has read them.
     """
     batch = len(x)
-    shared = keep_cache and run_rows is not None
-    layers = _layer_caches(params, cfg, "enc", x) if shared else [] if keep_cache else None
+    layers = _layer_caches(params, cfg, "enc", x) if keep_cache else None
     heads = [(np.empty((batch, cfg.latent_dim), dtype=x.dtype),
               params[f"enc.{name}.w"], params[f"enc.{name}.b"])
              for name in ("mu", "logvar")]
 
     def block(rows):
-        h_last = _gru_stack(params, cfg, "enc", x[rows], rows, layers, shared)[:, -1, :]
+        h_last = _gru_stack(params, cfg, "enc", x[rows], layers, rows)[:, -1, :]
         for out, w, b in heads:
             np.matmul(h_last, w, out=out[rows])
             out[rows] += b
 
-    (run_rows or _whole)(block, batch)
+    if keep_cache:
+        from .. import cores  # imported here: inference alone does not load it
+        cores.by_rows(block, batch, cfg.hidden, cfg.latent_dim)
+    else:
+        block(slice(0, batch))
     mu, logvar_raw = (out for out, _, _ in heads)
     logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite(mu, "encoder mu head")
@@ -469,52 +465,41 @@ def reparameterize(posterior: Posterior, noise: np.ndarray) -> np.ndarray:
 
 
 def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
-                    keep_cache: bool = True, run_rows=None,
+                    keep_cache: bool = True,
                     ) -> tuple[DecoderOutput, dict | None]:
     """Latent batch (batch, latent) -> six heads; cache for backward.
 
-    With ``keep_cache`` false the cache is None: each layer's gate buffer
-    and states are freed once the next layer (or the heads' batch-major
-    copy) has read them, and each head's hidden array after its second
-    matmul.  ``run_rows`` runs row blocks as in ``encoder_forward``.
+    With ``keep_cache`` the rows run through ``cores.by_rows`` into the
+    whole-batch cache and outputs.  Without it the cache is None and the
+    batch runs as one block: each layer's gate buffer and states are freed
+    once the next layer (or the heads' batch-major copy) has read them, and
+    each head's hidden array after its second matmul.
     """
     batch, hidden = z.shape[0], cfg.hidden
     z_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))
-    flat = batch * N_STEPS
-    shared = keep_cache and run_rows is not None
-    layers = _layer_caches(params, cfg, "dec", z_seq) if shared else [] if keep_cache else None
-    # whole-batch arrays for row halves to fill; one block makes its own, in
-    # the order a one-block forward always has
-    whole = {}
-    if run_rows is not None:
-        whole = {name: np.empty((flat, width), dtype=z.dtype)
-                 for name, width, _ in HEAD_SPECS}
-        if keep_cache:
-            whole.update({key: np.empty((flat, hidden), dtype=z.dtype) for key in
-                          ["flat_h"] + [f"{name}.hidden" for name, _, _ in HEAD_SPECS]})
-
-    def rows_of(key, steps):
-        return whole[key][steps] if key in whole else None
+    layers = _layer_caches(params, cfg, "dec", z_seq) if keep_cache else None
+    # with a cache, the whole-batch arrays the blocks fill
+    whole = {key: np.empty((batch * N_STEPS, width), dtype=z.dtype)
+             for key, width in [("flat_h", hidden)]
+             + [(f"{name}.hidden", hidden) for name, _, _ in HEAD_SPECS]
+             + [(name, width) for name, width, _ in HEAD_SPECS]} if keep_cache else {}
 
     def block(rows):
-        top = _gru_stack(params, cfg, "dec", z_seq[rows], rows, layers, shared)
+        top = _gru_stack(params, cfg, "dec", z_seq[rows], layers, rows)
         steps = slice(rows.start * N_STEPS, rows.stop * N_STEPS)
-        block_h = rows_of("flat_h", steps)
-        if block_h is None:
-            block_h = top.reshape(-1, hidden)
+        made = {key: array[steps] for key, array in whole.items()}
+        if made:
+            made["flat_h"].reshape(top.shape)[...] = top
         else:
-            block_h.reshape(top.shape)[...] = top
+            made["flat_h"] = top.reshape(-1, hidden)
         del top
-        made = {"flat_h": block_h}
         for name, _, activation in HEAD_SPECS:
-            hidden_rows = np.matmul(block_h, params[f"dec.head.{name}.l1.w"],
-                                    out=rows_of(f"{name}.hidden", steps))
+            hidden_rows = np.matmul(made["flat_h"], params[f"dec.head.{name}.l1.w"],
+                                    out=made.get(f"{name}.hidden"))
             hidden_rows += params[f"dec.head.{name}.l1.b"]
             np.tanh(hidden_rows, out=hidden_rows)
             out = made[name] = np.matmul(hidden_rows, params[f"dec.head.{name}.l2.w"],
-                                         out=rows_of(name, steps))
-            if keep_cache:
-                made[f"{name}.hidden"] = hidden_rows
+                                         out=made.get(name))
             del hidden_rows
             out += params[f"dec.head.{name}.l2.b"]
             if activation == "softmax":
@@ -524,15 +509,17 @@ def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
             _check_finite(out, f"decoder head {name}")
         return made
 
-    made = (run_rows or _whole)(block, batch)
-    arrays = whole or made[0]
+    if keep_cache:
+        from .. import cores  # imported here: inference alone does not load it
+        cores.by_rows(block, batch, cfg.hidden, cfg.latent_dim)
+    arrays = whole if keep_cache else block(slice(0, batch))
     outputs = {name: arrays[name].reshape(
         (batch, N_STEPS, width) if activation == "softmax" else (batch, N_STEPS))
         for name, width, activation in HEAD_SPECS}
     if not keep_cache:
         return DecoderOutput(**outputs), None
-    cache = {"layers": layers, "flat_h": arrays["flat_h"],
-             "heads": {name: arrays[f"{name}.hidden"] for name, _, _ in HEAD_SPECS},
+    cache = {"layers": layers, "flat_h": whole["flat_h"],
+             "heads": {name: whole[f"{name}.hidden"] for name, _, _ in HEAD_SPECS},
              "latent_dim": z.shape[1]}
     return DecoderOutput(**outputs), cache
 
@@ -576,8 +563,11 @@ class TensionVae:
 
     ``encode`` and ``decode`` take stacks only and give each row the bits it
     has in any other call: a one-row matmul goes through gemv and rounds
-    differently, so neither makes one.  All methods are pure with respect to
-    the parameters.
+    differently, so neither makes one.  That holds while the hidden and
+    latent sizes are at most ``cores.ROW_EXACT_WIDTH`` (448); past it
+    OpenBLAS rounds a row by the rows of its call, e.g. ``(M, 512) @ (512,
+    512)`` at M = 2 and 3.  All methods are pure with respect to the
+    parameters.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):

@@ -653,6 +653,23 @@ class TestEval:
         assert err.startswith("error:") and "other than 0" in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("experiment", ["direction", "level", "interaction"])
+    def test_n_past_the_memory_budget_exits_two_before_decoding(
+            self, pipeline, tmp_path, experiment, capsys, monkeypatch):
+        from ttvae import evaluation
+
+        def fail(*args):
+            raise AssertionError("decoded")
+        monkeypatch.setattr(evaluation, "decode_hardened", fail)
+        out = tmp_path / "reports"
+        assert main(["eval", "--model", str(pipeline["checkpoint"]),
+                     "--vectors", str(pipeline["vectors"]),
+                     "--experiment", experiment, "--n", str(10**12),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "past the budget" in err
+        assert not any(out.iterdir())
+
     def test_pitch_dist_experiment(self, pipeline, tmp_path):
         out = tmp_path / "reports"
         assert main(["eval", "--model", str(pipeline["checkpoint"]),

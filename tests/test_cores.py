@@ -187,8 +187,28 @@ class TestSplitRule:
     def test_splits(self, rows, hidden, latent, split):
         assert cores.splits(rows, hidden, latent) is split
 
-    def test_row_halves_cover_the_rows_in_order(self):
-        assert cores.row_halves(lambda rows: rows, 7) == [slice(0, 4), slice(4, 7)]
+    def test_by_rows_on_both_sides_of_the_rule(self, monkeypatch):
+        pool, submitted, calls = cores.helper(), [], []
+
+        class Recorder:
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return pool.submit(fn, *args)
+        monkeypatch.setattr(cores, "helper", Recorder)
+
+        def fn(rows):
+            calls.append((rows, threading.current_thread()))
+            return rows
+        # below the rule: one call on this thread, nothing submitted
+        assert cores.by_rows(fn, 63, 128, 16) == [slice(0, 63)]
+        assert calls == [(slice(0, 63), threading.current_thread())]
+        assert submitted == []
+        # above it: the halves in order, the second handed to the helper
+        assert cores.by_rows(fn, 65, 128, 16) == [slice(0, 33), slice(33, 65)]
+        assert submitted == [(slice(33, 65),)]
+        here = threading.current_thread()
+        assert sorted((rows.start, thread is here) for rows, thread in calls[1:]) \
+            == [(0, True), (33, False)]
 
 
 class TestOneHelper:

@@ -50,6 +50,7 @@ from ttvae.pianoroll import (
     validate_roll,
 )
 from ttvae.vae import DecoderOutput, ModelConfig, TensionVae
+from ttvae.vae.config import MEMORY_BUDGET_BYTES
 from ttvae.vae.network import sample_latent
 
 RAMP = np.arange(64) / 63
@@ -397,6 +398,48 @@ class TestInteraction:
         write_interaction_csv(path, report)
         assert path.read_text().splitlines()[0] == (
             f"vector,scale,tensile_{mode}_ratio,diameter_{mode}_ratio")
+
+
+class TestKeptNumbersBounded:
+    """A sweep or an interaction grid whose per-example numbers would pass
+    ``MEMORY_BUDGET_BYTES`` is refused before its first decode; one sample
+    fewer starts decoding."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+
+        def fail(*args):
+            calls.append(1)
+            raise RuntimeError("decoded")
+        monkeypatch.setattr(evaluation, "decode_hardened", fail)
+        return calls
+
+    def assert_bound(self, run, per_sample, decodes):
+        most = MEMORY_BUDGET_BYTES // per_sample
+        with pytest.raises(InvalidInputError, match="past the budget"):
+            run(most + 1)
+        assert decodes == []
+        with pytest.raises(RuntimeError, match="decoded"):
+            run(most)
+        assert decodes == [1]
+
+    def test_sweeps(self, decodes):
+        vectors = [unit_vector("tensile_strain_direction"),
+                   unit_vector("cloud_diameter_direction")]
+        scales = evaluation.DEFAULT_DIRECTION_SCALES
+        # the default direction experiment: two vectors, nine scales, two
+        # flags and four float64 metrics each, so about 1.75 M samples
+        self.assert_bound(lambda n: evaluation.sweeps(
+            untrained_model(), vectors, "upward", scales, n), 2 * 9 * 34, decodes)
+
+    def test_interaction_grid(self, decodes):
+        va = unit_vector("tensile_strain_direction")
+        vb = unit_vector("cloud_diameter_direction")
+        scales = evaluation.DEFAULT_DIRECTION_SCALES
+        # two flags for the baseline and for each vector's eight edits
+        self.assert_bound(lambda n: interaction_grid(
+            untrained_model(), va, vb, scales, n), (1 + 2 * 8) * 2, decodes)
 
 
 class TestDecodeHardened:
