@@ -155,14 +155,18 @@ def cmd_vectors(args) -> int:
     from .latent import STANDARD_KINDS, build_vectors, save_vectors
     from .vae.config import training_split
     check_output(args.out)
-    model, ckpt = _load_model(args.model)
-    dataset = load_dataset(args.dataset)
     kinds = list(STANDARD_KINDS) if args.kinds == "all" \
         else [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        raise InvalidInputError(
+            f"--kinds names no vector kind; give 'all' or some of "
+            f"{list(STANDARD_KINDS)}")
     unknown = [k for k in kinds if k not in STANDARD_KINDS]
     if unknown:
         raise InvalidInputError(
             f"unknown vector kinds {unknown}; choose from {list(STANDARD_KINDS)}")
+    model, ckpt = _load_model(args.model)
+    dataset = load_dataset(args.dataset)
     restrict = training_split(ckpt.config, len(dataset))["train"].tolist()
     vectors_file = build_vectors(model, dataset, kinds=kinds,
                                  target_n=args.target_n,

@@ -247,11 +247,15 @@ def class_means(model: TensionVae, dataset: FragmentDataset,
     """
     if not all(len(ids) for ids in classes):
         raise InvalidInputError("classes must be non-empty")
-    union = np.unique(np.concatenate(classes))
-    outside = union[(union < 0) | (union >= len(dataset))]
+    every = np.concatenate(classes)
+    outside = every[(every < 0) | (every >= len(dataset))]
     if len(outside):
-        raise MissingFragmentError(f"fragment id {outside[0]} is not in the "
+        raise MissingFragmentError(f"fragment id {outside.min()} is not in the "
                                    f"dataset (size {len(dataset)})")
+    # a mask, not np.unique, whose first call imports numpy.ma
+    present = np.zeros(len(dataset), dtype=bool)
+    present[every] = True
+    union = np.flatnonzero(present)
     table = model.encode(dataset.rolls[union]).mu
     return [table[np.searchsorted(union, ids)].sum(axis=0, dtype=np.float64)
             / len(ids) for ids in classes]

@@ -15,25 +15,33 @@ candidate) order, so the update and reset gates take one recurrent matmul
 
 Buffer layout of a layer call.  The input projection ``x W + b`` is one
 matmul into an interleaved ``(steps, batch, 3h)`` buffer (a per-gate split
-rounds differently at some widths, e.g. h = 8 or 24).  The gate activations
-are step-major ``(steps, 3, batch, h)``: step t adds the recurrent products
-to its interleaved block, takes the tanh-form sigmoid, the candidate tanh
-and h' = u * h + (1 - u) * c on contiguous ``(2, batch, h)`` and ``(batch,
-h)`` scratch arrays allocated once per call, and then copies (update, reset,
-candidate) to step t of the gate buffer.  A layer that allocates its own
-gate buffer uses the projection buffer for it, each step overwriting the
-block it has read; a layer handed views of a shared cache (below), or fed a
-repeated input, which projects into a small buffer, writes into a separate
-one.  The cache keeps the gates and the states but not ``r * h``, which the
-backward pass recomputes for ``dU`` from the same two factors.  The backward
-pass reads ``gates[t]`` and keeps its gate gradients interleaved,
-``(steps, batch, 3h)``, so ``dW``, ``dU`` and the input gradient stay single
-matmuls (a per-gate split of ``x.T @ d_gates`` also rounds differently).
-States are time-major ``(steps, batch, h)``; a layer hands the next one a
-``(batch, steps, h)`` view of them, and the decoder heads read one
-batch-major copy of the top layer's.  The decoder's repeated latent is a
-stride-0 broadcast, which a GRU layer projects through ``W`` once, and whose
-input gradient it returns summed over the steps, shape ``(batch, 1, .)``.
+rounds differently at some widths, e.g. h = 8 or 24).  Step t adds the
+recurrent products to its interleaved block, takes the tanh-form sigmoid,
+the candidate tanh and h' = u * h + (1 - u) * c on contiguous ``(2, batch,
+h)`` and ``(batch, h)`` scratch arrays allocated once per call.  A layer has
+two buffer modes.  Handed views of a training forward's cache (below), it
+copies (update, reset, candidate) to step t of the step-major ``(steps, 3,
+batch, h)`` gate view, writes its states into the ``(steps, batch, h)``
+state view, and projects into a temporary.  Without them it keeps one
+buffer and no gates: step t writes its state over the first h columns of
+its own projection block, which it has read, so the states are a view whose
+rows lie 3h apart.  Only exact operations touch that view (a multiply, an
+add, a matmul operand, whose row stride BLAS takes as its leading
+dimension); ``tanh`` and ``exp`` keep contiguous operands, since NumPy's
+SIMD and strided loops for them can round differently.  So both modes give
+the same bits.  A repeated input projects into a ``(batch, 3h)`` buffer and
+writes its states into a ``(steps, batch, h)`` buffer of their own.  The
+cache keeps the gates and the states but not ``r * h``, which the backward
+pass recomputes for ``dU`` from the same two factors.  The backward pass
+reads ``gates[t]`` and keeps its gate gradients interleaved, ``(steps,
+batch, 3h)``, so ``dW``, ``dU`` and the input gradient stay single matmuls
+(a per-gate split of ``x.T @ d_gates`` also rounds differently).  States
+are time-major ``(steps, batch, h)``; a layer hands the next one a
+``(batch, steps, h)`` view of them (without a cache, of a compact copy),
+and the decoder heads read one batch-major copy of the top layer's.  The
+decoder's repeated latent is a stride-0 broadcast, which a GRU layer
+projects through ``W`` once, and whose input gradient it returns summed
+over the steps, shape ``(batch, 1, .)``.
 Each head adds its biases and takes its tanh and its softmax in place on its
 matmul outputs.  The tests hold the plain versions of the layer and the
 heads, and require the results here to equal them bit for bit.
@@ -63,12 +71,16 @@ cache's layers and heads, letting go of each once handed over.
 
 Inference keeps no cache.  ``encoder_forward`` and ``decoder_forward`` take
 ``keep_cache=False`` from ``TensionVae`` and ``evaluate_batch``: the same
-operations run in the same order, but a layer's gate buffer and states are
-let go once the next layer has read them, and a head's hidden array once its
-second matmul has, so a decode holds about two layers' buffers at a time
-instead of every layer's and every head's.  Every
-backward pass is hand-derived and verified against central finite
-differences (see ``gradcheck``).
+operations run in the same order, but each GRU layer keeps one buffer, a
+layer below the top hands the next a compact copy of its states and lets
+its projection buffer go before the next layer projects, the top layer's
+buffer goes once the decoder heads' batch-major copy (or the encoder
+heads' matmuls) have read it, and a head's hidden array once its second
+matmul has.  So a decode holds at most one layer's ``3h``-wide buffer and
+one ``h``-wide array of states at a time: 33.2 MiB traced for 256 rows at
+hidden 128 (``scripts/inference_memory.py``), against about 126 with a
+cache.  Every backward pass is hand-derived and verified against central
+finite differences (see ``gradcheck``).
 """
 
 from __future__ import annotations
@@ -212,14 +224,18 @@ def _seq(rows: np.ndarray, batch: int) -> np.ndarray:
 
 def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
                       b: np.ndarray, gates: np.ndarray | None = None,
-                      states: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+                      states: np.ndarray | None = None,
+                      ) -> tuple[np.ndarray, dict | None]:
     """Run one GRU layer over (batch, steps, input); returns states + cache.
 
     The states come back as a (batch, steps, hidden) view of a time-major
     buffer.  An input whose step stride is 0 (one vector repeated over the
     steps) is projected through ``w`` once.  Given ``gates`` and ``states``,
     (steps, 3, batch, hidden) and (steps, batch, hidden) views into which
-    the layer writes, its projection gets a temporary of its own.
+    the layer writes, its projection gets a temporary of its own.  Without
+    them the layer keeps one buffer and no cache (None): the projection's
+    first ``hidden`` columns become the states, whose rows are then ``3 *
+    hidden`` apart, or, for a stride-0 input, a buffer of the states alone.
     """
     batch, steps, _ = x.shape
     h_dim = u.shape[0]
@@ -230,12 +246,13 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
     else:
         proj = (_rows(x) @ w).reshape(steps, batch, 3 * h_dim)
         proj += b
-    if gates is None:
-        # the projection buffer becomes the gate buffer: step t reads its
-        # interleaved block, then overwrites it with the step's activations
-        gates = (np.empty((steps, 3, batch, h_dim), dtype=x.dtype)
-                 if x.strides[1] == 0 else proj.reshape(steps, 3, batch, h_dim))
-        states = np.empty((steps, batch, h_dim), dtype=x.dtype)
+    cached = gates is not None
+    if not cached:
+        # step t writes its state over the update-gate columns of its own
+        # projection block once it has read them; only exact operations
+        # (multiply, add, a matmul operand) touch these strided states
+        states = (np.empty((steps, batch, h_dim), dtype=x.dtype)
+                  if x.strides[1] == 0 else proj[:, :, :h_dim])
     h = np.zeros((batch, h_dim), dtype=x.dtype)
     act = np.empty((3, batch, h_dim), dtype=x.dtype)
     update, reset, cand = act
@@ -244,21 +261,23 @@ def gru_layer_forward(x: np.ndarray, w: np.ndarray, u: np.ndarray,
     rec_view = rec_gates.reshape(batch, 2, h_dim).transpose(1, 0, 2)
     rec_cand = np.empty((batch, h_dim), dtype=x.dtype)
     keep = np.empty((batch, h_dim), dtype=x.dtype)
-    for p, g, s in zip(proj.reshape(steps, batch, 3, h_dim).transpose(0, 2, 1, 3),
-                       gates, states):
+    for t, (p, s) in enumerate(zip(
+            proj.reshape(steps, batch, 3, h_dim).transpose(0, 2, 1, 3), states)):
         np.matmul(h, u_gates, out=rec_gates)
         np.add(p[:2], rec_view, out=act[:2])
         _sigmoid(act[:2])
         np.multiply(reset, h, out=rh)
         np.add(p[2], np.matmul(rh, u_cand, out=rec_cand), out=cand)
         np.tanh(cand, out=cand)
-        g[...] = act
+        if cached:
+            gates[t] = act
         np.subtract(1.0, update, out=keep)
         keep *= cand
         np.multiply(update, h, out=s)
         s += keep
         h = s
-    cache = {"x": x, "w": w, "u": u, "gates": gates, "states": states}
+    cache = {"x": x, "w": w, "u": u, "gates": gates, "states": states
+             } if cached else None
     return states.transpose(1, 0, 2), cache
 
 
@@ -380,17 +399,21 @@ def _gru_stack(params: dict, cfg: ModelConfig, part: str, x: np.ndarray,
     """Run the rows ``x`` of a batch through the GRU stack; returns the top
     layer's states, (rows, steps, hidden).  Given the whole-batch
     ``caches``, each layer writes its gates and states into their ``rows``;
-    else a layer's buffers are freed once the next layer has read them."""
+    else each layer below the top hands the next a compact copy of its
+    states, so that its projection buffer is freed before the next one is
+    allocated."""
     where = "encoder" if part == "enc" else "decoder"
     h_seq = x
     for i in range(cfg.gru_layers):
         out = (caches[i]["gates"][:, :, rows], caches[i]["states"][:, rows]
                ) if caches else ()
-        # index the result, so that the layer's own cache is let go at once
         h_seq = gru_layer_forward(
             h_seq, params[f"{part}.gru{i}.w"], params[f"{part}.gru{i}.u"],
             params[f"{part}.gru{i}.b"], *out)[0]
         _check_finite(h_seq, f"{where} gru{i}")
+        if not caches and i < cfg.gru_layers - 1:
+            # time-major, as the layer's own states: a no-op where they are
+            h_seq = np.ascontiguousarray(h_seq.transpose(1, 0, 2)).transpose(1, 0, 2)
     return h_seq
 
 
@@ -401,8 +424,8 @@ def encoder_forward(params: dict, cfg: ModelConfig, x: np.ndarray, *,
 
     With ``keep_cache`` the rows run through ``cores.by_rows`` into the
     whole-batch cache.  Without it the cache is None, the batch runs as one
-    block, and each layer's gate buffer and states are freed once the next
-    layer has read them.
+    block, and each layer's one buffer is freed once the next layer has its
+    states (or the heads have read the top layer's last ones).
     """
     batch = len(x)
     layers = _layer_caches(params, cfg, "enc", x) if keep_cache else None
@@ -471,9 +494,9 @@ def decoder_forward(params: dict, cfg: ModelConfig, z: np.ndarray, *,
 
     With ``keep_cache`` the rows run through ``cores.by_rows`` into the
     whole-batch cache and outputs.  Without it the cache is None and the
-    batch runs as one block: each layer's gate buffer and states are freed
-    once the next layer (or the heads' batch-major copy) has read them, and
-    each head's hidden array after its second matmul.
+    batch runs as one block: each layer's one buffer is freed once the next
+    layer (or the heads' batch-major copy) has its states, and each head's
+    hidden array after its second matmul.
     """
     batch, hidden = z.shape[0], cfg.hidden
     z_seq = np.broadcast_to(z[:, None, :], (batch, N_STEPS, z.shape[1]))

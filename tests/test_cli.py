@@ -264,6 +264,16 @@ class TestVectors:
                      "--dataset", str(pipeline["dataset"]),
                      "--kinds", "bogus", "--out", str(tmp_path / "v.json")]) == 2
 
+    @pytest.mark.parametrize("kinds", ["", ",", " , "])
+    def test_empty_kinds_exit_two_naming_all(self, pipeline, tmp_path, capsys,
+                                             kinds):
+        out = tmp_path / "v.json"
+        assert main(["vectors", "--model", str(pipeline["checkpoint"]),
+                     "--dataset", str(pipeline["dataset"]),
+                     "--kinds", kinds, "--out", str(out)]) == 2
+        assert "'all'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestShapeVector:
     def test_triangle_template(self, pipeline, tmp_path):

@@ -95,16 +95,23 @@ class TestStartUp:
             "ttvae.vae.gradcheck")] == []
 
 
-    def test_vectors_and_shape_vector_load_no_training(self, corpus_dir, tmp_path):
+    @pytest.fixture(scope="class")
+    def trained(self, corpus_dir, tmp_path_factory):
+        """(dataset, checkpoint) of a one-epoch toy model."""
         from ttvae.cli import main
-        dataset, model = tmp_path / "toy.ds", tmp_path / "m"
-        config = tmp_path / "config.json"
+        work = tmp_path_factory.mktemp("trained")
+        dataset, model = work / "toy.ds", work / "m"
+        config = work / "config.json"
         config.write_text(json.dumps(dict(latent_dim=4, hidden=8, gru_layers=1,
                                           batch_size=8, max_epochs=1)))
         assert main(["preprocess", "--in", str(corpus_dir), "--out", str(dataset)]) == 0
         assert main(["train", "--dataset", str(dataset), "--config", str(config),
                      "--out", str(model)]) == 0
-        common = ["--model", str(model / "checkpoint.ttv"), "--dataset", str(dataset)]
+        return dataset, model / "checkpoint.ttv"
+
+    def test_vectors_and_shape_vector_load_no_training(self, trained, tmp_path):
+        dataset, checkpoint = trained
+        common = ["--model", str(checkpoint), "--dataset", str(dataset)]
         for argv in (["vectors", *common, "--target-n", "2",
                       "--out", str(tmp_path / "v.json")],
                      ["shape-vector", *common, "--target-n", "2",
@@ -115,6 +122,14 @@ class TestStartUp:
             assert "ttvae.latent" in loaded
             assert [m for m in loaded if m in (
                 "ttvae.vae.training", "ttvae.vae.losses", "ttvae.cores")] == []
+
+    def test_vectors_load_no_masked_arrays(self, trained, tmp_path):
+        # np.unique imports numpy.ma on its first call, 10-20 ms cold
+        dataset, checkpoint = trained
+        argv = ["vectors", "--model", str(checkpoint), "--dataset", str(dataset),
+                "--target-n", "2", "--out", str(tmp_path / "v.json")]
+        loaded_after(f"from ttvae.cli import main\nassert main({argv!r}) == 0\n"
+                     "import sys\nassert 'numpy.ma' not in sys.modules")
 
 
 @pytest.mark.parametrize("package", [ttvae, ttvae.vae], ids=lambda p: p.__name__)

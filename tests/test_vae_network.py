@@ -111,6 +111,21 @@ def _gru_stack(rng, layers, in_dim=5, h_dim=6):
     return params
 
 
+def _cached_layer(x, w, u, b):
+    """``gru_layer_forward`` writing its gates and states into buffers of
+    its own, as into a training forward's cache views, and the same layer
+    without them; asserts both give the same states."""
+    batch, steps, _ = x.shape
+    h_dim = u.shape[0]
+    states, cache = network.gru_layer_forward(
+        x, w, u, b, np.empty((steps, 3, batch, h_dim), dtype=x.dtype),
+        np.empty((steps, batch, h_dim), dtype=x.dtype))
+    free, no_cache = network.gru_layer_forward(x, w, u, b)
+    assert no_cache is None
+    np.testing.assert_array_equal(free, states)
+    return states, cache
+
+
 class TestGruLayer:
     """The GRU layer against a per-gate reference loop with batch-major caches."""
 
@@ -128,7 +143,7 @@ class TestGruLayer:
         ours, ref = [], []
         seq_ours, seq_ref = x, np.ascontiguousarray(x)
         for w, u, b in stack:
-            seq_ours, cache = network.gru_layer_forward(seq_ours, w, u, b)
+            seq_ours, cache = _cached_layer(seq_ours, w, u, b)
             seq_ref, ref_cache = reference_gru_forward(seq_ref, w, u, b)
             np.testing.assert_allclose(seq_ours, seq_ref, rtol=1e-5, atol=1e-12)
             ours.append(cache)
@@ -155,7 +170,7 @@ class TestGruLayer:
         if broadcast:
             x = np.broadcast_to(x, (3, 7, 5))
         (w, u, b), = _gru_stack(rng, 1)
-        states, cache = network.gru_layer_forward(x, w, u, b)
+        states, cache = _cached_layer(x, w, u, b)
         d_states = rng.standard_normal(states.shape)
         full = network.gru_layer_backward(d_states, None, cache)
         lean = network.gru_layer_backward(d_states, None, cache, input_grad=False)
@@ -223,8 +238,9 @@ def _float32_layer(rng, in_dim, h_dim):
 
 
 def _assert_same_layer(x, w, u, b, rng):
-    """States and all four gradients bitwise equal to the interleaved layer."""
-    states, cache = network.gru_layer_forward(x, w, u, b)
+    """States, with and without a cache, and all four gradients bitwise
+    equal to the interleaved layer."""
+    states, cache = _cached_layer(x, w, u, b)
     ref_states, ref_cache = interleaved_gru_forward(x, w, u, b)
     np.testing.assert_array_equal(states, ref_states)
     d_states = rng.standard_normal(states.shape).astype(np.float32)
@@ -407,19 +423,30 @@ class TestCacheFreeInference:
             np.testing.assert_array_equal(getattr(free, field),
                                           getattr(kept, field))
 
-    def test_decode_of_256_stays_under_60_mib(self):
+    @staticmethod
+    def traced_peak(call, stack):
+        call(stack[:2])  # warm up: first-call allocations are not the layer's
+        tracemalloc.start()
+        try:
+            call(stack)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_decode_of_256_stays_under_34_mib(self):
         model = TensionVae.initialize(
             ModelConfig(latent_dim=16, hidden=128, gru_layers=2, rng_seed=1))
         z = np.random.default_rng(0).standard_normal((256, 16))
-        model.decode(z[:2])
-        tracemalloc.start()
-        try:
-            model.decode(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the caching forward peaks at about 126 MiB, the cache-free one at 42
-        assert peak < 60 * 2**20
+        # about 126 MiB with a cache, 33.2 without
+        assert self.traced_peak(model.decode, z) <= 34 * 2**20
+
+    def test_encode_of_64_stays_under_10_mib(self, rng):
+        model = TensionVae.initialize(
+            ModelConfig(latent_dim=16, hidden=128, gru_layers=2, rng_seed=1))
+        rolls = np.stack([random_roll(rng) for _ in range(64)])
+        # 9.75 MiB: the float32 rolls, one layer's projection buffer and
+        # the compact states of the layer below
+        assert self.traced_peak(model.encode, rolls) <= 10 * 2**20
 
 
 class TestKlDivergence:
