@@ -8,10 +8,16 @@ fsync'ed: this guards against a failing or killed writer, not against a
 power cut.)  An output path that cannot hold the file raises
 InvalidInputError; a full disk while writing stays an OSError.  Commands run
 :func:`check_output` on their output files before their work.
+
+:func:`json_text` is the one JSON format of every JSON artifact and of the
+``--json`` output of the commands: strict JSON (a NaN or infinity raises
+ValueError before anything is written), two-space indent, sorted keys and a
+final newline.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,6 +56,16 @@ def write_atomic(path, data: bytes | str) -> None:
     """Replace ``path`` with ``data``; a str is written as UTF-8."""
     with atomic_write(path) as fh:
         fh.write(data.encode() if isinstance(data, str) else data)
+
+
+def json_text(payload) -> str:
+    """``payload`` in the artifact JSON format (see the module)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path, payload) -> None:
+    """Replace ``path`` with ``payload`` in the artifact JSON format."""
+    write_atomic(path, json_text(payload))
 
 
 def check_output(path) -> Path:

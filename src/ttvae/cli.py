@@ -11,12 +11,11 @@ loads only what that subcommand calls.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from .atomic import check_output, output_dir, write_atomic
+from .atomic import check_output, json_text, output_dir, write_atomic, write_json
 from .corpus import (
     build_dataset,
     load_dataset,
@@ -31,8 +30,10 @@ from .midi import parse_midi
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Print ``payload`` as one JSON object under ``--json``, else ``lines``."""
+    sys.stdout.write(json_text(payload) if args.json
+                     else "".join(f"{line}\n" for line in lines))
 
 
 def _load_model(path, expected_config=None):
@@ -68,7 +69,7 @@ def cmd_analyze(args) -> int:
     if not fragments:
         raise InvalidInputError(f"{args.infile} yields no 4-bar fragments")
     if args.json:
-        payload = {
+        text = json_text({
             "source": str(args.infile),
             "detected_key": str(key),
             "warnings": warnings,
@@ -81,8 +82,7 @@ def cmd_analyze(args) -> int:
                 for bar_offset, tensile, diameter in zip(
                     fragments.bar_offsets, fragments.tensile, fragments.diameter)
             ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
     else:
         text = _fragment_csv(fragments, f" [detected key: {key}]")
     if args.out:
@@ -97,19 +97,13 @@ def cmd_preprocess(args) -> int:
     _outputs(args.out, ".json")
     dataset = build_dataset(args.indir, args.melody_track, args.bass_track)
     save_dataset(dataset, args.out)
-    summary = {
-        "fragments": len(dataset),
-        "songs": len(dataset.meta.get("original_keys", {})),
-        "skipped": len(dataset.meta.get("skips", [])),
-        "dataset": str(args.out),
-    }
-    if args.json:
-        _print_json(summary)
-    else:
-        print(f"{summary['fragments']} fragments from {summary['songs']} "
-              f"songs ({summary['skipped']} skipped) -> {args.out}")
-        for skip in dataset.meta.get("skips", []):
-            print(f"  skipped {skip['file']}: {skip['reason']}")
+    songs = len(dataset.meta.get("original_keys", {}))
+    skips = dataset.meta.get("skips", [])
+    _emit(args, {"fragments": len(dataset), "songs": songs,
+                 "skipped": len(skips), "dataset": str(args.out)},
+          [f"{len(dataset)} fragments from {songs} songs ({len(skips)} "
+           f"skipped) -> {args.out}"]
+          + [f"  skipped {skip['file']}: {skip['reason']}" for skip in skips])
     return 0
 
 
@@ -132,28 +126,33 @@ def cmd_train(args) -> int:
             f"epoch {epoch}: train total {tr.total:.4f}, "
             f"val total {val.total:.4f}", flush=True)
     result = train(dataset, cfg, out_dir=args.out, progress=progress)
-    summary = {
-        "checkpoint": str(result.checkpoint_path),
-        "checkpoint_id": result.checkpoint_id,
-        "ledger": str(result.ledger_path),
-        "epochs_run": result.epochs_run,
-        "best_epoch": result.best_epoch,
-        "global_batches": result.global_batches,
-    }
-    if args.json:
-        _print_json(summary)
-    else:
-        print(f"trained {result.epochs_run} epochs (best {result.best_epoch}) "
-              f"-> {result.checkpoint_path}")
-        test_rows = [r for r in result.ledger if r.split == "test"]
-        if test_rows:
-            print(f"test total loss: {test_rows[-1].losses.total:.4f}")
+    test_rows = [r for r in result.ledger if r.split == "test"]
+    _emit(args, {"checkpoint": str(result.checkpoint_path),
+                 "checkpoint_id": result.checkpoint_id,
+                 "ledger": str(result.ledger_path),
+                 "epochs_run": result.epochs_run,
+                 "best_epoch": result.best_epoch,
+                 "global_batches": result.global_batches},
+          [f"trained {result.epochs_run} epochs (best {result.best_epoch}) "
+           f"-> {result.checkpoint_path}"]
+          + [f"test total loss: {r.losses.total:.4f}" for r in test_rows[-1:]])
     return 0
 
 
-def cmd_vectors(args) -> int:
-    from .latent import STANDARD_KINDS, build_vectors, save_vectors
+def _vectors_from_split(args, model, ckpt, kinds: list[str], templates=None):
+    """``build_vectors`` on the ``--dataset`` fragments of the checkpoint's
+    training split: the steps ``vectors`` and ``shape-vector`` share."""
+    from .latent import build_vectors
     from .vae.config import training_split
+    dataset = load_dataset(args.dataset)
+    restrict = training_split(ckpt.config, len(dataset))["train"].tolist()
+    return build_vectors(model, dataset, kinds=kinds, target_n=args.target_n,
+                         restrict_ids=restrict, templates=templates,
+                         checkpoint_id=ckpt.ident)
+
+
+def cmd_vectors(args) -> int:
+    from .latent import STANDARD_KINDS, save_vectors
     check_output(args.out)
     kinds = list(STANDARD_KINDS) if args.kinds == "all" \
         else [k.strip() for k in args.kinds.split(",") if k.strip()]
@@ -166,22 +165,14 @@ def cmd_vectors(args) -> int:
         raise InvalidInputError(
             f"unknown vector kinds {unknown}; choose from {list(STANDARD_KINDS)}")
     model, ckpt = _load_model(args.model)
-    dataset = load_dataset(args.dataset)
-    restrict = training_split(ckpt.config, len(dataset))["train"].tolist()
-    vectors_file = build_vectors(model, dataset, kinds=kinds,
-                                 target_n=args.target_n,
-                                 restrict_ids=restrict,
-                                 checkpoint_id=ckpt.ident)
+    vectors_file = _vectors_from_split(args, model, ckpt, kinds)
     save_vectors(args.out, vectors_file)
-    if args.json:
-        _print_json({"vectors": sorted(vectors_file.vectors),
-                     "out": str(args.out),
-                     "checkpoint_id": ckpt.ident})
-    else:
-        for name, vector in sorted(vectors_file.vectors.items()):
-            print(f"{name}: classes {vector.class_sizes}, "
-                  f"thresholds {vector.effective_thresholds}")
-        print(f"wrote {args.out}")
+    _emit(args, {"vectors": sorted(vectors_file.vectors), "out": str(args.out),
+                 "checkpoint_id": ckpt.ident},
+          [f"{name}: classes {vector.class_sizes}, "
+           f"thresholds {vector.effective_thresholds}"
+           for name, vector in sorted(vectors_file.vectors.items())]
+          + [f"wrote {args.out}"])
     return 0
 
 
@@ -202,34 +193,25 @@ def _load_template(args):
 
 
 def cmd_shape_vector(args) -> int:
-    from .latent import build_vectors, check_compatibility, load_vectors, save_vectors
-    from .vae.config import training_split
+    from .latent import check_compatibility, load_vectors, save_vectors
     out = check_output(args.out)
     model, ckpt = _load_model(args.model)
     # An existing --out gains the vector, and only if it is this model's.
     existing = load_vectors(out) if out.exists() else None
     if existing is not None:
         check_compatibility(model, existing, ckpt.ident)
-    dataset = load_dataset(args.dataset)
     template = _load_template(args)
     name = args.name or f"shape_{template.name}"
     kind = f"shape:{name}"
-    restrict = training_split(ckpt.config, len(dataset))["train"].tolist()
-    built = build_vectors(model, dataset, kinds=[kind],
-                          target_n=args.target_n, restrict_ids=restrict,
-                          templates={kind: template},
-                          checkpoint_id=ckpt.ident)
+    built = _vectors_from_split(args, model, ckpt, [kind], {kind: template})
     vector = built.vectors.pop(kind)
     vector.name = name
     kept = built if existing is None else existing
     kept.vectors[name] = vector
     save_vectors(out, kept)
-    if args.json:
-        _print_json({"vector": name, "out": str(out),
-                     "class_sizes": list(vector.class_sizes)})
-    else:
-        print(f"wrote shape vector {name!r} (classes {vector.class_sizes}) "
-              f"to {out}")
+    _emit(args, {"vector": name, "out": str(out),
+                 "class_sizes": list(vector.class_sizes)},
+          [f"wrote shape vector {name!r} (classes {vector.class_sizes}) to {out}"])
     return 0
 
 
@@ -267,7 +249,6 @@ def _request_from_args(args):
 
 def cmd_generate(args) -> int:
     """``generate``, and ``compose-chain``, which also takes a ``--plan``."""
-    from .evaluation import write_json
     from .generate import ChainPlan, compose_chain, generate
     from .latent import load_vectors
     out, report_path = _outputs(args.out, ".tension.json")
@@ -286,10 +267,8 @@ def cmd_generate(args) -> int:
         message = f"wrote {out} and {report_path}"
     write_atomic(out, result.midi_bytes)
     write_json(report_path, result.report)
-    if args.json:
-        _print_json({"midi": str(out), "report": str(report_path), **summary})
-    else:
-        print(message)
+    _emit(args, {"midi": str(out), "report": str(report_path), **summary},
+          [message])
     return 0
 
 
@@ -326,8 +305,7 @@ def cmd_eval(args) -> int:
 
     def emit_sweep(report, stem):
         evaluation.write_sweep_csv(out_dir / f"{stem}.csv", report)
-        evaluation.write_json(out_dir / f"{stem}.json",
-                              evaluation.sweep_summary(report))
+        write_json(out_dir / f"{stem}.json", evaluation.sweep_summary(report))
         outputs[stem] = str(out_dir / f"{stem}.csv")
         if args.charts:
             evaluation.write_ratio_chart_svg(out_dir / f"{stem}.svg", report)
@@ -352,8 +330,8 @@ def cmd_eval(args) -> int:
                 mode=mode, trained_batches=trained)
             evaluation.write_interaction_csv(
                 out_dir / f"interaction_{label}.csv", report)
-            evaluation.write_json(out_dir / f"interaction_{label}.json",
-                                  evaluation.interaction_summary(report))
+            write_json(out_dir / f"interaction_{label}.json",
+                       evaluation.interaction_summary(report))
             outputs[f"interaction_{label}"] = str(
                 out_dir / f"interaction_{label}.csv")
     elif args.experiment == "pitch-dist":
@@ -363,7 +341,7 @@ def cmd_eval(args) -> int:
             model, vector, args.scale, args.n, seed, bars)
         evaluation.write_histogram_csv(out_dir / "pitch_distribution.csv",
                                        hist_orig, hist_mod)
-        evaluation.write_json(out_dir / "pitch_distribution.json", {
+        write_json(out_dir / "pitch_distribution.json", {
             "vector": vector.name, "scale": args.scale, "bars": list(bars),
             "n": args.n, "rng_seed": seed,
             "original": hist_orig.tolist(), "modified": hist_mod.tolist(),
@@ -373,11 +351,8 @@ def cmd_eval(args) -> int:
         raise InvalidInputError(
             f"experiment {args.experiment!r} found no matching vectors in "
             f"{args.vectors}")
-    if args.json:
-        _print_json({"experiment": args.experiment, "outputs": outputs})
-    else:
-        for stem, path in sorted(outputs.items()):
-            print(f"wrote {path}")
+    _emit(args, {"experiment": args.experiment, "outputs": outputs},
+          [f"wrote {path}" for _, path in sorted(outputs.items())])
     return 0
 
 
@@ -386,15 +361,14 @@ def cmd_gradcheck(args) -> int:
     result = gradient_check(hidden=args.hidden, latent=args.latent,
                             n_weights=args.samples, step=args.step,
                             seed=args.rng_seed or 0)
-    passed = result.max_rel_error < GRADCHECK_TOLERANCE
-    if args.json:
-        _print_json({"max_rel_error": result.max_rel_error,
-                     "n_checked": result.n_checked,
-                     "tolerance": GRADCHECK_TOLERANCE,
-                     "passed": passed})
-    else:
-        print(result.summary())
-        print("PASS" if passed else "FAIL")
+    error = result.max_rel_error
+    passed = error < GRADCHECK_TOLERANCE
+    # strict JSON: the infinite error of a non-finite derivative reads null
+    _emit(args, {"max_rel_error": error if math.isfinite(error) else None,
+                 "n_checked": result.n_checked,
+                 "tolerance": GRADCHECK_TOLERANCE,
+                 "passed": passed},
+          [result.summary(), "PASS" if passed else "FAIL"])
     return 0 if passed else 1
 
 

@@ -21,7 +21,12 @@ bits it has in the whole batch (checked at hidden 16 to 448 and latent 16
 to 448, at the smallest split batch, one row more, and twice it plus one),
 so a split moves no float.  Past them OpenBLAS rounds a row by the row
 count of its block: at hidden 512 from the recurrent step of two-row halves
-on, at hidden 768 in the encoder's output heads.
+on, at hidden 768 in the encoder's output heads.  All of this was measured
+on OpenBLAS's SkylakeX kernel, the one it loads on the AVX-512 Intel Xeon
+of the table below, and is known to hold on no other.  Its Haswell kernel
+(loaded with ``OPENBLAS_CORETYPE=Haswell``, and by ``Zen``) rounds a row by
+its place in the call at every width probed, so there a split moves floats;
+``scripts/kernel_matrix.py`` compares the artifacts across kernels.
 
 The constant is the measured break-even of the training forward pass (two
 GRU layers) on 2 shared vCPUs, in three runs during a quiet stretch, fastest

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, write_atomic
+from .atomic import atomic_write, write_json
 from .errors import InvalidInputError, InvalidRollError, InvalidSongError, NoKeyError, TtvaeError
 from .midi import MidiTrack, Score, parse_midi
 from .pianoroll import (
@@ -582,8 +582,7 @@ def save_dataset(dataset: FragmentDataset, path) -> None:
         "skips": dataset.meta.get("skips", []),
         "warnings": dataset.meta.get("warnings", []),
     }
-    write_atomic(path.with_name(path.name + ".json"),
-                 json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_name(path.name + ".json"), sidecar)
 
 
 def _validate_rolls(rolls: np.ndarray, first: int = 0,

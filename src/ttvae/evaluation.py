@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import cores, pianoroll
 from .atomic import write_atomic
+from .corpus import PITCH_CLASS_NAMES
 from .errors import InvalidInputError
 from .latent import (RAMP_TEMPLATE, AttributeVector, apply_vector, level_scores,
                      measured_curve, shape_scores)
@@ -222,7 +222,8 @@ def decode_hardened(model: TensionVae, z: np.ndarray,
     so at most one chunk's rows are in flight and memory is that of one
     chunk's decode.  A latent's outputs are the same bits whatever other
     latents share the call, down to a call of one row, while the hidden and
-    latent sizes are at most ``cores.ROW_EXACT_WIDTH`` (see ``TensionVae``).
+    latent sizes are at most ``cores.ROW_EXACT_WIDTH`` and OpenBLAS runs its
+    SkylakeX kernel (see ``TensionVae``).
     Meanwhile BLAS is held at one thread (``cores.one_blas_thread``).  That
     setting is process-global: BLAS calls that other threads make during the
     decode run on one thread too.  The previous count comes back when the
@@ -470,41 +471,19 @@ def _write_csv(path, rows) -> None:
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:
-    columns = ("scale", "n", "ratio_recomputed", "ratio_predicted",
-               "melody_pitch_accuracy", "bass_pitch_accuracy",
-               "melody_rhythm_fscore", "bass_rhythm_fscore")
-    _write_csv(path, [columns] + [
-        [f"{row.scale:g}", row.n] + [f"{getattr(row, c):.6f}" for c in columns[2:]]
+    _write_csv(path, [[f.name for f in fields(SweepRow)]] + [
+        [f"{row.scale:g}", row.n] + [f"{v:.6f}" for v in astuple(row)[2:]]
         for row in report.rows])
 
 
 def sweep_summary(report: SweepReport) -> dict:
-    return {
-        "vector": report.vector_name,
-        "ratio_kind": report.ratio_kind,
-        "measured_curve": report.measured_curve,
-        "scales": report.scales,
-        "thresholds": report.thresholds,
-        "n": report.n,
-        "rng_seed": report.rng_seed,
-        "untrained_model": report.untrained_model,
-        "rows": [
-            {
-                "scale": row.scale,
-                "ratio_recomputed": row.ratio_recomputed,
-                "ratio_predicted": row.ratio_predicted,
-                "melody_pitch_accuracy": row.melody_pitch_accuracy,
-                "bass_pitch_accuracy": row.bass_pitch_accuracy,
-                "melody_rhythm_fscore": row.melody_rhythm_fscore,
-                "bass_rhythm_fscore": row.bass_rhythm_fscore,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def write_json(path, payload: dict) -> None:
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """The report's fields, ``vector_name`` as ``vector``, each row without
+    its ``n`` (the report's)."""
+    summary = asdict(report)
+    summary["vector"] = summary.pop("vector_name")
+    for row in summary["rows"]:
+        del row["n"]
+    return summary
 
 
 def write_interaction_csv(path, report: InteractionReport) -> None:
@@ -516,25 +495,21 @@ def write_interaction_csv(path, report: InteractionReport) -> None:
 
 
 def interaction_summary(report: InteractionReport) -> dict:
-    return {
-        "vectors": list(report.vector_names),
-        "scales": report.scales,
-        "rows": {name: {f"{scale:g}": report.rows[name][scale]
-                        for scale in report.scales}
-                 for name in report.vector_names},
-        "cross_effect": report.cross_effect,
-        "n": report.n,
-        "rng_seed": report.rng_seed,
-        "untrained_model": report.untrained_model,
-    }
+    """The report's fields but ``ratio_kind``, ``vector_names`` as
+    ``vectors``, each row's scales as ``%g`` keys."""
+    summary = asdict(report)
+    del summary["ratio_kind"]
+    summary["vectors"] = list(summary.pop("vector_names"))
+    summary["rows"] = {name: {f"{scale:g}": row[scale] for scale in report.scales}
+                       for name, row in summary["rows"].items()}
+    return summary
 
 
 def write_histogram_csv(path, original: np.ndarray, modified: np.ndarray) -> None:
-    names = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
     _write_csv(path, [("pitch_class", "original", "modified", "difference")] + [
         (name, int(original[pc]), int(modified[pc]),
          int(modified[pc]) - int(original[pc]))
-        for pc, name in enumerate(names)])
+        for pc, name in enumerate(PITCH_CLASS_NAMES)])
 
 
 def write_ratio_chart_svg(path, report: SweepReport,

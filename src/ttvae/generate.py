@@ -5,9 +5,11 @@ A seed latent comes either from sampling the prior or from encoding one
 attribute vectors with scales, applied additively in order.  ``generate``
 and ``compose_chain`` decode all their latents in one call, and the model
 gives each row the bits it has in any call (for hidden and latent sizes up
-to ``cores.ROW_EXACT_WIDTH``, see ``TensionVae``): a sampled seed decodes as
-its row of ``ttv eval``, a MIDI seed's code is its ``ttv vectors`` code.  Every
-MIDI comes with a report of the predicted and recomputed tension curves.
+to ``cores.ROW_EXACT_WIDTH``, on OpenBLAS's SkylakeX kernel, see
+``TensionVae``): a sampled seed decodes as its row of ``ttv eval``, a MIDI
+seed's code is its ``ttv vectors`` code.  On the Haswell kernel they may
+differ in the last bits.  Every MIDI comes with a report of the predicted
+and recomputed tension curves.
 """
 
 from __future__ import annotations

@@ -16,13 +16,12 @@ and :meth:`AttributeVector.level_params` read them back, and
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_json
 from .corpus import FragmentDataset, read_json
 from .errors import InvalidInputError, MissingFragmentError
 from .pianoroll import N_STEPS
@@ -42,7 +41,8 @@ def measured_curve(name: str) -> str:
 
 @dataclass(frozen=True)
 class ShapeTemplate:
-    """A 64-step target contour; must not be constant."""
+    """A 64-step target contour; must not be constant, and its centred values
+    must have a finite norm."""
 
     name: str
     values: np.ndarray
@@ -57,6 +57,11 @@ class ShapeTemplate:
                 f"template needs {N_STEPS} values, got {v.shape}")
         if not np.isfinite(v).all():
             raise InvalidInputError("template values must be finite")
+        # the norm that shape_scores divides by
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.linalg.norm(v - v.mean())):
+                raise InvalidInputError("template values are too large: "
+                                        "their spread overflows")
         if v.std() == 0:
             raise InvalidInputError("template must not be constant")
         object.__setattr__(self, "values", v)
@@ -330,26 +335,20 @@ def build_vectors(model: TensionVae, dataset: FragmentDataset,
 
 
 def save_vectors(path, vectors_file: VectorsFile) -> None:
-    payload = {
-        "latent_dim": vectors_file.latent_dim,
-        "checkpoint_id": vectors_file.checkpoint_id,
-        "vectors": [
-            {
-                "name": v.name,
-                "values": [float(x) for x in v.values],
-                "class_sizes": list(v.class_sizes),
-                "effective_thresholds": v.effective_thresholds,
-            }
-            for _, v in sorted(vectors_file.vectors.items())
-        ],
-    }
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """The file's fields, its vectors as a list in name order."""
+    payload = asdict(vectors_file)
+    payload["vectors"] = [dict(v, values=[float(x) for x in v["values"]])
+                          for _, v in sorted(payload["vectors"].items())]
+    write_json(path, payload)
 
 
 def load_vectors(path) -> VectorsFile:
     payload = read_json(path, "vectors file")
     try:
-        latent_dim = int(payload["latent_dim"])
+        latent_dim = payload["latent_dim"]
+        if type(latent_dim) is not int or latent_dim < 1:
+            raise ValueError(f"latent_dim must be an integer >= 1, "
+                             f"got {latent_dim!r}")
         vectors = {}
         for item in payload.get("vectors", []):
             name = item["name"]

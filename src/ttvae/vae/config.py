@@ -89,6 +89,14 @@ class ModelConfig:
             raise InvalidInputError("beta_step must be positive")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise InvalidInputError("max_epochs must be >= 1")
+        if self.early_stop_patience < 1:
+            raise InvalidInputError("early_stop_patience must be >= 1")
+        if not self.learning_rate > 0:
+            raise InvalidInputError("learning_rate must be positive")
+        if self.beta_max < 0:
+            raise InvalidInputError("beta_max must be >= 0")
         if self.rng_seed < 0:
             raise InvalidInputError("rng_seed must be >= 0")
         if abs(sum(self.split) - 1.0) > 1e-9 or any(s < 0 for s in self.split):

@@ -98,7 +98,9 @@ def gradient_check(hidden: int = 8, latent: int = 4, gru_layers: int = 2,
     The relative error denominator is floored at 1e-5: central differences
     at this step size carry ~1e-11 of rounding noise on the derivative, so
     coordinates whose true gradient sits below the floor are effectively
-    compared in absolute terms instead of dividing noise by noise.
+    compared in absolute terms instead of dividing noise by noise.  A
+    non-finite analytic or numeric derivative is an infinite error, and the
+    first one found is the worst.
     """
     cfg = ModelConfig(latent_dim=latent, hidden=hidden, gru_layers=gru_layers,
                       batch_size=batch, rng_seed=seed)
@@ -134,7 +136,10 @@ def gradient_check(hidden: int = 8, latent: int = 4, gru_layers: int = 2,
         params[name][index] = original
         numeric = (up - down) / (2.0 * step)
         analytic = float(grads[name][index])
-        rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5)
+        if math.isfinite(analytic) and math.isfinite(numeric):
+            rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5)
+        else:
+            rel = math.inf  # a NaN would never compare above the worst
         if rel > worst[0]:
             worst = (rel, name, index, analytic, numeric)
     return GradCheckResult(max_rel_error=worst[0], n_checked=len(coords),

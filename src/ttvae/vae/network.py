@@ -589,8 +589,10 @@ class TensionVae:
     differently, so neither makes one.  That holds while the hidden and
     latent sizes are at most ``cores.ROW_EXACT_WIDTH`` (448); past it
     OpenBLAS rounds a row by the rows of its call, e.g. ``(M, 512) @ (512,
-    512)`` at M = 2 and 3.  All methods are pure with respect to the
-    parameters.
+    512)`` at M = 2 and 3.  These claims were measured on OpenBLAS's SkylakeX
+    kernel; on its Haswell kernel (``OPENBLAS_CORETYPE=Haswell`` or ``Zen``)
+    a row's bits depend on the other rows of the call at every width (see
+    ``ttvae.cores``).  All methods are pure with respect to the parameters.
     """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):

@@ -227,7 +227,7 @@ WRITERS = {
         d / out, [LedgerRow(1, "train", LOSSES), LedgerRow(1, "val", LOSSES)])),
     "sweep csv": (["sweep.csv"], lambda d, out: lambda: evaluation.write_sweep_csv(
         d / out, sweep_report())),
-    "json": (["summary.json"], lambda d, out: lambda: evaluation.write_json(
+    "json": (["summary.json"], lambda d, out: lambda: atomic.write_json(
         d / out, evaluation.sweep_summary(sweep_report()))),
     "interaction csv": (["grid.csv"], lambda d, out: lambda: evaluation.write_interaction_csv(
         d / out, interaction_report())),
@@ -277,3 +277,13 @@ class TestAtomicWriters:
             after = snapshot(directory)
             assert after[failing] == before[failing]
             assert set(after) == set(before)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_raises_before_writing(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"previous")
+        with pytest.raises(ValueError):
+            atomic.write_json(path, {"ratio": [0.5, value]})
+        assert snapshot(tmp_path) == {"report.json": b"previous"}

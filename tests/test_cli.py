@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import brute_force_tension
@@ -209,12 +210,19 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("fields", [
         {"hidden": "8"}, {"split": 5}, {"hidden": 8.5}, {"batch_size": True},
         {"learning_rate": "x"}, {"beta_max": float("nan")},
-        {"split": [0.8, "0.1", 0.1]}, {"split": [0.8, 0.2]}, {"rng_seed": -1}],
+        {"split": [0.8, "0.1", 0.1]}, {"split": [0.8, 0.2]}, {"rng_seed": -1},
+        {"max_epochs": 0}, {"max_epochs": -5}, {"early_stop_patience": 0},
+        {"learning_rate": -1}, {"learning_rate": 0}, {"beta_max": -1}],
         ids=repr)
-    def test_exits_two(self, pipeline, tmp_path, fields):
+    def test_exits_two(self, pipeline, tmp_path, fields, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps(dict(TOY_CONFIG, **fields)))
         assert _train_exit(pipeline["dataset"], tmp_path / "m", config) == 2
+        err = capsys.readouterr().err
+        (field,) = fields
+        assert err.startswith(f"error: {field} must be"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m").exists()
 
     def test_non_object_exits_two(self, pipeline, tmp_path):
         config = tmp_path / "c.json"
@@ -353,15 +361,24 @@ class TestMalformedTemplate:
         "[" + ", ".join(["NaN"] + ["0.5"] * 63) + "]",
         "[" + ", ".join(["Infinity"] + ["0.5"] * 63) + "]",
         "[" + ", ".join(["1" + "0" * 400] + ["0.5"] * 63) + "]",
-        "[" * 100000 + "]" * 100000], ids=lambda t: t[:24])
+        "[" * 100000 + "]" * 100000,
+        # finite, but their spread overflows: the scores would divide by an
+        # infinite norm and record NaN thresholds
+        json.dumps([1e308, -1e308] * 32),
+        json.dumps([1e200] * 32 + [-1e200] * 32)], ids=lambda t: t[:24])
     def test_exits_two(self, pipeline, tmp_path, text, capsys):
         template = tmp_path / "bad.json"
         template.write_text(text)
+        out = tmp_path / "vectors.json"
+        out.write_bytes(pipeline["vectors"].read_bytes())
         assert main(["shape-vector", "--model", str(pipeline["checkpoint"]),
                      "--dataset", str(pipeline["dataset"]),
                      "--template", str(template), "--target-n", "6",
-                     "--out", str(tmp_path / "s.json")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
+        assert "Traceback" not in err
+        assert out.read_bytes() == pipeline["vectors"].read_bytes()
 
 
 def _first_matrix(manifest):
@@ -482,23 +499,26 @@ class TestGenerate:
 class TestMalformedVectors:
     @pytest.mark.parametrize("damage", [
         "drop latent_dim", "drop name", "drop class_sizes", "nan value",
-        "short values"])
+        "short values", *(f"latent_dim {value}" for value in
+                          ("8.7", "8.0", '"8"', "true", "0", "-8", "null"))])
     def test_exits_two(self, pipeline, tmp_path, damage, capsys):
         payload = json.loads(pipeline["vectors"].read_text())
         item = payload["vectors"][0]
         if damage.startswith("drop "):
             key = damage.split()[1]
             del (payload if key == "latent_dim" else item)[key]
+        elif damage.startswith("latent_dim "):
+            payload["latent_dim"] = json.loads(damage.split()[1])
         elif damage == "nan value":
             item["values"][0] = float("nan")
         else:
             item["values"] = item["values"][:-1]
         bad = tmp_path / "bad_vectors.json"
         bad.write_text(json.dumps(payload))
-        assert main(["generate", "--model", str(pipeline["checkpoint"]),
-                     "--vectors", str(bad), "--rng-seed", "1",
-                     "--out", str(tmp_path / "g.mid")]) == 2
-        assert "malformed vectors file" in capsys.readouterr().err
+        self.assert_exits_two(
+            ["generate", "--model", str(pipeline["checkpoint"]),
+             "--vectors", str(bad), "--rng-seed", "1",
+             "--out", str(tmp_path / "g.mid")], capsys)
 
     def damaged(self, pipeline, tmp_path, key, value):
         """The pipeline's vectors file with ``key`` of every vector set to
@@ -755,12 +775,124 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--samples", "40", "--rng-seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_nan_gradient_fails_and_exits_one(self, monkeypatch, capsys, as_json):
+        from ttvae.vae import gradcheck, forward_backward
+
+        def nan_gradient(*args, **kwargs):
+            total, grads = forward_backward(*args, **kwargs)
+            grads["dec.gru0.u"][...] = np.nan
+            return total, grads
+
+        monkeypatch.setattr(gradcheck, "forward_backward", nan_gradient)
+        assert main(["gradcheck", "--samples", "40"]
+                    + ["--json"] * as_json) == 1
+        out = capsys.readouterr().out
+        if as_json:
+            payload = json.loads(out)
+            assert payload["passed"] is False
+            assert payload["max_rel_error"] is None
+        else:
+            assert out.splitlines()[0].startswith(
+                "max relative error inf over 40 sampled weights (worst: "
+                "dec.gru0.u[")
+            assert out.splitlines()[-1] == "FAIL"
+
     def test_more_samples_than_weights_exits_two(self, capsys):
         # hidden 8 and latent 4 make 4,803 weights
         assert main(["gradcheck", "--samples", "4804"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot sample 4804 weights: the model "
                               "has 4803")
+
+
+def _printed(pipeline, corpus_dir, out):
+    """command -> (argv writing under ``out``, the keys of its ``--json``
+    object, the first line of its text output or, ending in ``...``, the
+    start of that line)."""
+    model = ["--model", str(pipeline["checkpoint"])]
+    rendered = model + ["--vectors", str(pipeline["vectors"])]
+    fitting = model + ["--dataset", str(pipeline["dataset"])]
+    (out / "config.json").write_text(json.dumps(dict(TOY_CONFIG, max_epochs=1)))
+    (out / "plan.json").write_text(json.dumps({"sections": [{"bars": 4}] * 2}))
+    return {
+        "analyze": (
+            ["analyze", "--in", str(corpus_dir / "song00.mid")],
+            {"detected_key", "fragments", "source", "warnings"},
+            "step,tensile_strain,cloud_diameter"),
+        "preprocess": (
+            ["preprocess", "--in", str(corpus_dir), "--out", str(out / "toy.ds")],
+            {"dataset", "fragments", "skipped", "songs"},
+            f"32 fragments from 8 songs (0 skipped) -> {out / 'toy.ds'}"),
+        "train": (
+            ["train", "--dataset", str(pipeline["dataset"]), "--out",
+             str(out / "m"), "--config", str(out / "config.json")],
+            {"best_epoch", "checkpoint", "checkpoint_id", "epochs_run",
+             "global_batches", "ledger"},
+            f"trained 1 epochs (best 1) -> {out / 'm' / 'checkpoint.ttv'}"),
+        "vectors": (
+            ["vectors", *fitting, "--target-n", "8", "--out", str(out / "v.json")],
+            {"checkpoint_id", "out", "vectors"},
+            "cloud_diameter_direction: classes (8, 8), thresholds "
+            "{'class_a_min_score': ..."),
+        "shape-vector": (
+            ["shape-vector", *fitting, "--target-n", "6", "--out",
+             str(out / "s.json")],
+            {"class_sizes", "out", "vector"},
+            f"wrote shape vector 'shape_triangle' (classes (6, 6)) to "
+            f"{out / 's.json'}"),
+        "generate": (
+            ["generate", *rendered, "--edit", "tensile_strain_direction=2",
+             "--out", str(out / "g.mid")],
+            {"edits", "midi", "report"},
+            f"wrote {out / 'g.mid'} and {out / 'g.mid.tension.json'}"),
+        "compose-chain": (
+            ["compose-chain", *rendered, "--plan", str(out / "plan.json"),
+             "--out", str(out / "c.mid")],
+            {"midi", "report", "total_bars"},
+            f"wrote 8-bar chain to {out / 'c.mid'}"),
+        "eval": (
+            ["eval", *rendered, "--experiment", "direction", "--n", "4",
+             "--scales", "0,2", "--out", str(out / "reports")],
+            {"experiment", "outputs"},
+            f"wrote {out / 'reports' / 'direction_cloud_diameter_direction.csv'}"),
+        "gradcheck": (
+            ["gradcheck", "--samples", "40", "--rng-seed", "1"],
+            {"max_rel_error", "n_checked", "passed", "tolerance"},
+            "max relative error ..."),
+    }
+
+
+class TestPrinter:
+    """Each command prints one JSON object under ``--json``, in the artifact
+    JSON format, and its text lines without."""
+
+    COMMANDS = ("analyze", "preprocess", "train", "vectors", "shape-vector",
+                "generate", "compose-chain", "eval", "gradcheck")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json_is_one_object(self, pipeline, corpus_dir, tmp_path, capsys,
+                                command):
+        argv, keys, _ = _printed(pipeline, corpus_dir, tmp_path)[command]
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)  # one JSON value, nothing after it
+        assert isinstance(payload, dict)
+        assert set(payload) == keys
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_text_first_line(self, pipeline, corpus_dir, tmp_path, capsys,
+                             command):
+        argv, _, first = _printed(pipeline, corpus_dir, tmp_path)[command]
+        capsys.readouterr()
+        assert main(argv) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        if first.endswith("..."):
+            assert line.startswith(first[:-3]), line
+        else:
+            assert line == first
 
 
 class TestVectorModelMismatch:

@@ -35,6 +35,23 @@ class TestGradientCheck:
         result = gradient_check(n_weights=200, step=1e-4, seed=12345)
         assert result.max_rel_error < 1e-4
 
+    def test_non_finite_derivative_fails_naming_its_weight(self, monkeypatch):
+        # a NaN never compares above the worst error, so it must count as
+        # an infinite one
+        from ttvae.vae import gradcheck
+
+        def nan_gradient(*args, **kwargs):
+            total, grads = forward_backward(*args, **kwargs)
+            grads["dec.gru0.u"] = np.full_like(grads["dec.gru0.u"], np.nan)
+            return total, grads
+
+        monkeypatch.setattr(gradcheck, "forward_backward", nan_gradient)
+        result = gradient_check(n_weights=200)
+        assert result.max_rel_error == np.inf
+        assert result.worst_tensor == "dec.gru0.u"
+        assert np.isnan(result.worst_analytic)
+        assert "dec.gru0.u" in result.summary()
+
     def test_more_weights_than_the_model_has_refused(self):
         _, params, *_ = tiny_setup()
         count = sum(p.size for p in params.values())
